@@ -17,8 +17,7 @@ from fractions import Fraction
 from . import __version__, ardynkin, cluster, elliptic
 from . import typea as ta
 from .counting import (DEFAULT_BUDGET, betti_numbers, count_points,
-                       counting_polynomial, euler_characteristic,
-                       gaussian_binomial)
+                       counting_polynomial, euler_characteristic, plan_count)
 from .errors import BudgetError, DomainError
 from .fields import PrimeField, QQ
 from .quiver import euler_form, linear_quiver
@@ -69,15 +68,6 @@ def _with_prime(m_rep, p):
     if p is None:
         raise DomainError("--p is required for a representation over Q")
     return reduce_mod(m_rep, p), p
-
-
-def _enumeration_estimate(m_rep, e, p):
-    sinks = set(m_rep.quiver.sinks())
-    est = 1
-    for v in range(1, m_rep.quiver.vertex_count + 1):
-        if v not in sinks:
-            est *= gaussian_binomial(m_rep.dims[v - 1], e[v - 1], p)
-    return est
 
 
 def _count_poly_json(cp):
@@ -152,7 +142,7 @@ def _run_count(args):
     count = count_points(mp, e, budget=args.budget)
     return echo, {"count": count}, {
         "engine": "finite-field-enumeration", "primes": [p],
-        "budget": args.budget, "budget_spent": _enumeration_estimate(mp, e, p)}
+        "budget": args.budget, "budget_spent": plan_count(mp.quiver, mp.dims, e, p).estimate}
 
 
 def _run_poly(args):

@@ -5,12 +5,21 @@ as reduced-row-echelon bases and tested for arrow stability, with no input
 from the structural algorithms they validate.
 
 Enumeration order is fixed (pivot patterns in colexicographic order, free
-entries odometer-style, vertices ascending) so golden tests are stable.  For
-counting only, sink vertices are never enumerated: once all arrow sources are
-chosen, the admissible subspaces at a sink are those containing a known span,
-and their number is a Gaussian binomial.  The enumerated/summed split is what
-makes the large fixtures (millions of lines) feasible; exhaustive and summed
-counts are cross-asserted on every small fixture in the test suite.
+entries odometer-style, vertices ascending) so golden tests are stable.
+
+Counting (``count_points``) does not enumerate every vertex.  Once the
+neighbours of a sink t are chosen, the admissible U_t are the e_t-spaces
+containing the span of the images, r-dimensional say: [d_t - r, e_t - r]_p
+of them.  Dually (Gr_e(M) = Gr_{d-e}(DM)), once the targets of a source s
+are chosen, the admissible U_s are the e_s-spaces inside the intersection of
+the preimages M_a^-1(U_t), of codimension r say: [d_s - r, e_s]_p of them.
+``plan_count`` picks an independent set of sources and sinks to sum this way,
+minimising the product of Gaussian binomials over the vertices still
+enumerated; the executor runs one depth-first search over those, testing
+each vertex a numpy batch at a time and grouping the rows of the last one by
+their rank vector, so every sum and product is taken exactly in Python ints.
+Exhaustive (``enumerate_subreps``) and planned counts are cross-asserted on
+random small representations in the test suite.
 """
 
 import itertools
@@ -84,7 +93,10 @@ class SubspaceIter:
                 yield tuple(tuple(row) for row in m)
 
     def batches(self, chunk=1 << 15):
-        """Same subspaces, same order, as numpy arrays of shape (m, e, d)."""
+        """Same subspaces, same order, as numpy arrays of shape (m, e, d).
+
+        All matrices of one batch share one pivot pattern.
+        """
         d, e, p = self.d, self.e, self.p
         if e == 0:
             yield np.zeros((1, 0, d), dtype=np.int64)
@@ -108,13 +120,27 @@ class SubspaceIter:
                 start = stop
 
 
+def _residue_dtype(p, n):
+    """int64 when sums of n products of residues mod p stay below 2**63.
+
+    Every int64 step of the counting engine is exact under that bound: its
+    entries are reduced below p, a matrix product sums at most n products of
+    two residues, and an elimination step subtracts one such product.
+    Outside it the same code runs on Python ints (dtype=object).
+    """
+    return np.int64 if max(n, 1) * (p - 1) ** 2 < 2 ** 63 else object
+
+
 def batched_rank_mod_p(mats, p):
-    """Ranks of a stack of small integer matrices mod p (vectorized)."""
-    a = np.ascontiguousarray(mats % p)
+    """Ranks of a stack of integer matrices mod p (vectorized elimination).
+
+    int64 arithmetic is used while (p-1)**2 < 2**63, Python ints beyond it;
+    only the distinct pivot values of a column step are inverted.
+    """
+    a = np.asarray(mats).astype(_residue_dtype(p, 1)) % p
     m, rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.zeros(m, dtype=np.int64)
-    inv_table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
     rank = np.zeros(m, dtype=np.int64)
     cur = np.zeros(m, dtype=np.int64)
     row_idx = np.arange(rows)[None, :]
@@ -130,7 +156,9 @@ def batched_rank_mod_p(mats, p):
         tmp = a[mi, r0, :].copy()
         a[mi, r0, :] = a[mi, piv, :]
         a[mi, piv, :] = tmp
-        a[mi, r0, :] = a[mi, r0, :] * inv_table[a[mi, r0, c]][:, None] % p
+        values, where = np.unique(a[mi, r0, c], return_inverse=True)
+        inverse = np.array([pow(int(x), -1, p) for x in values], dtype=a.dtype)[where]
+        a[mi, r0, :] = a[mi, r0, :] * inverse[:, None] % p
         colvals = a[mi, :, c].copy()
         colvals[np.arange(mi.size), r0] = 0
         a[mi] = (a[mi] - colvals[:, :, None] * a[mi, r0, :][:, None, :]) % p
@@ -192,146 +220,193 @@ def enumerate_subreps(m_rep, e, budget=DEFAULT_BUDGET):
     return out
 
 
-def _span_rank(rows_list, d, field):
-    if not rows_list:
-        return 0
-    return la.rank(tuple(rows_list), field)
+@dataclass(frozen=True)
+class CountPlan:
+    """How count_points counts: vertices enumerated (search order, leaf last),
+    sources and sinks summed in closed form, and the enumeration estimate."""
+
+    enumerated: tuple
+    summed: tuple
+    estimate: int
+
+
+def plan_count(quiver, dims, e, p):
+    """The independent set of sources and sinks whose summing leaves the fewest
+    tuples to enumerate, the product of [d_v, e_v]_p over the others.
+
+    Sources are never adjacent to sources, nor sinks to sinks, so a plan is
+    fixed by its summed sources (or sinks): every sink (source) not adjacent
+    to one of them is summed too.  All subsets of the smaller side are
+    tried.  Isolated vertices are always summed; summing a vertex with a
+    single subspace (e_v in {0, d_v}) saves nothing, so none is tried.
+    """
+    n = quiver.vertex_count
+    cost = {v: gaussian_binomial(dims[v - 1], e[v - 1], p) for v in range(1, n + 1)}
+    neighbours = {v: set() for v in range(1, n + 1)}
+    for s, t in quiver.arrows:
+        neighbours[s].add(t)
+        neighbours[t].add(s)
+    isolated = {v for v in neighbours if not neighbours[v]}
+    side = [v for v in quiver.sources() if v not in isolated]
+    other = [v for v in quiver.sinks() if v not in isolated]
+    if len(side) > len(other):
+        side, other = other, side
+    choices = [v for v in side if cost[v] > 1]
+    best = None
+    for k in range(len(choices) + 1):
+        for chosen in itertools.combinations(choices, k):
+            blocked = set().union(*(neighbours[v] for v in chosen))
+            summed = isolated | set(chosen) | {v for v in other if v not in blocked}
+            rest = [v for v in quiver.topological_order if v not in summed]
+            estimate = 1
+            for v in rest:
+                estimate *= cost[v]
+            if best is None or (estimate, len(rest)) < (best.estimate, len(best.enumerated)):
+                # the search runs over the cheap vertices first, the leaf is the dearest
+                rest.sort(key=lambda v: cost[v])
+                best = CountPlan(tuple(rest), tuple(sorted(summed)), estimate)
+    return best
+
+
+def _check_budget(estimate, budget):
+    if estimate > budget:
+        raise BudgetError(f"enumeration of ~{estimate} tuples exceeds budget {budget}",
+                          estimate=estimate)
 
 
 def count_points(m_rep, e, budget=DEFAULT_BUDGET, sum_sinks=True):
     """Number of points of the Grassmannian of e-dimensional subreps over F_p.
 
-    With sum_sinks (the default), only non-sink vertices are enumerated and
-    each sink contributes a closed-form Gaussian-binomial factor; set it to
-    False to force the fully enumerated count.
+    With sum_sinks (the default) the count follows ``plan_count``: the summed
+    sources and sinks each contribute a Gaussian-binomial factor and only the
+    other vertices are enumerated.  Set it to False to force the fully
+    enumerated count of ``enumerate_subreps``.
     """
     p = _require_prime_field(m_rep)
     e = _check_sub_dim_vector(m_rep, e)
     if not sum_sinks:
         return len(enumerate_subreps(m_rep, e, budget=budget))
-    q, field = m_rep.quiver, m_rep.field
-    sinks = set(q.sinks())
-    enumerated = [v for v in q.topological_order if v not in sinks]
-    estimate = 1
-    for v in enumerated:
-        estimate *= gaussian_binomial(m_rep.dims[v - 1], e[v - 1], p)
-    if estimate > budget:
-        raise BudgetError(f"enumeration of ~{estimate} tuples exceeds budget {budget}",
-                          estimate=estimate)
-    sink_list = sorted(sinks)
-    if len(enumerated) <= 1:
-        return _count_single_enumerated(m_rep, e, enumerated, sink_list)
-    return _count_dfs(m_rep, e, enumerated, sink_list)
+    plan = plan_count(m_rep.quiver, m_rep.dims, e, p)
+    _check_budget(plan.estimate, budget)
+    return _PlannedCount(m_rep, e, plan).total()
 
 
-def _sink_factor(m_rep, e, t, incoming_rows, field):
-    r = _span_rank(incoming_rows, m_rep.dims[t - 1], field)
-    return gaussian_binomial(m_rep.dims[t - 1] - r, e[t - 1] - r, field.p)
+def _mul(a, b, p):
+    return np.matmul(a, b) % p
 
 
-def _count_dfs(m_rep, e, enumerated, sink_list, witness_sink=None):
-    q, field = m_rep.quiver, m_rep.field
-    p = field.p
-    per_vertex = {v: list(SubspaceIter(m_rep.dims[v - 1], e[v - 1], p)) for v in enumerated}
-    pivots = {v: [la.rref(b, field)[1] if b else [] for b in per_vertex[v]]
-              for v in enumerated}
-    pos = {v: i for i, v in enumerate(enumerated)}
-    # arrows between enumerated vertices, checkable once the later endpoint is set
-    check_at = {v: [] for v in enumerated}
-    for a, (s, t) in enumerate(q.arrows):
-        if s in pos and t in pos:
-            later = s if pos[s] > pos[t] else t
-            check_at[later].append((a, s, t))
-    total = 0
-    choice = {}
+def _annihilators(batch, p):
+    """Row bases of the annihilators of the row spaces of a batch of RREF bases.
 
-    def descend(k):
-        nonlocal total
-        if k == len(enumerated):
-            factor = 1
-            for t in sink_list:
-                rows = []
-                for a, s, _ in q.arrows_into(t):
-                    ma = m_rep.matrix(a)
-                    for row in per_vertex[s][choice[s]]:
-                        rows.append(la.mat_vec(ma, row, field))
-                factor *= _sink_factor(m_rep, e, t, rows, field)
-                if factor == 0:
-                    return
-            total += factor
-            return
-        v = enumerated[k]
-        for i in range(len(per_vertex[v])):
-            choice[v] = i
-            ok = True
-            for a, s, t in check_at[v]:
-                bs = per_vertex[s][choice[s]]
-                bt = per_vertex[t][choice[t]]
-                piv = pivots[t][choice[t]]
-                ma = m_rep.matrix(a)
-                for row in bs:
-                    img = la.mat_vec(ma, row, field)
-                    if not bt:
-                        if any(x % p for x in img):
-                            ok = False
-                            break
-                    elif not la.row_space_contains(bt, piv, img, field):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                descend(k + 1)
-        del choice[v]
-
-    descend(0)
-    return total
+    For pivots J the annihilator has one vector per non-pivot column c: 1 at
+    c and -B[j, c] at pivot J_j.  A batch shares one pivot pattern.
+    """
+    m, e, d = batch.shape
+    pivots = [int(np.flatnonzero(row)[0]) for row in batch[0]]
+    free = [c for c in range(d) if c not in pivots]
+    ann = np.zeros((m, d - e, d), dtype=batch.dtype)
+    ann[:, np.arange(d - e), free] = 1
+    ann[:, :, pivots] = (-batch[:, :, free]).transpose(0, 2, 1) % p
+    return ann
 
 
-def _count_single_enumerated(m_rep, e, enumerated, sink_list):
-    """Vectorized count when at most one vertex needs enumeration."""
-    q, field = m_rep.quiver, m_rep.field
-    p = field.p
-    if not enumerated:
-        total = 1
-        for t in sink_list:
-            total *= gaussian_binomial(m_rep.dims[t - 1], e[t - 1], p)
-        return total
-    v = enumerated[0]
-    dv, ev = m_rep.dims[v - 1], e[v - 1]
-    tables = {}
-    for t in sink_list:
-        dt = m_rep.dims[t - 1]
-        tables[t] = np.array([[gaussian_binomial(n, k, p) for k in range(dt + 1)]
-                              for n in range(dt + 1)], dtype=np.int64)
-    arrow_mats = {}
-    for a, s, t in q.arrows_from(v):
-        arrow_mats[a] = np.array([[int(x) for x in row] for row in m_rep.matrix(a)],
-                                 dtype=np.int64).T if m_rep.dims[t - 1] else None
-    total = 0
-    for batch in SubspaceIter(dv, ev, p).batches():
-        m = batch.shape[0]
-        factors = np.ones(m, dtype=np.int64)
-        for t in sink_list:
-            dt, et = m_rep.dims[t - 1], e[t - 1]
-            images = []
-            for a, s, tt in q.arrows_into(t):
-                if s != v:
-                    raise AssertionError("arrow source must be the enumerated vertex")
-                if dt == 0 or ev == 0:
-                    continue
-                images.append(np.matmul(batch, arrow_mats[a]) % p)
-            if images:
-                stacked = np.concatenate(images, axis=1)
-                r = batched_rank_mod_p(stacked, p)
+class _PlannedCount:
+    """The executor of a CountPlan: a depth-first search over the enumerated
+    vertices, each tested a batch of subspaces at a time.
+
+    A chosen vertex holds its basis and annihilator.  Each arrow between two
+    enumerated vertices is tested when its later endpoint is drawn; each
+    summed vertex is ranked when its last neighbour is drawn.  The rows of
+    the leaf are grouped by their rank vector, so each distinct product of
+    Gaussian binomials is formed once, in Python ints.
+    """
+
+    def __init__(self, m_rep, e, plan):
+        q = self.quiver = m_rep.quiver
+        self.p, self.dims, self.e, self.plan = m_rep.field.p, m_rep.dims, e, plan
+        self.dtype = _residue_dtype(self.p, max(self.dims, default=1))
+        self.mats = [np.array(m_rep.matrix(a), dtype=self.dtype).reshape(
+            self.dims[t - 1], self.dims[s - 1]) for a, (s, t) in enumerate(q.arrows)]
+        self.sinks = set(q.sinks())
+        pos = {v: i for i, v in enumerate(plan.enumerated)}
+        self.completes = {v: [] for v in plan.enumerated}
+        self.constant = 1
+        for w in plan.summed:
+            around = [u for a, s, t in q.arrows_into(w) + q.arrows_from(w)
+                      for u in (s, t) if u != w]
+            if around:
+                self.completes[max(around, key=pos.__getitem__)].append(w)
             else:
-                r = np.zeros(m, dtype=np.int64)
-            kk = et - r
-            valid = kk >= 0
-            f = np.where(valid, tables[t][dt - r, np.maximum(kk, 0)], 0)
-            factors = factors * f
-        total += int(factors.sum())
-    return total
+                self.constant *= gaussian_binomial(self.dims[w - 1], e[w - 1], self.p)
+        self.chosen = {}
+
+    def total(self):
+        if not self.constant or not self.plan.enumerated:
+            return self.constant
+        return self.constant * self._level(0)
+
+    def _level(self, k):
+        v = self.plan.enumerated[k]
+        completes = self.completes[v]
+        total = 0
+        for batch in SubspaceIter(self.dims[v - 1], self.e[v - 1], self.p).batches():
+            batch = batch.astype(self.dtype, copy=False)
+            ann = _annihilators(batch, self.p)
+            keep = np.flatnonzero(self._stable(v, batch, ann))
+            if not keep.size:
+                continue
+            batch, ann = batch[keep], ann[keep]
+            ranks = np.stack([self._rank(w, v, batch, ann) for w in completes], axis=1) \
+                if completes else np.zeros((keep.size, 0), dtype=np.int64)
+            if k + 1 == len(self.plan.enumerated):
+                rows, counts = np.unique(ranks, axis=0, return_counts=True)
+                for row, count in zip(rows, counts):
+                    total += int(count) * self._factor(completes, row)
+                continue
+            for i, row in enumerate(ranks):
+                factor = self._factor(completes, row)
+                if factor:
+                    self.chosen[v] = (batch[i], ann[i])
+                    total += factor * self._level(k + 1)
+        self.chosen.pop(v, None)
+        return total
+
+    def _stable(self, v, batch, ann):
+        """Rows of the batch at v mapping into, and mapped into by, the chosen
+        neighbours: ann(U_t) M_a U_v = 0 and ann(U_v) M_a U_s = 0."""
+        p, ok = self.p, np.ones(batch.shape[0], dtype=bool)
+        for a, _, t in self.quiver.arrows_from(v):
+            if t in self.chosen:
+                test = _mul(batch, _mul(self.chosen[t][1], self.mats[a], p).T, p)
+                ok &= ~(test != 0).any(axis=(1, 2))
+        for a, s, _ in self.quiver.arrows_into(v):
+            if s in self.chosen:
+                test = _mul(ann, _mul(self.mats[a], self.chosen[s][0].T, p), p)
+                ok &= ~(test != 0).any(axis=(1, 2))
+        return ok
+
+    def _rank(self, w, v, batch, ann):
+        """Per row of the batch at v: the rank r of the images into a summed
+        sink w, or of the stacked ann(U_t) M_a out of a summed source w."""
+        m, p, pieces = batch.shape[0], self.p, []
+        if w in self.sinks:
+            for a, s, _ in self.quiver.arrows_into(w):
+                basis = batch if s == v else self.chosen[s][0]
+                pieces.append(_mul(basis, self.mats[a].T, p))
+        else:
+            for a, _, t in self.quiver.arrows_from(w):
+                annihilator = ann if t == v else self.chosen[t][1]
+                pieces.append(_mul(annihilator, self.mats[a], p))
+        pieces = [np.broadcast_to(x, (m,) + x.shape[-2:]) for x in pieces]
+        return batched_rank_mod_p(np.concatenate(pieces, axis=1), p)
+
+    def _factor(self, summed, ranks):
+        """Product of the Gaussian-binomial factors of summed vertices at their ranks."""
+        out = 1
+        for w, r in zip(summed, ranks):
+            d, ew, r = self.dims[w - 1], self.e[w - 1], int(r)
+            out *= gaussian_binomial(d - r, ew - r if w in self.sinks else ew, self.p)
+        return out
 
 
 @dataclass(frozen=True)
@@ -400,7 +475,8 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     """Interpolate #Gr_e(M) over F_p through enough good-reduction primes.
 
     M lives over Q; the degree bound is D = sum e_i (d_i - e_i), so D+1 primes
-    interpolate and one more is held out for the consistency check.
+    interpolate and one more is held out for the consistency check.  The
+    budget is checked at every one of these primes before any is counted.
     """
     if m_rep.field != QQ:
         raise DomainError("counting_polynomial expects a representation over Q")
@@ -428,6 +504,8 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
                 f"need at least {degree_bound + 1} good-reduction primes, have {len(good)}")
     interp_primes = good[:degree_bound + 1]
     held = good[degree_bound + 1] if len(good) > degree_bound + 1 else None
+    _check_budget(max(plan_count(m_rep.quiver, m_rep.dims, e, p).estimate
+                      for p in good[:degree_bound + 2]), budget)
     counts = [count_points(rp.reduce_mod(m_rep, p), e, budget=budget)
               for p in interp_primes]
     poly = _lagrange(list(zip(interp_primes, counts)))

@@ -105,6 +105,39 @@ def test_budget_exit_3(tmp_path):
     assert code == 3 and "budget" in text
 
 
+
+def _q_binomial(n, k):
+    """Coefficients of the Gaussian binomial [n, k]_q, ascending, by q-Pascal."""
+    if k in (0, n):
+        return [1]
+    left, right = _q_binomial(n - 1, k - 1), [0] * k + _q_binomial(n - 1, k)
+    left += [0] * (len(right) - len(left))
+    return [a + b for a, b in zip(left, right)]
+
+
+def test_poly_needs_binomials_beyond_int64():
+    # interpolating a degree-16 bound takes primes up to 61, where [8,4]_61 > 2**63
+    code, text = run(["poly", "--intervals", "U[1,2] + U[2,2]^7", "--n", "2",
+                      "--e", "1,4", "--format", "machine"])
+    assert code == 0
+    cp = json.loads(text)["outputs"]["counting_polynomial"]
+    assert cp["consistency"] == "verified" and cp["coefficients"] == _q_binomial(7, 3)
+
+
+def test_poly_budget_checked_at_the_largest_prime():
+    code, text = run(["poly", "--intervals", "U[1,3]^4", "--n", "3", "--e", "1,2,2",
+                      "--budget", "1000000"])
+    assert code == 3 and "exceeds budget" in text and "2898086" in text
+
+
+def test_count_reports_the_planned_estimate():
+    # flag variety of F^4 at e = (1,2,3): only the planes at vertex 2 are enumerated
+    code, text = run(["count", "--intervals", "U[1,3]^4", "--n", "3", "--e", "1,2,3",
+                      "--p", "5", "--format", "machine"])
+    doc = json.loads(text)
+    assert code == 0 and doc["outputs"]["count"] == 6 * 31 * 156
+    assert doc["provenance"]["budget_spent"] == 806
+
 def test_count_subcommand(ex4_file):
     code, text = run(["count", "--rep", ex4_file, "--e", "1,1", "--p", "2"])
     assert code == 0 and "count: 5" in text

@@ -4,6 +4,8 @@ polynomials, and stratum classification."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, dual, kronecker_quiver, linear_quiver,
@@ -12,7 +14,8 @@ from quivergrass.counting import (CountPoly, SubspaceIter, batched_rank_mod_p,
                                   betti_numbers, classify_strata_ff,
                                   count_points, counting_polynomial,
                                   enumerate_subreps, euler_characteristic,
-                                  gaussian_binomial)
+                                  gaussian_binomial, plan_count)
+from quivergrass.elliptic import elliptic_quiver
 from quivergrass.rep import hom_fingerprint, reduce_mod, restrict
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
                                flag_dec, interval_rep)
@@ -52,7 +55,7 @@ def test_subspace_batches_match_iterator():
 def test_batched_rank():
     import numpy as np
     rng = random.Random(5)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 1_000_000_007, 2 ** 31 - 1):
         field = PrimeField(p)
         mats = [[[rng.randrange(p) for _ in range(4)] for _ in range(3)]
                 for _ in range(40)]
@@ -281,6 +284,114 @@ def test_sink_summed_equals_exhaustive():
         (Representation(kronecker_quiver(4), PrimeField(3), (2, 2),
                         [[[1, 0], [0, 1]], [[0, 1], [0, 0]],
                          [[1, 1], [0, 1]], [[0, 0], [1, 0]]]), (1, 1)),
+        # the source is summed: [4,2]_3 = 130 planes against 4 * 4 line pairs
+        (Representation(Quiver(3, [(1, 2), (1, 3)]), PrimeField(3), (4, 2, 2),
+                        [[[1, 0, 2, 0], [0, 1, 0, 0]], [[0, 0, 1, 1], [0, 0, 0, 0]]]),
+         (2, 1, 1)),
     ]
+    assert plan_count(fixtures[-1][0].quiver, (4, 2, 2), (2, 1, 1), 3).summed == (1,)
     for m, e in fixtures:
         assert count_points(m, e) == count_points(m, e, sum_sinks=False)
+
+
+def test_summed_path_ends_match_exhaustive():
+    # both ends summed: the leaf's basis feeds the sink's rank and its
+    # annihilator the source's; on A_4 the search draws vertices 2 and 3 in
+    # both orders, so arrows are tested from either end
+    import itertools
+    rng = random.Random(11)
+    for dims in ((2, 3, 2), (2, 3, 2, 2), (2, 2, 3, 2)):
+        n = len(dims)
+        for _ in range(3):
+            mats = [[[rng.randrange(3) for _ in range(dims[s])] for _ in range(dims[s + 1])]
+                    for s in range(n - 1)]
+            m = Representation(linear_quiver(n), PrimeField(3), dims, mats)
+            for middle in itertools.product(*(range(1, d) for d in dims[1:-1])):
+                e = (1,) + middle + (1,)
+                assert plan_count(m.quiver, dims, e, 3).summed == (1, n)
+                assert count_points(m, e) == len(enumerate_subreps(m, e))
+
+
+def test_plan_sums_the_cheaper_side():
+    for p, lines in ((2, 63), (3, 364), (5, 3906)):
+        plan = plan_count(elliptic_quiver(), (1, 10, 6), (0, 1, 1), p)
+        assert (plan.summed, plan.enumerated, plan.estimate) == ((2,), (1, 3), lines)
+    star = plan_count(Quiver(3, [(1, 2), (1, 3)]), (6, 3, 3), (3, 1, 2), 3)
+    assert (star.summed, star.enumerated, star.estimate) == ((1,), (2, 3), 13 * 13)
+    fixed_source = plan_count(Quiver(3, [(1, 2), (1, 3)]), (1, 6, 6), (1, 3, 3), 31)
+    assert (fixed_source.summed, fixed_source.enumerated) == ((2, 3), (1,))
+    a3 = plan_count(linear_quiver(3), (4, 4, 4), (1, 2, 3), 5)
+    assert (a3.summed, a3.enumerated, a3.estimate) == ((1, 3), (2,), 806)
+    alone = plan_count(Quiver(2, []), (4, 3), (2, 1), 2)
+    assert (alone.summed, alone.enumerated, alone.estimate) == ((1, 2), (), 1)
+
+
+def test_summed_sinks_stay_exact_beyond_int64():
+    m = Representation(Quiver(3, [(1, 2), (1, 3)]), PrimeField(31), (1, 6, 6),
+                       [[[0]] * 6, [[0]] * 6])
+    assert count_points(m, (1, 3, 3)) == gaussian_binomial(6, 3, 31) ** 2 \
+        == 748038345947502395744358400
+
+
+@pytest.mark.parametrize("p", [1_000_000_007, 2 ** 31 - 1])
+def test_count_at_large_primes(p):
+    # the source line maps onto a line in each sink: [2,1]_p planes through each
+    q = Quiver(3, [(1, 2), (1, 3)])
+    m = Representation(q, PrimeField(p), (1, 3, 3),
+                       [[[p - 1], [5], [0]], [[0], [0], [p - 2]]])
+    assert count_points(m, (1, 2, 2)) == (p + 1) ** 2
+    assert count_points(m, (0, 1, 2)) == (p ** 2 + p + 1) * (p ** 2 + p + 1)
+
+
+def test_counting_polynomial_checks_budget_before_counting(monkeypatch):
+    import quivergrass.counting as counting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prime was counted before the budget check")
+    monkeypatch.setattr(counting, "count_points", refuse)
+    with pytest.raises(BudgetError) as err:
+        counting_polynomial(flag_dec(3).to_representation(QQ), (1, 2, 2), budget=1_000_000)
+    assert err.value.estimate == gaussian_binomial(4, 2, 41) == 2_898_086
+
+
+@st.composite
+def small_reps(draw, max_dim=3):
+    """A representation on at most four vertices over GF(2), GF(3) or GF(5)
+    and a sub-dimension vector."""
+    n = draw(st.integers(1, 4))
+    arrow = st.integers(1, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, n)))
+    arrows = draw(st.lists(arrow, min_size=1, max_size=5)) if n > 1 else []
+    p = draw(st.sampled_from([2, 3, 5]))
+    dims = tuple(draw(st.lists(st.integers(0, max_dim), min_size=n, max_size=n)))
+    entry = st.integers(0, p - 1)
+    mats = [[[draw(entry) for _ in range(dims[s - 1])] for _ in range(dims[t - 1])]
+            for s, t in arrows]
+    e = tuple(draw(st.integers(0, d)) for d in dims)
+    return Representation(Quiver(n, arrows), PrimeField(p), dims, mats), e
+
+
+def _tuples(m, e):
+    out = 1
+    for d, x in zip(m.dims, e):
+        out *= gaussian_binomial(d, x, m.field.p)
+    return out
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(small_reps())
+def test_planned_count_equals_exhaustive(rep_and_e):
+    m, e = rep_and_e
+    assume(_tuples(m, e) <= 3000)
+    assert count_points(m, e) == len(enumerate_subreps(m, e))
+
+
+@_PROPERTY
+@given(small_reps())
+def test_planned_count_is_dual_invariant(rep_and_e):
+    m, e = rep_and_e
+    co_e = tuple(d - x for d, x in zip(m.dims, e))
+    assert count_points(m, e) == count_points(dual(m), co_e)
