@@ -100,11 +100,6 @@ def classify(quiver):
     return Classification("wild")
 
 
-POSITIVE_ROOT_COUNTS = {("A",): lambda n: n * (n + 1) // 2,
-                        ("D",): lambda n: n * (n - 1),
-                        ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
-
-
 def positive_root_count(letter, rank):
     if letter == "A":
         return rank * (rank + 1) // 2
@@ -165,7 +160,6 @@ def knit(quiver):
     tau = {}
     completed = set()
     while True:
-        expected = positive_root_count(cls.letter, cls.rank)
         ready = None
         for x in range(len(vertices)):
             if x in completed or vertices[x] in inj_set:
@@ -190,10 +184,10 @@ def knit(quiver):
             arrows.append((t, new_idx))
         tau[new_idx] = ready
         completed.add(ready)
-    if len(vertices) != positive_root_count(cls.letter, cls.rank):
+    roots = positive_root_count(cls.letter, cls.rank)
+    if len(vertices) != roots:
         raise AssertionError(
-            f"knitting produced {len(vertices)} vertices, expected "
-            f"{positive_root_count(cls.letter, cls.rank)} positive roots")
+            f"knitting produced {len(vertices)} vertices, expected {roots} positive roots")
     return ARQuiver(vertices, arrows,
                     tau,
                     [index[d] for d in proj_dims],

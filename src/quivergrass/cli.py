@@ -1,9 +1,10 @@
 """Command-line interface: file parsing, subcommand dispatch, canonical output.
 
-Exit codes: 0 success, 1 unknown subcommand, 2 domain errors (including
-malformed files, reported with their position), 3 budget errors.  Machine
-output is one canonical JSON document (sorted keys, fixed separators), so
-identical inputs produce byte-identical output.
+Exit codes: 0 success, 1 unknown subcommand, 2 usage errors (a flag the
+subcommand does not take, a missing required flag, a malformed integer) and
+domain errors (including malformed files, reported with their position), 3
+budget errors.  Machine output is one canonical JSON document (sorted keys,
+fixed separators), so identical inputs produce byte-identical output.
 
 Vertices are 1-based in files, matching the standard labeling; arrow indices
 (the keys of "matrices") are 0-based positions in the "arrows" list.
@@ -11,6 +12,7 @@ Vertices are 1-based in files, matching the standard labeling; arrow indices
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -22,42 +24,65 @@ from .errors import BudgetError, DomainError
 from .fields import PrimeField, QQ
 from .quiver import euler_form, linear_quiver
 from .rep import SubrepWitness, hom_dim, ext1_dim, reduce_mod, tangent_dim
-from .repfile import (RepDocument, document_for, format_intervals,
-                      parse_intervals, parse_rep_document)
-
-SUBCOMMANDS = ("decompose", "hom", "ext", "euler", "count", "poly", "cells",
-               "poincare", "strata", "fpoly", "gvector", "cc", "verify-mult",
-               "psi-check", "deg-compare", "flat-locus", "catenoid",
-               "ar-quiver", "tangent", "demo-elliptic")
+from .repfile import format_intervals, parse_intervals, parse_rep_document
 
 
-def _csv_ints(text):
-    if text is None:
-        return None
-    return tuple(int(x) for x in text.split(","))
+def _ints(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
-def _load_doc(path):
+# The argparse spec of every flag; COMMANDS says which subcommand takes which.
+FLAGS = {
+    "rep": dict(metavar="FILE", help="representation file (JSON)"),
+    "rep2": dict(metavar="FILE", help="second representation file (JSON)"),
+    "x": dict(metavar="FILE", help="file for X in 0 -> X -> Y -> S -> 0"),
+    "s": dict(metavar="FILE", help="file for S in 0 -> X -> Y -> S -> 0"),
+    "intervals": dict(metavar="STR", help="type A shorthand, e.g. "
+                                          "'U[1,2]^2 + U[2,2]' (with --n)"),
+    "n": dict(type=int, metavar="N", help="number of vertices of A_n"),
+    "e": dict(type=_ints, metavar="CSV", help="sub-dimension vector, comma separated"),
+    "p": dict(type=int, metavar="PRIME", help="prime"),
+    "primes": dict(type=_ints, metavar="CSV", help="comma-separated primes"),
+    "budget": dict(type=int, default=DEFAULT_BUDGET, metavar="N",
+                   help="enumeration budget (tuples)"),
+    "strategy": dict(choices=("cells", "count", "auto"), default="auto",
+                     help="Euler characteristic engine"),
+    "witness": dict(metavar="FILE", help="witness file (JSON bases)"),
+}
+
+
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_rep_document(fh.read())
+            return fh.read()
     except OSError as ex:
         raise DomainError(f"cannot read {path}: {ex}") from None
 
 
-def _rep_input(args, attr="rep"):
-    """A representation from --rep FILE or --intervals STR --n N."""
-    path = getattr(args, attr.replace("-", "_"), None)
-    if path:
-        doc = _load_doc(path)
-        return doc.to_representation(), {"document": json.loads(doc.canonical_json())}
-    if getattr(args, "intervals", None) is not None:
-        if not getattr(args, "n", None):
-            raise DomainError("--intervals requires --n")
-        dec = parse_intervals(args.intervals, args.n)
-        return dec.to_representation(QQ), {
-            "intervals": format_intervals(dec), "n": args.n}
-    raise DomainError(f"--{attr} FILE (or --intervals STR --n N) is required")
+def _load_doc(path):
+    return parse_rep_document(_read(path))
+
+
+def _load_rep(path):
+    doc = _load_doc(path)
+    return doc.to_representation(), {"document": json.loads(doc.canonical_json())}
+
+
+def _rep_input(args):
+    """The first representation: from --rep FILE or from --intervals STR --n N."""
+    if args.intervals is None:
+        if args.n is not None:
+            raise DomainError("--n applies only with --intervals")
+        return _load_rep(args.rep)
+    if not args.n:
+        raise DomainError("--intervals requires --n")
+    dec = parse_intervals(args.intervals, args.n)
+    return dec.to_representation(QQ), {
+        "intervals": format_intervals(dec), "n": args.n}
 
 
 def _with_prime(m_rep, p):
@@ -70,6 +95,34 @@ def _with_prime(m_rep, p):
     return reduce_mod(m_rep, p), p
 
 
+def _inputs(args):
+    """The input steps shared by the subcommands, decided by the flags each
+    takes: sets ``args.m`` (the representation), ``args.m2`` (the second) and
+    ``args.ge`` (the extension), resolves ``--strategy auto``, reduces
+    ``args.m`` mod ``--p``, and returns the inputs to echo."""
+    echo = {}
+    if hasattr(args, "intervals"):
+        args.m, echo = _rep_input(args)
+    if hasattr(args, "rep2"):
+        args.m2, second = _load_rep(args.rep2)
+        echo = {"first": echo, "second": second}
+    if hasattr(args, "x"):
+        x_doc, s_doc = _load_doc(args.x), _load_doc(args.s)
+        args.ge = cluster.make_generating(s_doc.to_representation(),
+                                          x_doc.to_representation())
+        echo = {"x": json.loads(x_doc.canonical_json()),
+                "s": json.loads(s_doc.canonical_json())}
+    if hasattr(args, "e"):
+        echo["e"] = list(args.e)
+    if getattr(args, "strategy", None) == "auto":
+        args.strategy = "cells" if args.m.quiver.is_linear_equioriented() else "count"
+    if hasattr(args, "p"):
+        if hasattr(args, "m"):
+            args.m, args.p = _with_prime(args.m, args.p)
+        echo["p"] = args.p
+    return echo
+
+
 def _count_poly_json(cp):
     out = {"coefficients": list(cp.coefficients), "consistency": cp.consistency,
            "primes": list(cp.primes), "counts": list(cp.counts)}
@@ -80,240 +133,155 @@ def _count_poly_json(cp):
     return out
 
 
-def _poly_json(sp):
-    return sp.serialized()
+# Each runner takes the parsed flags (after ``_inputs``) and the echoed
+# inputs, and returns the outputs and the provenance.
 
-
-def _xy_names(n):
-    return [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
-
-
-def _auto_strategy(m_rep, requested):
-    if requested in ("cells", "count"):
-        return requested
-    return "cells" if m_rep.quiver.is_linear_equioriented() else "count"
-
-
-def _run_decompose(args):
-    m, echo = _rep_input(args)
-    dec = ta.decompose(m)
-    ranks = ta.rank_sequence(m)
-    return echo, {
+def _decompose(args, echo):
+    dec = ta.decompose(args.m)
+    ranks = ta.rank_sequence(args.m)
+    return {
         "intervals": format_intervals(dec),
         "multiplicities": [[list(ij), mult] for ij, mult in sorted(dec.m.items())],
         "rank_sequence": [[list(ij), r] for ij, r in sorted(ranks.r.items())],
     }, {"engine": "rank-sequence"}
 
 
-def _run_hom(args):
-    n, echo_n = _rep_input(args, "rep")
-    m, echo_m = _rep_input(args, "rep2")
-    return {"first": echo_n, "second": echo_m}, {"hom_dim": hom_dim(n, m)}, \
-        {"engine": "kernel-of-defect-map"}
+def _hom(args, echo):
+    return {"hom_dim": hom_dim(args.m, args.m2)}, {"engine": "kernel-of-defect-map"}
 
 
-def _run_ext(args):
-    n, echo_n = _rep_input(args, "rep")
-    m, echo_m = _rep_input(args, "rep2")
-    return {"first": echo_n, "second": echo_m}, {"ext1_dim": ext1_dim(n, m)}, \
-        {"engine": "cokernel-of-defect-map"}
+def _ext(args, echo):
+    return {"ext1_dim": ext1_dim(args.m, args.m2)}, {"engine": "cokernel-of-defect-map"}
 
 
-def _run_euler(args):
-    m, echo = _rep_input(args)
-    e = _csv_ints(args.e)
-    if e is None:
-        raise DomainError("--e is required")
-    echo["e"] = list(e)
-    d = m.dims
-    return echo, {
-        "euler_e_dim": euler_form(m.quiver, e, d),
-        "euler_e_complement": euler_form(m.quiver, e, tuple(a - b for a, b in zip(d, e))),
+def _euler(args, echo):
+    d, e = args.m.dims, args.e
+    return {
+        "euler_e_dim": euler_form(args.m.quiver, e, d),
+        "euler_e_complement": euler_form(args.m.quiver, e, tuple(a - b for a, b in zip(d, e))),
     }, {"engine": "closed-form"}
 
 
-def _run_count(args):
-    m, echo = _rep_input(args)
-    e = _csv_ints(args.e)
-    if e is None:
-        raise DomainError("--e is required")
-    mp, p = _with_prime(m, args.p)
-    echo.update({"e": list(e), "p": p})
-    count = count_points(mp, e, budget=args.budget)
-    return echo, {"count": count}, {
+def _count(args, echo):
+    m, e, p = args.m, args.e, args.p
+    return {"count": count_points(m, e, budget=args.budget)}, {
         "engine": "finite-field-enumeration", "primes": [p],
-        "budget": args.budget, "budget_spent": plan_count(mp.quiver, mp.dims, e, p).estimate}
+        "budget": args.budget, "budget_spent": plan_count(m.quiver, m.dims, e, p).estimate}
 
 
-def _run_poly(args):
-    m, echo = _rep_input(args)
-    e = _csv_ints(args.e)
-    if e is None:
-        raise DomainError("--e is required")
-    primes = _csv_ints(args.primes)
-    echo["e"] = list(e)
-    cp = counting_polynomial(m, e, primes=primes, budget=args.budget)
+def _poly(args, echo):
+    cp = counting_polynomial(args.m, args.e, primes=args.primes, budget=args.budget)
     out = {"counting_polynomial": _count_poly_json(cp)}
     if cp.consistency != "inconsistent":
         out["euler_characteristic"] = euler_characteristic(cp)
         out["betti_numbers"] = betti_numbers(cp)
-    return echo, out, {"engine": "interpolation", "primes": list(cp.primes),
-                       "budget": args.budget}
+    return out, {"engine": "interpolation", "primes": list(cp.primes),
+                 "budget": args.budget}
 
 
-def _run_cells(args):
-    m, echo = _rep_input(args)
-    e = _csv_ints(args.e)
-    if e is None:
-        raise DomainError("--e is required")
-    echo["e"] = list(e)
-    dec = ta.decompose(m)
+def _cells(args, echo):
+    dec = ta.decompose(args.m)
     cq = ta.coefficient_quiver(dec)
-    pts = ta.fixed_points(dec, e)
-    cells = [{"starts": [s for s in pt.starts], "dim": ta.cell_dimension(cq, pt)}
-             for pt in pts]
-    return echo, {"rows": [list(r) for r in cq.rows], "cells": cells},\
+    cells = [{"starts": list(pt.starts), "dim": ta.cell_dimension(cq, pt)}
+             for pt in ta.fixed_points(dec, args.e)]
+    return {"rows": [list(r) for r in cq.rows], "cells": cells}, {"engine": "cells"}
+
+
+def _poincare(args, echo):
+    pp = ta.poincare_polynomial(ta.decompose(args.m), args.e)
+    return {"coefficients": list(pp.coefficients),
+            "euler_characteristic": ta.euler_char_cells(ta.decompose(args.m), args.e)},\
         {"engine": "cells"}
 
 
-def _run_poincare(args):
-    m, echo = _rep_input(args)
-    e = _csv_ints(args.e)
-    if e is None:
-        raise DomainError("--e is required")
-    echo["e"] = list(e)
-    pp = ta.poincare_polynomial(ta.decompose(m), e)
-    return echo, {"coefficients": list(pp.coefficients),
-                  "euler_characteristic": ta.euler_char_cells(ta.decompose(m), e)},\
-        {"engine": "cells"}
-
-
-def _run_strata(args):
-    m, echo = _rep_input(args)
-    e = _csv_ints(args.e)
-    if e is None:
-        raise DomainError("--e is required")
-    echo["e"] = list(e)
+def _strata(args, echo):
     out = [{"isoclass": format_intervals(s.isoclass), "dim": s.dim, "cells": s.cells}
-           for s in ta.strata(ta.decompose(m), e)]
-    return echo, {"strata": out}, {"engine": "cells"}
+           for s in ta.strata(ta.decompose(args.m), args.e)]
+    return {"strata": out}, {"engine": "cells"}
 
 
-def _run_fpoly(args):
-    m, echo = _rep_input(args)
-    strategy = _auto_strategy(m, args.strategy)
-    fp = cluster.f_polynomial(m, strategy=strategy, budget=args.budget)
-    names = [f"y{i}" for i in range(1, m.quiver.vertex_count + 1)]
-    return echo, {"f_polynomial": _poly_json(fp), "pretty": fp.format(names)},\
-        {"engine": strategy, "budget": args.budget}
+def _fpoly(args, echo):
+    fp = cluster.f_polynomial(args.m, strategy=args.strategy, budget=args.budget)
+    names = [f"y{i}" for i in range(1, args.m.quiver.vertex_count + 1)]
+    return {"f_polynomial": fp.serialized(), "pretty": fp.format(names)},\
+        {"engine": args.strategy, "budget": args.budget}
 
 
-def _run_gvector(args):
-    m, echo = _rep_input(args)
-    return echo, {"g_vector": list(cluster.g_vector(m))}, {"engine": "closed-form"}
+def _gvector(args, echo):
+    return {"g_vector": list(cluster.g_vector(args.m))}, {"engine": "closed-form"}
 
 
-def _run_cc(args):
-    m, echo = _rep_input(args)
-    strategy = _auto_strategy(m, args.strategy)
-    ccp = cluster.cluster_character(m, strategy=strategy, budget=args.budget)
-    return echo, {"cluster_character": _poly_json(ccp),
-                  "pretty": ccp.format(_xy_names(m.quiver.vertex_count))},\
-        {"engine": strategy, "budget": args.budget}
+def _cc(args, echo):
+    ccp = cluster.cluster_character(args.m, strategy=args.strategy, budget=args.budget)
+    names = [f"{c}{i}" for c in "xy" for i in range(1, args.m.quiver.vertex_count + 1)]
+    return {"cluster_character": ccp.serialized(), "pretty": ccp.format(names)},\
+        {"engine": args.strategy, "budget": args.budget}
 
 
-def _generating_input(args):
-    if not args.x or not args.s:
-        raise DomainError("--x FILE and --s FILE are required "
-                          "(the extension runs 0 -> X -> Y -> S -> 0)")
-    x_doc = _load_doc(args.x)
-    s_doc = _load_doc(args.s)
-    x = x_doc.to_representation()
-    s = s_doc.to_representation()
-    ge = cluster.make_generating(s, x)
-    echo = {"x": json.loads(x_doc.canonical_json()),
-            "s": json.loads(s_doc.canonical_json())}
-    return ge, echo
-
-
-def _run_verify_mult(args):
-    ge, echo = _generating_input(args)
+def _verify_mult(args, echo):
+    ge = args.ge
     if ge.kind != "nonsplit":
-        return echo, {"kind": ge.kind,
-                      "note": "split class: the multiplication formula does not apply"},\
+        return {"kind": ge.kind,
+                "note": "split class: the multiplication formula does not apply"},\
             {"engine": "cells"}
     rep = cluster.verify_multiplication(ge)
-    n = ge.s.quiver.vertex_count
-    out = {
+    return {
         "kind": ge.kind,
         "middle_term": format_intervals(ta.decompose(ge.y)),
         "x_s": format_intervals(ta.decompose(ge.x_s)),
         "s_x": format_intervals(ta.decompose(ge.s_x)),
         "dim_s_x": list(rep.s_x_dims),
         "x_f": list(rep.x_f),
-        "lhs": _poly_json(rep.lhs),
-        "rhs": _poly_json(rep.rhs),
-        "residual": _poly_json(rep.residual),
-        "f_residual": _poly_json(rep.f_residual),
+        "lhs": rep.lhs.serialized(),
+        "rhs": rep.rhs.serialized(),
+        "residual": rep.residual.serialized(),
+        "f_residual": rep.f_residual.serialized(),
         "holds": rep.holds,
-    }
-    return echo, out, {"engine": "cells"}
+    }, {"engine": "cells"}
 
 
-def _run_psi_check(args):
-    ge, echo = _generating_input(args)
-    e = _csv_ints(args.e)
-    primes = _csv_ints(args.primes)
-    if e is None or primes is None:
-        raise DomainError("--e and --primes are required")
-    echo.update({"e": list(e), "primes": list(primes)})
-    report = cluster.psi_count_identity(ge, e, primes, budget=args.budget)
-    return echo, {
+def _psi_check(args, echo):
+    echo["primes"] = list(args.primes)
+    report = cluster.psi_count_identity(args.ge, args.e, args.primes, budget=args.budget)
+    return {
         "per_prime": [{"p": p, "grassmannian_points": lhs, "image_bundle_sum": rhs}
                       for p, lhs, rhs in report.prime_results],
         "holds": report.holds,
-    }, {"engine": "finite-field-enumeration", "primes": list(primes),
+    }, {"engine": "finite-field-enumeration", "primes": list(args.primes),
         "budget": args.budget}
 
 
-def _run_deg_compare(args):
-    m, echo_m = _rep_input(args, "rep")
-    n, echo_n = _rep_input(args, "rep2")
-    dm, dn = ta.decompose(m), ta.decompose(n)
+def _deg_compare(args, echo):
+    dm, dn = ta.decompose(args.m), ta.decompose(args.m2)
     out = {"ranks_m_deg_n": ta.deg_leq_ranks(dm, dn),
            "ranks_n_deg_m": ta.deg_leq_ranks(dn, dm)}
     if dm.dim_vector() == dn.dim_vector():
         out["hom_m_deg_n"] = ta.deg_leq_hom(dm, dn)
         out["hom_n_deg_m"] = ta.deg_leq_hom(dn, dm)
-    return {"first": echo_m, "second": echo_n}, out, {"engine": "closed-form"}
+    return out, {"engine": "closed-form"}
 
 
-def _run_flat_locus(args):
-    m, echo = _rep_input(args)
-    return echo, {"class": ta.flat_locus_class(ta.decompose(m))},\
-        {"engine": "rank-sequence"}
+def _flat_locus(args, echo):
+    return {"class": ta.flat_locus_class(ta.decompose(args.m))}, {"engine": "rank-sequence"}
 
 
-def _run_catenoid(args):
-    m, echo = _rep_input(args)
-    return echo, {"catenoid": ta.is_catenoid(ta.decompose(m))}, {"engine": "closed-form"}
+def _catenoid(args, echo):
+    return {"catenoid": ta.is_catenoid(ta.decompose(args.m))}, {"engine": "closed-form"}
 
 
-def _run_ar_quiver(args):
-    if args.rep:
+def _ar_quiver(args, echo):
+    if args.rep is not None:
         doc = _load_doc(args.rep)
         quiver = doc.quiver()
-        echo = {"document": json.loads(doc.canonical_json())}
-    elif args.n:
-        quiver = linear_quiver(args.n)
-        echo = {"n": args.n}
+        echo["document"] = json.loads(doc.canonical_json())
     else:
-        raise DomainError("--rep FILE or --n N is required")
+        quiver = linear_quiver(args.n)
+        echo["n"] = args.n
     ar = ardynkin.knit(quiver)
     adjacency = {}
     for s, t in ar.arrows:
         adjacency.setdefault(s, []).append(t)
-    return echo, {
+    return {
         "vertices": [list(d) for d in ar.vertices],
         "adjacency": {str(k): sorted(v) for k, v in sorted(adjacency.items())},
         "tau": {str(k): v for k, v in sorted(ar.tau.items())},
@@ -322,75 +290,98 @@ def _run_ar_quiver(args):
     }, {"engine": "knitting"}
 
 
-def _run_tangent(args):
-    m, echo = _rep_input(args)
-    if not args.witness:
-        raise DomainError("--witness FILE is required (JSON {\"bases\": [...]})")
+def _tangent(args, echo):
     try:
-        with open(args.witness, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as ex:
-        raise DomainError(f"cannot read {args.witness}: {ex}") from None
+        raw = json.loads(_read(args.witness))
+        bases = [[[Fraction(x) for x in row] for row in b] for b in raw["bases"]]
     except json.JSONDecodeError as ex:
         raise DomainError(f"malformed file at line {ex.lineno}, column {ex.colno}: "
                           f"{ex.msg}") from None
-    bases = [[[Fraction(x) for x in row] for row in b] for b in raw["bases"]]
-    w = SubrepWitness(m.quiver, m.field, [tuple(map(tuple, b)) for b in bases])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"--witness {args.witness}: expected {{\"bases\": [...]}} "
+                          f"with integer or \"a/b\" entries") from None
+    w = SubrepWitness(args.m.quiver, args.m.field, [tuple(map(tuple, b)) for b in bases])
     echo["witness"] = raw["bases"]
-    return echo, {"tangent_dim": tangent_dim(m, w), "e": list(w.dims)},\
+    return {"tangent_dim": tangent_dim(args.m, w), "e": list(w.dims)},\
         {"engine": "kernel-of-defect-map"}
 
 
-def _run_demo_elliptic(args):
-    if args.p is None:
-        raise DomainError("--p is required")
-    report = elliptic.demo(args.p, budget=args.budget)
-    return {"p": args.p}, report, {
+def _demo_elliptic(args, echo):
+    return elliptic.demo(args.p, budget=args.budget), {
         "engine": "finite-field-enumeration", "primes": [args.p],
         "budget": args.budget}
 
 
-_RUNNERS = {
-    "decompose": _run_decompose, "hom": _run_hom, "ext": _run_ext,
-    "euler": _run_euler, "count": _run_count, "poly": _run_poly,
-    "cells": _run_cells, "poincare": _run_poincare, "strata": _run_strata,
-    "fpoly": _run_fpoly, "gvector": _run_gvector, "cc": _run_cc,
-    "verify-mult": _run_verify_mult, "psi-check": _run_psi_check,
-    "deg-compare": _run_deg_compare, "flat-locus": _run_flat_locus,
-    "catenoid": _run_catenoid, "ar-quiver": _run_ar_quiver,
-    "tangent": _run_tangent, "demo-elliptic": _run_demo_elliptic,
+# Every subcommand: its runner and its flags, in the order the help lists them.
+# A bare flag is required, "[flag]" optional, and of "a|b" exactly one is
+# given.  Every subcommand also takes --format {text,machine}.
+COMMANDS = {
+    "decompose": (_decompose, "rep|intervals [n]"),
+    "hom": (_hom, "rep|intervals [n] rep2"),
+    "ext": (_ext, "rep|intervals [n] rep2"),
+    "euler": (_euler, "rep|intervals [n] e"),
+    "count": (_count, "rep|intervals [n] e [p] [budget]"),
+    "poly": (_poly, "rep|intervals [n] e [primes] [budget]"),
+    "cells": (_cells, "rep|intervals [n] e"),
+    "poincare": (_poincare, "rep|intervals [n] e"),
+    "strata": (_strata, "rep|intervals [n] e"),
+    "fpoly": (_fpoly, "rep|intervals [n] [strategy] [budget]"),
+    "gvector": (_gvector, "rep|intervals [n]"),
+    "cc": (_cc, "rep|intervals [n] [strategy] [budget]"),
+    "verify-mult": (_verify_mult, "x s"),
+    "psi-check": (_psi_check, "x s e primes [budget]"),
+    "deg-compare": (_deg_compare, "rep|intervals [n] rep2"),
+    "flat-locus": (_flat_locus, "rep|intervals [n]"),
+    "catenoid": (_catenoid, "rep|intervals [n]"),
+    "ar-quiver": (_ar_quiver, "rep|n"),
+    "tangent": (_tangent, "rep|intervals [n] witness"),
+    "demo-elliptic": (_demo_elliptic, "p [budget]"),
 }
 
+_DESCRIPTION = "Exact computation with quiver representations and their Grassmannians."
+_EPILOG = ("File format: vertices are 1-based; the keys of 'matrices' are "
+           "0-based arrow indices (the one place the two conventions differ).")
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="quivergrass",
-        description="Exact computation with quiver representations and their "
-                    "Grassmannians.",
-        epilog="File format: vertices are 1-based; the keys of 'matrices' are "
-               "0-based arrow indices (the one place the two conventions differ).")
-    sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--rep", help="representation file (JSON)")
-        p.add_argument("--rep2", help="second representation file (hom, ext, "
-                                      "deg-compare)")
-        p.add_argument("--x", help="file for X in 0 -> X -> Y -> S -> 0")
-        p.add_argument("--s", help="file for S in 0 -> X -> Y -> S -> 0")
-        p.add_argument("--intervals", help="type A shorthand, e.g. "
-                                           "'U[1,2]^2 + U[2,2]' (with --n)")
-        p.add_argument("--n", type=int, help="number of vertices for --intervals")
-        p.add_argument("--e", help="sub-dimension vector, comma separated")
-        p.add_argument("--p", type=int, help="prime")
-        p.add_argument("--primes", help="comma-separated primes")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget (tuples)")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--strategy", choices=["cells", "count", "auto"],
-                       default="auto", help="Euler characteristic engine")
-        p.add_argument("--witness", help="witness file for tangent (JSON bases)")
-        p.add_argument("--format", choices=["text", "machine"], default="text")
+
+class _Stop(Exception):
+    """Ends parsing with (exit code, text) where argparse would print and exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Stop(2, f"error: {message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        raise _Stop(0, self.format_help())
+
+
+def _parser(name):
+    """The parser of one subcommand, taking exactly its flags from COMMANDS."""
+    parser = _Parser(prog=f"quivergrass {name}", description=_DESCRIPTION,
+                     epilog=_EPILOG, allow_abbrev=False)
+    for word in COMMANDS[name][1].split():
+        if "|" in word:
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flag in word.split("|"):
+                group.add_argument("--" + flag, **FLAGS[flag])
+        elif word.startswith("["):
+            parser.add_argument("--" + word[1:-1], **FLAGS[word[1:-1]])
+        else:
+            parser.add_argument("--" + word, required=True, **FLAGS[word])
+    parser.add_argument("--format", choices=("text", "machine"), default="text")
     return parser
+
+
+def _parse(name, argv):
+    """Parse argv with the flags of subcommand name.  A flag it does not take
+    is reported first, ahead of a required flag that is missing."""
+    parser = _parser(name)
+    taken = {"help", "format"} | set(re.findall(r"\w+", COMMANDS[name][1]))
+    for arg in argv:
+        flag = arg.partition("=")[0]
+        if flag.startswith("--") and flag[2:] not in taken:
+            parser.error(f"{name} does not take {flag}")
+    return parser.parse_args(argv)
 
 
 def _render_text(name, outputs):
@@ -412,26 +403,30 @@ def run(argv):
     """Dispatch one invocation; returns (exit_code, rendered output string)."""
     if not argv:
         return 1, "error: no subcommand given; expected one of: " \
-            + ", ".join(SUBCOMMANDS) + "\n"
-    if argv[0] in ("-h", "--help"):
-        return 0, _build_parser().format_help()
-    if argv[0] not in SUBCOMMANDS:
-        return 1, f"error: unknown subcommand {argv[0]!r}; expected one of: " \
-            + ", ".join(SUBCOMMANDS) + "\n"
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+            + ", ".join(COMMANDS) + "\n"
+    name = argv[0]
+    if name in ("-h", "--help"):
+        return 0, f"{_DESCRIPTION}\n\n" + "".join(
+            _parser(n).format_usage() for n in COMMANDS) + f"\n{_EPILOG}\n"
+    if name not in COMMANDS:
+        return 1, f"error: unknown subcommand {name!r}; expected one of: " \
+            + ", ".join(COMMANDS) + "\n"
     try:
-        inputs, outputs, provenance = _RUNNERS[args.subcommand](args)
+        args = _parse(name, argv[1:])
+        echo = _inputs(args)
+        outputs, provenance = COMMANDS[name][0](args, echo)
+    except _Stop as stop:
+        return stop.args
     except DomainError as ex:
         return 2, f"error: {ex}\n"
     except BudgetError as ex:
         return 3, f"budget error: {ex}\n"
     provenance.setdefault("version", __version__)
     if args.format == "machine":
-        doc = {"subcommand": args.subcommand, "inputs": inputs,
+        doc = {"subcommand": name, "inputs": echo,
                "outputs": outputs, "provenance": provenance}
         return 0, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return 0, _render_text(args.subcommand, outputs)
+    return 0, _render_text(name, outputs)
 
 
 def main():

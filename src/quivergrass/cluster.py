@@ -100,10 +100,6 @@ def cluster_character(m_rep, strategy="cells", budget=None):
     return out
 
 
-def specialize_xy_ones(cc):
-    return cc.specialize_ones()
-
-
 @dataclass
 class GeneratingExtension:
     """A generating class xi in Ext^1(S,X) with its middle term and, in the

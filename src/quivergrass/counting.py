@@ -274,18 +274,15 @@ def _check_budget(estimate, budget):
                           estimate=estimate)
 
 
-def count_points(m_rep, e, budget=DEFAULT_BUDGET, sum_sinks=True):
+def count_points(m_rep, e, budget=DEFAULT_BUDGET):
     """Number of points of the Grassmannian of e-dimensional subreps over F_p.
 
-    With sum_sinks (the default) the count follows ``plan_count``: the summed
-    sources and sinks each contribute a Gaussian-binomial factor and only the
-    other vertices are enumerated.  Set it to False to force the fully
-    enumerated count of ``enumerate_subreps``.
+    The count follows ``plan_count``: the summed sources and sinks each
+    contribute a Gaussian-binomial factor and only the other vertices are
+    enumerated.
     """
     p = _require_prime_field(m_rep)
     e = _check_sub_dim_vector(m_rep, e)
-    if not sum_sinks:
-        return len(enumerate_subreps(m_rep, e, budget=budget))
     plan = plan_count(m_rep.quiver, m_rep.dims, e, p)
     _check_budget(plan.estimate, budget)
     return _PlannedCount(m_rep, e, plan).total()

@@ -11,18 +11,35 @@ from fractions import Fraction
 from .errors import DomainError
 
 
-def _is_prime(p):
-    if p < 2:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with these thirteen bases is exact for every n below this bound
+# (Sorenson and Webster, 2015); the twelve up to 37 only below 3.19e23.
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; DomainError at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise DomainError(f"cannot decide whether {n} is prime: the primality "
+                          f"test is exact only below {_MR_BOUND}")
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

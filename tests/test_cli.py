@@ -1,10 +1,12 @@
 """File format and command-line behavior: parsing, exit codes, determinism."""
 
 import json
+import os
+import re
 
 import pytest
 
-from quivergrass.cli import run
+from quivergrass.cli import COMMANDS, run
 from quivergrass.errors import DomainError
 from quivergrass.repfile import (document_for, format_intervals,
                                  parse_intervals, parse_rep_document)
@@ -92,6 +94,54 @@ def test_malformed_file_exit_2(tmp_path):
     path.write_text("{nope")
     code, text = run(["count", "--rep", str(path), "--e", "1,1", "--p", "2"])
     assert code == 2 and "line 1" in text
+
+
+U12 = ["--intervals", "U[1,2]", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", *U12, "--e", "a,b", "--p", "2"], "--e"),
+    (["poly", *U12, "--e", "1,1", "--primes", "2,x"], "--primes"),
+    (["decompose", "--bogus"], "--bogus"),
+    (["decompose", "--n", "x"], "--n"),
+    (["decompose", *U12, "--p", "5"], "--p"),
+    (["hom", *U12, "--p", "7"], "--p"),
+    (["hom", *U12], "--rep2"),
+    (["ar-quiver", "--intervals", "U[1,2]", "--n", "3"], "--intervals"),
+    (["count", *U12, "--e", "1,1", "--p", "2", "--seed", "3"], "--seed"),
+    (["decompose", "--rep", "m.rep", "--n", "2"], "--n"),
+    (["psi-check", "--x", "x.rep", "--s", "s.rep", "--e", "1,1"], "--primes"),
+    (["count", "--rep", "m.rep", *U12, "--e", "1,1"], "--intervals"),
+])
+def test_usage_errors_exit_2(argv, flag):
+    code, text = run(argv)
+    assert code == 2 and text.startswith("error: ") and flag in text.splitlines()[0]
+
+
+def test_subcommand_help_exit_0():
+    code, text = run(["count", "--help"])
+    assert code == 0 and text.startswith("usage: quivergrass count")
+    assert "--e CSV" in text and "--seed" not in text
+    code, text = run(["--help"])
+    assert code == 0 and all(f"quivergrass {name} " in text for name in COMMANDS)
+
+
+def test_count_at_a_prime_beyond_trial_division():
+    code, text = run(["count", *U12, "--e", "0,1", "--p", "2305843009213693951"])
+    assert code == 0 and "count: 1" in text
+
+
+def test_readme_lists_the_table():
+    """README "Command line" names the subcommands in table order, each with
+    exactly the flags the table gives it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    sentence = re.search(r"Subcommands: `([^`]*)`", readme).group(1)
+    assert sentence.split() == list(COMMANDS)
+    for name, (_, spec) in COMMANDS.items():
+        line = re.search(rf"^\* `{re.escape(name)}`: (.*)$", readme, re.M).group(1)
+        assert sorted(re.findall(r"--(\w+)", line)) == sorted(re.findall(r"\w+", spec))
 
 
 def test_budget_exit_3(tmp_path):
@@ -208,6 +258,14 @@ def test_tangent_subcommand(ex4_file, tmp_path):
     w.write_text(json.dumps({"bases": [[[0, 1]], [[1, 0]]]}))
     code, text = run(["tangent", "--rep", ex4_file, "--witness", str(w)])
     assert code == 0 and "tangent_dim: 2" in text
+
+
+def test_tangent_malformed_witness_exit_2(ex4_file, tmp_path):
+    w = tmp_path / "w.json"
+    for doc in ({"base": []}, {"bases": [[["x"]]]}, [1]):
+        w.write_text(json.dumps(doc))
+        code, text = run(["tangent", "--rep", ex4_file, "--witness", str(w)])
+        assert code == 2 and "--witness" in text
 
 
 def test_verify_mult_subcommand(tmp_path):

@@ -1,6 +1,7 @@
 """Homological linear algebra over exact fields: defect map, Hom/Ext,
 canonical constructions, subquotients, extensions, embeddings."""
 
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from quivergrass import (
     hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
     projective, quotient, restrict, simple, tangent_dim, zero_rep,
 )
+from quivergrass.fields import _is_prime
 from quivergrass.rep import (full_witness, hom_fingerprint,
                              nonzero_ext_cocycle, reduce_mod, zero_witness)
 
@@ -277,3 +279,21 @@ def test_reduce_mod_bad_reduction():
     with pytest.raises(DomainError):
         reduce_mod(m, 2)
     assert reduce_mod(m, 3).matrix(0) == ((2,),)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(20_000))
+
+
+def test_prime_field_of_a_large_prime():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # strong pseudoprimes to every base up to 23, and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(DomainError, match="not prime"):
+        PrimeField(2**61 + 1)
+    with pytest.raises(DomainError, match="exact only below"):
+        PrimeField(10**25 + 13)

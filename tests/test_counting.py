@@ -291,7 +291,7 @@ def test_sink_summed_equals_exhaustive():
     ]
     assert plan_count(fixtures[-1][0].quiver, (4, 2, 2), (2, 1, 1), 3).summed == (1,)
     for m, e in fixtures:
-        assert count_points(m, e) == count_points(m, e, sum_sinks=False)
+        assert count_points(m, e) == len(enumerate_subreps(m, e))
 
 
 def test_summed_path_ends_match_exhaustive():
