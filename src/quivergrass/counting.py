@@ -1,8 +1,10 @@
-"""Brute-force point counts of quiver Grassmannians over prime fields.
+"""Point counts of quiver Grassmannians over prime fields: engine and oracle.
 
-This is the independent oracle of the package: subspace tuples are enumerated
-as reduced-row-echelon bases and tested for arrow stability, with no input
-from the structural algorithms they validate.
+``enumerate_subreps`` is the independent oracle of the package: it enumerates
+subspace tuples as reduced-row-echelon bases and tests each for arrow
+stability through ``rep.arrow_stable``, not through the engine's numpy test
+(``_PlannedCount._stable``), with no input from the structural algorithms it
+validates.
 
 Enumeration order is fixed (pivot patterns in colexicographic order, free
 entries odometer-style, vertices ascending) so golden tests are stable.
@@ -190,33 +192,15 @@ def enumerate_subreps(m_rep, e, budget=DEFAULT_BUDGET):
     estimate = 1
     for v in range(q.vertex_count):
         estimate *= gaussian_binomial(m_rep.dims[v], e[v], p)
-    if estimate > budget:
-        raise BudgetError(f"enumeration of ~{estimate} tuples exceeds budget {budget}",
-                          estimate=estimate)
-    per_vertex = [list(SubspaceIter(m_rep.dims[v], e[v], p)) for v in range(q.vertex_count)]
-    pivots = [[la.rref(b, field)[1] if b else [] for b in vx] for vx in per_vertex]
+    _check_budget(estimate, budget)
+    # each vertex's candidates as (RREF basis, pivot columns)
+    per_vertex = [[(b, la.rref(b, field)[1]) for b in SubspaceIter(m_rep.dims[v], e[v], p)]
+                  for v in range(q.vertex_count)]
     out = []
-    for choice in itertools.product(*(range(len(vx)) for vx in per_vertex)):
-        ok = True
-        for a, (s, t) in enumerate(q.arrows):
-            bs = per_vertex[s - 1][choice[s - 1]]
-            bt = per_vertex[t - 1][choice[t - 1]]
-            piv = pivots[t - 1][choice[t - 1]]
-            ma = m_rep.matrix(a)
-            for row in bs:
-                img = la.mat_vec(ma, row, field)
-                if not bt:
-                    if any(x % p for x in img):
-                        ok = False
-                        break
-                elif not la.row_space_contains(bt, piv, img, field):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(rp.SubrepWitness(q, field, [per_vertex[v][choice[v]]
-                                                   for v in range(q.vertex_count)]))
+    for choice in itertools.product(*per_vertex):
+        bases = [b for b, _ in choice]
+        if rp.arrow_stable(m_rep, bases, [piv for _, piv in choice]):
+            out.append(rp.SubrepWitness(q, field, bases))
     return out
 
 
@@ -474,6 +458,7 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     M lives over Q; the degree bound is D = sum e_i (d_i - e_i), so D+1 primes
     interpolate and one more is held out for the consistency check.  The
     budget is checked at every one of these primes before any is counted.
+    Given primes must be distinct (DomainError otherwise).
     """
     if m_rep.field != QQ:
         raise DomainError("counting_polynomial expects a representation over Q")
@@ -491,6 +476,8 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
             else:
                 skipped.append(p)
     else:
+        if len(set(primes)) != len(primes):
+            raise DomainError(f"repeated primes in {list(primes)}")
         for p in primes:
             if _good_reduction(m_rep, p):
                 good.append(p)

@@ -174,11 +174,6 @@ def row_space_contains(rref_basis, pivots, v, field):
     return all(field.is_zero(x) for x in residue)
 
 
-def is_rref(a, field):
-    r, _ = rref(a, field)
-    return r == tuple(tuple(row) for row in a)
-
-
 def column_space_as_row_basis(a, field):
     """RREF row basis of the column space of a (image of the map x -> a x)."""
     cols = shape(a)[1]

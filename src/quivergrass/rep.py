@@ -40,6 +40,8 @@ class Representation:
             if la.shape(matrices[i]) != want:
                 raise DomainError(
                     f"arrow {i} matrix shape {la.shape(matrices[i])}, expected {want}")
+            if any(len(row) != want[1] for row in matrices[i]):
+                raise DomainError(f"arrow {i} matrix has rows of unequal length")
         self.quiver = quiver
         self.field = field
         self.dims = dims
@@ -245,10 +247,12 @@ class SubrepWitness:
             raise DomainError("one basis matrix per vertex required")
         pivots = []
         for b in bases:
-            if b and not la.is_rref(b, field):
+            if len({len(row) for row in b}) > 1:
+                raise DomainError("witness basis rows must have equal length")
+            r, piv = la.rref(b, field)
+            if r != b:
                 raise DomainError("witness bases must be in reduced row echelon form")
-            r, piv = la.rref(b, field) if b else ((), [])
-            if b and len(piv) != len(b):
+            if len(piv) != len(b):
                 raise DomainError("witness bases must have full row rank")
             pivots.append(tuple(piv))
         self.quiver = quiver
@@ -264,19 +268,15 @@ class SubrepWitness:
         return tuple(len(b[0]) if b else None for b in self.bases)
 
     def is_stable(self, m_rep):
-        """Arrow stability: each basis row maps into the target row space."""
-        for a, (s, t) in enumerate(m_rep.quiver.arrows):
-            bs, bt = self.bases[s - 1], self.bases[t - 1]
-            piv = self.pivots[t - 1]
-            ma = m_rep.matrix(a)
-            for row in bs:
-                img = la.mat_vec(ma, row, m_rep.field)
-                if not bt:
-                    if any(not m_rep.field.is_zero(x) for x in img):
-                        return False
-                elif not la.row_space_contains(bt, piv, img, m_rep.field):
-                    return False
-        return True
+        """Arrow stability against M (see ``arrow_stable``).
+
+        DomainError if the witness does not live in M: another quiver or
+        field, or a basis row whose length is not d_v.
+        """
+        if (self.quiver != m_rep.quiver or self.field != m_rep.field
+                or any(a not in (None, d) for a, d in zip(self.ambient_dims(), m_rep.dims))):
+            raise DomainError("witness does not live in the representation")
+        return arrow_stable(m_rep, self.bases, self.pivots)
 
     def __eq__(self, other):
         return isinstance(other, SubrepWitness) and other.bases == self.bases
@@ -297,43 +297,45 @@ def zero_witness(m_rep):
     return SubrepWitness(m_rep.quiver, m_rep.field, [()] * m_rep.quiver.vertex_count)
 
 
+def arrow_stable(m_rep, bases, pivots):
+    """Whether M_a(U_{s(a)}) lies in U_{t(a)} for every arrow a of M.
+
+    U_v is the row space of bases[v-1], an RREF row basis of a subspace of
+    M_v whose pivot columns are pivots[v-1]; an empty basis is the zero space.
+    """
+    field = m_rep.field
+    return all(la.row_space_contains(bases[t - 1], pivots[t - 1],
+                                     la.mat_vec(m_rep.matrix(a), row, field), field)
+               for a, (s, t) in enumerate(m_rep.quiver.arrows) for row in bases[s - 1])
+
+
 def restrict(m_rep, witness):
-    """The subrepresentation L with matrices written in the witness row bases."""
-    q, field = m_rep.quiver, m_rep.field
-    e = witness.dims
+    """The subrepresentation L with matrices written in the witness row bases.
+
+    DomainError if the witness does not live in M or is not arrow-stable.
+    """
+    if not witness.is_stable(m_rep):
+        raise DomainError("witness is not arrow-stable")
+    field = m_rep.field
     mats = []
-    for a, (s, t) in enumerate(q.arrows):
-        bs, bt = witness.bases[s - 1], witness.bases[t - 1]
-        if e[t - 1] == 0:
-            if e[s - 1] and bs:
-                ma = m_rep.matrix(a)
-                for row in bs:
-                    img = la.mat_vec(ma, row, field)
-                    if any(not field.is_zero(x) for x in img):
-                        raise DomainError("witness is not arrow-stable")
-            mats.append(())
-            continue
-        ma = m_rep.matrix(a)
-        imgs = la.mul(ma, la.transpose(bs, cols=m_rep.dims[s - 1]), field) if e[s - 1] else \
-            la.zeros(m_rep.dims[t - 1], 0, field)
+    for a, (s, t) in enumerate(m_rep.quiver.arrows):
+        imgs = [la.mat_vec(m_rep.matrix(a), row, field) for row in witness.bases[s - 1]]
         # coordinates of a vector in the RREF row basis are its pivot entries
-        piv = witness.pivots[t - 1]
-        coords = tuple(tuple(imgs[p][c] for c in range(e[s - 1])) for p in piv)
-        check = la.mul(la.transpose(bt, cols=m_rep.dims[t - 1]), coords, field)
-        if check != imgs:
-            raise DomainError("witness is not arrow-stable")
-        mats.append(coords)
-    return Representation(q, field, e, mats)
+        mats.append(tuple(tuple(img[p] for img in imgs) for p in witness.pivots[t - 1]))
+    return Representation(m_rep.quiver, field, witness.dims, mats)
 
 
 def quotient(m_rep, witness):
-    """M/L in the complementary coordinates (non-pivot columns of the bases)."""
+    """M/L in the complementary coordinates (non-pivot columns of the bases).
+
+    DomainError if the witness does not live in M or is not arrow-stable.
+    """
+    if not witness.is_stable(m_rep):
+        raise DomainError("witness is not arrow-stable")
     q, field = m_rep.quiver, m_rep.field
     d = m_rep.dims
     e = witness.dims
     qdims = tuple(d[i] - e[i] for i in range(q.vertex_count))
-    if any(x < 0 for x in qdims):
-        raise DomainError("witness larger than the ambient representation")
     nonpiv = [tuple(c for c in range(d[i]) if c not in witness.pivots[i])
               for i in range(q.vertex_count)]
 
@@ -363,9 +365,10 @@ def quotient(m_rep, witness):
 
 
 def tangent_dim(m_rep, witness):
-    """dim of the Grassmannian tangent space at the witness: [L, M/L]."""
-    if not witness.is_stable(m_rep):
-        raise DomainError("witness is not arrow-stable")
+    """dim of the Grassmannian tangent space at the witness: [L, M/L].
+
+    DomainError if the witness does not live in M or is not arrow-stable.
+    """
     return hom_dim(restrict(m_rep, witness), quotient(m_rep, witness))
 
 

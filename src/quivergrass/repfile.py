@@ -57,6 +57,16 @@ def _entry_to_fraction(x, where):
         raise DomainError(f"{where}: bad rational entry {x!r}") from None
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(value, length=None):
+    """Whether value is a JSON list of integers (of the given length)."""
+    return (isinstance(value, list) and all(_is_int(x) for x in value)
+            and length in (None, len(value)))
+
+
 def _entry_to_json(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -128,14 +138,23 @@ def parse_rep_document(text):
     if unknown:
         raise DomainError(f"unknown fields {sorted(unknown)}")
     vertices = raw["vertices"]
-    if not isinstance(vertices, int) or vertices < 0:
+    if not _is_int(vertices) or vertices < 0:
         raise DomainError("vertices must be a natural number")
-    arrows = tuple((int(s), int(t)) for s, t in raw["arrows"])
+    arrows = raw["arrows"]
+    if not isinstance(arrows, list) or not all(_is_int_list(a, 2) for a in arrows):
+        raise DomainError("arrows must be a list of [source, target] integer pairs")
+    arrows = tuple(tuple(a) for a in arrows)
+    if not isinstance(raw["field"], str):
+        raise DomainError("field must be \"Q\" or \"Fp:<prime>\"")
+    if "dims" in raw and not _is_int_list(raw["dims"]):
+        raise DomainError("dims must be a list of integers")
     has_m = "matrices" in raw
     has_i = "intervals" in raw
     if has_m == has_i:
         raise DomainError("exactly one of 'matrices' or 'intervals' must be present")
     if has_i:
+        if not isinstance(raw["intervals"], str):
+            raise DomainError("intervals must be a string \"U[i,j]^m + ...\"")
         dims = tuple(raw["dims"]) if "dims" in raw else None
         doc = RepDocument(vertices, arrows, raw["field"], dims=dims,
                           intervals=raw["intervals"])
@@ -146,7 +165,9 @@ def parse_rep_document(text):
         return doc
     if "dims" not in raw:
         raise DomainError("missing field 'dims'")
-    dims = tuple(int(x) for x in raw["dims"])
+    dims = tuple(raw["dims"])
+    if not isinstance(raw["matrices"], dict):
+        raise DomainError("matrices must be an object from arrow index to matrix")
     matrices = {}
     for key, rows in raw["matrices"].items():
         try:
@@ -155,6 +176,8 @@ def parse_rep_document(text):
             raise DomainError(f"matrix key {key!r} is not a 0-based arrow index") from None
         if not (0 <= a < len(arrows)):
             raise DomainError(f"matrix key {a} out of range for {len(arrows)} arrows")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise DomainError(f"matrices[{a}] must be a list of rows")
         matrices[a] = [[_entry_to_fraction(x, f"matrices[{a}]") for x in row]
                        for row in rows]
     doc = RepDocument(vertices, arrows, raw["field"], dims=dims, matrices=matrices)

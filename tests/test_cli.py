@@ -68,6 +68,23 @@ def test_parse_validates_shapes_and_entries():
     assert m.matrix(0) == ((2,),)  # 1/2 = 2 mod 3
 
 
+@pytest.mark.parametrize("change", [
+    {"arrows": [[1]]}, {"arrows": 5}, {"arrows": [["a", "b"]]},
+    {"dims": "ab"}, {"dims": 3}, {"dims": [1.5, 1], "matrices": {"0": [[1]]}},
+    {"matrices": [[1]]}, {"matrices": {"0": 5}}, {"matrices": {"0": [5]}},
+    {"field": 7}, {"intervals": 5, "dims": None, "matrices": None},
+    {"vertices": True, "arrows": [], "dims": [1], "matrices": {}},
+], ids=repr)
+def test_ill_typed_rep_file_exit_2(tmp_path, change):
+    doc = {k: v for k, v in dict(json.loads(EX4), **change).items() if v is not None}
+    path = tmp_path / "bad.rep"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DomainError):
+        parse_rep_document(path.read_text())
+    code, text = run(["decompose", "--rep", str(path)])
+    assert code == 2 and text.startswith("error: ")
+
+
 def test_interval_syntax():
     dec = parse_intervals("U[1,2]^2 + U[2,2]", 2)
     assert dec.m == {(1, 2): 2, (2, 2): 1}
@@ -174,6 +191,14 @@ def test_poly_needs_binomials_beyond_int64():
     assert cp["consistency"] == "verified" and cp["coefficients"] == _q_binomial(7, 3)
 
 
+@pytest.mark.parametrize("primes", ["5,5,5,5", "2,3,5,5"])
+def test_poly_rejects_repeated_primes(primes):
+    # the first divided by zero; the second held out a prime it interpolated through
+    code, text = run(["poly", "--intervals", "U[1,2]^2", "--n", "2", "--e", "1,1",
+                      "--primes", primes])
+    assert code == 2 and "repeated primes" in text
+
+
 def test_poly_budget_checked_at_the_largest_prime():
     code, text = run(["poly", "--intervals", "U[1,3]^4", "--n", "3", "--e", "1,2,2",
                       "--budget", "1000000"])
@@ -266,6 +291,14 @@ def test_tangent_malformed_witness_exit_2(ex4_file, tmp_path):
         w.write_text(json.dumps(doc))
         code, text = run(["tangent", "--rep", ex4_file, "--witness", str(w)])
         assert code == 2 and "--witness" in text
+
+
+def test_tangent_witness_outside_the_module_exit_2(ex4_file, tmp_path):
+    w = tmp_path / "w.json"
+    for bases in ([[[1, 0, 0]], [[1, 0]]], [[[1, 0], [0]], []]):  # row too long; ragged
+        w.write_text(json.dumps({"bases": bases}))
+        code, text = run(["tangent", "--rep", ex4_file, "--witness", str(w)])
+        assert code == 2 and text.startswith("error: witness")
 
 
 def test_verify_mult_subcommand(tmp_path):

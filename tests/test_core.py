@@ -13,7 +13,7 @@ from quivergrass import (
     projective, quotient, restrict, simple, tangent_dim, zero_rep,
 )
 from quivergrass.fields import _is_prime
-from quivergrass.rep import (full_witness, hom_fingerprint,
+from quivergrass.rep import (arrow_stable, full_witness, hom_fingerprint,
                              nonzero_ext_cocycle, reduce_mod, zero_witness)
 
 A2 = linear_quiver(2)
@@ -114,10 +114,27 @@ def test_restrict_rejects_unstable_witness():
     m = example4_rep()
     w = SubrepWitness(A2, QQ, [((1, 0),), ((0, 1),)])  # image e1 not in <e2>
     assert not w.is_stable(m)
-    with pytest.raises(DomainError):
-        restrict(m, w)
-    with pytest.raises(DomainError):
-        tangent_dim(m, w)
+    for f in (restrict, quotient, tangent_dim):
+        with pytest.raises(DomainError):
+            f(m, w)
+
+
+def test_witness_outside_the_module_is_refused():
+    m = example4_rep()
+    for w in (SubrepWitness(A2, QQ, [((1, 0, 0),), ((1, 0),)]),  # row longer than d_1
+              SubrepWitness(A3, QQ, [(), (), ()]),  # another quiver
+              SubrepWitness(A2, PrimeField(3), [(), ()])):  # another field
+        with pytest.raises(DomainError):
+            w.is_stable(m)
+        for f in (restrict, quotient, tangent_dim):
+            with pytest.raises(DomainError):
+                f(m, w)
+
+
+def test_arrow_stable_with_a_zero_target():
+    m = example4_rep()
+    assert not arrow_stable(m, [((1, 0),), ()], [(0,), ()])  # e1 -> e1, not 0
+    assert arrow_stable(m, [((0, 1),), ()], [(1,), ()])  # e2 -> 0
 
 
 def test_witness_validation():
@@ -125,6 +142,13 @@ def test_witness_validation():
         SubrepWitness(A2, QQ, [((1, 1), (0, 1)), ()])  # not reduced
     with pytest.raises(DomainError):
         SubrepWitness(A2, QQ, [((0, 0),), ()])  # rank deficient
+    with pytest.raises(DomainError):
+        SubrepWitness(A2, QQ, [((1, 0), (0,)), ()])  # ragged
+
+
+def test_representation_rejects_ragged_matrix():
+    with pytest.raises(DomainError):
+        Representation(A2, QQ, (2, 2), [[[1, 0], [1]]])
 
 
 def test_tangent_dims():
