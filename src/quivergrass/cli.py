@@ -189,9 +189,9 @@ def _cells(args, echo):
 
 def _poincare(args, echo):
     pp = ta.poincare_polynomial(ta.decompose(args.m), args.e)
+    # one cell per fixed point, so chi = P(1); no fixed point gives no coefficients
     return {"coefficients": list(pp.coefficients),
-            "euler_characteristic": ta.euler_char_cells(ta.decompose(args.m), args.e)},\
-        {"engine": "cells"}
+            "euler_characteristic": sum(pp.coefficients)}, {"engine": "cells"}
 
 
 def _strata(args, echo):

@@ -1,9 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Every computation in this package is exact.  Rational numbers are
-``fractions.Fraction``; elements of GF(p) are plain machine integers in
-``range(p)`` with modular arithmetic.  A field object carries the arithmetic,
-matrices store bare elements.
+``fractions.Fraction``; elements of GF(p) are Python ints in ``range(p)``.
+Matrices store bare elements and compute with Python's own ``+ - *``; a field
+object only brings a result back into the field (``of``: ``% p`` over GF(p),
+nothing to do over Q) and inverts (``inv``).  ``zero`` and ``one`` are its
+constants.
 """
 
 from fractions import Fraction
@@ -65,28 +67,10 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a):
-        return a == 0
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -127,28 +111,10 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -1,8 +1,12 @@
-"""Exact dense linear algebra over an abstract field.
+"""Exact dense linear algebra over Q or GF(p).
 
 Matrices are tuples of tuples of field elements (rows), always acting on
-column vectors.  Everything here is plain Gaussian elimination with exact
-division; no pivoting heuristics are needed since arithmetic is exact.
+column vectors.  Entries are Python numbers and the arithmetic is Python's
+own ``+ - *``; ``field.of`` brings each result back into the field (``% p``
+over GF(p)), so every entry returned is a ``Fraction`` over Q and an int in
+``range(p)`` over GF(p), given entries of that kind (as ``mat`` makes them).
+Everything here is plain Gaussian elimination with exact division; no
+pivoting heuristics are needed since arithmetic is exact.
 """
 
 
@@ -31,45 +35,24 @@ def transpose(a, cols=None):
     return tuple(() for _ in range(cols)) if cols else ()
 
 
-def add(a, b, field):
-    return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def neg(a, field):
-    return tuple(tuple(field.neg(x) for x in row) for row in a)
+    return tuple(tuple(field.of(-x) for x in row) for row in a)
+
+
+def _dot(row, v, field):
+    return field.of(sum(x * y for x, y in zip(row, v) if x and y))
 
 
 def mul(a, b, field):
     """Matrix product a @ b."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
+    if shape(a)[1] != shape(b)[0]:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    bt = transpose(b, cols=cb) if rb else tuple(() for _ in range(cb))
-    z = field.zero
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            s = z
-            for x, y in zip(row, col):
-                if not field.is_zero(x) and not field.is_zero(y):
-                    s = field.add(s, field.mul(x, y))
-            orow.append(s)
-        out.append(tuple(orow))
-    return tuple(out)
+    bt = transpose(b)
+    return tuple(tuple(_dot(row, col, field) for col in bt) for row in a)
 
 
 def mat_vec(a, v, field):
-    z = field.zero
-    out = []
-    for row in a:
-        s = z
-        for x, y in zip(row, v):
-            if not field.is_zero(x) and not field.is_zero(y):
-                s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return tuple(out)
+    return tuple(_dot(row, v, field) for row in a)
 
 
 def hstack(blocks):
@@ -82,24 +65,13 @@ def vstack(blocks):
 
 
 def kron(a, b, field):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = []
-    for i in range(ra):
-        for k in range(rb):
-            row = []
-            for j in range(ca):
-                aij = a[i][j]
-                if field.is_zero(aij):
-                    row.extend([field.zero] * cb)
-                else:
-                    row.extend(field.mul(aij, b[k][l]) for l in range(cb))
-            out.append(tuple(row))
-    return tuple(out)
+    """Kronecker product: row (i, k), column (j, l) holds a[i][j] * b[k][l]."""
+    return tuple(tuple(field.of(x * y) for x in ra for y in rb) for ra in a for rb in b)
 
 
 def rref(a, field):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    of = field.of
     m = [list(row) for row in a]
     rows, cols = len(m), len(m[0]) if m else 0
     pivots = []
@@ -107,16 +79,16 @@ def rref(a, field):
     for c in range(cols):
         if r >= rows:
             break
-        pr = next((i for i in range(r, rows) if not field.is_zero(m[i][c])), None)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        m[r] = [of(inv * x) for x in m[r]]
         for i in range(rows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [of(x - f * y) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m), pivots
@@ -141,7 +113,7 @@ def nullspace(a, field):
         v = [field.zero] * cols
         v[fc] = field.one
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r[i][fc])
+            v[pc] = field.of(-r[i][fc])
         basis.append(tuple(v))
     return basis
 
@@ -164,14 +136,22 @@ def solve(a, b, field):
     return tuple(tuple(row) for row in x)
 
 
+def reduce_by(rref_basis, pivots, v, field):
+    """v minus its component in the row space of an RREF row basis.
+
+    The coefficient of each basis row is v's entry at that row's pivot column,
+    which subtracting the other rows leaves unchanged.
+    """
+    for c, row in zip(pivots, rref_basis):
+        coef = v[c]
+        if coef:
+            v = [field.of(x - coef * y) for x, y in zip(v, row)]
+    return tuple(v)
+
+
 def row_space_contains(rref_basis, pivots, v, field):
     """Membership test against an RREF row basis with known pivot columns."""
-    coeffs = [v[c] for c in pivots]
-    residue = list(v)
-    for coef, row in zip(coeffs, rref_basis):
-        if not field.is_zero(coef):
-            residue = [field.sub(x, field.mul(coef, y)) for x, y in zip(residue, row)]
-    return all(field.is_zero(x) for x in residue)
+    return not any(reduce_by(rref_basis, pivots, v, field))
 
 
 def column_space_as_row_basis(a, field):

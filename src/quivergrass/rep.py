@@ -30,17 +30,14 @@ class Representation:
             raise DomainError(f"expected {quiver.arrow_count} matrices, got {len(matrices)}")
         for i, (s, t) in enumerate(quiver.arrows):
             want = (dims[t - 1], dims[s - 1])
-            # matrices with a zero dimension lose their shape; normalize them
-            if dims[t - 1] == 0:
-                matrices[i] = ()
+            m = matrices[i]
+            if not m and 0 in want:
+                # an empty matrix stands for one with a zero dimension
+                matrices[i] = tuple(() for _ in range(want[0]))
                 continue
-            if dims[s - 1] == 0:
-                matrices[i] = tuple(() for _ in range(dims[t - 1]))
-                continue
-            if la.shape(matrices[i]) != want:
-                raise DomainError(
-                    f"arrow {i} matrix shape {la.shape(matrices[i])}, expected {want}")
-            if any(len(row) != want[1] for row in matrices[i]):
+            if la.shape(m) != want:
+                raise DomainError(f"arrow {i} matrix shape {la.shape(m)}, expected {want}")
+            if any(len(row) != want[1] for row in m):
                 raise DomainError(f"arrow {i} matrix has rows of unequal length")
         self.quiver = quiver
         self.field = field
@@ -105,24 +102,18 @@ def phi_map(n_rep, m_rep):
     total_cols = off
     rows = []
     for a, (s, t) in enumerate(quiver.arrows):
-        block_rows = e[s - 1] * d[t - 1]
-        block = [[field.zero] * total_cols for _ in range(block_rows)]
-        # vec(M_a f_s) = (I_{e_s} (x) M_a) vec(f_s)
-        ma = m_rep.matrix(a)
-        left = la.kron(la.identity(e[s - 1], field), ma, field) if block_rows else ()
-        for r in range(len(left)):
-            base = col_offsets[s - 1]
-            for c in range(e[s - 1] * d[s - 1]):
-                block[r][base + c] = field.add(block[r][base + c], left[r][c])
-        # vec(f_t N_a) = (N_a^T (x) I_{d_t}) vec(f_t)
-        na = n_rep.matrix(a)
-        nat = la.transpose(na, cols=e[s - 1])
-        right = la.kron(nat, la.identity(d[t - 1], field), field) if block_rows else ()
-        for r in range(len(right)):
-            base = col_offsets[t - 1]
-            for c in range(e[t - 1] * d[t - 1]):
-                block[r][base + c] = field.sub(block[r][base + c], right[r][c])
-        rows.extend(tuple(r) for r in block)
+        # vec(M_a f_s) = (I_{e_s} (x) M_a) vec(f_s) and
+        # vec(f_t N_a) = (N_a^T (x) I_{d_t}) vec(f_t), each e_s * d_t rows;
+        # s != t (the quiver is acyclic), so the two blocks never overlap
+        left = la.kron(la.identity(e[s - 1], field), m_rep.matrix(a), field)
+        nat = la.transpose(n_rep.matrix(a), cols=e[s - 1])
+        right = la.kron(la.neg(nat, field), la.identity(d[t - 1], field), field)
+        ls, rs = col_offsets[s - 1], col_offsets[t - 1]
+        for lrow, rrow in zip(left, right):
+            row = [field.zero] * total_cols
+            row[ls:ls + len(lrow)] = lrow
+            row[rs:rs + len(rrow)] = rrow
+            rows.append(tuple(row))
     return tuple(rows), total_cols
 
 
@@ -279,10 +270,11 @@ class SubrepWitness:
         return arrow_stable(m_rep, self.bases, self.pivots)
 
     def __eq__(self, other):
-        return isinstance(other, SubrepWitness) and other.bases == self.bases
+        return (isinstance(other, SubrepWitness) and other.quiver == self.quiver
+                and other.field == self.field and other.bases == self.bases)
 
     def __hash__(self):
-        return hash(self.bases)
+        return hash((self.quiver, self.field, self.bases))
 
     def __repr__(self):
         return f"SubrepWitness(dims={self.dims})"
@@ -341,26 +333,15 @@ def quotient(m_rep, witness):
 
     def project(i, v):
         # subtract the witness component, read off non-pivot coordinates
-        b = witness.bases[i]
-        if b:
-            coeffs = [v[c] for c in witness.pivots[i]]
-            for coef, row in zip(coeffs, b):
-                if not field.is_zero(coef):
-                    v = [field.sub(x, field.mul(coef, y)) for x, y in zip(v, row)]
+        v = la.reduce_by(witness.bases[i], witness.pivots[i], v, field)
         return tuple(v[c] for c in nonpiv[i])
 
     mats = []
     for a, (s, t) in enumerate(q.arrows):
-        if qdims[t - 1] == 0:
-            mats.append(())
-            continue
         ma = m_rep.matrix(a)
-        cols = []
-        for c in nonpiv[s - 1]:
-            unit = [field.zero] * d[s - 1]
-            unit[c] = field.one
-            cols.append(project(t - 1, list(la.mat_vec(ma, unit, field))))
-        mats.append(tuple(tuple(col[r] for col in cols) for r in range(qdims[t - 1])))
+        # column c of M_a, projected to M_t / L_t
+        cols = [project(t - 1, tuple(row[c] for row in ma)) for c in nonpiv[s - 1]]
+        mats.append(la.transpose(cols, cols=qdims[t - 1]))
     return Representation(q, field, qdims, mats)
 
 
@@ -522,14 +503,11 @@ def generic_embeds(n_rep, m_rep, trials=40, seed=0):
             coeffs = [field.of(rng.randint(-bound, bound)) for _ in basis]
         else:
             coeffs = [rng.randrange(field.characteristic) for _ in basis]
-        mats = []
-        for i in range(nverts):
-            acc = la.zeros(m_rep.dims[i], n_rep.dims[i], field)
-            for c, b in zip(coeffs, basis):
-                if not field.is_zero(c):
-                    scaled = tuple(tuple(field.mul(c, x) for x in row) for row in b[i])
-                    acc = la.add(acc, scaled, field)
-            mats.append(acc)
+        # the morphism sum_j c_j b_j, one (d_i x e_i) matrix per vertex
+        mats = [tuple(tuple(field.of(sum(c * b[i][r][k] for c, b in zip(coeffs, basis)))
+                            for k in range(n_rep.dims[i]))
+                      for r in range(m_rep.dims[i]))
+                for i in range(nverts)]
         if all(la.rank(mats[i], field) == n_rep.dims[i] for i in range(nverts)):
             bases = []
             for i in range(nverts):

@@ -74,6 +74,8 @@ def test_parse_validates_shapes_and_entries():
     {"matrices": [[1]]}, {"matrices": {"0": 5}}, {"matrices": {"0": [5]}},
     {"field": 7}, {"intervals": 5, "dims": None, "matrices": None},
     {"vertices": True, "arrows": [], "dims": [1], "matrices": {}},
+    {"dims": [0, 2], "matrices": {"0": [[5], [7]]}},
+    {"dims": [2, 0], "matrices": {"0": [[5, 1, 3]]}},
 ], ids=repr)
 def test_ill_typed_rep_file_exit_2(tmp_path, change):
     doc = {k: v for k, v in dict(json.loads(EX4), **change).items() if v is not None}

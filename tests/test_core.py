@@ -144,6 +144,10 @@ def test_witness_validation():
         SubrepWitness(A2, QQ, [((0, 0),), ()])  # rank deficient
     with pytest.raises(DomainError):
         SubrepWitness(A2, QQ, [((1, 0), (0,)), ()])  # ragged
+    # equal witnesses live on the same quiver over the same field
+    assert SubrepWitness(linear_quiver(2), QQ, [(), ()]) \
+        != SubrepWitness(kronecker_quiver(2), PrimeField(3), [(), ()])
+    assert SubrepWitness(A2, QQ, [((1, 0),), ()]) == SubrepWitness(A2, QQ, [((1, 0),), ()])
 
 
 def test_representation_rejects_ragged_matrix():

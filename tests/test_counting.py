@@ -2,11 +2,13 @@
 polynomials, and stratum classification."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from quivergrass import linalg as la
 from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, dual, kronecker_quiver, linear_quiver,
                          tangent_dim)
@@ -395,3 +397,43 @@ def test_planned_count_is_dual_invariant(rep_and_e):
     m, e = rep_and_e
     co_e = tuple(d - x for d, x in zip(m.dims, e))
     assert count_points(m, e) == count_points(dual(m), co_e)
+
+
+@st.composite
+def small_int_matrices(draw):
+    """A prime p, integer matrices a (r x k) and b (k x c), a vector v of length k."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.integers(-9, 9)
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    v = [draw(entry) for _ in range(k)]
+    return p, a, b, v
+
+
+def _entries(*results):
+    for x in results:
+        if isinstance(x, (tuple, list)):
+            yield from _entries(*x)
+        else:
+            yield x
+
+
+@_PROPERTY
+@given(small_int_matrices())
+def test_linalg_entries_stay_in_the_field(case):
+    p, a, b, v = case
+    gf = PrimeField(p)
+    for field, in_field in ((gf, lambda x: type(x) is int and 0 <= x < p),
+                            (QQ, lambda x: type(x) is Fraction)):
+        fa, fb, fv = la.mat(a, field), la.mat(b, field), la.mat([v], field)[0]
+        basis, pivots = la.rref(fa, field)
+        results = (la.mul(fa, fb, field), la.mat_vec(fa, fv, field), la.kron(fa, fb, field),
+                   la.neg(fa, field), basis, la.nullspace(fa, field),
+                   la.reduce_by(basis[:len(pivots)], pivots, fv, field))
+        assert all(in_field(x) for x in _entries(results)), field
+    qa, qb, qv = la.mat(a, QQ), la.mat(b, QQ), la.mat([v], QQ)[0]
+    pa, pb, pv = la.mat(a, gf), la.mat(b, gf), la.mat([v], gf)[0]
+    assert la.mul(pa, pb, gf) == la.mat(la.mul(qa, qb, QQ), gf)
+    assert la.mat_vec(pa, pv, gf) == la.mat([la.mat_vec(qa, qv, QQ)], gf)[0]
+    assert la.kron(pa, pb, gf) == la.mat(la.kron(qa, qb, QQ), gf)
