@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import linalg as la
 from .errors import DomainError
 from .fields import QQ
-from .quiver import Quiver
 
 
 @dataclass(frozen=True)

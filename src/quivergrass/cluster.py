@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import linalg as la
 from . import rep as rp
 from . import typea as ta
-from .counting import count_points, counting_polynomial, euler_characteristic
+from .counting import DEFAULT_BUDGET, count_points, counting_polynomial, euler_characteristic
 from .errors import DomainError
 from .fields import QQ
 from .poly import SparsePoly
@@ -41,7 +41,7 @@ def _sub_dim_vectors(d):
     return itertools.product(*(range(x + 1) for x in d))
 
 
-def euler_char_table(m_rep, strategy="cells", budget=None):
+def euler_char_table(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     """chi(Gr_e(M)) for every e <= dim M, as a dict."""
     if strategy == "cells":
         dec = ta.decompose(m_rep) if isinstance(m_rep, rp.Representation) else \
@@ -61,8 +61,7 @@ def euler_char_table(m_rep, strategy="cells", budget=None):
             raise DomainError("the counting strategy expects a representation over Q")
         out = {}
         for e in _sub_dim_vectors(m_rep.dims):
-            kwargs = {} if budget is None else {"budget": budget}
-            cp = counting_polynomial(m_rep, e, **kwargs)
+            cp = counting_polynomial(m_rep, e, budget=budget)
             if cp.consistency != "verified":
                 raise DomainError(
                     f"counting polynomial at e={e} is {cp.consistency}, not verified")
@@ -73,7 +72,7 @@ def euler_char_table(m_rep, strategy="cells", budget=None):
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def f_polynomial(m_rep, strategy="cells", budget=None):
+def f_polynomial(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     """F_M(y) = sum over e of chi(Gr_e(M)) y^e."""
     table = euler_char_table(m_rep, strategy=strategy, budget=budget)
     n = (m_rep.quiver.vertex_count if isinstance(m_rep, rp.Representation)
@@ -81,7 +80,7 @@ def f_polynomial(m_rep, strategy="cells", budget=None):
     return SparsePoly(n, {tuple(e): c for e, c in table.items()})
 
 
-def cluster_character(m_rep, strategy="cells", budget=None):
+def cluster_character(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     """CC_M(x,y) = sum over e of chi(Gr_e(M)) x^(B e + g_M) y^e.
 
     Returned as a sparse polynomial in 2n variables x_1..x_n, y_1..y_n with
@@ -249,7 +248,7 @@ class PsiCountReport:
         return all(lhs == rhs for _, lhs, rhs in self.prime_results)
 
 
-def psi_count_identity(ge, e, primes, budget=None):
+def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
     """Point-count form of the reduction theorem at each given prime:
 
     #Gr_e(Y) = sum over f+g=e of #Im(Psi)_{f,g} p^<g, dim X - f>,
@@ -258,11 +257,10 @@ def psi_count_identity(ge, e, primes, budget=None):
     full product minus #Gr_f(X_S) #Gr_{g - dim S^X}(S/S^X) otherwise.
     """
     e = tuple(int(v) for v in e)
-    kwargs = {} if budget is None else {"budget": budget}
     results = []
     for p in primes:
         yp = rp.reduce_mod(ge.y, p)
-        lhs = count_points(yp, e, **kwargs)
+        lhs = count_points(yp, e, budget=budget)
         xp = rp.reduce_mod(ge.x, p)
         sp = rp.reduce_mod(ge.s, p)
         rhs = 0
@@ -270,15 +268,15 @@ def psi_count_identity(ge, e, primes, budget=None):
             g = tuple(a - b for a, b in zip(e, f))
             if any(v < 0 for v in g) or any(a > b for a, b in zip(g, ge.s.dims)):
                 continue
-            full = count_points(xp, f, **kwargs) * count_points(sp, g, **kwargs)
+            full = count_points(xp, f, budget=budget) * count_points(sp, g, budget=budget)
             excluded = 0
             if ge.kind == "nonsplit":
                 g_shift = tuple(a - b for a, b in zip(g, ge.s_x.dims))
                 if all(v >= 0 for v in g_shift) and \
                         all(a <= b for a, b in zip(g_shift, ge.s_mod_sx.dims)) and \
                         all(a <= b for a, b in zip(f, ge.x_s.dims)):
-                    excluded = count_points(rp.reduce_mod(ge.x_s, p), f, **kwargs) * \
-                        count_points(rp.reduce_mod(ge.s_mod_sx, p), g_shift, **kwargs)
+                    excluded = count_points(rp.reduce_mod(ge.x_s, p), f, budget=budget) * \
+                        count_points(rp.reduce_mod(ge.s_mod_sx, p), g_shift, budget=budget)
             image = full - excluded
             if image == 0:
                 continue
@@ -293,19 +291,11 @@ def psi_count_identity(ge, e, primes, budget=None):
 
 def socle_dims(m_rep):
     """Per-vertex socle dimensions: kernel of the stacked outgoing maps."""
-    q, field = m_rep.quiver, m_rep.field
-    out = []
-    for v in range(1, q.vertex_count + 1):
-        dv = m_rep.dims[v - 1]
-        if dv == 0:
-            out.append(0)
-            continue
-        blocks = [m_rep.matrix(a) for a, _, t in q.arrows_from(v) if m_rep.dims[t - 1]]
-        if not blocks:
-            out.append(dv)
-            continue
-        out.append(dv - la.rank(la.vstack(blocks), field))
-    return tuple(out)
+    q = m_rep.quiver
+    return tuple(
+        m_rep.dims[v - 1]
+        - la.rank(la.vstack([m_rep.matrix(a) for a, _, _ in q.arrows_from(v)]), m_rep.field)
+        for v in range(1, q.vertex_count + 1))
 
 
 def g_vector_from_injective_resolution(m_rep):

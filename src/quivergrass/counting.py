@@ -410,10 +410,6 @@ class CountPoly:
     def evaluate(self, q):
         return sum(c * q ** i for i, c in enumerate(self.coefficients))
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
 
 def _good_reduction(m_rep, p):
     for i in range(m_rep.quiver.arrow_count):

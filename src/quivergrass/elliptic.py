@@ -13,7 +13,7 @@ agree; nothing is assumed.
 
 from itertools import combinations_with_replacement
 
-from .counting import count_points
+from .counting import DEFAULT_BUDGET, count_points
 from .errors import DomainError
 from .fields import QQ
 from .quiver import Quiver
@@ -60,7 +60,7 @@ def elliptic_representation():
                           [_phi_matrix(), _psi_matrix(1), _psi_matrix(2), _psi_matrix(3)])
 
 
-def grassmannian_count(p, budget=10 ** 10):
+def grassmannian_count(p, budget=DEFAULT_BUDGET):
     """#Gr_(0,1,1) of the representation over F_p, by the counting oracle."""
     return count_points(reduce_mod(elliptic_representation(), p), (0, 1, 1),
                         budget=budget)
@@ -78,7 +78,7 @@ def curve_count(p):
     return count
 
 
-def demo(p, budget=10 ** 10):
+def demo(p, budget=DEFAULT_BUDGET):
     """Both counts and their difference (which a correct build makes 0)."""
     if p < 2:
         raise DomainError("p must be a prime >= 2")

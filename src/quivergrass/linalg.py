@@ -5,6 +5,8 @@ column vectors.  Entries are Python numbers and the arithmetic is Python's
 own ``+ - *``; ``field.of`` brings each result back into the field (``% p``
 over GF(p)), so every entry returned is a ``Fraction`` over Q and an int in
 ``range(p)`` over GF(p), given entries of that kind (as ``mat`` makes them).
+A matrix with no rows is ``()`` whatever its width, so it carries no width:
+``transpose`` and ``nullspace`` take the column count ``cols`` from the caller.
 Everything here is plain Gaussian elimination with exact division; no
 pivoting heuristics are needed since arithmetic is exact.
 """
@@ -98,18 +100,25 @@ def rank(a, field):
     return len(rref(a, field)[1])
 
 
-def nullspace(a, field):
-    """Basis of the right kernel of a, as a list of column vectors (tuples).
+def row_basis(a, field):
+    """The nonzero rows of rref(a): the canonical basis of the row space of a."""
+    r, pivots = rref(a, field)
+    return r[:len(pivots)]
+
+
+def nullspace(a, field, cols):
+    """Basis of the right kernel of the (rows x cols) matrix a, as a list of
+    column vectors (tuples).
 
     One basis vector per free column, with a 1 in the free position; this is
     the canonical basis read off the reduced echelon form, so the output is
     deterministic.
     """
+    if a and shape(a)[1] != cols:
+        raise ValueError(f"nullspace: matrix width {shape(a)[1]}, expected {cols}")
     r, pivots = rref(a, field)
-    rows, cols = shape(a)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [field.zero] * cols
         v[fc] = field.one
         for i, pc in enumerate(pivots):
@@ -153,10 +162,3 @@ def row_space_contains(rref_basis, pivots, v, field):
     """Membership test against an RREF row basis with known pivot columns."""
     return not any(reduce_by(rref_basis, pivots, v, field))
 
-
-def column_space_as_row_basis(a, field):
-    """RREF row basis of the column space of a (image of the map x -> a x)."""
-    cols = shape(a)[1]
-    t = transpose(a, cols=cols)
-    r, pivots = rref(t, field)
-    return tuple(r[i] for i in range(len(pivots)))

@@ -28,10 +28,6 @@ class SparsePoly:
             self.terms.pop(exp, None)
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
 

@@ -9,7 +9,10 @@ written in a fixed basis (vertices ascending, column-major inside each block),
 so phi_map output is reproducible bit for bit.
 
 Conventions: arrow matrices have shape (d_target x d_source) and act on column
-vectors; subspaces are row spaces of reduced-row-echelon basis matrices.
+vectors; subspaces are row spaces of reduced-row-echelon basis matrices.  A
+(d x 0) matrix is d empty rows and a (0 x c) matrix is ``()``, so every kernel,
+rank and row basis below is one ``linalg`` call whose shape comes from the
+dimension vector.
 """
 
 import random
@@ -17,7 +20,6 @@ import random
 from . import linalg as la
 from .errors import DomainError
 from .fields import QQ, PrimeField
-from .quiver import Quiver, euler_form
 
 
 class Representation:
@@ -33,7 +35,7 @@ class Representation:
             m = matrices[i]
             if not m and 0 in want:
                 # an empty matrix stands for one with a zero dimension
-                matrices[i] = tuple(() for _ in range(want[0]))
+                matrices[i] = la.zeros(*want, field)
                 continue
             if la.shape(m) != want:
                 raise DomainError(f"arrow {i} matrix shape {la.shape(m)}, expected {want}")
@@ -45,12 +47,8 @@ class Representation:
         self.matrices = tuple(matrices)
 
     def matrix(self, i):
-        """Arrow matrix with explicit shape (zero-dim cases included)."""
-        s, t = self.quiver.arrows[i]
-        m = self.matrices[i]
-        if not m:
-            return la.zeros(self.dims[t - 1], self.dims[s - 1], self.field)
-        return m
+        """Arrow matrix i, of shape (d_target x d_source)."""
+        return self.matrices[i]
 
     @property
     def total_dim(self):
@@ -132,28 +130,23 @@ def ext1_dim(n_rep, m_rep):
 def hom_basis(n_rep, m_rep):
     """Basis of Hom_Q(N,M) as tuples of per-vertex matrices (d_i x e_i)."""
     phi, cols = phi_map(n_rep, m_rep)
-    field = n_rep.field
-    e, d = n_rep.dims, m_rep.dims
-    if cols == 0:
-        vectors = []
-    elif not phi:
-        # no constraints: the whole degree-zero space is the kernel
-        vectors = [tuple(field.one if i == j else field.zero for i in range(cols))
-                   for j in range(cols)]
-    else:
-        vectors = la.nullspace(phi, field)
+    shapes = list(zip(m_rep.dims, n_rep.dims))
+    return [_unvec(v, shapes) for v in la.nullspace(phi, n_rep.field, cols)]
+
+
+def _unvec(vec, shapes):
+    """Split a coordinate vector into matrices of the given (rows, cols) shapes.
+
+    The inverse of the vectorization phi_map uses: blocks in order, each
+    column-major, so entry (r, c) of a block with R rows is block[c * R + r].
+    """
     out = []
-    for v in vectors:
-        mats = []
-        off = 0
-        for i in range(n_rep.quiver.vertex_count):
-            block = v[off:off + e[i] * d[i]]
-            off += e[i] * d[i]
-            # column-major: entry (r,c) of the d_i x e_i matrix is block[c*d_i + r]
-            mats.append(tuple(tuple(block[c * d[i] + r] for c in range(e[i]))
-                              for r in range(d[i])))
-        out.append(tuple(mats))
-    return out
+    off = 0
+    for rows, cols in shapes:
+        out.append(tuple(tuple(vec[off + c * rows + r] for c in range(cols))
+                         for r in range(rows)))
+        off += rows * cols
+    return tuple(out)
 
 
 def is_rigid(m_rep):
@@ -164,9 +157,7 @@ def simple(quiver, field, k):
     if not (1 <= k <= quiver.vertex_count):
         raise DomainError(f"bad vertex {k}")
     dims = tuple(1 if v == k else 0 for v in range(1, quiver.vertex_count + 1))
-    mats = []
-    for s, t in quiver.arrows:
-        mats.append(() if dims[t - 1] == 0 else la.zeros(dims[t - 1], dims[s - 1], field))
+    mats = [la.zeros(dims[t - 1], dims[s - 1], field) for s, t in quiver.arrows]
     return Representation(quiver, field, dims, mats)
 
 
@@ -215,10 +206,8 @@ def direct_sum(*reps):
         r0 = c0 = 0
         for r in reps:
             rr, cc = r.dims[t - 1], r.dims[s - 1]
-            if rr and cc:
-                m = r.matrix(a)
-                for i in range(rr):
-                    out[r0 + i][c0:c0 + cc] = list(m[i])
+            for i, row in enumerate(r.matrix(a)):
+                out[r0 + i][c0:c0 + cc] = row
             r0 += rr
             c0 += cc
         mats.append(tuple(tuple(row) for row in out))
@@ -233,7 +222,7 @@ class SubrepWitness:
     """
 
     def __init__(self, quiver, field, bases):
-        bases = tuple(la.mat(b, field) if b else () for b in bases)
+        bases = tuple(la.mat(b, field) for b in bases)
         if len(bases) != quiver.vertex_count:
             raise DomainError("one basis matrix per vertex required")
         pivots = []
@@ -282,7 +271,7 @@ class SubrepWitness:
 
 def full_witness(m_rep):
     q, f = m_rep.quiver, m_rep.field
-    return SubrepWitness(q, f, [la.identity(d, f) if d else () for d in m_rep.dims])
+    return SubrepWitness(q, f, [la.identity(d, f) for d in m_rep.dims])
 
 
 def zero_witness(m_rep):
@@ -364,37 +353,20 @@ def build_extension(s_rep, x_rep, cocycle):
     _check_pair(x_rep, s_rep)
     q, field = x_rep.quiver, x_rep.field
     dx, ds = x_rep.dims, s_rep.dims
-    cocycle = [la.mat(z, field) if z else () for z in cocycle]
     if len(cocycle) != q.arrow_count:
         raise DomainError("one cocycle matrix per arrow required")
     mats = []
     for a, (s, t) in enumerate(q.arrows):
-        rx, cx = dx[t - 1], dx[s - 1]
-        rs, cs = ds[t - 1], ds[s - 1]
-        z = cocycle[a]
-        if rx and cs:
-            if not z:
-                z = la.zeros(rx, cs, field)  # empty block means zero
-            if la.shape(z) != (rx, cs):
-                raise DomainError(f"cocycle matrix {a} has shape {la.shape(z)}, want {(rx, cs)}")
-        elif z and any(row for row in z):
-            raise DomainError(f"cocycle matrix {a} should be empty")
-        else:
-            z = ()
-        rows = []
-        for r in range(rx):
-            left = x_rep.matrix(a)[r] if cx else ()
-            right = z[r] if cs else ()
-            rows.append(tuple(left) + tuple(right))
-        for r in range(rs):
-            rows.append((field.zero,) * cx + tuple(s_rep.matrix(a)[r]))
-        mats.append(tuple(rows))
+        rx, cx, rs, cs = dx[t - 1], dx[s - 1], ds[t - 1], ds[s - 1]
+        z = la.mat(cocycle[a], field) or la.zeros(rx, cs, field)  # empty block means zero
+        if len(z) != rx or any(len(row) != cs for row in z):
+            raise DomainError(f"cocycle matrix {a} must have {rx} rows of length {cs}")
+        mats.append(la.vstack([la.hstack([x_rep.matrix(a), z]),
+                               la.hstack([la.zeros(rs, cx, field), s_rep.matrix(a)])]))
     y = Representation(q, field, tuple(a + b for a, b in zip(dx, ds)), mats)
     iota = tuple(la.vstack([la.identity(dx[i], field), la.zeros(ds[i], dx[i], field)])
-                 if dx[i] else la.zeros(dx[i] + ds[i], 0, field)
                  for i in range(q.vertex_count))
     pi = tuple(la.hstack([la.zeros(ds[i], dx[i], field), la.identity(ds[i], field)])
-               if ds[i] else ()
                for i in range(q.vertex_count))
     return y, iota, pi
 
@@ -408,62 +380,31 @@ def nonzero_ext_cocycle(s_rep, x_rep):
     phi, cols = phi_map(s_rep, x_rep)
     field = x_rep.field
     nrows = len(phi)
-    base_rank = la.rank(phi, field)
-    if nrows - base_rank == 0:
+    # Im Phi is the row space of Phi^T, eliminated once
+    image, pivots = la.rref(la.transpose(phi, cols), field)
+    if len(pivots) == nrows:
         raise DomainError("Ext^1(S,X) = 0, no nonzero class")
-    phit = la.transpose(phi, cols=cols)
+    shapes = [(x_rep.dims[t - 1], s_rep.dims[s - 1]) for s, t in x_rep.quiver.arrows]
     for j in range(nrows):
         unit = tuple(field.one if i == j else field.zero for i in range(nrows))
-        if la.rank(phit + (unit,), field) > base_rank:
-            return _unvec_degree_one(x_rep, s_rep, [field.one if i == j else field.zero
-                                                    for i in range(nrows)])
+        if not la.row_space_contains(image, pivots, unit, field):
+            return list(_unvec(unit, shapes))
     raise AssertionError("unreachable: cokernel nonzero but no unit vector outside image")
-
-
-def _unvec_degree_one(x_rep, s_rep, vec):
-    """Split a Hom(dim S, dim X[1]) coordinate vector into per-arrow matrices."""
-    q = x_rep.quiver
-    field = x_rep.field
-    out = []
-    off = 0
-    for a, (s, t) in enumerate(q.arrows):
-        r, c = x_rep.dims[t - 1], s_rep.dims[s - 1]
-        block = vec[off:off + r * c]
-        off += r * c
-        out.append(tuple(tuple(block[cc * r + rr] for cc in range(c)) for rr in range(r))
-                   if r and c else ())
-    return out
 
 
 def morphism_image_witness(phi_mats, source, target):
     """Witness for the per-vertex image of a morphism source -> target."""
     field = target.field
-    bases = []
-    for i in range(target.quiver.vertex_count):
-        if source.dims[i] == 0 or target.dims[i] == 0:
-            bases.append(())
-            continue
-        bases.append(la.column_space_as_row_basis(phi_mats[i], field))
+    # the column space of phi_i is the row space of its transpose
+    bases = [la.row_basis(la.transpose(m, e), field) for m, e in zip(phi_mats, source.dims)]
     return SubrepWitness(target.quiver, field, bases)
 
 
 def morphism_kernel_witness(phi_mats, source, target):
     """Witness for the per-vertex kernel of a morphism source -> target."""
     field = source.field
-    bases = []
-    for i in range(source.quiver.vertex_count):
-        if source.dims[i] == 0:
-            bases.append(())
-            continue
-        if target.dims[i] == 0:
-            bases.append(la.identity(source.dims[i], field))
-            continue
-        kern = la.nullspace(phi_mats[i], field)
-        if not kern:
-            bases.append(())
-            continue
-        r, piv = la.rref(tuple(kern), field)
-        bases.append(tuple(r[j] for j in range(len(piv))))
+    bases = [la.row_basis(la.nullspace(m, field, e), field)
+             for m, e in zip(phi_mats, source.dims)]
     return SubrepWitness(source.quiver, field, bases)
 
 
@@ -509,14 +450,7 @@ def generic_embeds(n_rep, m_rep, trials=40, seed=0):
                       for r in range(m_rep.dims[i]))
                 for i in range(nverts)]
         if all(la.rank(mats[i], field) == n_rep.dims[i] for i in range(nverts)):
-            bases = []
-            for i in range(nverts):
-                if n_rep.dims[i] == 0:
-                    bases.append(())
-                    continue
-                r, piv = la.rref(la.transpose(mats[i], cols=n_rep.dims[i]), field)
-                bases.append(tuple(r[j] for j in range(len(piv))))
-            return EmbeddingSearch(True, SubrepWitness(m_rep.quiver, field, bases),
+            return EmbeddingSearch(True, morphism_image_witness(mats, n_rep, m_rep),
                                    tuple(mats), "exact")
     return EmbeddingSearch(False, None, None, "probabilistic")
 

@@ -286,14 +286,6 @@ class TorusFixedPoint:
         self.cq = cq
         self.starts = starts
 
-    def dim_vector(self, n):
-        d = [0] * n
-        for (i, j), a in zip(self.cq.rows, self.starts):
-            if a is not None:
-                for v in range(a, j + 1):
-                    d[v - 1] += 1
-        return tuple(d)
-
     def isoclass(self, n):
         m = {}
         for (i, j), a in zip(self.cq.rows, self.starts):

@@ -6,14 +6,16 @@ import random
 
 import pytest
 
+from quivergrass import linalg as la
 from quivergrass import (
     QQ, DomainError, PrimeField, Quiver, Representation, SubrepWitness,
     build_extension, direct_sum, dual, euler_form, ext1_dim, generic_embeds,
-    hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
+    hom_basis, hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
     projective, quotient, restrict, simple, tangent_dim, zero_rep,
 )
 from quivergrass.fields import _is_prime
 from quivergrass.rep import (arrow_stable, full_witness, hom_fingerprint,
+                             morphism_image_witness, morphism_kernel_witness,
                              nonzero_ext_cocycle, reduce_mod, zero_witness)
 
 A2 = linear_quiver(2)
@@ -191,9 +193,10 @@ def test_build_extension():
     p1 = projective(A2, QQ, 1)
     fam = [p1, y]
     assert hom_fingerprint(fam, y) == hom_fingerprint(fam, p1) == (1, 1)
-    # shape mismatch rejected
-    with pytest.raises(DomainError):
-        build_extension(s1, s2, [((1, 1),)])
+    # shape mismatch rejected, including a block that should be 0 x 0
+    for s, x, z in ((s1, s2, ((1, 1),)), (s2, s1, ((), (), ()))):
+        with pytest.raises(DomainError):
+            build_extension(s, x, [z])
 
 
 def test_build_extension_interval_example():
@@ -279,6 +282,38 @@ def test_hom_dim_dual_symmetry():
         n = _random_rep(rng, q, QQ)
         m = _random_rep(rng, q, QQ)
         assert hom_dim(n, m) == hom_dim(dual(m), dual(n))
+
+
+def _product(a, b, rows, cols, field):
+    """a @ b with its shape given, so a factor with no rows keeps its width."""
+    return [[field.of(sum(a[r][k] * b[k][c] for k in range(len(b)))) for c in range(cols)]
+            for r in range(rows)]
+
+
+def test_hom_basis_spans_hom():
+    rng = random.Random(45)
+    quivers = [A2, A3, kronecker_quiver(2), Quiver(2, [])]
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        for q in quivers:
+            for _ in range(8):
+                n, m = _random_rep(rng, q, field), _random_rep(rng, q, field)
+                e, d = n.dims, m.dims
+                basis = hom_basis(n, m)
+                assert len(basis) == hom_dim(n, m)
+                flat = [tuple(x for block in f for row in block for x in row) for f in basis]
+                assert la.rank(flat, field) == len(basis)
+                for f in basis:
+                    assert len(f) == q.vertex_count
+                    assert all(len(f[i]) == d[i] and all(len(row) == e[i] for row in f[i])
+                               for i in range(q.vertex_count))
+                    for a, (s, t) in enumerate(q.arrows):
+                        assert _product(m.matrix(a), f[s - 1], d[t - 1], e[s - 1], field) == \
+                            _product(f[t - 1], n.matrix(a), d[t - 1], e[s - 1], field)
+                if basis:
+                    ker = morphism_kernel_witness(basis[0], n, m)
+                    img = morphism_image_witness(basis[0], n, m)
+                    assert ker.is_stable(n) and img.is_stable(m)
+                    assert tuple(a + b for a, b in zip(ker.dims, img.dims)) == e
 
 
 def test_restrict_quotient_dims_sum():

@@ -17,7 +17,7 @@ from quivergrass.counting import (CountPoly, SubspaceIter, batched_rank_mod_p,
                                   count_points, counting_polynomial,
                                   enumerate_subreps, euler_characteristic,
                                   gaussian_binomial, plan_count)
-from quivergrass.elliptic import elliptic_quiver
+from quivergrass.elliptic import demo as elliptic_demo, elliptic_quiver
 from quivergrass.rep import hom_fingerprint, reduce_mod, restrict
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
                                flag_dec, interval_rep)
@@ -106,6 +106,10 @@ def test_budget_exceeded():
     with pytest.raises(BudgetError) as err:
         enumerate_subreps(m, (6,), budget=1000)
     assert err.value.estimate > 1000
+    # the library default is the CLI's: no enumeration of [6,1]_29 lines
+    with pytest.raises(BudgetError) as err:
+        elliptic_demo(29)
+    assert err.value.estimate == gaussian_binomial(6, 1, 29) == 21_243_690
 
 
 def test_counting_polynomial_example4():
@@ -429,7 +433,7 @@ def test_linalg_entries_stay_in_the_field(case):
         fa, fb, fv = la.mat(a, field), la.mat(b, field), la.mat([v], field)[0]
         basis, pivots = la.rref(fa, field)
         results = (la.mul(fa, fb, field), la.mat_vec(fa, fv, field), la.kron(fa, fb, field),
-                   la.neg(fa, field), basis, la.nullspace(fa, field),
+                   la.neg(fa, field), basis, la.nullspace(fa, field, len(v)),
                    la.reduce_by(basis[:len(pivots)], pivots, fv, field))
         assert all(in_field(x) for x in _entries(results)), field
     qa, qb, qv = la.mat(a, QQ), la.mat(b, QQ), la.mat([v], QQ)[0]
