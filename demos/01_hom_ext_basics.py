@@ -6,9 +6,9 @@ dimensions come out of one linear map whose kernel is the morphism space and
 whose cokernel is the extension space.
 """
 
-from quivergrass import (QQ, Representation, build_extension, direct_sum,
-                         dual, euler_form, ext1_dim, hom_dim, injective,
-                         is_rigid, linear_quiver, phi_map, projective, simple)
+from quivergrass import (QQ, build_extension, direct_sum, dual, euler_form,
+                         ext1_dim, hom_dim, injective, is_rigid,
+                         linear_quiver, phi_map, projective, simple)
 from quivergrass.rep import nonzero_ext_cocycle
 
 # The quiver 1 -> 2 and its basic representations.

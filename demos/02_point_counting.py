@@ -7,7 +7,7 @@ there is one.  A held-out prime double-checks the interpolation, so a
 non-polynomial count is detected rather than silently reported.
 """
 
-from quivergrass import QQ, PrimeField, Representation, linear_quiver
+from quivergrass import QQ, Representation, linear_quiver
 from quivergrass.counting import (betti_numbers, count_points,
                                   counting_polynomial, enumerate_subreps,
                                   euler_characteristic, gaussian_binomial)

@@ -11,8 +11,7 @@ Both sides are counted over small prime fields by brute force; they agree.
 
 import time
 
-from quivergrass.elliptic import (curve_count, demo, elliptic_representation,
-                                  grassmannian_count)
+from quivergrass.elliptic import demo, elliptic_representation
 
 m = elliptic_representation()
 print("quiver:", m.quiver.arrows, " dims:", m.dims)

@@ -208,7 +208,7 @@ def coxeter_matrix(quiver):
     n = quiver.vertex_count
     inv = la.solve(e, la.identity(n, QQ), QQ)
     et = la.transpose(e, cols=n)
-    c = la.neg(la.mul(inv, et, QQ), QQ)
+    c = la.neg(la.mul(inv, et, QQ, n), QQ)
     out = []
     for row in c:
         for x in row:

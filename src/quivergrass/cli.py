@@ -1,4 +1,4 @@
-"""Command-line interface: file parsing, subcommand dispatch, canonical output.
+"""Command-line interface: subcommand dispatch and canonical output.
 
 Exit codes: 0 success, 1 unknown subcommand, 2 usage errors (a flag the
 subcommand does not take, a missing required flag, a malformed integer) and
@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__, ardynkin, cluster, elliptic
 from . import typea as ta
@@ -24,7 +23,7 @@ from .errors import BudgetError, DomainError
 from .fields import PrimeField, QQ
 from .quiver import euler_form, linear_quiver
 from .rep import SubrepWitness, hom_dim, ext1_dim, reduce_mod, tangent_dim
-from .repfile import format_intervals, parse_intervals, parse_rep_document
+from .repfile import parse_intervals, parse_rep_document, parse_witness_document
 
 
 def _ints(text):
@@ -63,13 +62,9 @@ def _read(path):
         raise DomainError(f"cannot read {path}: {ex}") from None
 
 
-def _load_doc(path):
-    return parse_rep_document(_read(path))
-
-
 def _load_rep(path):
-    doc = _load_doc(path)
-    return doc.to_representation(), {"document": json.loads(doc.canonical_json())}
+    m_rep, doc = parse_rep_document(_read(path))
+    return m_rep, {"document": doc}
 
 
 def _rep_input(args):
@@ -82,7 +77,7 @@ def _rep_input(args):
         raise DomainError("--intervals requires --n")
     dec = parse_intervals(args.intervals, args.n)
     return dec.to_representation(QQ), {
-        "intervals": format_intervals(dec), "n": args.n}
+        "intervals": ta.format_intervals(dec), "n": args.n}
 
 
 def _with_prime(m_rep, p):
@@ -107,11 +102,10 @@ def _inputs(args):
         args.m2, second = _load_rep(args.rep2)
         echo = {"first": echo, "second": second}
     if hasattr(args, "x"):
-        x_doc, s_doc = _load_doc(args.x), _load_doc(args.s)
-        args.ge = cluster.make_generating(s_doc.to_representation(),
-                                          x_doc.to_representation())
-        echo = {"x": json.loads(x_doc.canonical_json()),
-                "s": json.loads(s_doc.canonical_json())}
+        x, echo_x = parse_rep_document(_read(args.x))
+        s, echo_s = parse_rep_document(_read(args.s))
+        args.ge = cluster.make_generating(s, x)
+        echo = {"x": echo_x, "s": echo_s}
     if hasattr(args, "e"):
         echo["e"] = list(args.e)
     if getattr(args, "strategy", None) == "auto":
@@ -140,7 +134,7 @@ def _decompose(args, echo):
     dec = ta.decompose(args.m)
     ranks = ta.rank_sequence(args.m)
     return {
-        "intervals": format_intervals(dec),
+        "intervals": ta.format_intervals(dec),
         "multiplicities": [[list(ij), mult] for ij, mult in sorted(dec.m.items())],
         "rank_sequence": [[list(ij), r] for ij, r in sorted(ranks.r.items())],
     }, {"engine": "rank-sequence"}
@@ -195,7 +189,7 @@ def _poincare(args, echo):
 
 
 def _strata(args, echo):
-    out = [{"isoclass": format_intervals(s.isoclass), "dim": s.dim, "cells": s.cells}
+    out = [{"isoclass": ta.format_intervals(s.isoclass), "dim": s.dim, "cells": s.cells}
            for s in ta.strata(ta.decompose(args.m), args.e)]
     return {"strata": out}, {"engine": "cells"}
 
@@ -227,9 +221,9 @@ def _verify_mult(args, echo):
     rep = cluster.verify_multiplication(ge)
     return {
         "kind": ge.kind,
-        "middle_term": format_intervals(ta.decompose(ge.y)),
-        "x_s": format_intervals(ta.decompose(ge.x_s)),
-        "s_x": format_intervals(ta.decompose(ge.s_x)),
+        "middle_term": ta.format_intervals(ta.decompose(ge.y)),
+        "x_s": ta.format_intervals(ta.decompose(ge.x_s)),
+        "s_x": ta.format_intervals(ta.decompose(ge.s_x)),
         "dim_s_x": list(rep.s_x_dims),
         "x_f": list(rep.x_f),
         "lhs": rep.lhs.serialized(),
@@ -271,9 +265,8 @@ def _catenoid(args, echo):
 
 def _ar_quiver(args, echo):
     if args.rep is not None:
-        doc = _load_doc(args.rep)
-        quiver = doc.quiver()
-        echo["document"] = json.loads(doc.canonical_json())
+        m_rep, echo["document"] = parse_rep_document(_read(args.rep))
+        quiver = m_rep.quiver
     else:
         quiver = linear_quiver(args.n)
         echo["n"] = args.n
@@ -291,17 +284,9 @@ def _ar_quiver(args, echo):
 
 
 def _tangent(args, echo):
-    try:
-        raw = json.loads(_read(args.witness))
-        bases = [[[Fraction(x) for x in row] for row in b] for b in raw["bases"]]
-    except json.JSONDecodeError as ex:
-        raise DomainError(f"malformed file at line {ex.lineno}, column {ex.colno}: "
-                          f"{ex.msg}") from None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        raise DomainError(f"--witness {args.witness}: expected {{\"bases\": [...]}} "
-                          f"with integer or \"a/b\" entries") from None
-    w = SubrepWitness(args.m.quiver, args.m.field, [tuple(map(tuple, b)) for b in bases])
-    echo["witness"] = raw["bases"]
+    bases, echo["witness"] = parse_witness_document(_read(args.witness),
+                                                    f"--witness {args.witness}")
+    w = SubrepWitness(args.m.quiver, args.m.field, bases)
     return {"tangent_dim": tangent_dim(args.m, w), "e": list(w.dims)},\
         {"engine": "kernel-of-defect-map"}
 

@@ -26,7 +26,6 @@ random small representations in the test suite.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,14 +74,8 @@ class SubspaceIter:
             raise DomainError(f"subspace dimension {e} out of range 0..{d}")
         self.d, self.e, self.p = d, e, p
 
-    def __len__(self):
-        return gaussian_binomial(self.d, self.e, self.p)
-
     def __iter__(self):
         d, e, p = self.d, self.e, self.p
-        if e == 0:
-            yield ()
-            return
         for pattern in pivot_patterns(d, e):
             free = free_positions(pattern, d)
             base = [[0] * d for _ in range(e)]
@@ -100,9 +93,6 @@ class SubspaceIter:
         All matrices of one batch share one pivot pattern.
         """
         d, e, p = self.d, self.e, self.p
-        if e == 0:
-            yield np.zeros((1, 0, d), dtype=np.int64)
-            return
         for pattern in pivot_patterns(d, e):
             free = free_positions(pattern, d)
             k = len(free)
@@ -411,15 +401,6 @@ class CountPoly:
         return sum(c * q ** i for i, c in enumerate(self.coefficients))
 
 
-def _good_reduction(m_rep, p):
-    for i in range(m_rep.quiver.arrow_count):
-        for row in m_rep.matrix(i):
-            for x in row:
-                if isinstance(x, Fraction) and x.denominator % p == 0:
-                    return False
-    return True
-
-
 def _primes_from(start=2):
     from .fields import _is_prime
     cand = start
@@ -429,85 +410,60 @@ def _primes_from(start=2):
         cand += 1
 
 
-def _lagrange(points):
-    """Interpolating polynomial through exact points, coefficients ascending."""
-    poly = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            for k in range(len(basis) - 1):
-                basis[k] -= basis[k + 1] * xj
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            poly[k] += basis[k] * scale
-    return poly
-
-
 def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     """Interpolate #Gr_e(M) over F_p through enough good-reduction primes.
 
     M lives over Q; the degree bound is D = sum e_i (d_i - e_i), so D+1 primes
-    interpolate and one more is held out for the consistency check.  The
-    budget is checked at every one of these primes before any is counted.
-    Given primes must be distinct (DomainError otherwise).
+    interpolate and one more is held out for the consistency check.  A prime
+    where M has bad reduction is skipped.  The budget is checked at every one
+    of these primes before any is counted.  Given primes must be distinct
+    primes (DomainError otherwise).
     """
     if m_rep.field != QQ:
         raise DomainError("counting_polynomial expects a representation over Q")
     e = _check_sub_dim_vector(m_rep, e)
     degree_bound = sum(ei * (di - ei) for ei, di in zip(e, m_rep.dims))
-    need = degree_bound + 2
-    skipped = []
-    good = []
-    if primes is None:
-        gen = _primes_from()
-        while len(good) < need:
-            p = next(gen)
-            if _good_reduction(m_rep, p):
-                good.append(p)
-            else:
-                skipped.append(p)
-    else:
-        if len(set(primes)) != len(primes):
-            raise DomainError(f"repeated primes in {list(primes)}")
-        for p in primes:
-            if _good_reduction(m_rep, p):
-                good.append(p)
-            else:
-                skipped.append(p)
-        if len(good) < degree_bound + 1:
-            raise DomainError(
-                f"need at least {degree_bound + 1} good-reduction primes, have {len(good)}")
-    interp_primes = good[:degree_bound + 1]
-    held = good[degree_bound + 1] if len(good) > degree_bound + 1 else None
-    _check_budget(max(plan_count(m_rep.quiver, m_rep.dims, e, p).estimate
-                      for p in good[:degree_bound + 2]), budget)
-    counts = [count_points(rp.reduce_mod(m_rep, p), e, budget=budget)
-              for p in interp_primes]
-    poly = _lagrange(list(zip(interp_primes, counts)))
+    if primes is not None and len(set(primes)) != len(primes):
+        raise DomainError(f"repeated primes in {list(primes)}")
+    reductions, skipped = [], []
+    for p in _primes_from() if primes is None else primes:
+        PrimeField(p)  # DomainError unless p is prime
+        try:
+            reductions.append(rp.reduce_mod(m_rep, p))
+        except DomainError:
+            skipped.append(p)
+        if primes is None and len(reductions) == degree_bound + 2:
+            break
+    if len(reductions) < degree_bound + 1:
+        raise DomainError(f"need at least {degree_bound + 1} good-reduction primes, "
+                          f"have {len(reductions)}")
+    reductions = reductions[:degree_bound + 2]
+    _check_budget(max(plan_count(m_rep.quiver, m_rep.dims, e, r.field.p).estimate
+                      for r in reductions), budget)
+    interp = reductions[:degree_bound + 1]
+    interp_primes = tuple(r.field.p for r in interp)
+    counts = tuple(count_points(r, e, budget=budget) for r in interp)
+    vandermonde = [[p ** k for k in range(len(interp))] for p in interp_primes]
+    poly = [row[0] for row in la.solve(la.mat(vandermonde, QQ),
+                                       la.mat([[c] for c in counts], QQ), QQ)]
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     integral = all(c.denominator == 1 for c in poly)
     if not integral:
-        return CountPoly((), "inconsistent", tuple(interp_primes), tuple(counts),
-                         (), tuple(skipped))
+        return CountPoly((), "inconsistent", interp_primes, counts, (), tuple(skipped))
     coeffs = tuple(int(c) for c in poly)
     if coeffs == (0,):
         coeffs = ()
-    if held is None:
-        return CountPoly(coeffs, "assumed", tuple(interp_primes), tuple(counts),
-                         (), tuple(skipped))
-    fresh = count_points(rp.reduce_mod(m_rep, held), e, budget=budget)
-    predicted = sum(c * held ** i for i, c in enumerate(coeffs))
+    if len(reductions) == len(interp):
+        return CountPoly(coeffs, "assumed", interp_primes, counts, (), tuple(skipped))
+    held = reductions[-1]
+    fresh = count_points(held, e, budget=budget)
+    predicted = sum(c * held.field.p ** i for i, c in enumerate(coeffs))
     verdict = "verified" if predicted == fresh else "inconsistent"
     if verdict == "inconsistent":
         coeffs = ()
-    return CountPoly(coeffs, verdict, tuple(interp_primes), tuple(counts),
-                     (held, fresh), tuple(skipped))
+    return CountPoly(coeffs, verdict, interp_primes, counts, (held.field.p, fresh),
+                     tuple(skipped))
 
 
 def euler_characteristic(count_poly):

@@ -140,9 +140,3 @@ def field_from_name(name):
             raise DomainError(f"malformed field name {name!r}") from None
         return PrimeField(p)
     raise DomainError(f"unknown field {name!r}")
-
-
-def field_name(field):
-    if field.characteristic == 0:
-        return "Q"
-    return f"Fp:{field.characteristic}"

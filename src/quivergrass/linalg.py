@@ -6,9 +6,9 @@ own ``+ - *``; ``field.of`` brings each result back into the field (``% p``
 over GF(p)), so every entry returned is a ``Fraction`` over Q and an int in
 ``range(p)`` over GF(p), given entries of that kind (as ``mat`` makes them).
 A matrix with no rows is ``()`` whatever its width, so it carries no width:
-``transpose`` and ``nullspace`` take the column count ``cols`` from the caller.
-Everything here is plain Gaussian elimination with exact division; no
-pivoting heuristics are needed since arithmetic is exact.
+``transpose``, ``mul`` and ``nullspace`` take the column count ``cols`` from
+the caller.  Everything here is plain Gaussian elimination with exact
+division; no pivoting heuristics are needed since arithmetic is exact.
 """
 
 
@@ -45,11 +45,11 @@ def _dot(row, v, field):
     return field.of(sum(x * y for x, y in zip(row, v) if x and y))
 
 
-def mul(a, b, field):
-    """Matrix product a @ b."""
-    if shape(a)[1] != shape(b)[0]:
-        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    bt = transpose(b)
+def mul(a, b, field, cols):
+    """Matrix product a @ b, where b has ``cols`` columns."""
+    if (a and len(a[0]) != len(b)) or (b and len(b[0]) != cols):
+        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}, expected {cols} columns")
+    bt = transpose(b, cols)
     return tuple(tuple(_dot(row, col, field) for col in bt) for row in a)
 
 

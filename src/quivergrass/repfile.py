@@ -7,19 +7,24 @@ Fields: `vertices` (natural), `arrows` (list of 1-based [source, target]),
   * `intervals` (type A shorthand "U[i,j]^m + ...", quiver must be the
     equioriented A_n in its standard labeling; `dims` optional, validated).
 
-Parsing then re-serializing is the identity on canonical documents.
+`parse_rep_document` returns the representation a document describes together
+with its echo: the canonical document as a dict, with the intervals in sorted
+form and each matrix entry as an integer or an "a/b" string in lowest terms
+(over GF(p) too: the echo is not reduced mod p).  Parsing an echo gives the
+same echo back.  A witness document (`parse_witness_document`) is
+{"bases": [...]}, one row-major basis per vertex.
 """
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg as la
 from .errors import DomainError
-from .fields import field_from_name, field_name
+from .fields import field_from_name
 from .quiver import Quiver
 from .rep import Representation
-from .typea import IntervalDecomposition, decompose
+from .typea import IntervalDecomposition, format_intervals
 
 _INTERVAL_TERM = re.compile(r"^U\[(\d+),(\d+)\](?:\^(\d+))?$")
 
@@ -38,14 +43,6 @@ def parse_intervals(text, n):
         mult = int(match.group(3)) if match.group(3) else 1
         m[(i, j)] = m.get((i, j), 0) + mult
     return IntervalDecomposition(n, m)
-
-
-def format_intervals(dec):
-    parts = []
-    for (i, j) in sorted(dec.m):
-        mult = dec.m[(i, j)]
-        parts.append(f"U[{i},{j}]" + (f"^{mult}" if mult > 1 else ""))
-    return " + ".join(parts) if parts else "0"
 
 
 def _entry_to_fraction(x, where):
@@ -68,67 +65,26 @@ def _is_int_list(value, length=None):
 
 
 def _entry_to_json(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return int(x)
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass
-class RepDocument:
-    vertices: int
-    arrows: tuple
-    field_name: str
-    dims: tuple = None
-    matrices: dict = None      # arrow index -> row-major rows of Fractions
-    intervals: str = None
-
-    def quiver(self):
-        return Quiver(self.vertices, self.arrows)
-
-    def field(self):
-        return field_from_name(self.field_name)
-
-    def to_representation(self):
-        quiver = self.quiver()
-        field = self.field()
-        if self.intervals is not None:
-            dec = parse_intervals(self.intervals, self.vertices)
-            if not quiver.is_linear_equioriented():
-                raise DomainError("interval shorthand needs the equioriented A_n quiver")
-            return dec.to_representation(field)
-        mats = []
-        for a, (s, t) in enumerate(quiver.arrows):
-            rows = self.matrices.get(a)
-            if rows is None:
-                rows = [[0] * self.dims[s - 1] for _ in range(self.dims[t - 1])]
-            mats.append(rows)
-        return Representation(quiver, field, self.dims, mats)
-
-    def canonical_json(self):
-        doc = {"vertices": self.vertices,
-               "arrows": [list(a) for a in self.arrows],
-               "field": self.field_name}
-        if self.intervals is not None:
-            doc["intervals"] = format_intervals(
-                parse_intervals(self.intervals, self.vertices))
-            if self.dims is not None:
-                doc["dims"] = list(self.dims)
-        else:
-            doc["dims"] = list(self.dims)
-            doc["matrices"] = {
-                str(a): [[_entry_to_json(x) for x in row] for row in rows]
-                for a, rows in sorted(self.matrices.items())}
-        return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
-
-
-def parse_rep_document(text):
-    """Parse and validate a representation document; DomainError with the
-    position for malformed JSON."""
+def _json_document(text):
+    """The decoded JSON text; DomainError with the position if malformed."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as ex:
         raise DomainError(
             f"malformed file at line {ex.lineno}, column {ex.colno}: {ex.msg}") from None
+
+
+def parse_rep_document(text):
+    """Parse and validate a representation document.
+
+    Returns the pair (representation, echo): the ``Representation`` it
+    describes and the canonical document as a dict.  DomainError on any
+    invalid input, with the position for malformed JSON.
+    """
+    raw = _json_document(text)
     if not isinstance(raw, dict):
         raise DomainError("malformed file: top level must be an object")
     for key in ("vertices", "arrows", "field"):
@@ -143,7 +99,6 @@ def parse_rep_document(text):
     arrows = raw["arrows"]
     if not isinstance(arrows, list) or not all(_is_int_list(a, 2) for a in arrows):
         raise DomainError("arrows must be a list of [source, target] integer pairs")
-    arrows = tuple(tuple(a) for a in arrows)
     if not isinstance(raw["field"], str):
         raise DomainError("field must be \"Q\" or \"Fp:<prime>\"")
     if "dims" in raw and not _is_int_list(raw["dims"]):
@@ -152,20 +107,25 @@ def parse_rep_document(text):
     has_i = "intervals" in raw
     if has_m == has_i:
         raise DomainError("exactly one of 'matrices' or 'intervals' must be present")
+    echo = {"vertices": vertices, "arrows": arrows, "field": raw["field"]}
     if has_i:
         if not isinstance(raw["intervals"], str):
             raise DomainError("intervals must be a string \"U[i,j]^m + ...\"")
-        dims = tuple(raw["dims"]) if "dims" in raw else None
-        doc = RepDocument(vertices, arrows, raw["field"], dims=dims,
-                          intervals=raw["intervals"])
         dec = parse_intervals(raw["intervals"], vertices)
-        if dims is not None and tuple(dims) != dec.dim_vector():
-            raise DomainError(f"dims {dims} do not match the intervals {dec.dim_vector()}")
-        doc.to_representation()  # validates quiver shape
-        return doc
+        if "dims" in raw:
+            dims = tuple(raw["dims"])
+            if dims != dec.dim_vector():
+                raise DomainError(
+                    f"dims {dims} do not match the intervals {dec.dim_vector()}")
+            echo["dims"] = raw["dims"]
+        quiver = Quiver(vertices, arrows)
+        field = field_from_name(raw["field"])
+        if not quiver.is_linear_equioriented():
+            raise DomainError("interval shorthand needs the equioriented A_n quiver")
+        echo["intervals"] = format_intervals(dec)
+        return dec.to_representation(field), echo
     if "dims" not in raw:
         raise DomainError("missing field 'dims'")
-    dims = tuple(raw["dims"])
     if not isinstance(raw["matrices"], dict):
         raise DomainError("matrices must be an object from arrow index to matrix")
     matrices = {}
@@ -180,20 +140,29 @@ def parse_rep_document(text):
             raise DomainError(f"matrices[{a}] must be a list of rows")
         matrices[a] = [[_entry_to_fraction(x, f"matrices[{a}]") for x in row]
                        for row in rows]
-    doc = RepDocument(vertices, arrows, raw["field"], dims=dims, matrices=matrices)
-    doc.to_representation()  # full shape validation
-    return doc
+    quiver = Quiver(vertices, arrows)
+    field = field_from_name(raw["field"])
+    dims = quiver.check_dim_vector(raw["dims"])
+    m_rep = Representation(quiver, field, dims, [
+        matrices[a] if a in matrices else la.zeros(dims[t - 1], dims[s - 1], field)
+        for a, (s, t) in enumerate(quiver.arrows)])
+    echo["dims"] = raw["dims"]
+    echo["matrices"] = {str(a): [[_entry_to_json(x) for x in row] for row in rows]
+                        for a, rows in sorted(matrices.items())}
+    return m_rep, echo
 
 
-def document_for(m_rep, intervals=False):
-    """Build a RepDocument from a representation (canonical matrices form,
-    or interval shorthand for type A when requested)."""
-    if intervals:
-        dec = decompose(m_rep)
-        return RepDocument(m_rep.quiver.vertex_count, m_rep.quiver.arrows,
-                           field_name(m_rep.field), dims=m_rep.dims,
-                           intervals=format_intervals(dec))
-    mats = {a: [list(row) for row in m_rep.matrix(a)]
-            for a in range(m_rep.quiver.arrow_count)}
-    return RepDocument(m_rep.quiver.vertex_count, m_rep.quiver.arrows,
-                       field_name(m_rep.field), dims=m_rep.dims, matrices=mats)
+def parse_witness_document(text, where):
+    """Parse a witness document {"bases": [...]}: one row-major basis per
+    vertex, entries integers or "a/b" strings.
+
+    Returns the pair (bases, echo): the bases as tuples of Fractions and as
+    given.  ``where`` names the document in the error for a wrong shape.
+    """
+    raw = _json_document(text)
+    try:
+        bases = [tuple(tuple(Fraction(x) for x in row) for row in b) for b in raw["bases"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"{where}: expected {{\"bases\": [...]}} "
+                          f"with integer or \"a/b\" entries") from None
+    return bases, raw["bases"]

@@ -124,9 +124,14 @@ class IntervalDecomposition:
         return hash((self.n, tuple(sorted(self.m.items()))))
 
     def __repr__(self):
-        terms = " + ".join(f"U[{i},{j}]" + (f"^{m}" if m > 1 else "")
-                           for (i, j), m in sorted(self.m.items())) or "0"
-        return terms
+        return format_intervals(self)
+
+
+def format_intervals(dec):
+    """The interval notation "U[i,j]^m + ..." (sorted; "0" when empty) that
+    ``repfile.parse_intervals`` reads."""
+    return " + ".join(f"U[{i},{j}]" + (f"^{m}" if m > 1 else "")
+                      for (i, j), m in sorted(dec.m.items())) or "0"
 
 
 def rank_sequence(m_rep):
@@ -140,12 +145,7 @@ def rank_sequence(m_rep):
         r[(i, i)] = d[i - 1]
         comp = la.identity(d[i - 1], field)
         for j in range(i + 1, n + 1):
-            # a zero space anywhere along the chain kills the composite
-            if comp is None or d[j - 1] == 0 or d[i - 1] == 0:
-                comp = None
-                r[(i, j)] = 0
-                continue
-            comp = la.mul(m_rep.matrix(arrow_index[j - 1]), comp, field)
+            comp = la.mul(m_rep.matrix(arrow_index[j - 1]), comp, field, d[i - 1])
             r[(i, j)] = la.rank(comp, field)
     return RankSequence(n, r)
 

@@ -10,11 +10,11 @@ import time
 
 import pytest
 
-from quivergrass import (QQ, PrimeField, Quiver, Representation,
-                         SubrepWitness, direct_sum, dual, euler_form,
-                         ext1_dim, hom_dim, is_rigid, kronecker_quiver,
-                         linear_quiver, projective, simple, tangent_dim)
-from quivergrass.ardynkin import classify, knit, positive_root_count
+from quivergrass import (QQ, PrimeField, Quiver, Representation, dual,
+                         euler_form, ext1_dim, hom_dim, is_rigid,
+                         kronecker_quiver, linear_quiver, projective, simple,
+                         tangent_dim)
+from quivergrass.ardynkin import knit
 from quivergrass.cluster import (cluster_character, make_generating,
                                  psi_count_identity, verify_multiplication)
 from quivergrass.counting import (classify_strata_ff, count_points,
@@ -22,7 +22,7 @@ from quivergrass.counting import (classify_strata_ff, count_points,
                                   euler_characteristic)
 from quivergrass.elliptic import demo
 from quivergrass.poly import SparsePoly
-from quivergrass.rep import reduce_mod, restrict
+from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, TorusFixedPoint,
                                cell_dimension, coefficient_quiver, decompose,
                                deg_leq_hom, deg_leq_ranks,

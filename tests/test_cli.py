@@ -8,9 +8,7 @@ import pytest
 
 from quivergrass.cli import COMMANDS, run
 from quivergrass.errors import DomainError
-from quivergrass.repfile import (document_for, format_intervals,
-                                 parse_intervals, parse_rep_document)
-from quivergrass import QQ, Representation, linear_quiver
+from quivergrass.repfile import format_intervals, parse_intervals, parse_rep_document
 
 EX4 = json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                   "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 0]]}})
@@ -33,10 +31,9 @@ def mf3_file(tmp_path):
 
 
 def test_parse_round_trip_is_identity():
-    doc = parse_rep_document(EX4)
-    once = doc.canonical_json()
-    again = parse_rep_document(once).canonical_json()
-    assert once == again
+    m, echo = parse_rep_document(EX4)
+    m_again, echo_again = parse_rep_document(json.dumps(echo))
+    assert echo_again == echo and m_again == m
 
 
 def test_parse_rejects_malformed_json_with_position():
@@ -64,8 +61,9 @@ def test_parse_validates_shapes_and_entries():
         parse_rep_document(json.dumps(bad))
     good = {"vertices": 2, "arrows": [[1, 2]], "field": "Fp:3", "dims": [1, 1],
             "matrices": {"0": [["1/2"]]}}
-    m = parse_rep_document(json.dumps(good)).to_representation()
+    m, echo = parse_rep_document(json.dumps(good))
     assert m.matrix(0) == ((2,),)  # 1/2 = 2 mod 3
+    assert echo["matrices"] == {"0": [["1/2"]]}  # echoed as written, not reduced
 
 
 @pytest.mark.parametrize("change", [
@@ -76,6 +74,7 @@ def test_parse_validates_shapes_and_entries():
     {"vertices": True, "arrows": [], "dims": [1], "matrices": {}},
     {"dims": [0, 2], "matrices": {"0": [[5], [7]]}},
     {"dims": [2, 0], "matrices": {"0": [[5, 1, 3]]}},
+    {"dims": [2], "matrices": {}},
 ], ids=repr)
 def test_ill_typed_rep_file_exit_2(tmp_path, change):
     doc = {k: v for k, v in dict(json.loads(EX4), **change).items() if v is not None}
@@ -95,12 +94,6 @@ def test_interval_syntax():
         parse_intervals("U[1,2)^2", 2)
     with pytest.raises(DomainError):
         parse_intervals("U[1,3]", 2)
-
-
-def test_document_for_round_trip():
-    m = Representation(linear_quiver(2), QQ, (2, 2), [[["1/3", 0], [0, 1]]])
-    doc = parse_rep_document(document_for(m).canonical_json())
-    assert doc.to_representation() == m
 
 
 def test_unknown_subcommand_exit_1():
@@ -191,6 +184,14 @@ def test_poly_needs_binomials_beyond_int64():
     assert code == 0
     cp = json.loads(text)["outputs"]["counting_polynomial"]
     assert cp["consistency"] == "verified" and cp["coefficients"] == _q_binomial(7, 3)
+
+
+@pytest.mark.parametrize("primes", ["0,2,3,5", "1,2,3,5"])
+def test_poly_rejects_a_non_prime(primes):
+    # 0 divided by zero in the bad-reduction test; 1 was reported as a skipped prime
+    code, text = run(["poly", "--intervals", "U[1,2]", "--n", "2", "--e", "1,1",
+                      "--primes", primes])
+    assert code == 2 and text == f"error: {primes[0]} is not prime\n"
 
 
 @pytest.mark.parametrize("primes", ["5,5,5,5", "2,3,5,5"])
@@ -293,6 +294,8 @@ def test_tangent_malformed_witness_exit_2(ex4_file, tmp_path):
         w.write_text(json.dumps(doc))
         code, text = run(["tangent", "--rep", ex4_file, "--witness", str(w)])
         assert code == 2 and "--witness" in text
+    code, text = run(["tangent", "--rep", ex4_file, "--witness", str(tmp_path / "none")])
+    assert code == 2 and text.startswith("error: cannot read")
 
 
 def test_tangent_witness_outside_the_module_exit_2(ex4_file, tmp_path):

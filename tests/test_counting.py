@@ -18,7 +18,7 @@ from quivergrass.counting import (CountPoly, SubspaceIter, batched_rank_mod_p,
                                   enumerate_subreps, euler_characteristic,
                                   gaussian_binomial, plan_count)
 from quivergrass.elliptic import demo as elliptic_demo, elliptic_quiver
-from quivergrass.rep import hom_fingerprint, reduce_mod, restrict
+from quivergrass.rep import hom_fingerprint, reduce_mod
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
                                flag_dec, interval_rep)
 
@@ -148,6 +148,8 @@ def test_counting_polynomial_skips_bad_reduction():
     cp = counting_polynomial(m, (1, 1), primes=[2, 3, 5, 7])
     assert cp.skipped_primes == (2,)
     assert cp.consistency == "verified"
+    with pytest.raises(DomainError, match="0 is not prime"):
+        counting_polynomial(m, (1, 1), primes=[0, 2, 3, 5])
 
 
 def test_euler_characteristic_refuses_inconsistent():
@@ -432,12 +434,15 @@ def test_linalg_entries_stay_in_the_field(case):
                             (QQ, lambda x: type(x) is Fraction)):
         fa, fb, fv = la.mat(a, field), la.mat(b, field), la.mat([v], field)[0]
         basis, pivots = la.rref(fa, field)
-        results = (la.mul(fa, fb, field), la.mat_vec(fa, fv, field), la.kron(fa, fb, field),
-                   la.neg(fa, field), basis, la.nullspace(fa, field, len(v)),
+        results = (la.mul(fa, fb, field, len(b[0])), la.mat_vec(fa, fv, field),
+                   la.kron(fa, fb, field), la.neg(fa, field), basis,
+                   la.nullspace(fa, field, len(v)),
                    la.reduce_by(basis[:len(pivots)], pivots, fv, field))
         assert all(in_field(x) for x in _entries(results)), field
     qa, qb, qv = la.mat(a, QQ), la.mat(b, QQ), la.mat([v], QQ)[0]
     pa, pb, pv = la.mat(a, gf), la.mat(b, gf), la.mat([v], gf)[0]
-    assert la.mul(pa, pb, gf) == la.mat(la.mul(qa, qb, QQ), gf)
+    assert la.mul(pa, pb, gf, len(b[0])) == la.mat(la.mul(qa, qb, QQ, len(b[0])), gf)
     assert la.mat_vec(pa, pv, gf) == la.mat([la.mat_vec(qa, qv, QQ)], gf)[0]
     assert la.kron(pa, pb, gf) == la.mat(la.kron(qa, qb, QQ), gf)
+    # a factor with no rows still gives the product its width: (2 x 0)(0 x 3)
+    assert la.mul(((), ()), (), QQ, 3) == la.zeros(2, 3, QQ)

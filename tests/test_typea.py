@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from quivergrass import QQ, DomainError, PrimeField, Representation, ext1_dim, \
-    hom_dim, kronecker_quiver, linear_quiver
+from quivergrass import QQ, DomainError, Representation, ext1_dim, hom_dim, \
+    kronecker_quiver, linear_quiver
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
-    CoefficientQuiver, IntervalDecomposition, RankSequence, TorusFixedPoint,
-    cell_dimension, coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
+    IntervalDecomposition, RankSequence, TorusFixedPoint, cell_dimension,
+    coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
     degenerate_flag_dec, euler_char_cells, ext_interval, fixed_points,
     flag_dec, flat_locus_class, hom_interval, interval_rep, is_catenoid,
     min_projective_resolution, most_flat_dec, multiplicities_from_ranks,
