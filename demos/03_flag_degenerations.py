@@ -2,9 +2,9 @@
 
 On the equioriented A_n quiver every module is a sum of interval modules
 U[i,j], and everything is combinatorial: isomorphism classes are rank
-sequences, torus fixed points are suffix choices in the coefficient quiver,
-and each fixed point carries an affine cell whose dimension is read off the
-diagram.  The finite-field oracle confirms every polynomial produced here.
+sequences, a torus fixed point is a tuple of suffix starts aligned with the
+rows of coefficient_quiver(m), and each fixed point carries an affine cell
+whose dimension is read off the diagram.  The finite-field oracle confirms every polynomial produced here.
 """
 
 from quivergrass import QQ
@@ -38,14 +38,15 @@ print("flag module degenerates to the most-flat one:",
       deg_leq_ranks(flag_dec(n), most_flat_dec(n)))
 
 # A worked fixed point for n = 3: rows of the coefficient quiver of A + DA,
-# one suffix selected per row; its cell has dimension 4.
+# and the tuple of suffix starts aligned with them (None: row not selected);
+# its cell has dimension 4.
 dec3 = degenerate_flag_dec(3)
-cq = coefficient_quiver(dec3)
-print("\nrows of the coefficient quiver of A + DA (n=3):", cq.rows)
-pt = next(p for p in fixed_points(dec3, (1, 2, 3))
-          if p.starts == (3, 3, 2, None, 1, None))
-print("selected suffix starts:", pt.starts, "-> cell dimension",
-      cell_dimension(cq, pt))
+rows = coefficient_quiver(dec3)
+print("\nrows of the coefficient quiver of A + DA (n=3):", rows)
+pt = (3, 3, 2, None, 1, None)
+assert pt in fixed_points(dec3, (1, 2, 3))
+print("selected suffix starts:", pt, "-> cell dimension",
+      cell_dimension(rows, pt))
 
 # Schubert realizability is a chain condition on the support intervals.
 print("\nA + DA is a catenoid:", is_catenoid(dec3))

@@ -175,10 +175,10 @@ def _poly(args, echo):
 
 def _cells(args, echo):
     dec = ta.decompose(args.m)
-    cq = ta.coefficient_quiver(dec)
-    cells = [{"starts": list(pt.starts), "dim": ta.cell_dimension(cq, pt)}
+    rows = ta.coefficient_quiver(dec)
+    cells = [{"starts": list(pt), "dim": ta.cell_dimension(rows, pt)}
              for pt in ta.fixed_points(dec, args.e)]
-    return {"rows": [list(r) for r in cq.rows], "cells": cells}, {"engine": "cells"}
+    return {"rows": [list(r) for r in rows], "cells": cells}, {"engine": "cells"}
 
 
 def _poincare(args, echo):

@@ -44,8 +44,7 @@ def _sub_dim_vectors(d):
 def euler_char_table(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     """chi(Gr_e(M)) for every e <= dim M, as a dict."""
     if strategy == "cells":
-        dec = ta.decompose(m_rep) if isinstance(m_rep, rp.Representation) else \
-            ta.to_decomposition(m_rep)
+        dec = ta.decompose(m_rep)
         # every torus fixed point is one affine cell, so chi = #fixed points;
         # the generating function is a product over coefficient-quiver rows
         n = dec.n
@@ -75,9 +74,7 @@ def euler_char_table(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
 def f_polynomial(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     """F_M(y) = sum over e of chi(Gr_e(M)) y^e."""
     table = euler_char_table(m_rep, strategy=strategy, budget=budget)
-    n = (m_rep.quiver.vertex_count if isinstance(m_rep, rp.Representation)
-         else ta.to_decomposition(m_rep).n)
-    return SparsePoly(n, {tuple(e): c for e, c in table.items()})
+    return SparsePoly(m_rep.quiver.vertex_count, {tuple(e): c for e, c in table.items()})
 
 
 def cluster_character(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
@@ -86,8 +83,6 @@ def cluster_character(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     Returned as a sparse polynomial in 2n variables x_1..x_n, y_1..y_n with
     the x exponents allowed to be negative.
     """
-    if isinstance(m_rep, ta.IntervalDecomposition):
-        m_rep = m_rep.to_representation(QQ)
     n = m_rep.quiver.vertex_count
     b = exchange_matrix(m_rep.quiver)
     g = g_vector(m_rep)
@@ -118,20 +113,12 @@ class GeneratingExtension:
     s_mod_sx: object = None
 
 
-def _tau_dec(dec):
-    """tau on an interval sum: drop projectives, shift the rest."""
+def _translate(dec, tau):
+    """tau or tau^- (``tau`` one of ``ta.tau_interval``/``ta.tau_inverse_interval``)
+    on an interval sum: drop the summands it kills, shift the rest."""
     m = {}
-    for (i, j), mult in dec.m.items():
-        t = ta.tau_interval((i, j), dec.n)
-        if t is not None:
-            m[t] = m.get(t, 0) + mult
-    return ta.IntervalDecomposition(dec.n, m)
-
-
-def _tau_inv_dec(dec):
-    m = {}
-    for (i, j), mult in dec.m.items():
-        t = ta.tau_inverse_interval((i, j), dec.n)
+    for ij, mult in dec.m.items():
+        t = tau(ij, dec.n)
         if t is not None:
             m[t] = m.get(t, 0) + mult
     return ta.IntervalDecomposition(dec.n, m)
@@ -155,12 +142,12 @@ def make_generating(s_rep, x_rep):
     s_dec = ta.decompose(s_rep)
     x_dec = ta.decompose(x_rep)
     field = s_rep.field
-    tau_s = _tau_dec(s_dec).to_representation(field)
+    tau_s = _translate(s_dec, ta.tau_interval).to_representation(field)
     f_basis = rp.hom_basis(x_rep, tau_s)
     if len(f_basis) != 1:
         raise AssertionError(f"[X, tau S] = {len(f_basis)}, expected 1 when Ext^1 = 1")
     xs_w = rp.morphism_kernel_witness(f_basis[0], x_rep, tau_s)
-    tau_inv_x = _tau_inv_dec(x_dec).to_representation(field)
+    tau_inv_x = _translate(x_dec, ta.tau_inverse_interval).to_representation(field)
     g_basis = rp.hom_basis(tau_inv_x, s_rep)
     if len(g_basis) != 1:
         raise AssertionError(f"[tau^- X, S] = {len(g_basis)}, expected 1 when Ext^1 = 1")
@@ -176,7 +163,7 @@ def _injective_cokernel_exponent(ge):
     """f with I = (+) I_j^(f_j) from the exact sequence X/X_S -> tau S^X -> I."""
     n = ge.s.quiver.vertex_count
     a = ta.decompose(ge.x_mod_xs)
-    tau_sx = _tau_dec(ta.decompose(ge.s_x))
+    tau_sx = _translate(ta.decompose(ge.s_x), ta.tau_interval)
     if a.dim_vector() == tau_sx.dim_vector():
         if a != tau_sx:
             raise AssertionError("X/X_S and tau S^X have equal dims but differ")
@@ -209,33 +196,26 @@ class MultiplicationReport:
         return self.residual.is_zero() and self.f_residual.is_zero()
 
 
-def verify_multiplication(ge, strategy="cells"):
+def verify_multiplication(ge):
     """Check CC(X) CC(S) = CC(Y) + y^(dim S^X) CC(X_S) CC(S/S^X) x^f exactly.
 
-    Also checks the F-polynomial shadow of the same identity.  The report
-    carries both sides and the residual (zero iff the identity holds).
+    Also checks the F-polynomial shadow of the same identity: F_M is CC_M at
+    x = 1, a ring map, so its residual is the CC residual at x = 1.  The
+    report carries both sides and the residual (zero iff the identity holds).
     """
     if ge.kind != "nonsplit":
         raise DomainError("the multiplication formula applies to nonsplit extensions")
     n = ge.s.quiver.vertex_count
-    cc_x = cluster_character(ge.x, strategy)
-    cc_s = cluster_character(ge.s, strategy)
-    cc_y = cluster_character(ge.y, strategy)
-    cc_xs = cluster_character(ge.x_s, strategy)
-    cc_ssx = cluster_character(ge.s_mod_sx, strategy)
+    cc_x, cc_s, cc_y, cc_xs, cc_ssx = (
+        cluster_character(m) for m in (ge.x, ge.s, ge.y, ge.x_s, ge.s_mod_sx))
     f_exp = _injective_cokernel_exponent(ge)
     sx_dims = ge.s_x.dims
-    corr = SparsePoly.monomial(tuple(f_exp) + (0,) * n) * \
-        SparsePoly.monomial((0,) * n + tuple(sx_dims))
+    corr = SparsePoly.monomial(tuple(f_exp) + tuple(sx_dims))
     lhs = cc_x * cc_s
     rhs = cc_y + corr * cc_xs * cc_ssx
-    fx = f_polynomial(ge.x, strategy)
-    fs = f_polynomial(ge.s, strategy)
-    fy = f_polynomial(ge.y, strategy)
-    fxs = f_polynomial(ge.x_s, strategy)
-    fssx = f_polynomial(ge.s_mod_sx, strategy)
-    f_rhs = fy + SparsePoly.monomial(tuple(sx_dims)) * fxs * fssx
-    return MultiplicationReport(lhs, rhs, lhs - rhs, fx * fs - f_rhs,
+    residual = lhs - rhs
+    f_residual = SparsePoly(n, [(exp[n:], c) for exp, c in residual.terms.items()])
+    return MultiplicationReport(lhs, rhs, residual, f_residual,
                                 tuple(sx_dims), tuple(f_exp))
 
 
@@ -263,6 +243,9 @@ def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
         lhs = count_points(yp, e, budget=budget)
         xp = rp.reduce_mod(ge.x, p)
         sp = rp.reduce_mod(ge.s, p)
+        if ge.kind == "nonsplit":
+            xsp = rp.reduce_mod(ge.x_s, p)
+            ssxp = rp.reduce_mod(ge.s_mod_sx, p)
         rhs = 0
         for f in _sub_dim_vectors(ge.x.dims):
             g = tuple(a - b for a, b in zip(e, f))
@@ -275,8 +258,8 @@ def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
                 if all(v >= 0 for v in g_shift) and \
                         all(a <= b for a, b in zip(g_shift, ge.s_mod_sx.dims)) and \
                         all(a <= b for a, b in zip(f, ge.x_s.dims)):
-                    excluded = count_points(rp.reduce_mod(ge.x_s, p), f, budget=budget) * \
-                        count_points(rp.reduce_mod(ge.s_mod_sx, p), g_shift, budget=budget)
+                    excluded = count_points(xsp, f, budget=budget) * \
+                        count_points(ssxp, g_shift, budget=budget)
             image = full - excluded
             if image == 0:
                 continue

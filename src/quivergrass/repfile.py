@@ -161,8 +161,9 @@ def parse_witness_document(text, where):
     """
     raw = _json_document(text)
     try:
-        bases = [tuple(tuple(Fraction(x) for x in row) for row in b) for b in raw["bases"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        bases = [tuple(tuple(_entry_to_fraction(x, where) for x in row) for row in b)
+                 for b in raw["bases"]]
+    except (KeyError, TypeError, ValueError):
         raise DomainError(f"{where}: expected {{\"bases\": [...]}} "
                           f"with integer or \"a/b\" entries") from None
     return bases, raw["bases"]

@@ -4,9 +4,10 @@ Everything here runs on closed forms.  Indecomposables are the interval
 modules U[i,j] (1 <= i <= j <= n); isoclasses are encoded either by interval
 multiplicities or by the rank sequence of the composite arrow maps, and the
 two encodings are mutually inverse.  Hom and Ext^1 between intervals are 0/1
-by explicit inequalities; torus fixed points of a Grassmannian are tuples of
-suffix subintervals of the rows of the coefficient quiver, and each fixed
-point carries an attracting cell whose dimension is read off the diagram.
+by explicit inequalities.  A torus fixed point of a Grassmannian is a plain
+tuple with one suffix start (or None) per row of ``coefficient_quiver(m)``,
+and each fixed point carries an attracting cell whose dimension is read off
+the diagram.
 """
 
 import random as _random
@@ -30,13 +31,8 @@ def interval_rep(quiver, field, i, j):
     n = _require_linear(quiver)
     if not (1 <= i <= j <= n):
         raise DomainError(f"bad interval ({i},{j}) for n={n}")
-    dims = tuple(1 if i <= v <= j else 0 for v in range(1, n + 1))
-    arrows = sorted(quiver.arrows)
-    order = {a: quiver.arrows.index(a) for a in arrows}
-    mats = [None] * quiver.arrow_count
-    for (s, t) in arrows:
-        mats[order[(s, t)]] = ((field.one,),) if i <= s and t <= j else ()
-    return rp.Representation(quiver, field, dims, mats)
+    mats = [((field.one,),) if i <= s and t <= j else () for s, t in quiver.arrows]
+    return rp.Representation(quiver, field, interval_dims(n, i, j), mats)
 
 
 def interval_dims(n, i, j):
@@ -244,68 +240,26 @@ def deg_leq_hom(m, n):
     return True
 
 
-class CoefficientQuiver:
-    """Rows of the string diagram, sorted so Ext^1(row r, row r') = 0 for r < r'.
-
-    The sort key (j descending, then i descending) realizes that property:
-    Ext^1(U[a,b], U[c,d]) != 0 forces d >= b+1 > b, so a row can never have
-    an extension into a row sorted after it.  Ties between identical rows are
-    broken by insertion order, which is harmless since equal rows commute.
-    """
-
-    def __init__(self, rows):
-        self.rows = tuple(sorted(rows, key=lambda ij: (-ij[1], -ij[0])))
-
-    @property
-    def n_rows(self):
-        return len(self.rows)
-
-    def __repr__(self):
-        return f"CoefficientQuiver({list(self.rows)})"
-
-
 def coefficient_quiver(m):
-    return CoefficientQuiver(to_decomposition(m).summands())
+    """Rows of the string diagram: the summand intervals, in the order of
+    ``IntervalDecomposition.summands()``, so Ext^1(row r, row r') = 0 for r < r'.
 
-
-class TorusFixedPoint:
-    """A coordinate subrepresentation: per row, either None or a suffix start.
-
-    Row r of the coefficient quiver is an interval [i_r, j_r]; its nonzero
-    subrepresentations are exactly the suffixes U[a, j_r] with a >= i_r, so a
-    fixed point selects one suffix (or nothing) in every row.
+    That order (j descending, then i descending) realizes the property:
+    Ext^1(U[a,b], U[c,d]) != 0 forces d >= b+1 > b, so a row can never have
+    an extension into a row sorted after it.  Equal rows are adjacent, which
+    is harmless since equal rows commute.
     """
-
-    def __init__(self, cq, starts):
-        starts = tuple(starts)
-        if len(starts) != cq.n_rows:
-            raise DomainError("one suffix choice per row required")
-        for (i, j), a in zip(cq.rows, starts):
-            if a is not None and not (i <= a <= j):
-                raise DomainError(f"suffix start {a} outside row [{i},{j}]")
-        self.cq = cq
-        self.starts = starts
-
-    def isoclass(self, n):
-        m = {}
-        for (i, j), a in zip(self.cq.rows, self.starts):
-            if a is not None:
-                m[(a, j)] = m.get((a, j), 0) + 1
-        return IntervalDecomposition(n, m)
-
-    def __eq__(self, other):
-        return (isinstance(other, TorusFixedPoint) and other.cq.rows == self.cq.rows
-                and other.starts == self.starts)
-
-    def __hash__(self):
-        return hash((self.cq.rows, self.starts))
-
-    def __repr__(self):
-        return f"TorusFixedPoint({list(self.starts)})"
+    return tuple(to_decomposition(m).summands())
 
 
 def fixed_points(m, e):
-    """All torus fixed points of Gr_e, as suffix choices in the row diagram."""
+    """All torus fixed points of Gr_e, as tuples of suffix starts.
+
+    Row r of ``coefficient_quiver(m)`` is an interval [i, j]; its nonzero
+    subrepresentations are exactly the suffixes U[a, j] with i <= a <= j, so
+    a fixed point selects one start a (or None, nothing) in every row.
+    Points come in lexicographic order of the per-row choices None, j, ..., i.
+    """
     dec = to_decomposition(m)
     n = dec.n
     e = tuple(int(x) for x in e)
@@ -313,57 +267,56 @@ def fixed_points(m, e):
         raise DomainError("bad dimension vector e")
     if any(x > d for x, d in zip(e, dec.dim_vector())):
         return []
-    cq = coefficient_quiver(dec)
+    rows = coefficient_quiver(dec)
     out = []
     starts = []
+    remaining = list(e)
 
-    def descend(r, remaining):
-        if r == len(cq.rows):
-            if all(x == 0 for x in remaining):
-                out.append(TorusFixedPoint(cq, tuple(starts)))
+    def descend(r):
+        if r == len(rows):
+            if not any(remaining):
+                out.append(tuple(starts))
             return
-        i, j = cq.rows[r]
-        choices = [None] + list(range(j, i - 1, -1))
-        for a in choices:
-            if a is None:
-                starts.append(None)
-                descend(r + 1, remaining)
-                starts.pop()
-                continue
-            nxt = list(remaining)
-            ok = True
-            for v in range(a, j + 1):
-                nxt[v - 1] -= 1
-                if nxt[v - 1] < 0:
-                    ok = False
-                    break
-            if ok:
-                starts.append(a)
-                descend(r + 1, tuple(nxt))
-                starts.pop()
+        starts.append(None)
+        descend(r + 1)
+        i, j = rows[r]
+        # the suffix [a, j] grows one vertex at a time; once a vertex runs
+        # out, every longer suffix contains it too
+        a = j + 1
+        while a > i and remaining[a - 2]:
+            a -= 1
+            remaining[a - 1] -= 1
+            starts[-1] = a
+            descend(r + 1)
+        for v in range(a - 1, j):
+            remaining[v] += 1
+        starts.pop()
 
-    descend(0, e)
+    descend(0)
     return out
 
 
-def cell_dimension(cq, point):
-    """Dimension of the attracting cell of a fixed point.
+def cell_dimension(rows, starts):
+    """Dimension of the attracting cell of the fixed point ``starts``.
 
     For each selected suffix, its leftmost vertex is a source of the black
     subdiagram; the cell dimension is the number of white vertices lying
     strictly below such a source in the same column (rows after r whose
     support contains the column but whose selection does not).
     """
-    if point.cq.rows != cq.rows:
-        raise DomainError("fixed point belongs to a different coefficient quiver")
+    if len(starts) != len(rows):
+        raise DomainError("one suffix choice per row required")
+    for (i, j), a in zip(rows, starts):
+        if a is not None and not (i <= a <= j):
+            raise DomainError(f"suffix start {a} outside row [{i},{j}]")
     dim = 0
-    for r, ((i, j), a) in enumerate(zip(cq.rows, point.starts)):
+    for r, a in enumerate(starts):
         if a is None:
             continue
-        for r2 in range(r + 1, len(cq.rows)):
-            i2, j2 = cq.rows[r2]
+        for r2 in range(r + 1, len(rows)):
+            i2, j2 = rows[r2]
             if i2 <= a <= j2:
-                a2 = point.starts[r2]
+                a2 = starts[r2]
                 if a2 is None or a < a2:
                     dim += 1
     return dim
@@ -372,11 +325,11 @@ def cell_dimension(cq, point):
 def poincare_polynomial(m, e):
     """Sum of q^(cell dimension) over all torus fixed points."""
     dec = to_decomposition(m)
-    cq = coefficient_quiver(dec)
+    rows = coefficient_quiver(dec)
     pts = fixed_points(dec, e)
     if not pts:
         return CountPoly((), "assumed")
-    dims = [cell_dimension(cq, L) for L in pts]
+    dims = [cell_dimension(rows, pt) for pt in pts]
     coeffs = [0] * (max(dims) + 1)
     for d in dims:
         coeffs[d] += 1
@@ -403,10 +356,15 @@ def strata(m, e):
     [N,M] - [N,N] by the closed-form interval Homs.
     """
     dec = to_decomposition(m)
-    n = dec.n
+    rows = coefficient_quiver(dec)
     classes = {}
     for pt in fixed_points(dec, e):
-        iso = pt.isoclass(n)
+        # the fixed point spans the sum of its selected suffixes
+        mults = {}
+        for (i, j), a in zip(rows, pt):
+            if a is not None:
+                mults[(a, j)] = mults.get((a, j), 0) + 1
+        iso = IntervalDecomposition(dec.n, mults)
         classes[iso] = classes.get(iso, 0) + 1
     out = []
     for iso, cells in classes.items():

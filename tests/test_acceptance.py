@@ -23,8 +23,8 @@ from quivergrass.counting import (classify_strata_ff, count_points,
 from quivergrass.elliptic import demo
 from quivergrass.poly import SparsePoly
 from quivergrass.rep import reduce_mod
-from quivergrass.typea import (IntervalDecomposition, TorusFixedPoint,
-                               cell_dimension, coefficient_quiver, decompose,
+from quivergrass.typea import (IntervalDecomposition, cell_dimension,
+                               coefficient_quiver, decompose,
                                deg_leq_hom, deg_leq_ranks,
                                degenerate_flag_dec, euler_char_cells,
                                ext_interval, fixed_points, flag_dec,
@@ -87,10 +87,9 @@ def test_criterion_03_plane_and_line():
 
 def test_criterion_04_worked_fixed_point():
     dec = degenerate_flag_dec(3)
-    cq = coefficient_quiver(dec)
-    pt = TorusFixedPoint(cq, (3, 3, 2, None, 1, None))
+    pt = (3, 3, 2, None, 1, None)
     assert pt in fixed_points(dec, (1, 2, 3))
-    dim = cell_dimension(cq, pt)
+    dim = cell_dimension(coefficient_quiver(dec), pt)
     _check(4, dim == 4, f"cell dimension {dim}")
 
 

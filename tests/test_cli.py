@@ -290,7 +290,7 @@ def test_tangent_subcommand(ex4_file, tmp_path):
 
 def test_tangent_malformed_witness_exit_2(ex4_file, tmp_path):
     w = tmp_path / "w.json"
-    for doc in ({"base": []}, {"bases": [[["x"]]]}, [1]):
+    for doc in ({"base": []}, {"bases": [[["x"]]]}, [1], {"bases": [[[True, 0]], [[1.0, 0]]]}):
         w.write_text(json.dumps(doc))
         code, text = run(["tangent", "--rep", ex4_file, "--witness", str(w)])
         assert code == 2 and "--witness" in text

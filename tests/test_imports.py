@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package, test or demo imports a name it
-never uses.
+never uses, and no private definition of the package goes unread.
 
 pyflakes-style, with the standard library's ``ast`` only: a module-level
 ``import``/``from ... import`` binding that no ``Name`` in the module reads
-is dead.  ``__init__.py`` is skipped, since its imports are re-exports.
+is dead.  ``__init__.py`` is skipped, since its imports are re-exports.  A
+module-level ``def _name``/``class _Name`` of the package is dead when no
+``Name`` or attribute in the package, the tests or the demos reads it.
 """
 
 import ast
@@ -39,3 +41,41 @@ def test_detector_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(sources):
+    """Every ``Name`` and attribute name read in the given sources."""
+    read = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def unread_private_definitions(source, read):
+    """(line, name) of the module-level private defs/classes of ``source``
+    whose name is not in ``read``."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in read]
+
+
+def test_detector_flags_only_unread_private_definitions():
+    source = ("def _called():\n    pass\ndef _dead():\n    pass\n"
+              "class _Attr:\n    pass\nclass _Named:\n    pass\n"
+              "def public():\n    return _called(), '_dead'\n")
+    other = "import m\nx = m._Attr\ny = [_Named]\n"
+    assert unread_private_definitions(source, names_read([source, other])) == [(3, "_dead")]
+
+
+@pytest.fixture(scope="module")
+def project_names_read():
+    return names_read(p.read_text() for p in MODULES + SCRIPTS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_definitions(path, project_names_read):
+    assert unread_private_definitions(path.read_text(), project_names_read) == []

@@ -1,6 +1,7 @@
 """Equioriented type A: rank sequences, decompositions, degeneration orders,
 coefficient quivers, fixed points, cells, strata, catenoids, flat loci."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from quivergrass import QQ, DomainError, Representation, ext1_dim, hom_dim, \
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
-    IntervalDecomposition, RankSequence, TorusFixedPoint, cell_dimension,
+    IntervalDecomposition, RankSequence, cell_dimension,
     coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
     degenerate_flag_dec, euler_char_cells, ext_interval, fixed_points,
     flag_dec, flat_locus_class, hom_interval, interval_rep, is_catenoid,
@@ -148,20 +149,20 @@ def test_flag_module_minimal_in_order():
 
 
 def test_coefficient_quiver_rows():
-    cq = coefficient_quiver(degenerate_flag_dec(3))
-    assert cq.rows == ((3, 3), (2, 3), (1, 3), (1, 3), (1, 2), (1, 1))
-    assert coefficient_quiver(IntervalDecomposition(4, {(2, 3): 1})).rows == ((2, 3),)
+    rows = coefficient_quiver(degenerate_flag_dec(3))
+    assert rows == ((3, 3), (2, 3), (1, 3), (1, 3), (1, 2), (1, 1))
+    assert coefficient_quiver(IntervalDecomposition(4, {(2, 3): 1})) == ((2, 3),)
     # the example-4 module sorts with S2 above P1 above S1
-    cq2 = coefficient_quiver(IntervalDecomposition(
+    rows2 = coefficient_quiver(IntervalDecomposition(
         2, {(1, 1): 1, (1, 2): 1, (2, 2): 1}))
-    assert cq2.rows == ((2, 2), (1, 2), (1, 1))
+    assert rows2 == ((2, 2), (1, 2), (1, 1))
 
 
 def test_coefficient_quiver_order_kills_forward_ext():
     rng = random.Random(17)
     for _ in range(20):
         dec = random_decomposition(rng.randint(1, 5), rng)
-        rows = coefficient_quiver(dec).rows
+        rows = coefficient_quiver(dec)
         for r in range(len(rows)):
             for r2 in range(r + 1, len(rows)):
                 assert ext_interval(rows[r], rows[r2]) == 0
@@ -181,27 +182,52 @@ def test_fixed_points_wrong_quiver_rejected():
 def test_fixed_points_contains_worked_point():
     dec = degenerate_flag_dec(3)
     pts = fixed_points(dec, (1, 2, 3))
-    cq = coefficient_quiver(dec)
-    target = TorusFixedPoint(cq, (3, 3, 2, None, 1, None))
-    assert target in pts
+    assert (3, 3, 2, None, 1, None) in pts
+
+
+def test_fixed_points_match_brute_force():
+    """The suffix search lists exactly the per-row choices of dimension e, in
+    the lexicographic order of the choice lists [None, j, ..., i]."""
+    rng = random.Random(29)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        dec = random_decomposition(n, rng)
+        d = dec.dim_vector()
+        e = tuple(rng.randint(0, x) for x in d)
+        rows = coefficient_quiver(dec)
+        expected = []
+        for starts in itertools.product(
+                *([None] + list(range(j, i - 1, -1)) for i, j in rows)):
+            dims = [0] * n
+            for (i, j), a in zip(rows, starts):
+                if a is not None:
+                    for v in range(a, j + 1):
+                        dims[v - 1] += 1
+            if tuple(dims) == e:
+                expected.append(starts)
+        assert fixed_points(dec, e) == expected
+
+
+def test_cell_dimension_rejects_malformed_points():
+    rows = coefficient_quiver(IntervalDecomposition(3, {(1, 2): 1, (2, 3): 1}))
+    assert rows == ((2, 3), (1, 2))
+    for starts in [(2,), (2, 1, None), (1, None), (None, 3)]:
+        with pytest.raises(DomainError):
+            cell_dimension(rows, starts)
 
 
 def test_cell_dimension_worked_example():
     dec = degenerate_flag_dec(3)
-    cq = coefficient_quiver(dec)
-    pt = TorusFixedPoint(cq, (3, 3, 2, None, 1, None))
-    assert cell_dimension(cq, pt) == 4
+    rows = coefficient_quiver(dec)
+    assert cell_dimension(rows, (3, 3, 2, None, 1, None)) == 4
 
 
 def test_cell_dimension_grassmannian_cells():
     dec = IntervalDecomposition(1, {(1, 1): 4})
-    cq = coefficient_quiver(dec)
-    top = TorusFixedPoint(cq, (1, 1, None, None))
-    bottom = TorusFixedPoint(cq, (None, None, 1, 1))
-    assert cell_dimension(cq, top) == 4
-    assert cell_dimension(cq, bottom) == 0
-    empty = TorusFixedPoint(cq, (None,) * 4)
-    assert cell_dimension(cq, empty) == 0
+    rows = coefficient_quiver(dec)
+    assert cell_dimension(rows, (1, 1, None, None)) == 4
+    assert cell_dimension(rows, (None, None, 1, 1)) == 0
+    assert cell_dimension(rows, (None,) * 4) == 0
 
 
 def test_poincare_polynomials():
@@ -270,8 +296,8 @@ def test_max_cell_dimension_lower_bound():
         pts = fixed_points(dec, e)
         if not pts:
             continue
-        cq = coefficient_quiver(dec)
-        best = max(cell_dimension(cq, pt) for pt in pts)
+        rows = coefficient_quiver(dec)
+        best = max(cell_dimension(rows, pt) for pt in pts)
         q = linear_quiver(n)
         assert best >= euler_form(q, e, tuple(a - b for a, b in zip(d, e)))
 
