@@ -139,15 +139,8 @@ def knit(quiver):
     if cls.kind != "dynkin":
         raise DomainError(f"knitting requires a Dynkin quiver, got {cls.kind}")
     n = quiver.vertex_count
-    proj_dims = []
-    for k in range(1, n + 1):
-        paths = quiver.paths_from(k)
-        proj_dims.append(tuple(len(paths[v]) for v in range(1, n + 1)))
-    opp = quiver.opposite()
-    inj_dims = []
-    for k in range(1, n + 1):
-        paths = opp.paths_from(k)
-        inj_dims.append(tuple(len(paths[v]) for v in range(1, n + 1)))
+    proj_dims = quiver.projective_dims()
+    inj_dims = quiver.opposite().projective_dims()
     inj_set = set(inj_dims)
 
     vertices = list(proj_dims)
@@ -222,10 +215,10 @@ def tau_dim(quiver, dim):
     """Coxeter transform of a non-projective positive root's dimension vector."""
     dim = quiver.check_dim_vector(dim)
     n = quiver.vertex_count
-    for k in range(1, n + 1):
-        paths = quiver.paths_from(k)
-        if dim == tuple(len(paths[v]) for v in range(1, n + 1)):
-            raise DomainError(f"dimension vector of the projective P_{k} has no translate")
+    proj_dims = quiver.projective_dims()
+    if dim in proj_dims:
+        raise DomainError(
+            f"dimension vector of the projective P_{proj_dims.index(dim) + 1} has no translate")
     c = coxeter_matrix(quiver)
     out = tuple(sum(c[i][j] * dim[j] for j in range(n)) for i in range(n))
     if any(v < 0 for v in out):

@@ -132,11 +132,11 @@ def _count_poly_json(cp):
 
 def _decompose(args, echo):
     dec = ta.decompose(args.m)
-    ranks = ta.rank_sequence(args.m)
+    ranks = ta.ranks_from_multiplicities(dec)
     return {
         "intervals": ta.format_intervals(dec),
         "multiplicities": [[list(ij), mult] for ij, mult in sorted(dec.m.items())],
-        "rank_sequence": [[list(ij), r] for ij, r in sorted(ranks.r.items())],
+        "rank_sequence": [[list(ij), r] for ij, r in sorted(ranks.items())],
     }, {"engine": "rank-sequence"}
 
 

@@ -104,24 +104,10 @@ class GeneratingExtension:
     x: object
     kind: str               # "split" | "nonsplit"
     y: object
-    cocycle: object = None
     x_s: object = None      # Representation
     s_x: object = None      # Representation (the subobject S^X of S)
-    x_s_witness: object = None
-    s_x_witness: object = None
     x_mod_xs: object = None
     s_mod_sx: object = None
-
-
-def _translate(dec, tau):
-    """tau or tau^- (``tau`` one of ``ta.tau_interval``/``ta.tau_inverse_interval``)
-    on an interval sum: drop the summands it kills, shift the rest."""
-    m = {}
-    for ij, mult in dec.m.items():
-        t = tau(ij, dec.n)
-        if t is not None:
-            m[t] = m.get(t, 0) + mult
-    return ta.IntervalDecomposition(dec.n, m)
 
 
 def make_generating(s_rep, x_rep):
@@ -137,25 +123,21 @@ def make_generating(s_rep, x_rep):
     if ext == 0:
         # the zero cocycle: the middle term is the blockwise direct sum
         return GeneratingExtension(s_rep, x_rep, "split", rp.direct_sum(x_rep, s_rep))
-    cocycle = rp.nonzero_ext_cocycle(s_rep, x_rep)
-    y, _, _ = rp.build_extension(s_rep, x_rep, cocycle)
-    s_dec = ta.decompose(s_rep)
-    x_dec = ta.decompose(x_rep)
+    y, _, _ = rp.build_extension(s_rep, x_rep, rp.nonzero_ext_cocycle(s_rep, x_rep))
     field = s_rep.field
-    tau_s = _translate(s_dec, ta.tau_interval).to_representation(field)
+    tau_s = ta.translate(ta.decompose(s_rep), 1).to_representation(field)
     f_basis = rp.hom_basis(x_rep, tau_s)
     if len(f_basis) != 1:
         raise AssertionError(f"[X, tau S] = {len(f_basis)}, expected 1 when Ext^1 = 1")
     xs_w = rp.morphism_kernel_witness(f_basis[0], x_rep, tau_s)
-    tau_inv_x = _translate(x_dec, ta.tau_inverse_interval).to_representation(field)
+    tau_inv_x = ta.translate(ta.decompose(x_rep), -1).to_representation(field)
     g_basis = rp.hom_basis(tau_inv_x, s_rep)
     if len(g_basis) != 1:
         raise AssertionError(f"[tau^- X, S] = {len(g_basis)}, expected 1 when Ext^1 = 1")
     sx_w = rp.morphism_image_witness(g_basis[0], tau_inv_x, s_rep)
     return GeneratingExtension(
-        s_rep, x_rep, "nonsplit", y, cocycle,
+        s_rep, x_rep, "nonsplit", y,
         x_s=rp.restrict(x_rep, xs_w), s_x=rp.restrict(s_rep, sx_w),
-        x_s_witness=xs_w, s_x_witness=sx_w,
         x_mod_xs=rp.quotient(x_rep, xs_w), s_mod_sx=rp.quotient(s_rep, sx_w))
 
 
@@ -163,7 +145,7 @@ def _injective_cokernel_exponent(ge):
     """f with I = (+) I_j^(f_j) from the exact sequence X/X_S -> tau S^X -> I."""
     n = ge.s.quiver.vertex_count
     a = ta.decompose(ge.x_mod_xs)
-    tau_sx = _translate(ta.decompose(ge.s_x), ta.tau_interval)
+    tau_sx = ta.translate(ta.decompose(ge.s_x), 1)
     if a.dim_vector() == tau_sx.dim_vector():
         if a != tau_sx:
             raise AssertionError("X/X_S and tau S^X have equal dims but differ")
@@ -236,7 +218,7 @@ def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
     where the image over F_p is the full product for a split class and the
     full product minus #Gr_f(X_S) #Gr_{g - dim S^X}(S/S^X) otherwise.
     """
-    e = tuple(int(v) for v in e)
+    e = ge.y.quiver.check_dim_vector(e)
     results = []
     for p in primes:
         yp = rp.reduce_mod(ge.y, p)
@@ -290,11 +272,7 @@ def g_vector_from_injective_resolution(m_rep):
     q = m_rep.quiver
     n = q.vertex_count
     a = socle_dims(m_rep)
-    inj_dims = []
-    opp = q.opposite()
-    for k in range(1, n + 1):
-        paths = opp.paths_from(k)
-        inj_dims.append(tuple(len(paths[v]) for v in range(1, n + 1)))
+    inj_dims = q.opposite().projective_dims()
     i0 = tuple(sum(a[k] * inj_dims[k][v] for k in range(n)) for v in range(n))
     i1 = tuple(i0[v] - m_rep.dims[v] for v in range(n))
     if any(v < 0 for v in i1):

@@ -5,6 +5,8 @@ literature); arrows are (source, target) pairs, parallel arrows allowed,
 oriented cycles rejected at construction.
 """
 
+import operator
+
 from .errors import DomainError
 
 
@@ -104,10 +106,17 @@ class Quiver:
             by_vertex[v].sort(key=lambda p: (len(p), p))
         return by_vertex
 
+    def projective_dims(self):
+        """Dimension vectors of the indecomposable projectives P_1..P_n: the
+        paths from k, counted by endpoint.  The injectives I_k are the
+        projectives of ``opposite()``."""
+        n = self.vertex_count
+        return tuple(tuple(len(paths[v]) for v in range(1, n + 1))
+                     for paths in map(self.paths_from, range(1, n + 1)))
+
     def check_dim_vector(self, d):
-        d = tuple(int(x) for x in d)
-        if len(d) != self.vertex_count:
-            raise DomainError(f"dimension vector length {len(d)} != {self.vertex_count}")
+        """d as a tuple of nonnegative ints, one per vertex."""
+        d = _integer_vector(d, self.vertex_count)
         if any(x < 0 for x in d):
             raise DomainError("dimension vector entries must be >= 0")
         return d
@@ -123,6 +132,19 @@ class Quiver:
         return f"Quiver({self.vertex_count}, {list(self.arrows)})"
 
 
+def _integer_vector(d, n):
+    """d as a tuple of n ints; a float, a Fraction or a string is refused,
+    not truncated."""
+    try:
+        d = tuple(d)
+        d = tuple(map(operator.index, d))
+    except TypeError:
+        raise DomainError(f"dimension vector entries must be integers, got {d!r}") from None
+    if len(d) != n:
+        raise DomainError(f"dimension vector length {len(d)} != {n}")
+    return d
+
+
 def linear_quiver(n):
     """The equioriented quiver 1 -> 2 -> ... -> n."""
     return Quiver(n, [(i, i + 1) for i in range(1, n)])
@@ -133,11 +155,10 @@ def kronecker_quiver(arrow_count=2):
 
 
 def euler_form(quiver, e, d):
-    """<e,d> = sum_i e_i d_i - sum_{a} e_{s(a)} d_{t(a)}."""
-    e = tuple(int(x) for x in e)
-    d = tuple(int(x) for x in d)
-    if len(e) != quiver.vertex_count or len(d) != quiver.vertex_count:
-        raise DomainError("dimension vector size mismatch")
+    """<e,d> = sum_i e_i d_i - sum_{a} e_{s(a)} d_{t(a)}, a bilinear form on
+    Z^n, so negative entries are allowed."""
+    e = _integer_vector(e, quiver.vertex_count)
+    d = _integer_vector(d, quiver.vertex_count)
     total = sum(ei * di for ei, di in zip(e, d))
     for s, t in quiver.arrows:
         total -= e[s - 1] * d[t - 1]

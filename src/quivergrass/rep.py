@@ -411,10 +411,9 @@ def morphism_kernel_witness(phi_mats, source, target):
 class EmbeddingSearch:
     """Outcome of the randomized search for an injective morphism N -> M."""
 
-    def __init__(self, found, witness, morphism, certainty):
+    def __init__(self, found, witness, certainty):
         self.found = found
         self.witness = witness
-        self.morphism = morphism
         self.certainty = certainty  # "exact" or "probabilistic"
 
     def __bool__(self):
@@ -432,10 +431,10 @@ def generic_embeds(n_rep, m_rep, trials=40, seed=0):
     if any(e > d for e, d in zip(n_rep.dims, m_rep.dims)):
         raise DomainError("dim N must be <= dim M componentwise")
     if n_rep.is_zero():
-        return EmbeddingSearch(True, zero_witness(m_rep), None, "exact")
+        return EmbeddingSearch(True, zero_witness(m_rep), "exact")
     basis = hom_basis(n_rep, m_rep)
     if not basis:
-        return EmbeddingSearch(False, None, None, "exact")
+        return EmbeddingSearch(False, None, "exact")
     rng = random.Random(seed)
     nverts = n_rep.quiver.vertex_count
     for trial in range(trials):
@@ -450,9 +449,8 @@ def generic_embeds(n_rep, m_rep, trials=40, seed=0):
                       for r in range(m_rep.dims[i]))
                 for i in range(nverts)]
         if all(la.rank(mats[i], field) == n_rep.dims[i] for i in range(nverts)):
-            return EmbeddingSearch(True, morphism_image_witness(mats, n_rep, m_rep),
-                                   tuple(mats), "exact")
-    return EmbeddingSearch(False, None, None, "probabilistic")
+            return EmbeddingSearch(True, morphism_image_witness(mats, n_rep, m_rep), "exact")
+    return EmbeddingSearch(False, None, "probabilistic")
 
 
 def reduce_mod(m_rep, p):

@@ -1,15 +1,18 @@
 """Structure theory of the equioriented A_n quiver 1 -> 2 -> ... -> n.
 
 Everything here runs on closed forms.  Indecomposables are the interval
-modules U[i,j] (1 <= i <= j <= n); isoclasses are encoded either by interval
-multiplicities or by the rank sequence of the composite arrow maps, and the
-two encodings are mutually inverse.  Hom and Ext^1 between intervals are 0/1
-by explicit inequalities.  A torus fixed point of a Grassmannian is a plain
+modules U[i,j] (1 <= i <= j <= n), and an isoclass is an
+``IntervalDecomposition``: the multiplicity of each U[i,j].  ``decompose``
+reads it off a representation through the ranks r[i,j] of the composite
+arrow maps, a plain dict whose inclusion-exclusion inverse is
+``multiplicities_from_ranks``.  Hom and Ext^1 between intervals are 0/1 by
+explicit inequalities.  A torus fixed point of a Grassmannian is a plain
 tuple with one suffix start (or None) per row of ``coefficient_quiver(m)``,
 and each fixed point carries an attracting cell whose dimension is read off
 the diagram.
 """
 
+import operator
 import random as _random
 from dataclasses import dataclass
 
@@ -39,47 +42,17 @@ def interval_dims(n, i, j):
     return tuple(1 if i <= v <= j else 0 for v in range(1, n + 1))
 
 
-class RankSequence:
-    """Ranks r[i,j] of the composite maps M_i -> M_j, a complete isoclass key."""
-
-    def __init__(self, n, r):
-        self.n = n
-        self.r = {(i, j): int(r[(i, j)]) for i in range(1, n + 1) for j in range(i, n + 1)}
-        for v in self.r.values():
-            if v < 0:
-                raise DomainError("ranks must be nonnegative")
-        get = self.get
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                if get(i, j) + get(i - 1, j + 1) < get(i, j + 1) + get(i - 1, j):
-                    raise DomainError(f"not a rank sequence: inequality fails at ({i},{j})")
-
-    def get(self, i, j):
-        if i == 0 or j == self.n + 1:
-            return 0
-        return self.r[(i, j)]
-
-    def dim_vector(self):
-        return tuple(self.r[(i, i)] for i in range(1, self.n + 1))
-
-    def __eq__(self, other):
-        return isinstance(other, RankSequence) and other.n == self.n and other.r == self.r
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.r.items()))))
-
-    def __repr__(self):
-        return f"RankSequence(n={self.n}, r={self.r})"
-
-
 class IntervalDecomposition:
-    """Multiset of intervals: M = (+) U[i,j]^m[i,j]."""
+    """Multiset of intervals: M = (+) U[i,j]^m[i,j], a complete isoclass key."""
 
     def __init__(self, n, multiplicities):
         self.n = n
         m = {}
         for (i, j), mult in multiplicities.items():
-            mult = int(mult)
+            try:
+                mult = operator.index(mult)
+            except TypeError:
+                raise DomainError(f"multiplicities must be integers, got {mult!r}") from None
             if mult < 0:
                 raise DomainError("multiplicities must be nonnegative")
             if not (1 <= i <= j <= n):
@@ -131,7 +104,7 @@ def format_intervals(dec):
 
 
 def rank_sequence(m_rep):
-    """r[i,j] = rank of the composite map from vertex i to vertex j."""
+    """{(i, j): r} with r the rank of the composite map from vertex i to j."""
     n = _require_linear(m_rep.quiver)
     field = m_rep.field
     arrow_index = {s: a for a, (s, t) in enumerate(m_rep.quiver.arrows)}
@@ -143,47 +116,34 @@ def rank_sequence(m_rep):
         for j in range(i + 1, n + 1):
             comp = la.mul(m_rep.matrix(arrow_index[j - 1]), comp, field, d[i - 1])
             r[(i, j)] = la.rank(comp, field)
-    return RankSequence(n, r)
+    return r
 
 
-def multiplicities_from_ranks(ranks):
-    """Inclusion-exclusion inverse of ranks_from_multiplicities."""
-    n = ranks.n
-    g = ranks.get
-    m = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m[(i, j)] = g(i, j) - g(i - 1, j) - g(i, j + 1) + g(i - 1, j + 1)
-    return IntervalDecomposition(n, m)
+def multiplicities_from_ranks(n, r):
+    """Inclusion-exclusion inverse of ranks_from_multiplicities.
+
+    m[i,j] = r[i,j] - r[i-1,j] - r[i,j+1] + r[i-1,j+1] (r = 0 outside
+    1 <= i <= j <= n); a negative m[i,j] is the failed rank inequality
+    r[i,j] + r[i-1,j+1] >= r[i,j+1] + r[i-1,j], so r is not a rank sequence
+    exactly when this raises DomainError.
+    """
+    def g(i, j):
+        return r[(i, j)] if 1 <= i and j <= n else 0
+
+    return IntervalDecomposition(n, {
+        (i, j): g(i, j) - g(i - 1, j) - g(i, j + 1) + g(i - 1, j + 1)
+        for i in range(1, n + 1) for j in range(i, n + 1)})
 
 
 def ranks_from_multiplicities(dec):
-    n = dec.n
-    r = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            r[(i, j)] = sum(mult for (k, l), mult in dec.m.items() if k <= i and j <= l)
-    return RankSequence(n, r)
+    """{(i, j): r}: U[k,l] contributes to r[i,j] iff k <= i <= j <= l."""
+    return {(i, j): sum(mult for (k, l), mult in dec.m.items() if k <= i and j <= l)
+            for i in range(1, dec.n + 1) for j in range(i, dec.n + 1)}
 
 
 def decompose(m_rep):
-    return multiplicities_from_ranks(rank_sequence(m_rep))
-
-
-def to_decomposition(x):
-    if isinstance(x, IntervalDecomposition):
-        return x
-    if isinstance(x, RankSequence):
-        return multiplicities_from_ranks(x)
-    if isinstance(x, rp.Representation):
-        return decompose(x)
-    raise DomainError(f"cannot interpret {x!r} as a type-A module")
-
-
-def to_ranks(x):
-    if isinstance(x, RankSequence):
-        return x
-    return ranks_from_multiplicities(to_decomposition(x))
+    """The interval decomposition of an A_n representation."""
+    return multiplicities_from_ranks(m_rep.quiver.vertex_count, rank_sequence(m_rep))
 
 
 def hom_interval(ij, kl):
@@ -200,42 +160,33 @@ def ext_interval(kl, ij):
 
 def hom_dim_decs(a, b):
     """[A, B] for interval sums, by the closed form."""
-    a, b = to_decomposition(a), to_decomposition(b)
     return sum(ma * mb * hom_interval(ij, kl)
                for ij, ma in a.m.items() for kl, mb in b.m.items())
 
 
 def ext_dim_decs(a, b):
-    a, b = to_decomposition(a), to_decomposition(b)
     return sum(ma * mb * ext_interval(ij, kl)
                for ij, ma in a.m.items() for kl, mb in b.m.items())
 
 
 def deg_leq_ranks(m, n):
     """Degeneration order by rank conditions: equal diagonal, m ranks >= n ranks."""
-    rm, rn = to_ranks(m), to_ranks(n)
-    if rm.n != rn.n:
+    if m.n != n.n:
         raise DomainError("rank sequences live on different A_n quivers")
-    for i in range(1, rm.n + 1):
-        if rm.r[(i, i)] != rn.r[(i, i)]:
-            return False
-        for j in range(i + 1, rm.n + 1):
-            if rm.r[(i, j)] < rn.r[(i, j)]:
-                return False
-    return True
+    rm, rn = ranks_from_multiplicities(m), ranks_from_multiplicities(n)
+    return all(rm[i, j] == rn[i, j] if i == j else rm[i, j] >= rn[i, j] for i, j in rm)
 
 
 def deg_leq_hom(m, n):
     """Degeneration order by Hom conditions: [U, M] <= [U, N] for all intervals."""
-    dm, dn = to_decomposition(m), to_decomposition(n)
-    if dm.n != dn.n:
+    if m.n != n.n:
         raise DomainError("modules live on different A_n quivers")
-    if dm.dim_vector() != dn.dim_vector():
+    if m.dim_vector() != n.dim_vector():
         raise DomainError("degeneration order compares equal dimension vectors only")
-    for k in range(1, dm.n + 1):
-        for l in range(k, dm.n + 1):
-            u = IntervalDecomposition(dm.n, {(k, l): 1})
-            if hom_dim_decs(u, dm) > hom_dim_decs(u, dn):
+    for k in range(1, m.n + 1):
+        for l in range(k, m.n + 1):
+            u = IntervalDecomposition(m.n, {(k, l): 1})
+            if hom_dim_decs(u, m) > hom_dim_decs(u, n):
                 return False
     return True
 
@@ -249,7 +200,7 @@ def coefficient_quiver(m):
     an extension into a row sorted after it.  Equal rows are adjacent, which
     is harmless since equal rows commute.
     """
-    return tuple(to_decomposition(m).summands())
+    return tuple(m.summands())
 
 
 def fixed_points(m, e):
@@ -260,14 +211,10 @@ def fixed_points(m, e):
     a fixed point selects one start a (or None, nothing) in every row.
     Points come in lexicographic order of the per-row choices None, j, ..., i.
     """
-    dec = to_decomposition(m)
-    n = dec.n
-    e = tuple(int(x) for x in e)
-    if len(e) != n or any(x < 0 for x in e):
-        raise DomainError("bad dimension vector e")
-    if any(x > d for x, d in zip(e, dec.dim_vector())):
+    e = linear_quiver(m.n).check_dim_vector(e)
+    if any(x > d for x, d in zip(e, m.dim_vector())):
         return []
-    rows = coefficient_quiver(dec)
+    rows = coefficient_quiver(m)
     out = []
     starts = []
     remaining = list(e)
@@ -324,9 +271,8 @@ def cell_dimension(rows, starts):
 
 def poincare_polynomial(m, e):
     """Sum of q^(cell dimension) over all torus fixed points."""
-    dec = to_decomposition(m)
-    rows = coefficient_quiver(dec)
-    pts = fixed_points(dec, e)
+    rows = coefficient_quiver(m)
+    pts = fixed_points(m, e)
     if not pts:
         return CountPoly((), "assumed")
     dims = [cell_dimension(rows, pt) for pt in pts]
@@ -355,20 +301,19 @@ def strata(m, e):
     cell lies in the stratum of its fixed point); its dimension is
     [N,M] - [N,N] by the closed-form interval Homs.
     """
-    dec = to_decomposition(m)
-    rows = coefficient_quiver(dec)
+    rows = coefficient_quiver(m)
     classes = {}
-    for pt in fixed_points(dec, e):
+    for pt in fixed_points(m, e):
         # the fixed point spans the sum of its selected suffixes
         mults = {}
         for (i, j), a in zip(rows, pt):
             if a is not None:
                 mults[(a, j)] = mults.get((a, j), 0) + 1
-        iso = IntervalDecomposition(dec.n, mults)
+        iso = IntervalDecomposition(m.n, mults)
         classes[iso] = classes.get(iso, 0) + 1
     out = []
     for iso, cells in classes.items():
-        dim = hom_dim_decs(iso, dec) - hom_dim_decs(iso, iso)
+        dim = hom_dim_decs(iso, m) - hom_dim_decs(iso, iso)
         out.append(Stratum(iso, dim, cells))
     out.sort(key=lambda s: (-s.dim, sorted(s.isoclass.m.items())))
     return out
@@ -377,8 +322,7 @@ def strata(m, e):
 def is_catenoid(m):
     """True when the distinct summand intervals lie on one oriented path of
     the AR quiver, i.e. form a chain under componentwise <=."""
-    dec = to_decomposition(m)
-    intervals = sorted(dec.m.keys())
+    intervals = sorted(m.m)
     for a in intervals:
         for b in intervals:
             if not (a[0] <= b[0] and a[1] <= b[1]) and not (b[0] <= a[0] and b[1] <= a[1]):
@@ -389,13 +333,13 @@ def is_catenoid(m):
 def flat_locus_class(m):
     """Position of a d = (n+1,...,n+1) module in the flat locus of the
     universal Grassmannian degenerating the complete flag variety."""
-    ranks = to_ranks(m)
-    n = ranks.n
-    if ranks.dim_vector() != (n + 1,) * n:
+    n = m.n
+    if m.dim_vector() != (n + 1,) * n:
         raise DomainError(f"flat-locus classification needs d = {(n + 1,) * n}")
+    ranks = ranks_from_multiplicities(m)
 
     def at_least(threshold):
-        return all(ranks.r[(i, j)] >= threshold(i, j)
+        return all(ranks[(i, j)] >= threshold(i, j)
                    for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
     if at_least(lambda i, j: n + 1 - (j - i)):
@@ -411,35 +355,23 @@ def min_projective_resolution(m):
     Each summand U[i,j] lifts to P_i = U[i,n]; its syzygy is P_{j+1} = U[j+1,n]
     when j < n and vanishes when U[i,j] is already projective.
     """
-    dec = to_decomposition(m)
-    n = dec.n
+    n = m.n
     r = {}
     p = {}
-    for (i, j), mult in dec.m.items():
+    for (i, j), mult in m.m.items():
         r[(i, n)] = r.get((i, n), 0) + mult
         if j < n:
             p[(j + 1, n)] = p.get((j + 1, n), 0) + mult
     return IntervalDecomposition(n, p), IntervalDecomposition(n, r)
 
 
-def tau_interval(ij, n):
-    """AR translate on intervals: U[i,j] -> U[i+1,j+1], none for projectives."""
-    i, j = ij
-    if not (1 <= i <= j <= n):
-        raise DomainError(f"bad interval ({i},{j}) for n={n}")
-    if j + 1 > n:
-        return None
-    return (i + 1, j + 1)
-
-
-def tau_inverse_interval(ij, n):
-    """Inverse AR translate: U[i,j] -> U[i-1,j-1], none for injectives."""
-    i, j = ij
-    if not (1 <= i <= j <= n):
-        raise DomainError(f"bad interval ({i},{j}) for n={n}")
-    if i - 1 < 1:
-        return None
-    return (i - 1, j - 1)
+def translate(dec, k):
+    """The AR translate tau^k: U[i,j] -> U[i+k,j+k], dropping the summands
+    that would leave 1..n (the projectives U[i,n] for tau, k = 1, and the
+    injectives U[1,j] for tau^-, k = -1)."""
+    n = dec.n
+    return IntervalDecomposition(n, {(i + k, j + k): mult for (i, j), mult in dec.m.items()
+                                     if 1 <= i + k and j + k <= n})
 
 
 # Named modules of the theory, as interval decompositions.

@@ -32,7 +32,7 @@ from quivergrass.typea import (IntervalDecomposition, cell_dimension,
                                is_catenoid, most_flat_dec, poincare_polynomial,
                                random_decomposition, ranks_from_multiplicities,
                                multiplicities_from_ranks, semisimple_dec,
-                               strata, tau_interval)
+                               strata, translate)
 
 A2 = linear_quiver(2)
 
@@ -159,7 +159,7 @@ def test_criterion_09_rank_multiplicity_round_trip():
     for _ in range(200):
         n = rng.randint(1, 5)
         dec = random_decomposition(n, rng, max_mult=3)
-        assert multiplicities_from_ranks(ranks_from_multiplicities(dec)) == dec
+        assert multiplicities_from_ranks(n, ranks_from_multiplicities(dec)) == dec
         checked += 1
     _check(9, checked == 200, f"{checked} random modules, n <= 5")
 
@@ -242,9 +242,8 @@ def test_criterion_13_knitting():
         for target, source in ar.tau.items():
             support = [v + 1 for v, x in enumerate(ar.vertices[target]) if x]
             ij = (support[0], support[-1])
-            ti, tj = tau_interval(ij, n)
-            want = tuple(1 if ti <= v <= tj else 0 for v in range(1, n + 1))
-            assert ar.vertices[source] == want
+            tau = translate(IntervalDecomposition(n, {ij: 1}), 1)
+            assert ar.vertices[source] == tau.dim_vector()
     ok = counts == {"A4": 10, "D4": 12, "A5": 15, "D5": 20}
     _check(13, ok, f"vertex counts {counts}, meshes additive, translate agrees")
 

@@ -5,7 +5,7 @@ import pytest
 from quivergrass import DomainError, Quiver, kronecker_quiver, linear_quiver
 from quivergrass.ardynkin import (classify, coxeter_matrix, knit,
                                   positive_root_count, tau_dim)
-from quivergrass.typea import interval_dims, tau_interval
+from quivergrass.typea import IntervalDecomposition, interval_dims, translate
 
 D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
 D5 = Quiver(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
@@ -73,9 +73,9 @@ def test_knit_tau_matches_interval_translate():
             return (support[0], support[-1])
 
         for target, source in ar.tau.items():
-            ij = as_interval(ar.vertices[target])
-            assert tau_interval(ij, n) is not None
-            assert interval_dims(n, *tau_interval(ij, n)) == ar.vertices[source]
+            tau = translate(IntervalDecomposition(n, {as_interval(ar.vertices[target]): 1}), 1)
+            assert tau.m
+            assert tau.dim_vector() == ar.vertices[source]
 
 
 def test_knit_positive_roots_dynkin_types():

@@ -13,10 +13,13 @@ from quivergrass import (
     hom_basis, hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
     projective, quotient, restrict, simple, tangent_dim, zero_rep,
 )
+from quivergrass.cluster import make_generating, psi_count_identity
+from quivergrass.counting import count_points
 from quivergrass.fields import _is_prime
 from quivergrass.rep import (arrow_stable, full_witness, hom_fingerprint,
                              morphism_image_witness, morphism_kernel_witness,
                              nonzero_ext_cocycle, reduce_mod, zero_witness)
+from quivergrass.typea import IntervalDecomposition, fixed_points, flag_dec, interval_rep
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -32,6 +35,26 @@ def test_quiver_rejects_cycles():
     with pytest.raises(DomainError):
         Quiver(2, [(1, 3)])
     Quiver(2, [(1, 2), (1, 2)])  # parallel arrows are fine
+
+
+def _psi_s1_s2(e):
+    s1, s2 = interval_rep(A2, QQ, 1, 1), interval_rep(A2, QQ, 2, 2)
+    return psi_count_identity(make_generating(s1, s2), e, [2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_points(flag_dec(2).to_representation(PrimeField(2)), (0.5, 1)),
+    lambda: Representation(A2, QQ, (1.5, 1), [[[1]]]),
+    lambda: IntervalDecomposition(2, {(1, 2): 2.9}),
+    lambda: euler_form(A2, (1.9, 0), (1, 1)),
+    lambda: fixed_points(flag_dec(2), (0.5, 1.9)),
+    lambda: _psi_s1_s2((0.5, 1)),
+], ids=["count_points", "Representation", "IntervalDecomposition", "euler_form",
+        "fixed_points", "psi_count_identity"])
+def test_non_integer_dimensions_refused(call):
+    # int() would truncate each of these to a valid input and answer for it
+    with pytest.raises(DomainError, match="must be integers"):
+        call()
 
 
 def test_euler_form_values():

@@ -1,11 +1,15 @@
 """Source hygiene: no module of the package, test or demo imports a name it
-never uses, and no private definition of the package goes unread.
+never uses, and no private definition or class field of the package goes
+unread.
 
 pyflakes-style, with the standard library's ``ast`` only: a module-level
 ``import``/``from ... import`` binding that no ``Name`` in the module reads
 is dead.  ``__init__.py`` is skipped, since its imports are re-exports.  A
 module-level ``def _name``/``class _Name`` of the package is dead when no
-``Name`` or attribute in the package, the tests or the demos reads it.
+``Name`` or attribute in the package, the tests or the demos reads it.  A
+field of a package class (an annotation in the class body, as a dataclass
+declares it, or a ``self.x = ...`` in a method) is dead when no attribute
+load in the package, the tests or the demos reads that name.
 """
 
 import ast
@@ -79,3 +83,47 @@ def project_names_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_definitions(path, project_names_read):
     assert unread_private_definitions(path.read_text(), project_names_read) == []
+
+
+def attributes_loaded(sources):
+    """Every attribute name loaded in the given sources."""
+    return {node.attr for text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(source, loaded):
+    """(line, class, field) of the fields of the classes of ``source`` whose
+    name is not in ``loaded``."""
+    fields = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields.setdefault((cls.name, node.target.id), node.lineno)
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                fields.setdefault((cls.name, node.attr), node.lineno)
+    return sorted((line, cls, name) for (cls, name), line in fields.items()
+                  if name not in loaded)
+
+
+def test_detector_flags_only_unread_fields():
+    source = ("@dataclass\nclass Report:\n    kept: int\n    dead: int = 0\n"
+              "class Search:\n    def __init__(self, a, b):\n"
+              "        self.found = a\n        self.morphism = b\n"
+              "    def __bool__(self):\n        return self.found\n")
+    other = "r = Report(1, dead=2)\nprint(r.kept)\n"
+    assert unread_fields(source, attributes_loaded([source, other])) == [
+        (4, "Report", "dead"), (8, "Search", "morphism")]
+
+
+@pytest.fixture(scope="module")
+def project_attributes_loaded():
+    return attributes_loaded(p.read_text() for p in MODULES + SCRIPTS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_class_fields(path, project_attributes_loaded):
+    assert unread_fields(path.read_text(), project_attributes_loaded) == []

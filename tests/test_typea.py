@@ -11,13 +11,13 @@ from quivergrass import QQ, DomainError, Representation, ext1_dim, hom_dim, \
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
-    IntervalDecomposition, RankSequence, cell_dimension,
+    IntervalDecomposition, cell_dimension,
     coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
     degenerate_flag_dec, euler_char_cells, ext_interval, fixed_points,
     flag_dec, flat_locus_class, hom_interval, interval_rep, is_catenoid,
     min_projective_resolution, most_flat_dec, multiplicities_from_ranks,
     poincare_polynomial, random_decomposition, rank_sequence,
-    ranks_from_multiplicities, semisimple_dec, strata, tau_interval)
+    ranks_from_multiplicities, semisimple_dec, strata, translate)
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -30,12 +30,12 @@ def test_rank_sequence_named_modules():
         r2 = rank_sequence(most_flat_dec(n).to_representation(QQ))
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                assert r0.r[(i, j)] == n + 1
-                assert r1.r[(i, j)] == n + 1 - (j - i)
+                assert r0[(i, j)] == n + 1
+                assert r1[(i, j)] == n + 1 - (j - i)
                 if i < j:
-                    assert r2.r[(i, j)] == n - (j - i)
+                    assert r2[(i, j)] == n - (j - i)
                 else:
-                    assert r2.r[(i, i)] == n + 1
+                    assert r2[(i, i)] == n + 1
 
 
 def test_rank_sequence_rejects_wrong_quiver():
@@ -46,14 +46,29 @@ def test_rank_sequence_rejects_wrong_quiver():
 
 def test_rank_sequence_inequalities_checked():
     with pytest.raises(DomainError):
-        RankSequence(2, {(1, 1): 1, (2, 2): 1, (1, 2): 2})  # m would go negative
+        multiplicities_from_ranks(2, {(1, 1): 1, (2, 2): 1, (1, 2): 2})  # m would go negative
 
 
 def test_multiplicities_from_ranks_example():
-    r = RankSequence(2, {(1, 1): 3, (2, 2): 3, (1, 2): 2})
-    dec = multiplicities_from_ranks(r)
+    dec = multiplicities_from_ranks(2, {(1, 1): 3, (2, 2): 3, (1, 2): 2})
     assert dec == IntervalDecomposition(2, {(1, 1): 1, (2, 2): 1, (1, 2): 2})
     assert dec == degenerate_flag_dec(2)
+
+
+def test_multiplicities_from_ranks_accepts_exactly_the_rank_sequences():
+    # every rank dict with entries 0..2 on A_1..A_3: a DomainError or a round trip
+    accepted = 0
+    for n in (1, 2, 3):
+        keys = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for values in itertools.product(range(3), repeat=len(keys)):
+            r = dict(zip(keys, values))
+            try:
+                dec = multiplicities_from_ranks(n, r)
+            except DomainError:
+                continue
+            assert ranks_from_multiplicities(dec) == r
+            accepted += 1
+    assert accepted == 91  # of the 759 dicts
 
 
 def test_single_interval_rank_support():
@@ -61,7 +76,7 @@ def test_single_interval_rank_support():
     r = ranks_from_multiplicities(dec)
     for i in range(1, 5):
         for j in range(i, 5):
-            assert r.r[(i, j)] == (1 if 2 <= i and j <= 3 else 0)
+            assert r[(i, j)] == (1 if 2 <= i and j <= 3 else 0)
 
 
 def test_round_trip_random():
@@ -69,7 +84,7 @@ def test_round_trip_random():
     for _ in range(50):
         n = rng.randint(1, 5)
         dec = random_decomposition(n, rng)
-        assert multiplicities_from_ranks(ranks_from_multiplicities(dec)) == dec
+        assert multiplicities_from_ranks(n, ranks_from_multiplicities(dec)) == dec
     # through actual matrices too
     for seed in range(10):
         dec = random_decomposition(3, seed)
@@ -176,7 +191,7 @@ def test_fixed_points_binomial():
 def test_fixed_points_wrong_quiver_rejected():
     m = Representation(kronecker_quiver(2), QQ, (1, 1), [[[1]], [[1]]])
     with pytest.raises(DomainError):
-        fixed_points(m, (1, 1))
+        fixed_points(decompose(m), (1, 1))
 
 
 def test_fixed_points_contains_worked_point():
@@ -361,7 +376,14 @@ def test_min_projective_resolution():
     assert p == IntervalDecomposition(2, {(2, 2): 1})
 
 
-def test_tau_interval():
-    assert tau_interval((1, 2), 3) == (2, 3)
-    assert tau_interval((2, 3), 3) is None
-    assert tau_interval(tau_interval((1, 1), 3), 3) == (3, 3)
+def test_translate():
+    def u(i, j):
+        return IntervalDecomposition(3, {(i, j): 1})
+
+    assert translate(u(1, 2), 1) == u(2, 3)
+    assert translate(u(2, 3), 1) == IntervalDecomposition(3, {})  # projective
+    assert translate(translate(u(1, 1), 1), 1) == u(3, 3)
+    assert translate(u(2, 3), -1) == u(1, 2)
+    assert translate(u(1, 2), -1) == IntervalDecomposition(3, {})  # injective
+    dec = IntervalDecomposition(3, {(1, 1): 2, (1, 2): 1, (2, 3): 1})
+    assert translate(dec, 1) == IntervalDecomposition(3, {(2, 2): 2, (2, 3): 1})
