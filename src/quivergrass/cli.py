@@ -17,8 +17,9 @@ import sys
 
 from . import __version__, ardynkin, cluster, elliptic
 from . import typea as ta
-from .counting import (DEFAULT_BUDGET, betti_numbers, count_points,
-                       counting_polynomial, euler_characteristic, plan_count)
+from .counting import (DEFAULT_BUDGET, betti_numbers, check_sub_dim_vector,
+                       count_points, counting_polynomial, euler_characteristic,
+                       plan_count)
 from .errors import BudgetError, DomainError
 from .fields import PrimeField, QQ
 from .quiver import euler_form, linear_quiver
@@ -94,7 +95,8 @@ def _inputs(args):
     """The input steps shared by the subcommands, decided by the flags each
     takes: sets ``args.m`` (the representation), ``args.m2`` (the second) and
     ``args.ge`` (the extension), resolves ``--strategy auto``, reduces
-    ``args.m`` mod ``--p``, and returns the inputs to echo."""
+    ``args.m`` mod ``--p``, checks ``--e`` against ``args.m`` (e <= dim M),
+    and returns the inputs to echo."""
     echo = {}
     if hasattr(args, "intervals"):
         args.m, echo = _rep_input(args)
@@ -114,6 +116,9 @@ def _inputs(args):
         if hasattr(args, "m"):
             args.m, args.p = _with_prime(args.m, args.p)
         echo["p"] = args.p
+    if hasattr(args, "e") and hasattr(args, "m"):
+        # every subcommand refuses an e it would otherwise answer as empty
+        check_sub_dim_vector(args.m, args.e)
     return echo
 
 

@@ -167,7 +167,8 @@ def _require_prime_field(m_rep):
     return m_rep.field.p
 
 
-def _check_sub_dim_vector(m_rep, e):
+def check_sub_dim_vector(m_rep, e):
+    """e as a dimension vector of m_rep's quiver; DomainError unless e <= dim M."""
     e = m_rep.quiver.check_dim_vector(e)
     if any(x > d for x, d in zip(e, m_rep.dims)):
         raise DomainError(f"e={e} exceeds dim M={m_rep.dims}")
@@ -177,7 +178,7 @@ def _check_sub_dim_vector(m_rep, e):
 def enumerate_subreps(m_rep, e, budget=DEFAULT_BUDGET):
     """All subrepresentation witnesses of dimension vector e, materialized."""
     p = _require_prime_field(m_rep)
-    e = _check_sub_dim_vector(m_rep, e)
+    e = check_sub_dim_vector(m_rep, e)
     q, field = m_rep.quiver, m_rep.field
     estimate = 1
     for v in range(q.vertex_count):
@@ -256,7 +257,7 @@ def count_points(m_rep, e, budget=DEFAULT_BUDGET):
     enumerated.
     """
     p = _require_prime_field(m_rep)
-    e = _check_sub_dim_vector(m_rep, e)
+    e = check_sub_dim_vector(m_rep, e)
     plan = plan_count(m_rep.quiver, m_rep.dims, e, p)
     _check_budget(plan.estimate, budget)
     return _PlannedCount(m_rep, e, plan).total()
@@ -421,7 +422,7 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     """
     if m_rep.field != QQ:
         raise DomainError("counting_polynomial expects a representation over Q")
-    e = _check_sub_dim_vector(m_rep, e)
+    e = check_sub_dim_vector(m_rep, e)
     degree_bound = sum(ei * (di - ei) for ei, di in zip(e, m_rep.dims))
     if primes is not None and len(set(primes)) != len(primes):
         raise DomainError(f"repeated primes in {list(primes)}")

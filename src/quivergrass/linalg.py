@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q or GF(p).
+"""Exact linear algebra over Q or GF(p).
 
 Matrices are tuples of tuples of field elements (rows), always acting on
 column vectors.  Entries are Python numbers and the arithmetic is Python's
@@ -7,8 +7,13 @@ over GF(p)), so every entry returned is a ``Fraction`` over Q and an int in
 ``range(p)`` over GF(p), given entries of that kind (as ``mat`` makes them).
 A matrix with no rows is ``()`` whatever its width, so it carries no width:
 ``transpose``, ``mul`` and ``nullspace`` take the column count ``cols`` from
-the caller.  Everything here is plain Gaussian elimination with exact
-division; no pivoting heuristics are needed since arithmetic is exact.
+the caller.
+
+Every elimination is one ``rref``.  It reduces rows held as ``{column:
+value}`` dicts of their nonzeros, so its work follows the nonzeros and their
+fill-in rather than rows x columns; the matrix it returns is dense like every
+other.  No pivoting heuristics are needed since arithmetic is exact, and the
+reduced echelon form is unique.
 """
 
 
@@ -66,34 +71,52 @@ def vstack(blocks):
     return tuple(row for b in blocks for row in b)
 
 
-def kron(a, b, field):
-    """Kronecker product: row (i, k), column (j, l) holds a[i][j] * b[k][l]."""
-    return tuple(tuple(field.of(x * y) for x in ra for y in rb) for ra in a for rb in b)
-
-
 def rref(a, field):
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    of = field.of
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [of(inv * x) for x in m[r]]
-        for i in range(rows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [of(x - f * y) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in m), pivots
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    The matrix keeps a's height, with its zero rows last.  Each row of a is
+    reduced, as a dict of its nonzeros, by the pivot rows found so far at its
+    leading column until it vanishes or leads at a new column, where it is
+    normalised into a pivot row.  Back substitution, from the last pivot
+    column to the first, then clears each pivot column in the other rows.
+    """
+    of, zero = field.of, field.zero
+    lead = {}  # pivot column -> its pivot row, {column: value}, 1 at the pivot
+
+    def subtract(row, f, pivot_row):
+        for j, y in pivot_row.items():
+            x = of(row.get(j, zero) - f * y)
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+    for source in a:
+        row = {j: x for j, x in enumerate(source) if x}
+        while row:
+            c = min(row)
+            pivot_row = lead.get(c)
+            if pivot_row is None:
+                inv = field.inv(row[c])
+                lead[c] = {j: of(inv * x) for j, x in row.items()}
+                break
+            subtract(row, row[c], pivot_row)
+    pivots = sorted(lead)
+    for p in reversed(pivots):
+        row = lead[p]
+        # the pivot rows to the right are reduced already, so each
+        # subtraction clears its pivot column and leaves the others zero
+        for c in [c for c in row if c != p and c in lead]:
+            subtract(row, row[c], lead[c])
+    cols = len(a[0]) if a else 0
+    out = []
+    for c in pivots:
+        dense = [zero] * cols
+        for j, x in lead[c].items():
+            dense[j] = x
+        out.append(tuple(dense))
+    out += [(zero,) * cols] * (len(a) - len(pivots))
+    return tuple(out), pivots
 
 
 def rank(a, field):
@@ -117,8 +140,9 @@ def nullspace(a, field, cols):
     if a and shape(a)[1] != cols:
         raise ValueError(f"nullspace: matrix width {shape(a)[1]}, expected {cols}")
     r, pivots = rref(a, field)
+    pivot_set = set(pivots)
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
+    for fc in (c for c in range(cols) if c not in pivot_set):
         v = [field.zero] * cols
         v[fc] = field.one
         for i, pc in enumerate(pivots):

@@ -87,7 +87,11 @@ def phi_map(n_rep, m_rep):
 
     Columns index Hom(e,d) = sum of blocks Hom(K^{e_i}, K^{d_i}), vertices
     ascending, each block vectorized column-major.  Rows index Hom(e,d[1]),
-    arrows in quiver order, blocks vectorized the same way.
+    arrows in quiver order, blocks vectorized the same way.  Row c*d_t + r of
+    the block of a: s -> t is entry (r, c) of M_a f_s - f_t N_a, which holds
+    M_a[r][j] at column j of column c of f_s and -N_a[k][c] at row r of
+    column k of f_t; only these nonzeros are written (s != t since the quiver
+    is acyclic, so they never share a column).
     """
     _check_pair(n_rep, m_rep)
     quiver, field = n_rep.quiver, n_rep.field
@@ -98,20 +102,22 @@ def phi_map(n_rep, m_rep):
         col_offsets.append(off)
         off += e[i] * d[i]
     total_cols = off
+    zero = field.zero
     rows = []
     for a, (s, t) in enumerate(quiver.arrows):
-        # vec(M_a f_s) = (I_{e_s} (x) M_a) vec(f_s) and
-        # vec(f_t N_a) = (N_a^T (x) I_{d_t}) vec(f_t), each e_s * d_t rows;
-        # s != t (the quiver is acyclic), so the two blocks never overlap
-        left = la.kron(la.identity(e[s - 1], field), m_rep.matrix(a), field)
-        nat = la.transpose(n_rep.matrix(a), cols=e[s - 1])
-        right = la.kron(la.neg(nat, field), la.identity(d[t - 1], field), field)
+        ma = [[(j, x) for j, x in enumerate(row) if x] for row in m_rep.matrix(a)]
+        na = [[(k, field.of(-x)) for k, x in enumerate(col) if x]
+              for col in la.transpose(n_rep.matrix(a), cols=e[s - 1])]
+        ds, dt = d[s - 1], d[t - 1]
         ls, rs = col_offsets[s - 1], col_offsets[t - 1]
-        for lrow, rrow in zip(left, right):
-            row = [field.zero] * total_cols
-            row[ls:ls + len(lrow)] = lrow
-            row[rs:rs + len(rrow)] = rrow
-            rows.append(tuple(row))
+        for c in range(e[s - 1]):
+            for r in range(dt):
+                row = [zero] * total_cols
+                for j, x in ma[r]:
+                    row[ls + c * ds + j] = x
+                for k, x in na[c]:
+                    row[rs + k * dt + r] = x
+                rows.append(tuple(row))
     return tuple(rows), total_cols
 
 

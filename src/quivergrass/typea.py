@@ -125,8 +125,14 @@ def multiplicities_from_ranks(n, r):
     m[i,j] = r[i,j] - r[i-1,j] - r[i,j+1] + r[i-1,j+1] (r = 0 outside
     1 <= i <= j <= n); a negative m[i,j] is the failed rank inequality
     r[i,j] + r[i-1,j+1] >= r[i,j+1] + r[i-1,j], so r is not a rank sequence
-    exactly when this raises DomainError.
+    exactly when this raises DomainError, as does an r that misses an
+    interval.
     """
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if (i, j) not in r:
+                raise DomainError(f"rank sequence has no r[{i},{j}]")
+
     def g(i, j):
         return r[(i, j)] if 1 <= i and j <= n else 0
 

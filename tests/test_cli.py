@@ -111,6 +111,13 @@ def test_malformed_file_exit_2(tmp_path):
 U12 = ["--intervals", "U[1,2]", "--n", "2"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "2"], ["poly"], ["cells"], ["poincare"], ["strata"], ["euler"]])
+def test_e_exceeding_dim_m_exit_2(argv):
+    code, text = run([*argv, *U12, "--e", "3,0"])
+    assert (code, text) == (2, "error: e=(3, 0) exceeds dim M=(1, 1)\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["count", *U12, "--e", "a,b", "--p", "2"], "--e"),
     (["poly", *U12, "--e", "1,1", "--primes", "2,x"], "--primes"),

@@ -19,7 +19,9 @@ from quivergrass.fields import _is_prime
 from quivergrass.rep import (arrow_stable, full_witness, hom_fingerprint,
                              morphism_image_witness, morphism_kernel_witness,
                              nonzero_ext_cocycle, reduce_mod, zero_witness)
-from quivergrass.typea import IntervalDecomposition, fixed_points, flag_dec, interval_rep
+from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec, ext_dim_decs,
+                               fixed_points, flag_dec, hom_dim_decs, interval_rep,
+                               most_flat_dec, path_algebra_dec, random_decomposition)
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -81,6 +83,70 @@ def test_phi_map_matrix_is_reproducible():
     phi2, _ = phi_map(m, m)
     assert phi1 == phi2
     assert len(phi1) == 2 * 2 and len(phi1[0]) == 2 * 2 + 2 * 2
+
+
+def _phi_by_kron(n_rep, m_rep):
+    """Phi written with Kronecker products: vec(M_a f_s) = (I (x) M_a) vec(f_s)
+    and vec(f_t N_a) = (N_a^T (x) I) vec(f_t)."""
+    def kron(a, b):
+        return [[field.of(x * y) for x in ra for y in rb] for ra in a for rb in b]
+
+    field, e, d = n_rep.field, n_rep.dims, m_rep.dims
+    offsets = [sum(x * y for x, y in zip(e[:i], d[:i])) for i in range(len(e) + 1)]
+    rows = []
+    for a, (s, t) in enumerate(n_rep.quiver.arrows):
+        left = kron(la.identity(e[s - 1], field), m_rep.matrix(a))
+        nat = la.transpose(n_rep.matrix(a), cols=e[s - 1])
+        right = kron(la.neg(nat, field), la.identity(d[t - 1], field))
+        for lrow, rrow in zip(left, right):
+            row = [field.zero] * offsets[-1]
+            row[offsets[s - 1]:offsets[s]] = lrow
+            row[offsets[t - 1]:offsets[t]] = rrow
+            rows.append(tuple(row))
+    return tuple(rows), offsets[-1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_phi_map_equals_the_kronecker_formula(seed):
+    n = 2 + seed % 3
+    a, b = random_decomposition(n, seed), random_decomposition(n, seed + 100)
+    for field in (QQ, PrimeField(5)):
+        n_rep, m_rep = a.to_representation(field), b.to_representation(field)
+        assert phi_map(n_rep, m_rep) == _phi_by_kron(n_rep, m_rep)
+        assert phi_map(m_rep, n_rep) == _phi_by_kron(m_rep, n_rep)
+
+
+class _CountingField(PrimeField):
+    """GF(p) counting its ``of`` calls, one per entry an elimination writes."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.calls = 0
+
+    def of(self, x):
+        self.calls += 1
+        return super().of(x)
+
+
+def test_rank_of_the_defect_map_follows_its_nonzeros():
+    field = _CountingField(7)
+    phi, cols = phi_map(degenerate_flag_dec(6).to_representation(field),
+                        most_flat_dec(6).to_representation(field))
+    assert (len(phi), cols) == (245, 294)
+    field.calls = 0
+    assert la.rank(phi, field) == 225
+    # 505 on its 385 nonzeros; a dense Gauss-Jordan makes 116,130
+    assert field.calls <= 2000
+
+
+@pytest.mark.parametrize("pair", [(degenerate_flag_dec(7), most_flat_dec(7)),
+                                  (flag_dec(6), path_algebra_dec(6))],
+                         ids=["degenerate_flag_7-most_flat_7", "flag_6-path_algebra_6"])
+def test_hom_ext_over_q_on_large_modules(pair):
+    a, b = pair
+    n_rep, m_rep = a.to_representation(QQ), b.to_representation(QQ)
+    assert hom_dim(n_rep, m_rep) == hom_dim_decs(a, b)
+    assert ext1_dim(n_rep, m_rep) == ext_dim_decs(a, b)
 
 
 def test_interval_hom_values_match_closed_forms():

@@ -406,15 +406,46 @@ def test_planned_count_is_dual_invariant(rep_and_e):
 
 
 @st.composite
-def small_int_matrices(draw):
-    """A prime p, integer matrices a (r x k) and b (k x c), a vector v of length k."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
-    entry = st.integers(-9, 9)
-    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
-    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
-    v = [draw(entry) for _ in range(k)]
-    return p, a, b, v
+def sparse_matrices(draw):
+    """A prime p, mostly zero rational matrices a (r x k) and b (k x c), whose
+    denominators are prime to p, and a vector v of length k."""
+    p = draw(st.sampled_from([2, 7, 2**31 - 1]))
+    r, k, c = draw(st.integers(0, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                      st.integers(1, 6).filter(lambda q: q % p))
+
+    def sparse(rows, cols):
+        cells = draw(st.dictionaries(st.tuples(st.integers(0, rows - 1),
+                                               st.integers(0, cols - 1)),
+                                     entry, max_size=rows * cols)) if rows else {}
+        return [[cells.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+
+    return p, sparse(r, k), sparse(k, c), sparse(1, k)[0]
+
+
+def _dense_rref(a, field):
+    """Dense Gauss-Jordan elimination: the reference la.rref must equal."""
+    of = field.of
+    m = [list(row) for row in a]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [of(inv * x) for x in m[r]]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [of(x - f * y) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m), pivots
 
 
 def _entries(*results):
@@ -426,23 +457,26 @@ def _entries(*results):
 
 
 @_PROPERTY
-@given(small_int_matrices())
+@given(sparse_matrices())
 def test_linalg_entries_stay_in_the_field(case):
     p, a, b, v = case
     gf = PrimeField(p)
+    k, c = len(v), len(b[0])
     for field, in_field in ((gf, lambda x: type(x) is int and 0 <= x < p),
                             (QQ, lambda x: type(x) is Fraction)):
         fa, fb, fv = la.mat(a, field), la.mat(b, field), la.mat([v], field)[0]
         basis, pivots = la.rref(fa, field)
-        results = (la.mul(fa, fb, field, len(b[0])), la.mat_vec(fa, fv, field),
-                   la.kron(fa, fb, field), la.neg(fa, field), basis,
-                   la.nullspace(fa, field, len(v)),
+        assert (basis, pivots) == _dense_rref(fa, field), field
+        kernel = la.nullspace(fa, field, k)
+        assert len(kernel) == k - len(pivots)
+        assert all(not any(la.mat_vec(fa, x, field)) for x in kernel)
+        results = (la.mul(fa, fb, field, c), la.mat_vec(fa, fv, field),
+                   la.neg(fa, field), basis, kernel,
                    la.reduce_by(basis[:len(pivots)], pivots, fv, field))
         assert all(in_field(x) for x in _entries(results)), field
     qa, qb, qv = la.mat(a, QQ), la.mat(b, QQ), la.mat([v], QQ)[0]
     pa, pb, pv = la.mat(a, gf), la.mat(b, gf), la.mat([v], gf)[0]
-    assert la.mul(pa, pb, gf, len(b[0])) == la.mat(la.mul(qa, qb, QQ, len(b[0])), gf)
+    assert la.mul(pa, pb, gf, c) == la.mat(la.mul(qa, qb, QQ, c), gf)
     assert la.mat_vec(pa, pv, gf) == la.mat([la.mat_vec(qa, qv, QQ)], gf)[0]
-    assert la.kron(pa, pb, gf) == la.mat(la.kron(qa, qb, QQ), gf)
     # a factor with no rows still gives the product its width: (2 x 0)(0 x 3)
     assert la.mul(((), ()), (), QQ, 3) == la.zeros(2, 3, QQ)

@@ -47,6 +47,8 @@ def test_rank_sequence_rejects_wrong_quiver():
 def test_rank_sequence_inequalities_checked():
     with pytest.raises(DomainError):
         multiplicities_from_ranks(2, {(1, 1): 1, (2, 2): 1, (1, 2): 2})  # m would go negative
+    with pytest.raises(DomainError, match=r"r\[1,2\]"):
+        multiplicities_from_ranks(2, {(1, 1): 1})  # no rank given for U[1,2]
 
 
 def test_multiplicities_from_ranks_example():
