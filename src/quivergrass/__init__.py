@@ -10,7 +10,6 @@ from .rep import (
     direct_sum,
     dual,
     ext1_dim,
-    generic_embeds,
     hom_basis,
     hom_dim,
     injective,
@@ -32,7 +31,7 @@ __all__ = [
     "BudgetError", "DomainError", "QQ", "PrimeField", "RationalField",
     "Quiver", "euler_form", "kronecker_quiver", "linear_quiver",
     "Representation", "SubrepWitness", "build_extension", "direct_sum",
-    "dual", "ext1_dim", "generic_embeds", "hom_basis", "hom_dim",
+    "dual", "ext1_dim", "hom_basis", "hom_dim",
     "injective", "is_rigid", "phi_map", "projective", "quotient",
     "restrict", "simple", "tangent_dim", "zero_rep",
 ]

@@ -142,7 +142,13 @@ def make_generating(s_rep, x_rep):
 
 
 def _injective_cokernel_exponent(ge):
-    """f with I = (+) I_j^(f_j) from the exact sequence X/X_S -> tau S^X -> I."""
+    """f with I = (+) I_k^(f_k) from 0 -> X/X_S -> tau S^X -> I -> 0.
+
+    The dimension vectors of the indecomposable injectives form a basis of
+    Z^n, so f is the unique solution of sum_k f_k dim I_k =
+    dim tau S^X - dim X/X_S.  When the two dimension vectors are equal the
+    cokernel is 0, and the two modules must be isomorphic.
+    """
     n = ge.s.quiver.vertex_count
     a = ta.decompose(ge.x_mod_xs)
     tau_sx = ta.translate(ta.decompose(ge.s_x), 1)
@@ -150,18 +156,8 @@ def _injective_cokernel_exponent(ge):
         if a != tau_sx:
             raise AssertionError("X/X_S and tau S^X have equal dims but differ")
         return (0,) * n
-    target = tau_sx.to_representation(ge.s.field)
-    source = ge.x_mod_xs
-    emb = rp.generic_embeds(source, target, trials=80, seed=11)
-    if not emb.found:
-        raise AssertionError("no embedding X/X_S -> tau S^X found")
-    coker = ta.decompose(rp.quotient(target, emb.witness))
-    f = [0] * n
-    for (i, j), mult in coker.m.items():
-        if i != 1:
-            raise AssertionError(f"cokernel summand U[{i},{j}] is not injective")
-        f[j - 1] += mult
-    return tuple(f)
+    return _injective_multiplicities(
+        ge.s.quiver, tuple(t - x for t, x in zip(tau_sx.dim_vector(), a.dim_vector())))
 
 
 @dataclass
@@ -219,6 +215,8 @@ def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
     full product minus #Gr_f(X_S) #Gr_{g - dim S^X}(S/S^X) otherwise.
     """
     e = ge.y.quiver.check_dim_vector(e)
+    if len(set(primes)) != len(primes):
+        raise DomainError(f"repeated primes in {list(primes)}")
     results = []
     for p in primes:
         yp = rp.reduce_mod(ge.y, p)
@@ -275,15 +273,22 @@ def g_vector_from_injective_resolution(m_rep):
     inj_dims = q.opposite().projective_dims()
     i0 = tuple(sum(a[k] * inj_dims[k][v] for k in range(n)) for v in range(n))
     i1 = tuple(i0[v] - m_rep.dims[v] for v in range(n))
-    if any(v < 0 for v in i1):
-        raise AssertionError("socle multiplicities do not give an injective envelope")
-    cols = tuple(tuple(QQ.of(inj_dims[k][v]) for k in range(n)) for v in range(n))
-    b = la.solve(cols, tuple((QQ.of(x),) for x in i1), QQ)
-    if b is None:
-        raise AssertionError("cokernel of the injective envelope is not injective")
-    bvec = []
-    for (x,) in b:
-        if x.denominator != 1 or x < 0:
-            raise AssertionError("non-integral injective multiplicities")
-        bvec.append(int(x))
-    return tuple(bv - av for bv, av in zip(bvec, a))
+    return tuple(bv - av for bv, av in zip(_injective_multiplicities(q, i1), a))
+
+
+def _injective_multiplicities(quiver, dims):
+    """The nonnegative integer f with sum_k f_k dim I_k = dims.
+
+    (dim I_k)_v counts the paths v -> k, so in reverse topological order each
+    f_v is dims_v minus the f_k already solved: the injective dimension
+    vectors form a basis of Z^n and f is unique.  AssertionError when some
+    f_v is negative, that is when dims is not the dimension vector of an
+    injective module.
+    """
+    inj_dims = quiver.opposite().projective_dims()
+    f = {}
+    for v in reversed(quiver.topological_order):
+        f[v] = dims[v - 1] - sum(fk * inj_dims[k - 1][v - 1] for k, fk in f.items())
+    if any(x < 0 for x in f.values()):
+        raise AssertionError(f"{tuple(dims)} is not the dimension vector of an injective")
+    return tuple(f[v] for v in range(1, quiver.vertex_count + 1))

@@ -33,7 +33,6 @@ from . import linalg as la
 from . import rep as rp
 from .errors import BudgetError, DomainError
 from .fields import PrimeField, QQ
-from .quiver import linear_quiver
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -479,29 +478,3 @@ def betti_numbers(count_poly):
         raise DomainError("counting polynomial is inconsistent; no Betti numbers")
     return list(count_poly.coefficients)
 
-
-def interval_test_family(n, field):
-    """All interval modules of the equioriented A_n quiver, (i,j) lex order."""
-    from .typea import interval_rep  # local import, typea builds on this module
-    q = linear_quiver(n)
-    return [interval_rep(q, field, i, j)
-            for i in range(1, n + 1) for j in range(i, n + 1)]
-
-
-def classify_strata_ff(m_rep, e, test_family=None, budget=DEFAULT_BUDGET):
-    """Group enumerated witnesses by the Hom fingerprint of their restriction.
-
-    The fingerprint of a witness W is ([T, restrict(M,W)] for T in the test
-    family).  For equioriented A_n input the family defaults to all interval
-    modules, making the fingerprint a complete isoclass invariant.
-    """
-    _require_prime_field(m_rep)
-    if test_family is None:
-        if not m_rep.quiver.is_linear_equioriented():
-            raise DomainError("a test family is required away from equioriented A_n")
-        test_family = interval_test_family(m_rep.quiver.vertex_count, m_rep.field)
-    out = {}
-    for w in enumerate_subreps(m_rep, e, budget=budget):
-        fp = rp.hom_fingerprint(test_family, rp.restrict(m_rep, w))
-        out[fp] = out.get(fp, 0) + 1
-    return out

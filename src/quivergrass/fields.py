@@ -48,8 +48,6 @@ def _is_prime(n):
 class RationalField:
     """The field of rational numbers, elements are Fraction instances."""
 
-    characteristic = 0
-
     def of(self, x):
         if isinstance(x, Fraction):
             return x
@@ -89,7 +87,6 @@ class PrimeField:
         if not _is_prime(p):
             raise DomainError(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
 
     def of(self, x):
         if isinstance(x, int):

@@ -15,8 +15,6 @@ rank and row basis below is one ``linalg`` call whose shape comes from the
 dimension vector.
 """
 
-import random
-
 from . import linalg as la
 from .errors import DomainError
 from .fields import QQ, PrimeField
@@ -414,51 +412,6 @@ def morphism_kernel_witness(phi_mats, source, target):
     return SubrepWitness(source.quiver, field, bases)
 
 
-class EmbeddingSearch:
-    """Outcome of the randomized search for an injective morphism N -> M."""
-
-    def __init__(self, found, witness, certainty):
-        self.found = found
-        self.witness = witness
-        self.certainty = certainty  # "exact" or "probabilistic"
-
-    def __bool__(self):
-        return self.found
-
-
-def generic_embeds(n_rep, m_rep, trials=40, seed=0):
-    """Search Hom(N,M) for an injective element by seeded random sampling.
-
-    A positive answer is exactly verified (per-vertex ranks).  A negative
-    answer is probabilistic unless Hom(N,M) = 0 rules every morphism out.
-    """
-    _check_pair(n_rep, m_rep)
-    field = n_rep.field
-    if any(e > d for e, d in zip(n_rep.dims, m_rep.dims)):
-        raise DomainError("dim N must be <= dim M componentwise")
-    if n_rep.is_zero():
-        return EmbeddingSearch(True, zero_witness(m_rep), "exact")
-    basis = hom_basis(n_rep, m_rep)
-    if not basis:
-        return EmbeddingSearch(False, None, "exact")
-    rng = random.Random(seed)
-    nverts = n_rep.quiver.vertex_count
-    for trial in range(trials):
-        bound = 2 + trial
-        if field.characteristic == 0:
-            coeffs = [field.of(rng.randint(-bound, bound)) for _ in basis]
-        else:
-            coeffs = [rng.randrange(field.characteristic) for _ in basis]
-        # the morphism sum_j c_j b_j, one (d_i x e_i) matrix per vertex
-        mats = [tuple(tuple(field.of(sum(c * b[i][r][k] for c, b in zip(coeffs, basis)))
-                            for k in range(n_rep.dims[i]))
-                      for r in range(m_rep.dims[i]))
-                for i in range(nverts)]
-        if all(la.rank(mats[i], field) == n_rep.dims[i] for i in range(nverts)):
-            return EmbeddingSearch(True, morphism_image_witness(mats, n_rep, m_rep), "exact")
-    return EmbeddingSearch(False, None, "probabilistic")
-
-
 def reduce_mod(m_rep, p):
     """Reduce a rational representation mod p; DomainError on bad reduction."""
     if m_rep.field != QQ:
@@ -467,7 +420,3 @@ def reduce_mod(m_rep, p):
     mats = [la.mat(m_rep.matrix(i), gf) for i in range(m_rep.quiver.arrow_count)]
     return Representation(m_rep.quiver, gf, m_rep.dims, mats)
 
-
-def hom_fingerprint(test_family, n_rep):
-    """Tuple of Hom dimensions [T, N] over a fixed test family."""
-    return tuple(hom_dim(t, n_rep) for t in test_family)

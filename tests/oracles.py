@@ -1,0 +1,82 @@
+"""Oracles that only the tests use, sharing no code with what they check.
+
+``classify_strata_ff`` groups the enumerated points of Gr_e(M) over F_p by
+the Hom fingerprint of the subrepresentation, the finite-field oracle of
+``typea.strata`` (which reads strata off torus fixed points).
+``injective_cokernel_exponent`` embeds X/X_S into tau S^X by a seeded random
+search of Hom and decomposes the cokernel, the oracle of the exponent f that
+``cluster`` solves from dimension vectors alone.
+"""
+
+import random
+
+from quivergrass import linalg as la
+from quivergrass import DomainError, hom_basis, hom_dim, linear_quiver, quotient, restrict
+from quivergrass.counting import enumerate_subreps
+from quivergrass.rep import morphism_image_witness, zero_witness
+from quivergrass.typea import decompose, interval_rep, translate
+
+
+def hom_fingerprint(test_family, n_rep):
+    """Tuple of Hom dimensions [T, N] over a fixed test family."""
+    return tuple(hom_dim(t, n_rep) for t in test_family)
+
+
+def interval_test_family(n, field):
+    """All interval modules of the equioriented A_n quiver, (i,j) lex order."""
+    q = linear_quiver(n)
+    return [interval_rep(q, field, i, j)
+            for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def classify_strata_ff(m_rep, e, test_family=None):
+    """Group enumerated witnesses by the Hom fingerprint of their restriction.
+
+    The fingerprint of a witness W is ([T, restrict(M,W)] for T in the test
+    family).  For equioriented A_n input the family defaults to all interval
+    modules, making the fingerprint a complete isoclass invariant.
+    """
+    if test_family is None:
+        if not m_rep.quiver.is_linear_equioriented():
+            raise DomainError("a test family is required away from equioriented A_n")
+        test_family = interval_test_family(m_rep.quiver.vertex_count, m_rep.field)
+    out = {}
+    for w in enumerate_subreps(m_rep, e):
+        fp = hom_fingerprint(test_family, restrict(m_rep, w))
+        out[fp] = out.get(fp, 0) + 1
+    return out
+
+
+def generic_embedding(n_rep, m_rep, trials=80, seed=11):
+    """Witness of the image of an injective morphism N -> M found by seeded
+    random sampling of Hom(N, M), or None when no sample is injective."""
+    if n_rep.is_zero():
+        return zero_witness(m_rep)
+    field = n_rep.field
+    basis = hom_basis(n_rep, m_rep)
+    if not basis:
+        return None
+    rng = random.Random(seed)
+    for trial in range(trials):
+        coeffs = [field.of(rng.randint(-2 - trial, 2 + trial)) for _ in basis]
+        # the morphism sum_j c_j b_j, one (d_i x e_i) matrix per vertex
+        mats = [tuple(tuple(field.of(sum(c * b[i][r][k] for c, b in zip(coeffs, basis)))
+                            for k in range(e))
+                      for r in range(d))
+                for i, (e, d) in enumerate(zip(n_rep.dims, m_rep.dims))]
+        if all(la.rank(mat, field) == e for mat, e in zip(mats, n_rep.dims)):
+            return morphism_image_witness(mats, n_rep, m_rep)
+    return None
+
+
+def injective_cokernel_exponent(ge):
+    """f with I = (+) I_j^(f_j), read off the decomposed cokernel of a found
+    embedding X/X_S -> tau S^X; every summand must be an injective U[1,j]."""
+    target = translate(decompose(ge.s_x), 1).to_representation(ge.s.field)
+    emb = generic_embedding(ge.x_mod_xs, target)
+    assert emb is not None, "no embedding X/X_S -> tau S^X found"
+    f = [0] * ge.s.quiver.vertex_count
+    for (i, j), mult in decompose(quotient(target, emb)).m.items():
+        assert i == 1, f"cokernel summand U[{i},{j}] is not injective"
+        f[j - 1] += mult
+    return tuple(f)

@@ -17,9 +17,8 @@ from quivergrass import (QQ, PrimeField, Quiver, Representation, dual,
 from quivergrass.ardynkin import knit
 from quivergrass.cluster import (cluster_character, make_generating,
                                  psi_count_identity, verify_multiplication)
-from quivergrass.counting import (classify_strata_ff, count_points,
-                                  counting_polynomial, enumerate_subreps,
-                                  euler_characteristic)
+from quivergrass.counting import (count_points, counting_polynomial,
+                                  enumerate_subreps, euler_characteristic)
 from quivergrass.elliptic import demo
 from quivergrass.poly import SparsePoly
 from quivergrass.rep import reduce_mod
@@ -33,6 +32,8 @@ from quivergrass.typea import (IntervalDecomposition, cell_dimension,
                                random_decomposition, ranks_from_multiplicities,
                                multiplicities_from_ranks, semisimple_dec,
                                strata, translate)
+
+from oracles import classify_strata_ff
 
 A2 = linear_quiver(2)
 

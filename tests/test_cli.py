@@ -209,6 +209,19 @@ def test_poly_rejects_repeated_primes(primes):
     assert code == 2 and "repeated primes" in text
 
 
+def test_psi_check_rejects_repeated_primes(tmp_path):
+    # it reported p = 2 twice and exited 0
+    paths = []
+    for name, intervals in (("x", "U[2,2]"), ("s", "U[1,1]")):
+        path = tmp_path / f"{name}.rep"
+        path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
+                                    "intervals": intervals}))
+        paths.append(str(path))
+    code, text = run(["psi-check", "--x", paths[0], "--s", paths[1], "--e", "1,1",
+                      "--primes", "2,2"])
+    assert code == 2 and "repeated primes" in text
+
+
 def test_poly_budget_checked_at_the_largest_prime():
     code, text = run(["poly", "--intervals", "U[1,3]^4", "--n", "3", "--e", "1,2,2",
                       "--budget", "1000000"])

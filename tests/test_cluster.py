@@ -1,15 +1,16 @@
 """Cluster characters, generating extensions, and the two verification
 identities (multiplication formula, affine-bundle point counts)."""
 
+import itertools
 import random
 
 import pytest
 
-from quivergrass import (QQ, DomainError, Representation, direct_sum,
+from quivergrass import (QQ, DomainError, Quiver, Representation, direct_sum,
                          injective, kronecker_quiver, linear_quiver,
                          projective, simple, zero_rep)
-from quivergrass.cluster import (cluster_character, exchange_matrix,
-                                 f_polynomial, g_vector,
+from quivergrass.cluster import (_injective_multiplicities, cluster_character,
+                                 exchange_matrix, f_polynomial, g_vector,
                                  g_vector_from_injective_resolution,
                                  make_generating, psi_count_identity,
                                  verify_multiplication)
@@ -48,6 +49,26 @@ def test_g_vector_against_injective_resolution():
         mods.append(degenerate_flag_dec(quiver.vertex_count).to_representation(QQ))
     for m in mods:
         assert g_vector(m) == g_vector_from_injective_resolution(m)
+
+
+@pytest.mark.parametrize("quiver", [linear_quiver(n) for n in range(1, 6)]
+                         + [Quiver(4, [(1, 4), (2, 4), (3, 4)])],
+                         ids=["A1", "A2", "A3", "A4", "A5", "D4"])
+def test_injective_multiplicities_inverts_sums_of_injectives(quiver):
+    # no generating pair of the multiplication tests reaches this solve
+    n = quiver.vertex_count
+    inj = [injective(quiver, QQ, k).dims for k in range(1, n + 1)]
+    for f in itertools.product(range(3), repeat=n):
+        dims = tuple(sum(fk * d[v] for fk, d in zip(f, inj)) for v in range(n))
+        assert _injective_multiplicities(quiver, dims) == f
+
+
+def test_injective_multiplicities_refuses_non_injective_dims():
+    # dim S_2 = (0, 1) = dim I_2 - dim I_1 on A_2, a coefficient of -1
+    with pytest.raises(AssertionError):
+        _injective_multiplicities(A2, (0, 1))
+    with pytest.raises(AssertionError):
+        _injective_multiplicities(linear_quiver(3), (1, 2, 1))
 
 
 def test_f_polynomial_examples():

@@ -9,19 +9,21 @@ import pytest
 from quivergrass import linalg as la
 from quivergrass import (
     QQ, DomainError, PrimeField, Quiver, Representation, SubrepWitness,
-    build_extension, direct_sum, dual, euler_form, ext1_dim, generic_embeds,
+    build_extension, direct_sum, dual, euler_form, ext1_dim,
     hom_basis, hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
-    projective, quotient, restrict, simple, tangent_dim, zero_rep,
+    projective, quotient, restrict, simple, tangent_dim,
 )
-from quivergrass.cluster import make_generating, psi_count_identity
+from quivergrass.cluster import make_generating, psi_count_identity, verify_multiplication
 from quivergrass.counting import count_points
 from quivergrass.fields import _is_prime
-from quivergrass.rep import (arrow_stable, full_witness, hom_fingerprint,
-                             morphism_image_witness, morphism_kernel_witness,
-                             nonzero_ext_cocycle, reduce_mod, zero_witness)
+from quivergrass.rep import (arrow_stable, full_witness, morphism_image_witness,
+                             morphism_kernel_witness, nonzero_ext_cocycle, reduce_mod,
+                             zero_witness)
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec, ext_dim_decs,
                                fixed_points, flag_dec, hom_dim_decs, interval_rep,
                                most_flat_dec, path_algebra_dec, random_decomposition)
+
+from oracles import hom_fingerprint, injective_cokernel_exponent
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -311,18 +313,30 @@ def test_nonsplit_extension_differs_from_split():
         assert hom_fingerprint(fam, y) != hom_fingerprint(fam, split)
 
 
-def test_generic_embeds():
-    p1, s1, s2 = projective(A2, QQ, 1), simple(A2, QQ, 1), simple(A2, QQ, 2)
-    found = generic_embeds(p1, direct_sum(p1, s2))
-    assert found.found and found.certainty == "exact"
-    assert found.witness.is_stable(direct_sum(p1, s2))
-    missing = generic_embeds(s1, p1)
-    assert not missing.found and missing.certainty == "exact"  # Hom is zero
-    from quivergrass.typea import degenerate_flag_dec, IntervalDecomposition
-    n = IntervalDecomposition(2, {(1, 1): 1, (2, 2): 1}).to_representation(QQ)
-    m = degenerate_flag_dec(2).to_representation(QQ)
-    assert generic_embeds(n, m, seed=0).found
-    assert generic_embeds(zero_rep(A2, QQ), p1).found
+def test_injective_exponent_matches_embedding_search():
+    # verify-mult's x_f, solved from dimension vectors, against a seeded
+    # embedding X/X_S -> tau S^X and its decomposed cokernel
+    rng = random.Random(11)
+
+    def rand_dec(n):
+        m = {}
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randint(1, n)
+            j = rng.randint(i, n)
+            m[(i, j)] = m.get((i, j), 0) + 1
+        return IntervalDecomposition(n, m)
+
+    cases = 0
+    while cases < 60:
+        n = rng.randint(2, 4)
+        sdec, xdec = rand_dec(n), rand_dec(n)
+        if ext_dim_decs(sdec, xdec) != 1:
+            continue
+        ge = make_generating(sdec.to_representation(QQ), xdec.to_representation(QQ))
+        report = verify_multiplication(ge)
+        assert report.holds, (sdec, xdec)
+        assert report.x_f == injective_cokernel_exponent(ge), (sdec, xdec)
+        cases += 1
 
 
 def _random_rep(rng, quiver, field, maxdim=2):

@@ -13,14 +13,15 @@ from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, dual, kronecker_quiver, linear_quiver,
                          tangent_dim)
 from quivergrass.counting import (CountPoly, SubspaceIter, batched_rank_mod_p,
-                                  betti_numbers, classify_strata_ff,
-                                  count_points, counting_polynomial,
+                                  betti_numbers, count_points, counting_polynomial,
                                   enumerate_subreps, euler_characteristic,
                                   gaussian_binomial, plan_count)
 from quivergrass.elliptic import demo as elliptic_demo, elliptic_quiver
-from quivergrass.rep import hom_fingerprint, reduce_mod
+from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
                                flag_dec, interval_rep)
+
+from oracles import classify_strata_ff, hom_fingerprint
 
 A2 = linear_quiver(2)
 

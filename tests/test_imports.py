@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package, test or demo imports a name it
-never uses, and no private definition or class field of the package goes
-unread.
+never uses, no private definition or class field of the package goes
+unread, and the package is deterministic: only ``typea``, for its seeded
+test plumbing ``random_decomposition``, imports ``random``.
 
 pyflakes-style, with the standard library's ``ast`` only: a module-level
 ``import``/``from ... import`` binding that no ``Name`` in the module reads
@@ -45,6 +46,24 @@ def test_detector_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source):
+    """Top-level names of every module that ``source`` imports, anywhere."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_typea_imports_random():
+    assert imported_modules("import random as r\ndef f():\n    from random import choice\n"
+                            "from . import random\n") == {"random"}
+    assert [p.name for p in MODULES if "random" in imported_modules(p.read_text())] \
+        == ["typea.py"]
 
 
 def names_read(sources):
