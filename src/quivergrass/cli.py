@@ -202,7 +202,8 @@ def _strata(args, echo):
 def _fpoly(args, echo):
     fp = cluster.f_polynomial(args.m, strategy=args.strategy, budget=args.budget)
     names = [f"y{i}" for i in range(1, args.m.quiver.vertex_count + 1)]
-    return {"f_polynomial": fp.serialized(), "pretty": fp.format(names)},\
+    terms, pretty = fp.render(names)
+    return {"f_polynomial": terms, "pretty": pretty},\
         {"engine": args.strategy, "budget": args.budget}
 
 
@@ -213,7 +214,8 @@ def _gvector(args, echo):
 def _cc(args, echo):
     ccp = cluster.cluster_character(args.m, strategy=args.strategy, budget=args.budget)
     names = [f"{c}{i}" for c in "xy" for i in range(1, args.m.quiver.vertex_count + 1)]
-    return {"cluster_character": ccp.serialized(), "pretty": ccp.format(names)},\
+    terms, pretty = ccp.render(names)
+    return {"cluster_character": terms, "pretty": pretty},\
         {"engine": args.strategy, "budget": args.budget}
 
 
@@ -231,10 +233,10 @@ def _verify_mult(args, echo):
         "s_x": ta.format_intervals(ta.decompose(ge.s_x)),
         "dim_s_x": list(rep.s_x_dims),
         "x_f": list(rep.x_f),
-        "lhs": rep.lhs.serialized(),
-        "rhs": rep.rhs.serialized(),
-        "residual": rep.residual.serialized(),
-        "f_residual": rep.f_residual.serialized(),
+        "lhs": rep.lhs.sorted_terms(),
+        "rhs": rep.rhs.sorted_terms(),
+        "residual": rep.residual.sorted_terms(),
+        "f_residual": rep.f_residual.sorted_terms(),
         "holds": rep.holds,
     }, {"engine": "cells"}
 

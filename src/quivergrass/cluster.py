@@ -46,15 +46,19 @@ def euler_char_table(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     if strategy == "cells":
         dec = ta.decompose(m_rep)
         # every torus fixed point is one affine cell, so chi = #fixed points;
-        # the generating function is a product over coefficient-quiver rows
+        # the generating function is a product over coefficient-quiver rows:
+        # a copy of U[i,j] sums y^dim U[a,j] over its suffixes, the empty one
+        # (a = j + 1) included, and U[i,j]^m gives that row to the m-th power
         n = dec.n
         poly = SparsePoly.one(n)
-        for (i, j) in dec.summands():
-            row = SparsePoly.one(n)
-            for a in range(i, j + 1):
-                row._add_term(ta.interval_dims(n, a, j), 1)
-            poly = poly * row
-        return dict(poly.terms)
+        for (i, j), mult in dec.m.items():
+            row = SparsePoly.from_canonical(
+                n, {ta.interval_dims(n, a, j): 1 for a in range(i, j + 2)})
+            power = row
+            for _ in range(mult - 1):
+                power = power * row
+            poly = poly * power
+        return poly.terms
     if strategy == "count":
         if m_rep.field != QQ:
             raise DomainError("the counting strategy expects a representation over Q")
@@ -73,8 +77,8 @@ def euler_char_table(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
 
 def f_polynomial(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     """F_M(y) = sum over e of chi(Gr_e(M)) y^e."""
-    table = euler_char_table(m_rep, strategy=strategy, budget=budget)
-    return SparsePoly(m_rep.quiver.vertex_count, {tuple(e): c for e, c in table.items()})
+    return SparsePoly.from_canonical(
+        m_rep.quiver.vertex_count, euler_char_table(m_rep, strategy=strategy, budget=budget))
 
 
 def cluster_character(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
@@ -87,11 +91,10 @@ def cluster_character(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
     b = exchange_matrix(m_rep.quiver)
     g = g_vector(m_rep)
     table = euler_char_table(m_rep, strategy=strategy, budget=budget)
-    out = SparsePoly(2 * n)
-    for e, chi in table.items():
-        xexp = tuple(g[i] + sum(b[i][j] * e[j] for j in range(n)) for i in range(n))
-        out._add_term(xexp + tuple(e), chi)
-    return out
+    # e -> (B e + g, e) is injective, so the terms need no merging
+    return SparsePoly.from_canonical(2 * n, {
+        tuple(g[i] + sum(b[i][j] * e[j] for j in range(n)) for i in range(n)) + e: chi
+        for e, chi in table.items()})
 
 
 @dataclass
@@ -215,6 +218,8 @@ def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
     full product minus #Gr_f(X_S) #Gr_{g - dim S^X}(S/S^X) otherwise.
     """
     e = ge.y.quiver.check_dim_vector(e)
+    if not primes:
+        raise DomainError("the identity needs at least one prime")
     if len(set(primes)) != len(primes):
         raise DomainError(f"repeated primes in {list(primes)}")
     results = []

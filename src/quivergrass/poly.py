@@ -3,9 +3,73 @@
 Terms map an exponent vector to an integer coefficient; zero coefficients are
 dropped eagerly.  Canonical term order is graded lexicographic, which fixes
 every serialized form.
+
+Products run on packed integer keys.  Each call first shifts every exponent
+vector of an operand by that operand's per-variable minimum, so the shifted
+exponents are >= 0 (nothing moves when every minimum is 0, as in an
+F-polynomial).  It then takes the slot width w as the fewest of 1, 2, 4 or 8
+bytes (or as many bytes as needed past 2**64) that hold the largest possible
+sum of two shifted exponents of one variable.  A shifted vector packs into one
+int with one w-byte big-endian slot per variable (``struct`` and
+``int.from_bytes``, both in C), so adding two keys adds their vectors slot by
+slot.  No carry can cross a slot boundary: each slot sum is at most that
+largest sum, which fits in w bytes.  Each distinct product key is unpacked
+once with ``int.to_bytes`` and shifted back by the sum of the two minima.
 """
 
+import struct
+from itertools import repeat, starmap
+from operator import add, getitem, index, methodcaller, neg, sub
+
 from .errors import DomainError
+
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _integer(x):
+    try:
+        return index(x)
+    except TypeError:
+        raise DomainError(f"{x!r} is not an integer") from None
+
+
+def _range(exps):
+    """(minimum, maximum - minimum) per variable over nonempty exponent vectors."""
+    columns = list(zip(*exps))
+    low = tuple(map(min, columns))
+    return low, tuple(map(sub, map(max, columns), low))
+
+
+def _moved(exps, offset):
+    """The vectors translated by offset, lazily; exps itself for a zero offset."""
+    return (tuple(map(add, e, offset)) for e in exps) if any(offset) else exps
+
+
+def _codec(nvars, top):
+    """(pack, unpack) between exponent vectors with entries in [0, top] and
+    ints with one big-endian slot per variable, each lazy over an iterable."""
+    width = max(1, (top.bit_length() + 7) // 8)
+    if width <= 8:
+        layout = struct.Struct(">" + _SLOT_FORMATS[min(w for w in _SLOT_FORMATS if w >= width)]
+                               * nvars)
+
+        def pack(exps):
+            return map(int.from_bytes, starmap(layout.pack, exps), repeat("big"))
+
+        def unpack(keys):
+            return map(layout.unpack, map(methodcaller("to_bytes", layout.size, "big"), keys))
+        return pack, unpack
+    size = width * nvars
+
+    def pack_wide(exps):
+        return (int.from_bytes(b"".join(x.to_bytes(width, "big") for x in e), "big")
+                for e in exps)
+
+    def unpack_wide(keys):
+        for key in keys:
+            raw = key.to_bytes(size, "big")
+            yield tuple(int.from_bytes(raw[k:k + width], "big") for k in range(0, size, width))
+    return pack_wide, unpack_wide
 
 
 class SparsePoly:
@@ -14,7 +78,15 @@ class SparsePoly:
         self.terms = {}
         if terms:
             for exp, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                self._add_term(tuple(exp), int(coeff))
+                self._add_term(tuple(map(_integer, exp)), _integer(coeff))
+
+    @classmethod
+    def from_canonical(cls, nvars, terms):
+        """Wrap a dict already in canonical form (exponent tuples of length
+        nvars, nonzero int coefficients) without copying or checking it."""
+        poly = cls.__new__(cls)
+        poly.nvars, poly.terms = nvars, terms
+        return poly
 
     def _add_term(self, exp, coeff):
         if len(exp) != self.nvars:
@@ -51,13 +123,36 @@ class SparsePoly:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return SparsePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        out = SparsePoly(self.nvars)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out._add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
+        if not isinstance(other, SparsePoly):
+            try:
+                scalar = index(other)
+            except TypeError:
+                return NotImplemented
+            return SparsePoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+        if other.nvars != self.nvars:
+            raise DomainError(f"cannot multiply polynomials in {self.nvars} "
+                              f"and {other.nvars} variables")
+        if not self.terms or not other.terms:
+            return SparsePoly(self.nvars)
+        low1, spread1 = _range(self.terms)
+        low2, spread2 = _range(other.terms)
+        pack, unpack = _codec(self.nvars, max(map(add, spread1, spread2), default=0))
+        outer = list(zip(pack(_moved(self.terms, tuple(map(neg, low1)))),
+                         self.terms.values()))
+        inner = list(zip(pack(_moved(other.terms, tuple(map(neg, low2)))),
+                         other.terms.values()))
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        out = {}
+        get = out.get
+        for k1, c1 in outer:
+            for k2, c2 in inner:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        terms = dict(zip(_moved(unpack(out), tuple(map(add, low1, low2))), out.values()))
+        if 0 in out.values():
+            terms = {e: c for e, c in terms.items() if c}
+        return SparsePoly.from_canonical(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -90,33 +185,39 @@ class SparsePoly:
         """Sum of coefficients (every variable set to 1)."""
         return sum(self.terms.values())
 
-    def serialized(self):
-        return [[list(exp), coeff] for exp, coeff in self.sorted_terms()]
-
     def format(self, names):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _pretty(self.sorted_terms(), names)
+
+    def render(self, names):
+        """(sorted_terms(), format(names)) from one sort of the terms; JSON
+        writes the (exponent tuple, coefficient) pairs as [[e1, ...], c]."""
+        terms = self.sorted_terms()
+        return terms, _pretty(terms, names)
 
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {dict(self.sorted_terms())})"
+
+
+def _pretty(terms, names):
+    """Sorted terms as text, e.g. "1 + 2*y2 - y1^-1*y2^2"; "0" for no terms."""
+    if not terms:
+        return "0"
+    exps = [exp for exp, _ in terms]
+    # one string per (variable, exponent) that occurs, "" for exponent 0
+    factors = [{e: "" if e == 0 else name if e == 1 else f"{name}^{e}" for e in set(column)}
+               for name, column in zip(names, zip(*exps))]
+    pieces = []
+    for exp, (_, coeff) in zip(exps, terms):
+        if pieces:
+            pieces.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            pieces.append("-")
+        coeff = abs(coeff)
+        mono = "*".join(filter(None, map(getitem, factors, exp)))
+        if not mono:
+            pieces.append(str(coeff))
+        elif coeff == 1:
+            pieces.append(mono)
+        else:
+            pieces.append(f"{coeff}*{mono}")
+    return "".join(pieces)

@@ -5,7 +5,9 @@ the Hom fingerprint of the subrepresentation, the finite-field oracle of
 ``typea.strata`` (which reads strata off torus fixed points).
 ``injective_cokernel_exponent`` embeds X/X_S into tau S^X by a seeded random
 search of Hom and decomposes the cokernel, the oracle of the exponent f that
-``cluster`` solves from dimension vectors alone.
+``cluster`` solves from dimension vectors alone.  ``convolve`` multiplies two
+polynomials term by term over exponent tuples, the oracle of the packed-key
+product ``SparsePoly.__mul__``.
 """
 
 import random
@@ -80,3 +82,13 @@ def injective_cokernel_exponent(ge):
         assert i == 1, f"cokernel summand U[{i},{j}] is not injective"
         f[j - 1] += mult
     return tuple(f)
+
+
+def convolve(p, q):
+    """The terms of p * q by the plain double loop over exponent tuples."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}

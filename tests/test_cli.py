@@ -1,5 +1,6 @@
 """File format and command-line behavior: parsing, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 from quivergrass.cli import COMMANDS, run
 from quivergrass.errors import DomainError
 from quivergrass.repfile import format_intervals, parse_intervals, parse_rep_document
+from quivergrass.typea import degenerate_flag_dec, most_flat_dec
 
 EX4 = json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                   "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 0]]}})
@@ -342,6 +344,57 @@ def test_verify_mult_subcommand(tmp_path):
     code, text = run(["psi-check", "--x", str(xp), "--s", str(sp),
                       "--e", "1,1", "--primes", "2,3", "--format", "machine"])
     assert code == 0 and json.loads(text)["outputs"]["holds"] is True
+
+
+# sha256 of the output of the tuple-keyed product and the separately sorted
+# rendering it replaced: term order and text must not move by one byte
+POLYNOMIAL_OUTPUT_DIGESTS = {
+    ("fpoly", "degenerate_flag", "text"):
+        "dfc1c4daeef270e46c05a5defe1bc35580d71ac1ccc3acbd03a851a04220b350",
+    ("fpoly", "degenerate_flag", "machine"):
+        "c84c3988e9d772d39f725bc4d7e6d6fc838214310e126838967f69d23d339114",
+    ("cc", "degenerate_flag", "text"):
+        "4fd20b27d8312b2b94957b6d512ccc6baa445457a5664ae4c94a1b4fe19ad112",
+    ("cc", "degenerate_flag", "machine"):
+        "dbac973157db0edde514ec0b4187a969ccc47f289b9b95da5d0a408462509bd5",
+    ("fpoly", "most_flat", "text"):
+        "976e7cc02975d48fedd4d1628972e1947376af778a81085a477a7360f7aa773c",
+    ("fpoly", "most_flat", "machine"):
+        "c39c26f4ee0bb1141a220c56f33c338572513e3ce88132f6a9d9a51d24790c1a",
+    ("cc", "most_flat", "text"):
+        "29bf7ee61be6e32a795e7bd62243472129358e734b4b32068ee50a5ffac456fc",
+    ("cc", "most_flat", "machine"):
+        "808b16a14c02743664b13268ba39876a3e354aaa1510b8fe9ae9ce0fbfbdca6e",
+    ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", "text"):
+        "a9e9ea797c66188cb3b93475c88893aa149f5c6c2fe319e969d1e0da5989e6ef",
+    ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", "machine"):
+        "3348aadd777e071f536da29e315846ed031feccbdfab3e5216c10b4c1cc32448",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("sub", ["fpoly", "cc"])
+@pytest.mark.parametrize("name,family", [("degenerate_flag", degenerate_flag_dec),
+                                         ("most_flat", most_flat_dec)])
+def test_polynomial_output_bytes_are_pinned(sub, name, family, fmt):
+    code, text = run([sub, "--intervals", format_intervals(family(4)), "--n", "4",
+                      "--format", fmt])
+    assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[(sub, name, fmt)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_verify_mult_output_bytes_are_pinned(tmp_path, fmt):
+    a3 = {"vertices": 3, "arrows": [[1, 2], [2, 3]], "field": "Q"}
+    xp, sp = tmp_path / "x.rep", tmp_path / "s.rep"
+    xp.write_text(json.dumps(dict(a3, intervals="U[1,3] + U[3,3]")))
+    sp.write_text(json.dumps(dict(a3, intervals="U[1,2]")))
+    code, text = run(["verify-mult", "--x", str(xp), "--s", str(sp), "--format", fmt])
+    key = ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", fmt)
+    assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[key]
 
 
 def test_deg_compare_subcommand(tmp_path):

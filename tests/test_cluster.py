@@ -250,6 +250,12 @@ def test_psi_count_identity():
     assert psi_count_identity(ge2, (1, 1, 1, 0), [2]).holds
 
 
+def test_psi_count_identity_needs_a_prime():
+    ge = make_generating(simple(A2, QQ, 1), simple(A2, QQ, 2))
+    with pytest.raises(DomainError):
+        psi_count_identity(ge, (1, 1), [])
+
+
 def test_psi_count_identity_split_case():
     ge = make_generating(simple(A2, QQ, 2), projective(A2, QQ, 1))
     for e in [(0, 1), (1, 1), (1, 2), (0, 2)]:

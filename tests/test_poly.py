@@ -1,0 +1,92 @@
+"""Sparse polynomials: the packed-key product against the plain convolution,
+and the checks on what a polynomial may be built from and multiplied by."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import convolve
+from quivergrass import DomainError
+from quivergrass.poly import SparsePoly
+
+# slot-width edges (a shifted sum of 255 fits one byte, 256 needs two), wide
+# slots up to and past 8 bytes, and negative (Laurent) exponents
+EXPONENTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([127, 128, 254, 255, 256, 2 ** 16 - 1, 2 ** 16, 2 ** 63, 2 ** 64]),
+    st.integers(-2 ** 70, 2 ** 70))
+COEFFICIENTS = st.one_of(st.integers(-3, 3).filter(bool),
+                         st.integers(2 ** 64, 2 ** 80), st.integers(-2 ** 80, -2 ** 64))
+
+
+@st.composite
+def poly_pairs(draw):
+    nvars = draw(st.integers(0, 4))
+
+    def poly():
+        exps = st.tuples(*[EXPONENTS] * nvars)
+        return SparsePoly(nvars, draw(st.dictionaries(exps, COEFFICIENTS, max_size=6)))
+    return poly(), poly()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(poly_pairs())
+def test_product_equals_the_convolution(pair):
+    p, q = pair
+    assert (p * q).terms == convolve(p, q)
+    assert (q * p).terms == convolve(p, q)
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 2 ** 64 - 1, 2 ** 64])
+def test_product_at_slot_width_edges(top):
+    """Shifted sums of exactly top, from operands whose minima are 0 or not."""
+    half = top // 2
+    for low in (0, -7, 300):
+        p = SparsePoly(2, {(low, low): 1, (low + half, low): 2, (low, low + top - half): 3})
+        q = SparsePoly(2, {(0, 0): 5, (top - half, half): -1, (half, top - half): 7})
+        assert (p * q).terms == convolve(p, q)
+
+
+def test_product_drops_cancelled_terms():
+    x_plus_1 = SparsePoly(1, {(1,): 1, (0,): 1})
+    x_minus_1 = SparsePoly(1, {(1,): 1, (0,): -1})
+    assert (x_plus_1 * x_minus_1).terms == {(2,): 1, (0,): -1}
+    zero = SparsePoly(3)
+    assert (zero * SparsePoly.one(3)).is_zero() and (SparsePoly.one(3) * zero).is_zero()
+    assert SparsePoly.one(0) * SparsePoly(0, {(): -4}) == SparsePoly(0, {(): -4})
+
+
+def test_scalar_product():
+    p = SparsePoly(2, {(1, 0): 2, (-1, 3): -1})
+    assert p * 3 == 3 * p == SparsePoly(2, {(1, 0): 6, (-1, 3): -3})
+    assert (p * np.int64(0)).is_zero()
+
+
+def test_product_refuses_a_different_number_of_variables():
+    with pytest.raises(DomainError):
+        SparsePoly(2, {(1, 0): 1}) * SparsePoly(3, {(0, 1, 5): 2})
+
+
+@pytest.mark.parametrize("other", [2.5, Fraction(1, 2), "y", None])
+def test_product_refuses_a_non_polynomial(other):
+    p = SparsePoly(1, {(1,): 1})
+    with pytest.raises(TypeError):
+        p * other
+    with pytest.raises(TypeError):
+        other * p
+
+
+@pytest.mark.parametrize("terms", [{(1,): 1.5}, {(1,): Fraction(3, 1)}, {(1,): 2.0},
+                                   {(1.5,): 1}, {(Fraction(1, 2),): 1}, {(1,): "1"}])
+def test_constructor_refuses_non_integers(terms):
+    with pytest.raises(DomainError):
+        SparsePoly(1, terms)
+
+
+def test_constructor_takes_numpy_integers():
+    p = SparsePoly(1, {(np.int64(2),): np.int32(3), (True,): 1})
+    assert p.terms == {(2,): 3, (1,): 1}
+    assert all(type(x) is int for e, c in p.terms.items() for x in e + (c,))
