@@ -181,8 +181,7 @@ def _poly(args, echo):
 def _cells(args, echo):
     dec = ta.decompose(args.m)
     rows = ta.coefficient_quiver(dec)
-    cells = [{"starts": list(pt), "dim": ta.cell_dimension(rows, pt)}
-             for pt in ta.fixed_points(dec, args.e)]
+    cells = [{"starts": list(pt), "dim": dim} for pt, dim in ta.fixed_points(dec, args.e)]
     return {"rows": [list(r) for r in rows], "cells": cells}, {"engine": "cells"}
 
 

@@ -4,17 +4,24 @@ Terms map an exponent vector to an integer coefficient; zero coefficients are
 dropped eagerly.  Canonical term order is graded lexicographic, which fixes
 every serialized form.
 
-Products run on packed integer keys.  Each call first shifts every exponent
-vector of an operand by that operand's per-variable minimum, so the shifted
-exponents are >= 0 (nothing moves when every minimum is 0, as in an
-F-polynomial).  It then takes the slot width w as the fewest of 1, 2, 4 or 8
-bytes (or as many bytes as needed past 2**64) that hold the largest possible
-sum of two shifted exponents of one variable.  A shifted vector packs into one
-int with one w-byte big-endian slot per variable (``struct`` and
-``int.from_bytes``, both in C), so adding two keys adds their vectors slot by
-slot.  No carry can cross a slot boundary: each slot sum is at most that
-largest sum, which fits in w bytes.  Each distinct product key is unpacked
-once with ``int.to_bytes`` and shifted back by the sum of the two minima.
+Products run on packed integer keys.  Each operand comes with a shift and a
+spread per variable: every exponent e of it has shift <= e <= shift + spread.
+For a polynomial given by its terms these are the per-variable minimum and
+maximum - minimum; a product takes the sums of its factors' shifts and
+spreads, which bound its exponents too.  The product's slot width w is the
+fewest of 1, 2, 4 or 8 bytes (or as many bytes as needed past 2**64) that
+hold the largest sum of the two spreads of one variable.  A vector shifted to
+e - shift >= 0 packs into one int with one w-byte big-endian slot per
+variable (``struct`` and ``int.from_bytes``, both in C), so adding two keys
+adds their vectors slot by slot.  No carry can cross a slot boundary: each
+slot sum is at most the sum of the two spreads, which fits in w bytes.
+
+A product keeps its keys packed, with their shift, spread and width, and
+unpacks them (with ``int.to_bytes``) into ``terms`` only when ``terms`` is
+first read; then it drops the keys, so it never holds both.  The next product
+reuses an operand's keys as they are when it picks the same slot width, and
+packs the operand's terms otherwise.  A chain p1 * p2 * ... * pk whose width
+stays put packs each pi once and unpacks once, at the end.
 """
 
 import struct
@@ -45,13 +52,19 @@ def _moved(exps, offset):
     return (tuple(map(add, e, offset)) for e in exps) if any(offset) else exps
 
 
-def _codec(nvars, top):
-    """(pack, unpack) between exponent vectors with entries in [0, top] and
-    ints with one big-endian slot per variable, each lazy over an iterable."""
+def _slot_width(top):
+    """Bytes per slot for entries in [0, top]: 1, 2, 4 or 8 up to 2**64, as
+    many as needed past it."""
     width = max(1, (top.bit_length() + 7) // 8)
+    return width if width > 8 else min(w for w in _SLOT_FORMATS if w >= width)
+
+
+def _codec(nvars, width):
+    """(pack, unpack) between exponent vectors with entries that fit ``width``
+    bytes and ints with one big-endian slot per variable, each lazy over an
+    iterable."""
     if width <= 8:
-        layout = struct.Struct(">" + _SLOT_FORMATS[min(w for w in _SLOT_FORMATS if w >= width)]
-                               * nvars)
+        layout = struct.Struct(">" + _SLOT_FORMATS[width] * nvars)
 
         def pack(exps):
             return map(int.from_bytes, starmap(layout.pack, exps), repeat("big"))
@@ -75,7 +88,9 @@ def _codec(nvars, top):
 class SparsePoly:
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
+        self._terms = {}
+        # a product's (keys, shift, spread, width) until terms is read
+        self._packed = None
         if terms:
             for exp, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 self._add_term(tuple(map(_integer, exp)), _integer(coeff))
@@ -85,19 +100,29 @@ class SparsePoly:
         """Wrap a dict already in canonical form (exponent tuples of length
         nvars, nonzero int coefficients) without copying or checking it."""
         poly = cls.__new__(cls)
-        poly.nvars, poly.terms = nvars, terms
+        poly.nvars, poly._terms, poly._packed = nvars, terms, None
         return poly
+
+    @property
+    def terms(self):
+        """{exponent tuple: nonzero coefficient}, unpacked on first read."""
+        if self._packed is not None:
+            keys, shift, _, width = self._packed
+            unpack = _codec(self.nvars, width)[1]
+            self._terms = dict(zip(_moved(unpack(keys), shift), keys.values()))
+            self._packed = None
+        return self._terms
 
     def _add_term(self, exp, coeff):
         if len(exp) != self.nvars:
             raise DomainError(f"exponent {exp} has wrong arity for {self.nvars} variables")
         if coeff == 0:
             return
-        new = self.terms.get(exp, 0) + coeff
+        new = self._terms.get(exp, 0) + coeff
         if new:
-            self.terms[exp] = new
+            self._terms[exp] = new
         else:
-            self.terms.pop(exp, None)
+            self._terms.pop(exp, None)
 
     @classmethod
     def one(cls, nvars):
@@ -108,19 +133,42 @@ class SparsePoly:
         return cls(len(exp), {tuple(exp): coeff})
 
     def is_zero(self):
-        return not self.terms
+        # a product with no terms left is never kept packed
+        return self._packed is None and not self._terms
+
+    def _check_nvars(self, other, verb):
+        if other.nvars != self.nvars:
+            raise DomainError(f"cannot {verb} polynomials in {self.nvars} "
+                              f"and {other.nvars} variables")
+
+    def _plus(self, other, sign, verb):
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        self._check_nvars(other, verb)
+        out = SparsePoly(self.nvars, self.terms)
+        for exp, c in other.terms.items():
+            out._add_term(exp, sign * c)
+        return out
 
     def __add__(self, other):
-        out = SparsePoly(self.nvars, self.terms)
-        for exp, c in other.terms.items():
-            out._add_term(exp, c)
-        return out
+        return self._plus(other, 1, "add")
 
     def __sub__(self, other):
-        out = SparsePoly(self.nvars, self.terms)
-        for exp, c in other.terms.items():
-            out._add_term(exp, -c)
-        return out
+        return self._plus(other, -1, "subtract")
+
+    def _bounds(self):
+        """(shift, spread) per variable, as the module docstring states."""
+        if self._packed is not None:
+            return self._packed[1:3]
+        return _range(self._terms)
+
+    def _keys(self, shift, width):
+        """[(packed key, coefficient)] of the exponents minus shift."""
+        if self._packed is not None and self._packed[3] == width:
+            return list(self._packed[0].items())
+        terms = self.terms
+        pack = _codec(self.nvars, width)[0]
+        return list(zip(pack(_moved(terms, tuple(map(neg, shift)))), terms.values()))
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
@@ -129,18 +177,15 @@ class SparsePoly:
             except TypeError:
                 return NotImplemented
             return SparsePoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
-        if other.nvars != self.nvars:
-            raise DomainError(f"cannot multiply polynomials in {self.nvars} "
-                              f"and {other.nvars} variables")
-        if not self.terms or not other.terms:
+        self._check_nvars(other, "multiply")
+        if self.is_zero() or other.is_zero():
             return SparsePoly(self.nvars)
-        low1, spread1 = _range(self.terms)
-        low2, spread2 = _range(other.terms)
-        pack, unpack = _codec(self.nvars, max(map(add, spread1, spread2), default=0))
-        outer = list(zip(pack(_moved(self.terms, tuple(map(neg, low1)))),
-                         self.terms.values()))
-        inner = list(zip(pack(_moved(other.terms, tuple(map(neg, low2)))),
-                         other.terms.values()))
+        shift1, spread1 = self._bounds()
+        shift2, spread2 = other._bounds()
+        spread = tuple(map(add, spread1, spread2))
+        width = _slot_width(max(spread, default=0))
+        outer = self._keys(shift1, width)
+        inner = other._keys(shift2, width)
         if len(outer) > len(inner):
             outer, inner = inner, outer
         out = {}
@@ -149,10 +194,13 @@ class SparsePoly:
             for k2, c2 in inner:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        terms = dict(zip(_moved(unpack(out), tuple(map(add, low1, low2))), out.values()))
         if 0 in out.values():
-            terms = {e: c for e, c in terms.items() if c}
-        return SparsePoly.from_canonical(self.nvars, terms)
+            out = {k: c for k, c in out.items() if c}
+            if not out:
+                return SparsePoly(self.nvars)
+        poly = SparsePoly(self.nvars)
+        poly._packed = (out, tuple(map(add, shift1, shift2)), spread, width)
+        return poly
 
     __rmul__ = __mul__
 

@@ -9,11 +9,14 @@ arrow maps, a plain dict whose inclusion-exclusion inverse is
 explicit inequalities.  A torus fixed point of a Grassmannian is a plain
 tuple with one suffix start (or None) per row of ``coefficient_quiver(m)``,
 and each fixed point carries an attracting cell whose dimension is read off
-the diagram.
+the diagram.  ``fixed_points`` is the one search over them; it returns each
+point with its cell dimension, which ``poincare_polynomial``, ``strata`` and
+the ``cells`` subcommand read.
 """
 
 import operator
 import random as _random
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg as la
@@ -210,42 +213,71 @@ def coefficient_quiver(m):
 
 
 def fixed_points(m, e):
-    """All torus fixed points of Gr_e, as tuples of suffix starts.
+    """All torus fixed points of Gr_e, as (starts, cell dimension) pairs.
 
     Row r of ``coefficient_quiver(m)`` is an interval [i, j]; its nonzero
     subrepresentations are exactly the suffixes U[a, j] with i <= a <= j, so
     a fixed point selects one start a (or None, nothing) in every row.
     Points come in lexicographic order of the per-row choices None, j, ..., i.
+
+    The search goes row by row and keeps, per vertex, the demand still to
+    place.  Its slack is the number of rows still to come that contain the
+    vertex minus that demand.  A row that skips a vertex of its support
+    lowers the vertex's slack by one, and a row that takes it leaves the
+    slack as it was.  So a row must take every vertex of its support with
+    no slack left: its start is at or before the first such vertex, and
+    None is not allowed.  Every choice cut this way would leave a vertex
+    with more demand than rows to fill it, so no point is lost.  Slack
+    stays >= 0 on every branch kept, so after the last row, which leaves
+    no capacity, the demand is 0 everywhere and every leaf is a point.
+
+    The cell dimension is ``cell_dimension(rows, starts)``, summed as the
+    search goes: the row r' choosing a adds the number of earlier selected
+    starts in [i', a - 1] (in [i', j'] when it chooses None).
     """
     e = linear_quiver(m.n).check_dim_vector(e)
-    if any(x > d for x, d in zip(e, m.dim_vector())):
+    d = m.dim_vector()
+    if any(x > y for x, y in zip(e, d)):
         return []
     rows = coefficient_quiver(m)
+    # capacity[r][v - 1]: rows r, r + 1, ... whose support contains v
+    capacity = [d]
+    for i, j in rows:
+        capacity.append(tuple(c - (i <= v <= j) for v, c in enumerate(capacity[-1], 1)))
     out = []
     starts = []
     remaining = list(e)
+    selected = [0] * m.n  # earlier selected starts at each vertex
 
-    def descend(r):
+    def descend(r, dim):
         if r == len(rows):
-            if not any(remaining):
-                out.append(tuple(starts))
+            out.append((tuple(starts), dim))
             return
-        starts.append(None)
-        descend(r + 1)
         i, j = rows[r]
+        cap = capacity[r]
+        tight = next((v for v in range(i, j + 1) if remaining[v - 1] == cap[v - 1]), None)
+        below = sum(selected[i - 1:j])
+        starts.append(None)
+        if tight is None:
+            descend(r + 1, dim + below)
+            tight = j
         # the suffix [a, j] grows one vertex at a time; once a vertex runs
         # out, every longer suffix contains it too
         a = j + 1
         while a > i and remaining[a - 2]:
             a -= 1
             remaining[a - 1] -= 1
-            starts[-1] = a
-            descend(r + 1)
+            below -= selected[a - 1]
+            if a <= tight:
+                starts[-1] = a
+                selected[a - 1] += 1
+                descend(r + 1, dim + below)
+                selected[a - 1] -= 1
         for v in range(a - 1, j):
             remaining[v] += 1
         starts.pop()
 
-    descend(0)
+    descend(0, 0)
     return out
 
 
@@ -255,7 +287,9 @@ def cell_dimension(rows, starts):
     For each selected suffix, its leftmost vertex is a source of the black
     subdiagram; the cell dimension is the number of white vertices lying
     strictly below such a source in the same column (rows after r whose
-    support contains the column but whose selection does not).
+    support contains the column but whose selection does not).  This is the
+    per-point definition; ``fixed_points`` sums the same count as it
+    searches.
     """
     if len(starts) != len(rows):
         raise DomainError("one suffix choice per row required")
@@ -277,15 +311,8 @@ def cell_dimension(rows, starts):
 
 def poincare_polynomial(m, e):
     """Sum of q^(cell dimension) over all torus fixed points."""
-    rows = coefficient_quiver(m)
-    pts = fixed_points(m, e)
-    if not pts:
-        return CountPoly((), "assumed")
-    dims = [cell_dimension(rows, pt) for pt in pts]
-    coeffs = [0] * (max(dims) + 1)
-    for d in dims:
-        coeffs[d] += 1
-    return CountPoly(tuple(coeffs), "assumed")
+    counts = Counter(map(operator.itemgetter(1), fixed_points(m, e)))
+    return CountPoly(tuple(counts[k] for k in range(max(counts, default=-1) + 1)), "assumed")
 
 
 def euler_char_cells(m, e):
@@ -308,17 +335,12 @@ def strata(m, e):
     [N,M] - [N,N] by the closed-form interval Homs.
     """
     rows = coefficient_quiver(m)
-    classes = {}
-    for pt in fixed_points(m, e):
-        # the fixed point spans the sum of its selected suffixes
-        mults = {}
-        for (i, j), a in zip(rows, pt):
-            if a is not None:
-                mults[(a, j)] = mults.get((a, j), 0) + 1
-        iso = IntervalDecomposition(m.n, mults)
-        classes[iso] = classes.get(iso, 0) + 1
+    # the fixed point spans the sum of its selected suffixes U[a, j]
+    classes = Counter(tuple(sorted((a, j) for (_, j), a in zip(rows, pt) if a is not None))
+                      for pt, _ in fixed_points(m, e))
     out = []
-    for iso, cells in classes.items():
+    for summands, cells in classes.items():
+        iso = IntervalDecomposition(m.n, Counter(summands))
         dim = hom_dim_decs(iso, m) - hom_dim_decs(iso, iso)
         out.append(Stratum(iso, dim, cells))
     out.sort(key=lambda s: (-s.dim, sorted(s.isoclass.m.items())))

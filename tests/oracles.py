@@ -7,16 +7,19 @@ the Hom fingerprint of the subrepresentation, the finite-field oracle of
 search of Hom and decomposes the cokernel, the oracle of the exponent f that
 ``cluster`` solves from dimension vectors alone.  ``convolve`` multiplies two
 polynomials term by term over exponent tuples, the oracle of the packed-key
-product ``SparsePoly.__mul__``.
+product ``SparsePoly.__mul__``.  ``point_witness`` turns a type-A torus fixed
+point into the subspaces it spans, so that general linear algebra (arrow
+stability, tangent spaces) can check the cell and stratum engines at it.
 """
 
 import random
 
 from quivergrass import linalg as la
-from quivergrass import DomainError, hom_basis, hom_dim, linear_quiver, quotient, restrict
+from quivergrass import (DomainError, SubrepWitness, hom_basis, hom_dim, linear_quiver, quotient,
+                         restrict)
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness, zero_witness
-from quivergrass.typea import decompose, interval_rep, translate
+from quivergrass.typea import coefficient_quiver, decompose, interval_rep, translate
 
 
 def hom_fingerprint(test_family, n_rep):
@@ -92,3 +95,22 @@ def convolve(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def point_witness(dec, starts, field):
+    """The point of Gr_e(M), M = ``dec.to_representation(field)``, spanned by
+    the suffixes U[a, j] that ``starts`` selects.
+
+    M is the direct sum of the rows of ``coefficient_quiver(dec)`` in order,
+    so at vertex v its coordinates are the rows containing v, in row order;
+    the point takes the unit vector of each selected row whose suffix
+    contains v.
+    """
+    rows = coefficient_quiver(dec)
+    bases = []
+    for v in range(1, dec.n + 1):
+        through = [r for r, (i, j) in enumerate(rows) if i <= v <= j]
+        units = [k for k, r in enumerate(through) if starts[r] is not None and starts[r] <= v]
+        bases.append([[field.one if c == k else field.zero for c in range(len(through))]
+                      for k in units])
+    return SubrepWitness(linear_quiver(dec.n), field, bases)

@@ -48,7 +48,9 @@ def test_criterion_01_grassmannian_of_planes():
     dec = IntervalDecomposition(1, {(1, 1): 4})
     pp = poincare_polynomial(dec, (2,))
     cq = coefficient_quiver(dec)
-    dims = sorted(cell_dimension(cq, pt) for pt in fixed_points(dec, (2,)))
+    pts = fixed_points(dec, (2,))
+    dims = sorted(dim for _, dim in pts)
+    assert all(dim == cell_dimension(cq, pt) for pt, dim in pts)
     one_vertex = Quiver(1, [])
     m2 = Representation(one_vertex, PrimeField(2), (4,), [])
     count = count_points(m2, (2,))
@@ -89,9 +91,10 @@ def test_criterion_03_plane_and_line():
 def test_criterion_04_worked_fixed_point():
     dec = degenerate_flag_dec(3)
     pt = (3, 3, 2, None, 1, None)
-    assert pt in fixed_points(dec, (1, 2, 3))
+    carried = dict(fixed_points(dec, (1, 2, 3)))
+    assert pt in carried
     dim = cell_dimension(coefficient_quiver(dec), pt)
-    _check(4, dim == 4, f"cell dimension {dim}")
+    _check(4, dim == 4 == carried[pt], f"cell dimension {dim}, carried {carried[pt]}")
 
 
 def test_criterion_05_flag_variety():

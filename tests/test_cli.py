@@ -386,6 +386,46 @@ def test_polynomial_output_bytes_are_pinned(sub, name, family, fmt):
     assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[(sub, name, fmt)]
 
 
+# sha256 of the output of the unpruned fixed-point search with a separate
+# cell_dimension per point: point order and dimensions must not move
+FIXED_POINT_OUTPUT_DIGESTS = {
+    ("cells", "degenerate_flag", "text"):
+        "345dba08cac95a608cb3ef606e753effe61a4bfbc1de72c374291b8bb387a7c1",
+    ("cells", "degenerate_flag", "machine"):
+        "8c41658aa020ed260c824f764e3dbce77b1db1d9daf1d4d9604b2d1242d0835e",
+    ("poincare", "degenerate_flag", "text"):
+        "6e5ccb0127e4c2468593dccc6090afd96c232f3700ad55834f17b27865a69291",
+    ("poincare", "degenerate_flag", "machine"):
+        "fb5b957f58caa59e227bd57a6a5a8e67327f53433a39c9c7b9ab114996c3445f",
+    ("strata", "degenerate_flag", "text"):
+        "f37f91113f03d52e1fbb62213b87f3a30f2609345eb2f255cd2fac532458fcb0",
+    ("strata", "degenerate_flag", "machine"):
+        "51b9ae37067b09d3d5a28881f53029f49ce02dfc7293a56eacd0fc6505c613e9",
+    ("cells", "most_flat", "text"):
+        "007cd076a60aef904ce1a5fb094bb6ea8fa10ea8f88bf21985d89bc85bea59fb",
+    ("cells", "most_flat", "machine"):
+        "d0487666c20ccdc7cade85d217bd3844c1b1b13c724d10da3c07f83f3e5387d5",
+    ("poincare", "most_flat", "text"):
+        "54662c5f10184000ed0cbf15705905412ea1e59f792aacd9a7510caf13144c64",
+    ("poincare", "most_flat", "machine"):
+        "a5a661556279041da523b45f71da1722c3875a3b341b7ce72ece4a9514651139",
+    ("strata", "most_flat", "text"):
+        "06a37c8869d39df1890a0a598147b28ee160ad9420bc7ec81fe76c400c9105f1",
+    ("strata", "most_flat", "machine"):
+        "ee8107ecf3a54a41889a761067904ab8517cab0637db8456874686e04cdfd1ea",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("sub", ["cells", "poincare", "strata"])
+@pytest.mark.parametrize("name,family", [("degenerate_flag", degenerate_flag_dec),
+                                         ("most_flat", most_flat_dec)])
+def test_fixed_point_output_bytes_are_pinned(sub, name, family, fmt):
+    code, text = run([sub, "--intervals", format_intervals(family(4)), "--n", "4",
+                      "--e", "1,2,3,4", "--format", fmt])
+    assert code == 0 and _sha256(text) == FIXED_POINT_OUTPUT_DIGESTS[(sub, name, fmt)]
+
+
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_verify_mult_output_bytes_are_pinned(tmp_path, fmt):
     a3 = {"vertices": 3, "arrows": [[1, 2], [2, 3]], "field": "Q"}

@@ -8,6 +8,11 @@ prediction, not a second engine:
 - For rigid M, Gr_e(M) is smooth and irreducible of dimension <e, d - e>
   (Caldero-Reineke, "On the quiver Grassmannian in the acyclic case", 2008),
   so Poincare duality makes its Poincare polynomial palindromic.
+- At a point U, the tangent space of Gr_e(M) is Hom(U, M/U), so its
+  dimension bounds the dimension of every stratum through U, and every
+  stratum contains the cells of its fixed points; for rigid M it is
+  <e, d - e> at every point.  The points checked are the subrepresentations
+  the type-A fixed points span, built by general linear algebra.
 - Gr_{dim A}(A + DA) is the degenerate flag variety, of dimension n(n+1)/2,
   whose Euler characteristic is the normalised median Genocchi number
   (Cerulli Irelli-Feigin-Reineke, "Quiver Grassmannians and degenerate flag
@@ -17,9 +22,10 @@ prediction, not a second engine:
 import itertools
 from collections import Counter
 
-from quivergrass import euler_form, linear_quiver
+from oracles import point_witness
+from quivergrass import PrimeField, euler_form, linear_quiver, restrict, tangent_dim
 from quivergrass.typea import (IntervalDecomposition, cell_dimension, coefficient_quiver,
-                               degenerate_flag_dec, euler_char_cells, ext_dim_decs,
+                               decompose, degenerate_flag_dec, euler_char_cells, ext_dim_decs,
                                fixed_points, path_algebra_dec, poincare_polynomial, strata)
 
 
@@ -45,7 +51,7 @@ def test_dimension_is_top_stratum_top_cell_and_poincare_degree():
     pairs = 0
     for dec, e, pts in nonempty_grassmannians(small_modules()):
         rows = coefficient_quiver(dec)
-        top_cell = max(cell_dimension(rows, pt) for pt in pts)
+        top_cell = max(cell_dimension(rows, pt) for pt, _ in pts)
         top_stratum = max(s.dim for s in strata(dec, e))
         degree = len(poincare_polynomial(dec, e).coefficients) - 1
         assert degree == top_cell == top_stratum, (dec, e)
@@ -64,6 +70,30 @@ def test_rigid_grassmannians_are_smooth_of_expected_dimension():
         assert len(coeffs) - 1 == expected, (dec, e)
         pairs += 1
     assert pairs == 2529
+
+
+def test_tangent_space_bounds_stratum_and_cell_at_every_fixed_point():
+    field = PrimeField(7)
+    points = 0
+    for dec in small_modules():
+        m = dec.to_representation(field)
+        rows = coefficient_quiver(dec)
+        d = dec.dim_vector()
+        rigid = ext_dim_decs(dec, dec) == 0
+        for e in itertools.product(*(range(x + 1) for x in d)):
+            dims = {s.isoclass: s.dim for s in strata(dec, e)}
+            expected = euler_form(linear_quiver(dec.n), e, tuple(a - b for a, b in zip(d, e)))
+            for pt, cell in fixed_points(dec, e):
+                w = point_witness(dec, pt, field)
+                assert w.dims == e and w.is_stable(m), (dec, e, pt)
+                spanned = IntervalDecomposition(dec.n, Counter(
+                    (a, j) for (_, j), a in zip(rows, pt) if a is not None))
+                assert decompose(restrict(m, w)) == spanned, (dec, e, pt)
+                tangent = tangent_dim(m, w)
+                assert cell <= dims[spanned] <= tangent, (dec, e, pt)
+                assert not rigid or tangent == expected, (dec, e, pt)
+                points += 1
+    assert points == 8102
 
 
 def test_degenerate_flag_variety_counts_median_genocchi_numbers():

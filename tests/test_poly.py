@@ -1,7 +1,9 @@
 """Sparse polynomials: the packed-key product against the plain convolution,
-and the checks on what a polynomial may be built from and multiplied by."""
+and the checks on what a polynomial may be built from, added to and
+multiplied by."""
 
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -23,21 +25,38 @@ COEFFICIENTS = st.one_of(st.integers(-3, 3).filter(bool),
 
 
 @st.composite
-def poly_pairs(draw):
+def polys(draw, count):
     nvars = draw(st.integers(0, 4))
 
     def poly():
         exps = st.tuples(*[EXPONENTS] * nvars)
         return SparsePoly(nvars, draw(st.dictionaries(exps, COEFFICIENTS, max_size=6)))
-    return poly(), poly()
+    return tuple(poly() for _ in range(count))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(poly_pairs())
+@given(polys(2))
 def test_product_equals_the_convolution(pair):
     p, q = pair
     assert (p * q).terms == convolve(p, q)
     assert (q * p).terms == convolve(p, q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(polys(3))
+def test_chained_products_equal_the_convolution(triple):
+    """A product feeds the next one with its packed keys, whether or not its
+    terms were read in between, and whichever side it is on."""
+    p, q, r = triple
+    pq = SparsePoly.from_canonical(p.nvars, convolve(p, q))
+    expected = convolve(pq, r)
+    assert (p * q * r).terms == expected
+    assert (r * (q * p)).terms == expected
+    read = p * q
+    assert read.terms == pq.terms and (read * r).terms == expected
+    square = p * q
+    assert (square * square).terms == convolve(pq, pq)
+    assert (p * q + r) - r == pq
 
 
 @pytest.mark.parametrize("top", [254, 255, 256, 2 ** 64 - 1, 2 ** 64])
@@ -77,6 +96,26 @@ def test_product_refuses_a_non_polynomial(other):
         p * other
     with pytest.raises(TypeError):
         other * p
+
+
+def test_sum_and_difference_refuse_a_different_number_of_variables():
+    p = SparsePoly(2, {(1, 0): 1})
+    for other in (SparsePoly(3), SparsePoly(3, {(0, 1, 5): 2}), SparsePoly(1, {(1,): 1})):
+        for op in (add, sub):
+            with pytest.raises(DomainError):
+                op(p, other)
+            with pytest.raises(DomainError):
+                op(other, p)
+
+
+@pytest.mark.parametrize("other", [1, 2.5, Fraction(1, 2), "y", None])
+def test_sum_and_difference_refuse_a_non_polynomial(other):
+    p = SparsePoly(2, {(1, 0): 1})
+    for op in (add, sub):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
 
 
 @pytest.mark.parametrize("terms", [{(1,): 1.5}, {(1,): Fraction(3, 1)}, {(1,): 2.0},

@@ -198,31 +198,61 @@ def test_fixed_points_wrong_quiver_rejected():
 
 def test_fixed_points_contains_worked_point():
     dec = degenerate_flag_dec(3)
-    pts = fixed_points(dec, (1, 2, 3))
+    pts = [pt for pt, _ in fixed_points(dec, (1, 2, 3))]
     assert (3, 3, 2, None, 1, None) in pts
 
 
+def brute_force_points(dec, e):
+    """The per-row choices of dimension e, in the lexicographic order of the
+    choice lists [None, j, ..., i]."""
+    rows = coefficient_quiver(dec)
+    expected = []
+    for starts in itertools.product(*([None] + list(range(j, i - 1, -1)) for i, j in rows)):
+        dims = [0] * dec.n
+        for (i, j), a in zip(rows, starts):
+            if a is not None:
+                for v in range(a, j + 1):
+                    dims[v - 1] += 1
+        if tuple(dims) == tuple(e):
+            expected.append(starts)
+    return expected
+
+
+def assert_matches_brute_force(dec, e):
+    """The pruned search lists exactly the brute-force points, in their order,
+    each with the dimension of its cell."""
+    rows = coefficient_quiver(dec)
+    points = fixed_points(dec, e)
+    assert [pt for pt, _ in points] == brute_force_points(dec, e)
+    assert all(dim == cell_dimension(rows, pt) for pt, dim in points)
+    return points
+
+
 def test_fixed_points_match_brute_force():
-    """The suffix search lists exactly the per-row choices of dimension e, in
-    the lexicographic order of the choice lists [None, j, ..., i]."""
     rng = random.Random(29)
     for _ in range(25):
         n = rng.randint(1, 4)
         dec = random_decomposition(n, rng)
         d = dec.dim_vector()
         e = tuple(rng.randint(0, x) for x in d)
-        rows = coefficient_quiver(dec)
-        expected = []
-        for starts in itertools.product(
-                *([None] + list(range(j, i - 1, -1)) for i, j in rows)):
-            dims = [0] * n
-            for (i, j), a in zip(rows, starts):
-                if a is not None:
-                    for v in range(a, j + 1):
-                        dims[v - 1] += 1
-            if tuple(dims) == e:
-                expected.append(starts)
-        assert fixed_points(dec, e) == expected
+        assert_matches_brute_force(dec, e)
+
+
+def test_fixed_points_where_the_slack_prunes():
+    # vertex 1 of U[1,3] must be taken, and every suffix through it takes 2 and 3
+    assert assert_matches_brute_force(IntervalDecomposition(3, {(1, 3): 1}), (1, 0, 0)) == []
+    # every vertex but one is tight, so each row through one is forced; at
+    # e = (3, 4, 4, 1) the last module has no point: one of the two rows
+    # U[1,4], the only ones through vertex 4, must skip it and so all of it
+    for dec in (degenerate_flag_dec(3), most_flat_dec(3),
+                IntervalDecomposition(4, {(1, 4): 2, (2, 3): 1, (3, 3): 1, (1, 2): 1})):
+        d = dec.dim_vector()
+        for v in range(dec.n):
+            e = tuple(x - (u == v) for u, x in enumerate(d))
+            assert_matches_brute_force(dec, e)
+        full = tuple(i for i, _ in coefficient_quiver(dec))
+        assert assert_matches_brute_force(dec, d) == [(full, 0)]
+    assert fixed_points(IntervalDecomposition(3, {}), (0, 0, 0)) == [((), 0)]
 
 
 def test_cell_dimension_rejects_malformed_points():
@@ -314,7 +344,7 @@ def test_max_cell_dimension_lower_bound():
         if not pts:
             continue
         rows = coefficient_quiver(dec)
-        best = max(cell_dimension(rows, pt) for pt in pts)
+        best = max(cell_dimension(rows, pt) for pt, _ in pts)
         q = linear_quiver(n)
         assert best >= euler_form(q, e, tuple(a - b for a, b in zip(d, e)))
 
