@@ -18,8 +18,11 @@ the preimages M_a^-1(U_t), of codimension r say: [d_s - r, e_s]_p of them.
 ``plan_count`` picks an independent set of sources and sinks to sum this way,
 minimising the product of Gaussian binomials over the vertices still
 enumerated; the executor runs one depth-first search over those, testing
-each vertex a numpy batch at a time and grouping the rows of the last one by
-their rank vector, so every sum and product is taken exactly in Python ints.
+each vertex a numpy batch at a time.  The rows of the last one are grouped by
+their rank vector (one lexsort over its columns, whatever their number), so
+every distinct product of Gaussian binomials is formed once and every sum and
+product is taken exactly in Python ints.  The ranks come from
+``batched_rank_mod_p``, one lazily reduced forward elimination per batch.
 Exhaustive (``enumerate_subreps``) and planned counts are cross-asserted on
 random small representations in the test suite.
 """
@@ -115,48 +118,97 @@ def _residue_dtype(p, n):
     """int64 when sums of n products of residues mod p stay below 2**63.
 
     Every int64 step of the counting engine is exact under that bound: its
-    entries are reduced below p, a matrix product sums at most n products of
-    two residues, and an elimination step subtracts one such product.
-    Outside it the same code runs on Python ints (dtype=object).
+    entries are reduced below p and a matrix product sums at most n products
+    of two residues.  The rank kernel reduces lazily: each elimination step
+    subtracts one product of two residues, and the trailing block is reduced
+    only every k = (2**63 - 1 - p) // (p - 1)**2 steps, so its entries stay
+    in (-k (p-1)**2, p).  k >= 1 exactly when (p - 1)**2 < 2**63, so n = 1
+    covers the same primes (up to 3037000493; 3037000507 is the first prime
+    beyond).  Outside the bound the same code runs on Python ints
+    (dtype=object).
     """
     return np.int64 if max(n, 1) * (p - 1) ** 2 < 2 ** 63 else object
 
 
-def batched_rank_mod_p(mats, p):
-    """Ranks of a stack of integer matrices mod p (vectorized elimination).
+def _residue_stack(mats, p):
+    """A stack (m, r, c) of integer matrices as a reduced (cols, rows, m) copy.
 
-    int64 arithmetic is used while (p-1)**2 < 2**63, Python ints beyond it;
-    only the distinct pivot values of a column step are inverted.
+    The stack is transposed when it is wide, so that rows >= cols, and laid
+    out column first and matrix index last, so that a column, a pivot row
+    and a trailing block of the elimination are each contiguous.  The dtype
+    is ``_residue_dtype(p, 1)`` and every entry lies in [0, p).  Python ints,
+    numpy integers held as objects and uint64 are reduced as Python ints
+    before they are narrowed, so entries beyond the int64 range keep their
+    residues; a non-integer stack is refused.
     """
-    a = np.asarray(mats).astype(_residue_dtype(p, 1)) % p
-    m, rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return np.zeros(m, dtype=np.int64)
+    dtype = _residue_dtype(p, 1)
+    a = np.asarray(mats)
+    if a.dtype.kind == "O":
+        if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+            raise DomainError("batched_rank_mod_p needs integer entries")
+        a = np.array([int(x) % p for x in a.flat], dtype=object).reshape(a.shape)
+    elif a.dtype.kind not in "biu":
+        raise DomainError(f"batched_rank_mod_p needs integer entries, not {a.dtype}")
+    elif a.dtype == np.uint64 or dtype is object:
+        a = a.astype(object) % p
+    _, rows, cols = a.shape
+    a = a.transpose((2, 1, 0) if rows >= cols else (1, 2, 0)).astype(dtype, order="C")
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a %= p
+    return a
+
+
+def _inverses(x, p):
+    """x**(p-2) mod p elementwise: the inverses of nonzero residues (Fermat)."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return out
+
+
+def batched_rank_mod_p(mats, p):
+    """Ranks mod p of a stack of integer matrices, shape (m, rows, cols).
+
+    One forward elimination runs over the whole stack, with the narrow side
+    as the columns (a wide stack is ranked transposed).  Per matrix a mask
+    keeps the rows not yet used as pivots; no row is swapped or copied out.
+    At column c only that column and the pivot row are reduced mod p, the
+    pivot row is scaled by the inverse of its pivot (a Fermat power, computed
+    for the whole column at once), and only the columns right of c of the
+    rows still free are updated.  The trailing block is reduced once every
+    k steps (see ``_residue_dtype``), so int64 is exact up to p = 3037000493
+    and Python ints take over beyond.  Returns the ranks as int64, shape
+    (m,); a stack of non-integer dtype raises DomainError.
+    """
+    p = int(p)
+    a = _residue_stack(mats, p)
+    cols, rows, m = a.shape
     rank = np.zeros(m, dtype=np.int64)
-    cur = np.zeros(m, dtype=np.int64)
-    row_idx = np.arange(rows)[None, :]
+    # Python ints cannot overflow: their block is never reduced
+    lazy = (2 ** 63 - 1 - p) // (p - 1) ** 2 if a.dtype == np.int64 else cols
+    free = np.ones((rows, m), dtype=bool)
+    update = np.empty_like(a)
+    at = np.arange(m)
+    steps = 0
     for c in range(cols):
-        col = a[:, :, c]
-        usable = (row_idx >= cur[:, None]) & (col != 0)
-        has = usable.any(axis=1)
-        mi = np.nonzero(has)[0]
-        if mi.size == 0:
+        col = a[c] % p
+        usable = free & (col != 0)
+        piv = usable.argmax(axis=0)
+        has = usable[piv, at]
+        rank += has
+        if c + 1 == cols or not has.any():
             continue
-        piv = usable[mi].argmax(axis=1)
-        r0 = cur[mi]
-        tmp = a[mi, r0, :].copy()
-        a[mi, r0, :] = a[mi, piv, :]
-        a[mi, piv, :] = tmp
-        values, where = np.unique(a[mi, r0, c], return_inverse=True)
-        inverse = np.array([pow(int(x), -1, p) for x in values], dtype=a.dtype)[where]
-        a[mi, r0, :] = a[mi, r0, :] * inverse[:, None] % p
-        colvals = a[mi, :, c].copy()
-        colvals[np.arange(mi.size), r0] = 0
-        a[mi] = (a[mi] - colvals[:, :, None] * a[mi, r0, :][:, None, :]) % p
-        cur[mi] += 1
-        rank[mi] += 1
-        if (cur == rows).all():
-            break
+        free[piv, at] &= ~has
+        scale = _inverses(col[piv, at], p) * has
+        pivot_row = a[c + 1:, piv, at] % p * scale % p
+        a[c + 1:] -= np.multiply(pivot_row[:, None], col * free, out=update[c + 1:])
+        steps += 1
+        if steps % lazy == 0:
+            a[c + 1:] %= p
     return rank
 
 
@@ -281,6 +333,18 @@ def _annihilators(batch, p):
     return ann
 
 
+def _rank_groups(ranks):
+    """The distinct rows of a nonempty (m, w) integer array with their counts.
+
+    One lexsort over the w columns and a diff at the group boundaries: exact
+    for any w, with no packed key to overflow.
+    """
+    if ranks.shape[1]:
+        ranks = ranks[np.lexsort(ranks.T)]
+    starts = np.flatnonzero(np.r_[True, (ranks[1:] != ranks[:-1]).any(axis=1)])
+    return ranks[starts], np.diff(np.r_[starts, ranks.shape[0]])
+
+
 class _PlannedCount:
     """The executor of a CountPlan: a depth-first search over the enumerated
     vertices, each tested a batch of subspaces at a time.
@@ -288,8 +352,8 @@ class _PlannedCount:
     A chosen vertex holds its basis and annihilator.  Each arrow between two
     enumerated vertices is tested when its later endpoint is drawn; each
     summed vertex is ranked when its last neighbour is drawn.  The rows of
-    the leaf are grouped by their rank vector, so each distinct product of
-    Gaussian binomials is formed once, in Python ints.
+    the leaf are grouped by their rank vector (``_rank_groups``), so each
+    distinct product of Gaussian binomials is formed once, in Python ints.
     """
 
     def __init__(self, m_rep, e, plan):
@@ -330,8 +394,7 @@ class _PlannedCount:
             ranks = np.stack([self._rank(w, v, batch, ann) for w in completes], axis=1) \
                 if completes else np.zeros((keep.size, 0), dtype=np.int64)
             if k + 1 == len(self.plan.enumerated):
-                rows, counts = np.unique(ranks, axis=0, return_counts=True)
-                for row, count in zip(rows, counts):
+                for row, count in zip(*_rank_groups(ranks)):
                     total += int(count) * self._factor(completes, row)
                 continue
             for i, row in enumerate(ranks):

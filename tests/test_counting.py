@@ -1,9 +1,12 @@
 """The finite-field oracle: subspace enumeration, point counts, counting
 polynomials, and stratum classification."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -12,14 +15,14 @@ from quivergrass import linalg as la
 from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, dual, kronecker_quiver, linear_quiver,
                          tangent_dim)
-from quivergrass.counting import (CountPoly, SubspaceIter, batched_rank_mod_p,
-                                  betti_numbers, count_points, counting_polynomial,
-                                  enumerate_subreps, euler_characteristic,
-                                  gaussian_binomial, plan_count)
+from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _rank_groups,
+                                  batched_rank_mod_p, betti_numbers, count_points,
+                                  counting_polynomial, enumerate_subreps,
+                                  euler_characteristic, gaussian_binomial, plan_count)
 from quivergrass.elliptic import demo as elliptic_demo, elliptic_quiver
 from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
-                               flag_dec, interval_rep)
+                               flag_dec, interval_rep, poincare_polynomial)
 
 from oracles import classify_strata_ff, hom_fingerprint
 
@@ -66,6 +69,24 @@ def test_batched_rank():
         want = [linalg.rank(tuple(map(tuple, m)), field) for m in mats]
         got = batched_rank_mod_p(np.array(mats, dtype=np.int64), p)
         assert list(got) == want
+
+
+def test_batched_rank_reduces_big_entries_before_narrowing():
+    # 2**70 = 4 mod 5, so the matrix is [[4, 1], [3, 0]], of rank 2
+    assert list(batched_rank_mod_p([[[2 ** 70, 1], [3, 5]]], 5)) == [2]
+    assert list(batched_rank_mod_p(np.array([[[2 ** 64 - 1, 1]]], dtype=np.uint64), 3)) == [1]
+    held = np.array([[[np.int64(5), 1], [np.uint64(2 ** 64 - 1), 3]]], dtype=object)
+    assert list(batched_rank_mod_p(held, 2 ** 89 - 1)) == [2]
+    # -2**63 + 4 = 1 mod 5, so the determinant is 0 mod 5; eliminating the
+    # unreduced entry would leave int64
+    assert list(batched_rank_mod_p(np.array([[[1, 4], [4, -2 ** 63 + 4]]]), 5)) == [1]
+
+
+def test_batched_rank_refuses_non_integer_entries():
+    with pytest.raises(DomainError):
+        batched_rank_mod_p([[[1.5, 2]]], 5)
+    with pytest.raises(DomainError):
+        batched_rank_mod_p(np.array([[[Fraction(1, 2), 1]]], dtype=object), 5)
 
 
 def test_count_points_grassmannian():
@@ -235,7 +256,6 @@ def test_total_count_over_all_e():
             assert c == len(enumerate_subreps(m, (e1, e2)))
             total += c
     # independent recount: one pass over the full product, stability tested
-    import itertools
     from quivergrass import linalg
     field = PrimeField(2)
     stable = 0
@@ -307,7 +327,6 @@ def test_summed_path_ends_match_exhaustive():
     # both ends summed: the leaf's basis feeds the sink's rank and its
     # annihilator the source's; on A_4 the search draws vertices 2 and 3 in
     # both orders, so arrows are tested from either end
-    import itertools
     rng = random.Random(11)
     for dims in ((2, 3, 2), (2, 3, 2, 2), (2, 2, 3, 2)):
         n = len(dims)
@@ -350,6 +369,65 @@ def test_count_at_large_primes(p):
                        [[[p - 1], [5], [0]], [[0], [0], [p - 2]]])
     assert count_points(m, (1, 2, 2)) == (p + 1) ** 2
     assert count_points(m, (0, 1, 2)) == (p ** 2 + p + 1) * (p ** 2 + p + 1)
+
+
+@pytest.mark.parametrize("p", [3037000493, 3037000507])
+def test_count_at_the_int64_boundary(p):
+    # the largest prime ranked in int64 (the trailing block is reduced after
+    # every step) and the first one ranked in Python ints
+    field = PrimeField(p)
+    dec = IntervalDecomposition(2, {(1, 2): 1, (2, 2): 1})
+    m = reduce_mod(dec.to_representation(QQ), p)
+    assert count_points(m, (1, 1)) == 1 == poincare_polynomial(dec, (1, 1)).evaluate(p)
+    assert count_points(m, (0, 1)) == p + 1 == poincare_polynomial(dec, (0, 1)).evaluate(p)
+    # U_1 = F_p^2 is forced and U_2 must contain its image, which is a line mod
+    # p (the second column is -2 times the first) though a plane over Z
+    m = Representation(A2, field, (2, 3), [[[p - 1, 2], [1, p - 2], [5, p - 10]]])
+    for e, want in (((2, 1), 1), ((2, 2), p + 1), ((2, 3), 1), ((0, 2), p ** 2 + p + 1)):
+        assert plan_count(A2, m.dims, e, p).estimate == 1
+        assert count_points(m, e) == want, e
+
+
+def test_leaf_groups_rank_vectors_of_several_summed_vertices():
+    # a one-source, three-sink star: all three sinks are summed and complete
+    # at the one enumerated vertex, so the leaf groups rank vectors of width 3
+    star = Quiver(4, [(1, 2), (1, 3), (1, 4)])
+    m = Representation(star, PrimeField(3), (3, 2, 2, 2),
+                       [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]], [[1, 1, 0], [0, 0, 1]]])
+    checked = 0
+    for e in itertools.product(range(1, 3), range(3), range(3), range(3)):
+        plan = plan_count(star, m.dims, e, 3)
+        if plan.summed == (2, 3, 4):
+            assert count_points(m, e) == len(enumerate_subreps(m, e)), e
+            checked += 1
+    assert checked == 14
+
+
+def test_leaf_without_summed_vertices():
+    # on A_4 the summed sink 4 completes at vertex 3, before the leaf 2, so
+    # the leaf groups rank vectors of width 0
+    a4 = linear_quiver(4)
+    dims = (2, 3, 1, 2)
+    m = Representation(a4, PrimeField(3), dims,
+                       [[[1, 0], [0, 1], [1, 1]], [[0, 1, 1]], [[1], [2]]])
+    for e in ((0, 1, 0, 1), (0, 1, 1, 1), (0, 2, 1, 2)):
+        assert plan_count(a4, dims, e, 3) == CountPlan((1, 3, 2), (4,), 13)
+        assert count_points(m, e) == len(enumerate_subreps(m, e)), e
+
+
+def test_rank_groups_are_exact_at_any_width():
+    rng = random.Random(3)
+    for width in (0, 1, 3, 40):
+        rows = [tuple(rng.randrange(3) for _ in range(width)) for _ in range(300)]
+        distinct, counts = _rank_groups(np.array(rows, dtype=np.int64).reshape(300, width))
+        assert dict(zip(map(tuple, distinct.tolist()), counts.tolist())) == Counter(rows)
+
+
+def test_elliptic_counts_at_7_and_the_supersingular_11():
+    # 11 = 2 mod 3, so y^2 z = x^3 + z^3 is supersingular over F_11 and has
+    # p + 1 points: an oracle that shares no code with curve_count
+    assert elliptic_demo(11)["grassmannian_points"] == 12 == 11 + 1
+    assert elliptic_demo(7)["grassmannian_points"] == 12
 
 
 def test_counting_polynomial_checks_budget_before_counting(monkeypatch):
@@ -404,6 +482,49 @@ def test_planned_count_is_dual_invariant(rep_and_e):
     m, e = rep_and_e
     co_e = tuple(d - x for d, x in zip(m.dims, e))
     assert count_points(m, e) == count_points(dual(m), co_e)
+
+
+RANK_PRIMES = [2, 3, 5, 7, 2 ** 31 - 1, 3037000493, 3037000507, 2 ** 61 - 1]
+
+
+@st.composite
+def rank_stacks(draw):
+    """A prime and a stack of 0..40 integer matrices of one shape, at most
+    7 x 7, tall or wide.  Each matrix is either arbitrary or a product of a
+    thin pair (rank at most the inner size); entries are unreduced and signed."""
+    p = draw(st.sampled_from(RANK_PRIMES))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.integers(-3 * p, 3 * p)
+
+    def matrix(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    mats = []
+    for _ in range(draw(st.integers(0, 40))):
+        inner = draw(st.integers(0, 8))
+        if inner < min(rows, cols):
+            a, b = matrix(rows, inner), matrix(inner, cols)
+            mats.append([[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                         for i in range(rows)])
+        else:
+            mats.append(matrix(rows, cols))
+    return p, rows, cols, mats
+
+
+@_PROPERTY
+@given(rank_stacks())
+def test_batched_rank_equals_linalg_rank(case):
+    p, rows, cols, mats = case
+    field = PrimeField(p)
+    want = [la.rank(la.mat(m, field), field) for m in mats]
+    stack = np.array(mats, dtype=object).reshape(len(mats), rows, cols)
+    stacks = [stack]
+    if all(-2 ** 63 <= x < 2 ** 63 for x in stack.flat):
+        stacks.append(stack.astype(np.int64))
+    for a in stacks:
+        got = batched_rank_mod_p(a, p)
+        assert got.dtype == np.int64 and got.shape == (len(mats),)
+        assert list(got) == want
 
 
 @st.composite
