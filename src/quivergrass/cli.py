@@ -11,6 +11,7 @@ Vertices are 1-based in files, matching the standard labeling; arrow indices
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -69,7 +70,8 @@ def _load_rep(path):
 
 
 def _rep_input(args):
-    """The first representation: from --rep FILE or from --intervals STR --n N."""
+    """The first module: a representation from --rep FILE, or the
+    IntervalDecomposition that --intervals STR --n N parses to."""
     if args.intervals is None:
         if args.n is not None:
             raise DomainError("--n applies only with --intervals")
@@ -77,8 +79,18 @@ def _rep_input(args):
     if not args.n:
         raise DomainError("--intervals requires --n")
     dec = parse_intervals(args.intervals, args.n)
-    return dec.to_representation(QQ), {
-        "intervals": ta.format_intervals(dec), "n": args.n}
+    return dec, {"intervals": ta.format_intervals(dec), "n": args.n}
+
+
+def _matrices(m):
+    """The module as a representation: a parsed decomposition is built over Q."""
+    return m.to_representation(QQ) if isinstance(m, ta.IntervalDecomposition) else m
+
+
+def _decomposition(m):
+    """The module as an IntervalDecomposition: a parsed one as given, else
+    decomposed from the representation's ranks."""
+    return m if isinstance(m, ta.IntervalDecomposition) else ta.decompose(m)
 
 
 def _with_prime(m_rep, p):
@@ -93,10 +105,18 @@ def _with_prime(m_rep, p):
 
 def _inputs(args):
     """The input steps shared by the subcommands, decided by the flags each
-    takes: sets ``args.m`` (the representation), ``args.m2`` (the second) and
-    ``args.ge`` (the extension), resolves ``--strategy auto``, reduces
-    ``args.m`` mod ``--p``, checks ``--e`` against ``args.m`` (e <= dim M),
-    and returns the inputs to echo."""
+    takes: sets ``args.m`` (the first module), ``args.m2`` (the second
+    representation) and ``args.ge`` (the extension), resolves ``--strategy
+    auto``, reduces ``args.m`` mod ``--p``, checks ``--e`` against
+    ``args.m`` (e <= dim M), and returns the inputs to echo.
+
+    Given ``--intervals``, ``args.m`` is the parsed IntervalDecomposition,
+    which answers ``quiver`` and ``dims`` as a representation does.  The
+    runners whose engine is cells or closed-form read it as given
+    (``_decomposition``); the others build its representation over Q
+    (``_matrices``), and ``decompose`` and ``flat-locus`` recover the
+    decomposition from that representation's ranks, as their rank-sequence
+    engine says."""
     echo = {}
     if hasattr(args, "intervals"):
         args.m, echo = _rep_input(args)
@@ -114,7 +134,7 @@ def _inputs(args):
         args.strategy = "cells" if args.m.quiver.is_linear_equioriented() else "count"
     if hasattr(args, "p"):
         if hasattr(args, "m"):
-            args.m, args.p = _with_prime(args.m, args.p)
+            args.m, args.p = _with_prime(_matrices(args.m), args.p)
         echo["p"] = args.p
     if hasattr(args, "e") and hasattr(args, "m"):
         # every subcommand refuses an e it would otherwise answer as empty
@@ -136,7 +156,7 @@ def _count_poly_json(cp):
 # inputs, and returns the outputs and the provenance.
 
 def _decompose(args, echo):
-    dec = ta.decompose(args.m)
+    dec = ta.decompose(_matrices(args.m))
     ranks = ta.ranks_from_multiplicities(dec)
     return {
         "intervals": ta.format_intervals(dec),
@@ -146,11 +166,11 @@ def _decompose(args, echo):
 
 
 def _hom(args, echo):
-    return {"hom_dim": hom_dim(args.m, args.m2)}, {"engine": "kernel-of-defect-map"}
+    return {"hom_dim": hom_dim(_matrices(args.m), args.m2)}, {"engine": "kernel-of-defect-map"}
 
 
 def _ext(args, echo):
-    return {"ext1_dim": ext1_dim(args.m, args.m2)}, {"engine": "cokernel-of-defect-map"}
+    return {"ext1_dim": ext1_dim(_matrices(args.m), args.m2)}, {"engine": "cokernel-of-defect-map"}
 
 
 def _euler(args, echo):
@@ -169,7 +189,7 @@ def _count(args, echo):
 
 
 def _poly(args, echo):
-    cp = counting_polynomial(args.m, args.e, primes=args.primes, budget=args.budget)
+    cp = counting_polynomial(_matrices(args.m), args.e, primes=args.primes, budget=args.budget)
     out = {"counting_polynomial": _count_poly_json(cp)}
     if cp.consistency != "inconsistent":
         out["euler_characteristic"] = euler_characteristic(cp)
@@ -179,14 +199,14 @@ def _poly(args, echo):
 
 
 def _cells(args, echo):
-    dec = ta.decompose(args.m)
+    dec = _decomposition(args.m)
     rows = ta.coefficient_quiver(dec)
     cells = [{"starts": list(pt), "dim": dim} for pt, dim in ta.fixed_points(dec, args.e)]
     return {"rows": [list(r) for r in rows], "cells": cells}, {"engine": "cells"}
 
 
 def _poincare(args, echo):
-    pp = ta.poincare_polynomial(ta.decompose(args.m), args.e)
+    pp = ta.poincare_polynomial(_decomposition(args.m), args.e)
     # one cell per fixed point, so chi = P(1); no fixed point gives no coefficients
     return {"coefficients": list(pp.coefficients),
             "euler_characteristic": sum(pp.coefficients)}, {"engine": "cells"}
@@ -194,7 +214,7 @@ def _poincare(args, echo):
 
 def _strata(args, echo):
     out = [{"isoclass": ta.format_intervals(s.isoclass), "dim": s.dim, "cells": s.cells}
-           for s in ta.strata(ta.decompose(args.m), args.e)]
+           for s in ta.strata(_decomposition(args.m), args.e)]
     return {"strata": out}, {"engine": "cells"}
 
 
@@ -252,7 +272,7 @@ def _psi_check(args, echo):
 
 
 def _deg_compare(args, echo):
-    dm, dn = ta.decompose(args.m), ta.decompose(args.m2)
+    dm, dn = _decomposition(args.m), ta.decompose(args.m2)
     out = {"ranks_m_deg_n": ta.deg_leq_ranks(dm, dn),
            "ranks_n_deg_m": ta.deg_leq_ranks(dn, dm)}
     if dm.dim_vector() == dn.dim_vector():
@@ -262,11 +282,12 @@ def _deg_compare(args, echo):
 
 
 def _flat_locus(args, echo):
-    return {"class": ta.flat_locus_class(ta.decompose(args.m))}, {"engine": "rank-sequence"}
+    return {"class": ta.flat_locus_class(ta.decompose(_matrices(args.m)))},\
+        {"engine": "rank-sequence"}
 
 
 def _catenoid(args, echo):
-    return {"catenoid": ta.is_catenoid(ta.decompose(args.m))}, {"engine": "closed-form"}
+    return {"catenoid": ta.is_catenoid(_decomposition(args.m))}, {"engine": "closed-form"}
 
 
 def _ar_quiver(args, echo):
@@ -292,8 +313,9 @@ def _ar_quiver(args, echo):
 def _tangent(args, echo):
     bases, echo["witness"] = parse_witness_document(_read(args.witness),
                                                     f"--witness {args.witness}")
-    w = SubrepWitness(args.m.quiver, args.m.field, bases)
-    return {"tangent_dim": tangent_dim(args.m, w), "e": list(w.dims)},\
+    m = _matrices(args.m)
+    w = SubrepWitness(m.quiver, m.field, bases)
+    return {"tangent_dim": tangent_dim(m, w), "e": list(w.dims)},\
         {"engine": "kernel-of-defect-map"}
 
 
@@ -346,8 +368,10 @@ class _Parser(argparse.ArgumentParser):
         raise _Stop(0, self.format_help())
 
 
+@functools.cache
 def _parser(name):
-    """The parser of one subcommand, taking exactly its flags from COMMANDS."""
+    """The parser of one subcommand, taking exactly its flags from COMMANDS.
+    Built once per subcommand: parsing keeps no state in the parser."""
     parser = _Parser(prog=f"quivergrass {name}", description=_DESCRIPTION,
                      epilog=_EPILOG, allow_abbrev=False)
     for word in COMMANDS[name][1].split():

@@ -2,9 +2,10 @@
 the two identities they satisfy: the cluster multiplication formula and the
 affine-bundle point-count identity over finite fields.
 
-The Euler characteristic engine is either the type-A cell count (number of
-torus fixed points per sub-dimension vector) or finite-field interpolation;
-where both apply they must agree, and the test suite asserts that.
+The Euler characteristic engine is either the type-A cell count (the
+generating function of torus fixed points, ``typea.generating_function``) or
+finite-field interpolation; where both apply they must agree, and the test
+suite asserts that.
 """
 
 import itertools
@@ -30,67 +31,61 @@ def exchange_matrix(quiver):
     return tuple(tuple(row) for row in b)
 
 
-def g_vector(m_rep):
-    """(g_M)_i = -<S_i, dim M>."""
-    n = m_rep.quiver.vertex_count
+def g_vector(m):
+    """(g_M)_i = -<S_i, dim M>, for a representation or an IntervalDecomposition."""
+    n = m.quiver.vertex_count
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return tuple(-euler_form(m_rep.quiver, u, m_rep.dims) for u in units)
+    return tuple(-euler_form(m.quiver, u, m.dims) for u in units)
 
 
 def _sub_dim_vectors(d):
     return itertools.product(*(range(x + 1) for x in d))
 
 
-def euler_char_table(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
-    """chi(Gr_e(M)) for every e <= dim M, as a dict."""
+def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
+    """F_M(y) = sum over e <= dim M of chi(Gr_e(M)) y^e, as a SparsePoly.
+
+    m is a representation or, for an A_n module, its IntervalDecomposition.
+    The cells strategy returns ``typea.generating_function`` with its packed
+    keys; the count strategy interpolates a counting polynomial per e over Q.
+    """
     if strategy == "cells":
-        dec = ta.decompose(m_rep)
-        # every torus fixed point is one affine cell, so chi = #fixed points;
-        # the generating function is a product over coefficient-quiver rows:
-        # a copy of U[i,j] sums y^dim U[a,j] over its suffixes, the empty one
-        # (a = j + 1) included, and U[i,j]^m gives that row to the m-th power
-        n = dec.n
-        poly = SparsePoly.one(n)
-        for (i, j), mult in dec.m.items():
-            row = SparsePoly.from_canonical(
-                n, {ta.interval_dims(n, a, j): 1 for a in range(i, j + 2)})
-            power = row
-            for _ in range(mult - 1):
-                power = power * row
-            poly = poly * power
-        return poly.terms
+        return ta.generating_function(
+            m if isinstance(m, ta.IntervalDecomposition) else ta.decompose(m))
     if strategy == "count":
-        if m_rep.field != QQ:
+        if isinstance(m, ta.IntervalDecomposition):
+            m = m.to_representation(QQ)
+        if m.field != QQ:
             raise DomainError("the counting strategy expects a representation over Q")
         out = {}
-        for e in _sub_dim_vectors(m_rep.dims):
-            cp = counting_polynomial(m_rep, e, budget=budget)
+        for e in _sub_dim_vectors(m.dims):
+            cp = counting_polynomial(m, e, budget=budget)
             if cp.consistency != "verified":
                 raise DomainError(
                     f"counting polynomial at e={e} is {cp.consistency}, not verified")
             chi = euler_characteristic(cp)
             if chi:
                 out[e] = chi
-        return out
+        return SparsePoly.from_canonical(m.quiver.vertex_count, out)
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def f_polynomial(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
-    """F_M(y) = sum over e of chi(Gr_e(M)) y^e."""
-    return SparsePoly.from_canonical(
-        m_rep.quiver.vertex_count, euler_char_table(m_rep, strategy=strategy, budget=budget))
+def f_polynomial(m, strategy="cells", budget=DEFAULT_BUDGET):
+    """F_M(y) = sum over e of chi(Gr_e(M)) y^e (``euler_char_table``)."""
+    return euler_char_table(m, strategy=strategy, budget=budget)
 
 
-def cluster_character(m_rep, strategy="cells", budget=DEFAULT_BUDGET):
+def cluster_character(m, strategy="cells", budget=DEFAULT_BUDGET):
     """CC_M(x,y) = sum over e of chi(Gr_e(M)) x^(B e + g_M) y^e.
 
     Returned as a sparse polynomial in 2n variables x_1..x_n, y_1..y_n with
-    the x exponents allowed to be negative.
+    the x exponents allowed to be negative.  m is a representation or an
+    IntervalDecomposition, as for ``euler_char_table``.
     """
-    n = m_rep.quiver.vertex_count
-    b = exchange_matrix(m_rep.quiver)
-    g = g_vector(m_rep)
-    table = euler_char_table(m_rep, strategy=strategy, budget=budget)
+    n = m.quiver.vertex_count
+    b = exchange_matrix(m.quiver)
+    g = g_vector(m)
+    table = euler_char_table(m, strategy=strategy, budget=budget).terms
     # e -> (B e + g, e) is injective, so the terms need no merging
     return SparsePoly.from_canonical(2 * n, {
         tuple(g[i] + sum(b[i][j] * e[j] for j in range(n)) for i in range(n)) + e: chi

@@ -4,28 +4,38 @@ Terms map an exponent vector to an integer coefficient; zero coefficients are
 dropped eagerly.  Canonical term order is graded lexicographic, which fixes
 every serialized form.
 
-Products run on packed integer keys.  Each operand comes with a shift and a
-spread per variable: every exponent e of it has shift <= e <= shift + spread.
-For a polynomial given by its terms these are the per-variable minimum and
-maximum - minimum; a product takes the sums of its factors' shifts and
-spreads, which bound its exponents too.  The product's slot width w is the
-fewest of 1, 2, 4 or 8 bytes (or as many bytes as needed past 2**64) that
-hold the largest sum of the two spreads of one variable.  A vector shifted to
-e - shift >= 0 packs into one int with one w-byte big-endian slot per
-variable (``struct`` and ``int.from_bytes``, both in C), so adding two keys
-adds their vectors slot by slot.  No carry can cross a slot boundary: each
-slot sum is at most the sum of the two spreads, which fits in w bytes.
+Products and sorting run on packed integer keys.  Each operand comes with a
+shift and a spread per variable: every exponent e of it has shift <= e <=
+shift + spread.  For a polynomial given by its terms these are the
+per-variable minimum and maximum - minimum; a product takes the sums of its
+factors' shifts and spreads, which bound its exponents too.  A vector shifted
+to e - shift >= 0 packs into one int: a leading slot holding its total degree,
+then one slot per variable, each w bytes big-endian (``struct`` and
+``int.from_bytes``, both in C).  The slot width w is the fewest of 1, 2, 4 or
+8 bytes (or as many bytes as needed past 2**64) that hold the sum of all the
+spreads, not only their maximum, since that sum bounds the degree slot.
+Adding two keys adds their vectors slot by slot, degree slot included, and no
+carry can cross a slot boundary: each slot sum is at most the product's own
+bound, which fits in w bytes.
+
+Comparing two keys compares the degree slots first and then the variable
+slots in order, and the shift moves every degree by the same amount, so the
+graded-lex order of the terms is the order of their keys.  ``sorted_terms``
+of a product is one sort of ints and one unpack; a polynomial given by its
+terms is sorted on its exponent tuples, since packing them would cost more
+than the tuple sort saves.
 
 A product keeps its keys packed, with their shift, spread and width, and
-unpacks them (with ``int.to_bytes``) into ``terms`` only when ``terms`` is
-first read; then it drops the keys, so it never holds both.  The next product
-reuses an operand's keys as they are when it picks the same slot width, and
-packs the operand's terms otherwise.  A chain p1 * p2 * ... * pk whose width
-stays put packs each pi once and unpacks once, at the end.
+unpacks them (with ``int.to_bytes``, the degree slot skipped as padding) into
+``terms`` only when ``terms`` is first read; then it drops the keys, so it
+never holds both.  The next product reuses an operand's keys as they are when
+it picks the same slot width, and packs the operand's terms otherwise.  A
+chain p1 * p2 * ... * pk whose width stays put packs each pi once, and
+``sorted_terms`` of the end product reads its keys without building
+``terms``.
 """
 
 import struct
-from itertools import repeat, starmap
 from operator import add, getitem, index, methodcaller, neg, sub
 
 from .errors import DomainError
@@ -60,28 +70,33 @@ def _slot_width(top):
 
 
 def _codec(nvars, width):
-    """(pack, unpack) between exponent vectors with entries that fit ``width``
-    bytes and ints with one big-endian slot per variable, each lazy over an
-    iterable."""
+    """(pack, unpack) between exponent vectors whose entries and sum fit
+    ``width`` bytes and ints with a leading degree slot, then one slot per
+    variable, each lazy over an iterable."""
     if width <= 8:
-        layout = struct.Struct(">" + _SLOT_FORMATS[width] * nvars)
+        slot = _SLOT_FORMATS[width]
+        layout = struct.Struct(">" + slot * (nvars + 1))
+        # the same bytes, read back with the degree slot skipped as padding
+        entries = struct.Struct(f">{width}x" + slot * nvars)
+        pack_slots = layout.pack
 
         def pack(exps):
-            return map(int.from_bytes, starmap(layout.pack, exps), repeat("big"))
+            return (int.from_bytes(pack_slots(sum(e), *e), "big") for e in exps)
 
         def unpack(keys):
-            return map(layout.unpack, map(methodcaller("to_bytes", layout.size, "big"), keys))
+            return map(entries.unpack, map(methodcaller("to_bytes", layout.size, "big"), keys))
         return pack, unpack
-    size = width * nvars
+    size = width * (nvars + 1)
 
     def pack_wide(exps):
-        return (int.from_bytes(b"".join(x.to_bytes(width, "big") for x in e), "big")
+        return (int.from_bytes(b"".join(x.to_bytes(width, "big") for x in (sum(e), *e)), "big")
                 for e in exps)
 
     def unpack_wide(keys):
         for key in keys:
             raw = key.to_bytes(size, "big")
-            yield tuple(int.from_bytes(raw[k:k + width], "big") for k in range(0, size, width))
+            yield tuple(int.from_bytes(raw[k:k + width], "big")
+                        for k in range(width, size, width))
     return pack_wide, unpack_wide
 
 
@@ -183,7 +198,7 @@ class SparsePoly:
         shift1, spread1 = self._bounds()
         shift2, spread2 = other._bounds()
         spread = tuple(map(add, spread1, spread2))
-        width = _slot_width(max(spread, default=0))
+        width = _slot_width(sum(spread))
         outer = self._keys(shift1, width)
         inner = other._keys(shift2, width)
         if len(outer) > len(inner):
@@ -212,8 +227,14 @@ class SparsePoly:
         return hash((self.nvars, tuple(self.sorted_terms())))
 
     def sorted_terms(self):
-        """Terms in graded lexicographic order (total degree, then lex)."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        """Terms in graded lexicographic order (total degree, then lex).  A
+        product's packed keys are already in that order as ints."""
+        if self._packed is None:
+            return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        keys, shift, _, width = self._packed
+        order = sorted(keys)
+        unpack = _codec(self.nvars, width)[1]
+        return list(zip(_moved(unpack(order), shift), map(keys.__getitem__, order)))
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)

@@ -11,7 +11,9 @@ tuple with one suffix start (or None) per row of ``coefficient_quiver(m)``,
 and each fixed point carries an attracting cell whose dimension is read off
 the diagram.  ``fixed_points`` is the one search over them; it returns each
 point with its cell dimension, which ``poincare_polynomial``, ``strata`` and
-the ``cells`` subcommand read.
+the ``cells`` subcommand read.  ``generating_function`` sums the Euler
+characteristics of all the Grassmannians of a module as one product of row
+polynomials, without listing the fixed points.
 """
 
 import operator
@@ -23,6 +25,7 @@ from . import linalg as la
 from . import rep as rp
 from .counting import CountPoly
 from .errors import DomainError
+from .poly import SparsePoly
 from .quiver import linear_quiver
 
 
@@ -62,7 +65,20 @@ class IntervalDecomposition:
                 raise DomainError(f"bad interval ({i},{j}) for n={n}")
             if mult:
                 m[(i, j)] = mult
+        # checked last: for n < 0 every interval above is already refused
+        if n < 0:
+            raise DomainError("vertex_count must be nonnegative")
         self.m = m
+
+    @property
+    def quiver(self):
+        """The equioriented A_n quiver, as a Representation names it."""
+        return linear_quiver(self.n)
+
+    @property
+    def dims(self):
+        """``dim_vector()``, as a Representation names it."""
+        return self.dim_vector()
 
     def dim_vector(self):
         d = [0] * self.n
@@ -315,9 +331,30 @@ def poincare_polynomial(m, e):
     return CountPoly(tuple(counts[k] for k in range(max(counts, default=-1) + 1)), "assumed")
 
 
+def generating_function(m):
+    """sum over e of chi(Gr_e(M)) y^e, a SparsePoly in n variables.
+
+    Every torus fixed point is one affine cell, so chi(Gr_e(M)) is the number
+    of fixed points of dimension vector e.  A fixed point picks a suffix (or
+    nothing) in each coefficient-quiver row independently, so the sum is a
+    product over rows: a copy of U[i,j] sums y^dim U[a,j] over its suffixes,
+    the empty one (a = j + 1) included, and U[i,j]^m gives that row to the
+    m-th power.  The product keeps its packed keys (``poly``).
+    """
+    n = m.n
+    poly = SparsePoly.one(n)
+    for (i, j), mult in m.m.items():
+        row = SparsePoly.from_canonical(n, {interval_dims(n, a, j): 1 for a in range(i, j + 2)})
+        power = row
+        for _ in range(mult - 1):
+            power = power * row
+        poly = poly * power
+    return poly
+
+
 def euler_char_cells(m, e):
-    """Euler characteristic = number of torus fixed points (cells are affine)."""
-    return len(fixed_points(m, e))
+    """chi(Gr_e(M)): the coefficient of y^e in ``generating_function(m)``."""
+    return generating_function(m).coefficient(linear_quiver(m.n).check_dim_vector(e))
 
 
 @dataclass(frozen=True)

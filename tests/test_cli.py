@@ -7,10 +7,12 @@ import re
 
 import pytest
 
-from quivergrass.cli import COMMANDS, run
+from quivergrass.cli import COMMANDS, _parser, run
 from quivergrass.errors import DomainError
+from quivergrass.fields import QQ
 from quivergrass.repfile import format_intervals, parse_intervals, parse_rep_document
-from quivergrass.typea import degenerate_flag_dec, most_flat_dec
+from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec, flag_dec,
+                               most_flat_dec, random_decomposition)
 
 EX4 = json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                   "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 0]]}})
@@ -145,6 +147,32 @@ def test_subcommand_help_exit_0():
     assert "--e CSV" in text and "--seed" not in text
     code, text = run(["--help"])
     assert code == 0 and all(f"quivergrass {name} " in text for name in COMMANDS)
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (["catenoid", *U12], 0, "subcommand: catenoid"),
+    (["cells", *U12], 2, "error: the following arguments are required: --e\n"
+                         "usage: quivergrass cells"),
+    (["count", "--help"], 0, "usage: quivergrass count"),
+    (["decompose", *U12, "--p", "5"], 2, "error: decompose does not take --p\n"
+                                         "usage: quivergrass decompose"),
+])
+def test_parser_is_built_once_and_reused(argv, code, start):
+    """Each subcommand's parser is built once; running the same argv again,
+    on the cached parser, gives the same exit code and text."""
+    first = run(argv)
+    assert first[0] == code and first[1].startswith(start)
+    assert _parser(argv[0]) is _parser(argv[0])
+    assert run(argv) == first
+
+
+def test_strategy_does_not_leak_between_runs():
+    fpoly = ["fpoly", *U12, "--format", "machine"]
+    auto = run(fpoly)
+    counted = run([*fpoly, "--strategy", "count"])
+    assert json.loads(auto[1])["provenance"]["engine"] == "cells"
+    assert json.loads(counted[1])["provenance"]["engine"] == "count"
+    assert run(fpoly) == auto
 
 
 def test_count_at_a_prime_beyond_trial_division():
@@ -435,6 +463,44 @@ def test_verify_mult_output_bytes_are_pinned(tmp_path, fmt):
     code, text = run(["verify-mult", "--x", str(xp), "--s", str(sp), "--format", fmt])
     key = ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", fmt)
     assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[key]
+
+
+def _matrix_document(dec):
+    """The representation file of dec with explicit matrices, no intervals."""
+    m = dec.to_representation(QQ)
+    return {"vertices": dec.n, "arrows": [list(a) for a in m.quiver.arrows], "field": "Q",
+            "dims": list(m.dims),
+            "matrices": {str(a): [[int(x) for x in row] for row in mat]
+                         for a, mat in enumerate(m.matrices) if mat}}
+
+
+PARITY_FIXTURES = [degenerate_flag_dec(3), most_flat_dec(3), flag_dec(2),
+                   IntervalDecomposition(4, {(1, 4): 2, (2, 3): 1, (3, 3): 1, (1, 2): 1}),
+                   random_decomposition(4, 41)]
+
+
+@pytest.mark.parametrize("dec", PARITY_FIXTURES, ids=format_intervals)
+def test_intervals_and_matrices_give_the_same_answers(tmp_path, dec):
+    """--intervals is read as the parsed decomposition, --rep is decomposed
+    from its matrices: the outputs and provenance must not tell them apart."""
+    path = tmp_path / "m.rep"
+    path.write_text(json.dumps(_matrix_document(dec)))
+    semisimple = tmp_path / "semisimple.rep"
+    semisimple.write_text(json.dumps(_matrix_document(IntervalDecomposition(
+        dec.n, {(v, v): x for v, x in enumerate(dec.dim_vector(), 1)}))))
+    e = ",".join(str(x // 2) for x in dec.dim_vector())
+    runs = [["cells", "--e", e], ["poincare", "--e", e], ["strata", "--e", e],
+            ["fpoly"], ["cc"], ["fpoly", "--strategy", "cells"], ["catenoid"],
+            ["deg-compare", "--rep2", str(semisimple)]]
+    for sub in runs:
+        answers = []
+        for module in (["--intervals", format_intervals(dec), "--n", str(dec.n)],
+                       ["--rep", str(path)]):
+            code, text = run([*sub, *module, "--format", "machine"])
+            assert code == 0, text
+            doc = json.loads(text)
+            answers.append((doc["outputs"], doc["provenance"]))
+        assert answers[0] == answers[1], sub
 
 
 def test_deg_compare_subcommand(tmp_path):

@@ -17,7 +17,7 @@ from quivergrass.cluster import (_injective_multiplicities, cluster_character,
 from quivergrass.poly import SparsePoly
 from quivergrass.typea import (IntervalDecomposition, decompose,
                                degenerate_flag_dec, ext_interval,
-                               euler_char_cells, interval_rep)
+                               fixed_points, interval_rep)
 
 A2 = linear_quiver(2)
 
@@ -92,7 +92,7 @@ def test_f_polynomial_strategies_agree():
 def test_f_polynomial_degenerate_flag_coefficient():
     m = degenerate_flag_dec(2).to_representation(QQ)
     fp = f_polynomial(m, "cells")
-    assert fp.coefficient((1, 2)) == euler_char_cells(degenerate_flag_dec(2), (1, 2))
+    assert fp.coefficient((1, 2)) == len(fixed_points(degenerate_flag_dec(2), (1, 2)))
 
 
 def test_cluster_character_examples():
@@ -106,7 +106,7 @@ def test_cluster_character_specializes_to_total_euler():
               degenerate_flag_dec(2).to_representation(QQ)):
         cc = cluster_character(m)
         total = sum(
-            euler_char_cells(decompose(m), e)
+            len(fixed_points(decompose(m), e))
             for e in __import__("itertools").product(*[range(d + 1) for d in m.dims]))
         assert cc.specialize_ones() == total
 

@@ -59,6 +59,52 @@ def test_chained_products_equal_the_convolution(triple):
     assert (p * q + r) - r == pq
 
 
+def _grlex(terms):
+    """The tuple-key sort that packed keys replace."""
+    return sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+@st.composite
+def chains(draw, nvars, low, spread):
+    """Two to four factors in nvars variables; each has exponents in
+    [offset, offset + spread] per variable, for an offset >= low."""
+    def factor():
+        offset = draw(st.integers(low, max(low, 0)))
+        exps = st.tuples(*[st.integers(offset, offset + spread)] * nvars)
+        terms = draw(st.dictionaries(exps, COEFFICIENTS, min_size=1, max_size=5))
+        # the corners fix the spread of the factor at `spread` in every variable
+        terms.update({(offset,) * nvars: 1, (offset + spread,) * nvars: -2})
+        return SparsePoly(nvars, terms)
+    return [factor() for _ in range(draw(st.integers(2, 4)))]
+
+
+CHAINS = {
+    "laurent": (chains(3, -5, 6), lambda width: width == 1),
+    # each variable spans 60 per factor: a maximum of at most 240 fits one
+    # byte, the sum over the six variables does not
+    "sum of spreads past one byte": (chains(6, 0, 60), lambda width: width == 2),
+    "wide": (chains(2, -2 ** 70, 2 ** 66), lambda width: width > 8),
+}
+
+
+@pytest.mark.parametrize("case", CHAINS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sorted_terms_of_a_packed_chain_is_grlex(case, data):
+    """A product sorts its packed keys as ints; that must be the graded-lex
+    order of its exponent tuples, at every slot width."""
+    strategy, expected_width = CHAINS[case]
+    factors = data.draw(strategy)
+    product, expected = factors[0], factors[0].terms
+    for f in factors[1:]:
+        product = product * f
+        expected = convolve(SparsePoly.from_canonical(f.nvars, expected), f)
+    # the top corners multiply to the one term of highest degree: never zero
+    assert product._packed is not None and expected_width(product._packed[3])
+    assert product.sorted_terms() == _grlex(expected)
+    assert product.terms == expected
+
+
 @pytest.mark.parametrize("top", [254, 255, 256, 2 ** 64 - 1, 2 ** 64])
 def test_product_at_slot_width_edges(top):
     """Shifted sums of exactly top, from operands whose minima are 0 or not."""

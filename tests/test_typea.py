@@ -14,7 +14,7 @@ from quivergrass.typea import (
     IntervalDecomposition, cell_dimension,
     coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
     degenerate_flag_dec, euler_char_cells, ext_interval, fixed_points,
-    flag_dec, flat_locus_class, hom_interval, interval_rep, is_catenoid,
+    flag_dec, generating_function, flat_locus_class, hom_interval, interval_rep, is_catenoid,
     min_projective_resolution, most_flat_dec, multiplicities_from_ranks,
     poincare_polynomial, random_decomposition, rank_sequence,
     ranks_from_multiplicities, semisimple_dec, strata, translate)
@@ -253,6 +253,20 @@ def test_fixed_points_where_the_slack_prunes():
         full = tuple(i for i, _ in coefficient_quiver(dec))
         assert assert_matches_brute_force(dec, d) == [(full, 0)]
     assert fixed_points(IntervalDecomposition(3, {}), (0, 0, 0)) == [((), 0)]
+
+
+def test_generating_function_counts_the_fixed_points():
+    """The row product and the fixed-point search are two engines for every
+    chi(Gr_e(M)) at once, the sub-dimension vectors with no point included."""
+    rng = random.Random(37)
+    for dec in [IntervalDecomposition(3, {}), degenerate_flag_dec(3)] + \
+            [random_decomposition(rng.randint(1, 4), rng) for _ in range(10)]:
+        table = generating_function(dec).terms
+        for e in itertools.product(*(range(x + 1) for x in dec.dim_vector())):
+            assert table.get(e, 0) == len(fixed_points(dec, e)) == euler_char_cells(dec, e)
+    assert euler_char_cells(IntervalDecomposition(2, {(1, 2): 1}), (2, 0)) == 0
+    with pytest.raises(DomainError):
+        euler_char_cells(IntervalDecomposition(2, {(1, 2): 1}), (1, 1, 1))
 
 
 def test_cell_dimension_rejects_malformed_points():
