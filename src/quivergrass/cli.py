@@ -76,7 +76,7 @@ def _rep_input(args):
         if args.n is not None:
             raise DomainError("--n applies only with --intervals")
         return _load_rep(args.rep)
-    if not args.n:
+    if args.n is None:
         raise DomainError("--intervals requires --n")
     dec = parse_intervals(args.intervals, args.n)
     return dec, {"intervals": ta.format_intervals(dec), "n": args.n}

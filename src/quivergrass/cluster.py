@@ -31,11 +31,14 @@ def exchange_matrix(quiver):
     return tuple(tuple(row) for row in b)
 
 
+def _units(n):
+    """The unit vectors of Z^n."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
 def g_vector(m):
     """(g_M)_i = -<S_i, dim M>, for a representation or an IntervalDecomposition."""
-    n = m.quiver.vertex_count
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return tuple(-euler_form(m.quiver, u, m.dims) for u in units)
+    return tuple(-euler_form(m.quiver, u, m.dims) for u in _units(m.quiver.vertex_count))
 
 
 def _sub_dim_vectors(d):
@@ -66,7 +69,7 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
             chi = euler_characteristic(cp)
             if chi:
                 out[e] = chi
-        return SparsePoly.from_canonical(m.quiver.vertex_count, out)
+        return SparsePoly(m.quiver.vertex_count, out)
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
@@ -76,20 +79,19 @@ def f_polynomial(m, strategy="cells", budget=DEFAULT_BUDGET):
 
 
 def cluster_character(m, strategy="cells", budget=DEFAULT_BUDGET):
-    """CC_M(x,y) = sum over e of chi(Gr_e(M)) x^(B e + g_M) y^e.
+    """CC_M(x,y) = x^(g_M) F_M(x^(B e_1) y_1, ..., x^(B e_n) y_n), that is
+    the sum over e of chi(Gr_e(M)) x^(B e + g_M) y^e.
 
-    Returned as a sparse polynomial in 2n variables x_1..x_n, y_1..y_n with
-    the x exponents allowed to be negative.  m is a representation or an
-    IntervalDecomposition, as for ``euler_char_table``.
+    A sparse polynomial in 2n variables x_1..x_n, y_1..y_n with the x
+    exponents allowed to be negative: F_M under a ring map, applied to its
+    packed keys (``SparsePoly.monomial_image``).  m is a representation or
+    an IntervalDecomposition, as for ``euler_char_table``.
     """
     n = m.quiver.vertex_count
     b = exchange_matrix(m.quiver)
-    g = g_vector(m)
-    table = euler_char_table(m, strategy=strategy, budget=budget).terms
-    # e -> (B e + g, e) is injective, so the terms need no merging
-    return SparsePoly.from_canonical(2 * n, {
-        tuple(g[i] + sum(b[i][j] * e[j] for j in range(n)) for i in range(n)) + e: chi
-        for e, chi in table.items()})
+    return euler_char_table(m, strategy=strategy, budget=budget).monomial_image(
+        [tuple(row[j] for row in b) + u for j, u in enumerate(_units(n))],
+        g_vector(m) + (0,) * n)
 
 
 @dataclass
@@ -176,8 +178,9 @@ def verify_multiplication(ge):
     """Check CC(X) CC(S) = CC(Y) + y^(dim S^X) CC(X_S) CC(S/S^X) x^f exactly.
 
     Also checks the F-polynomial shadow of the same identity: F_M is CC_M at
-    x = 1, a ring map, so its residual is the CC residual at x = 1.  The
-    report carries both sides and the residual (zero iff the identity holds).
+    x = 1, a ring map, so its residual is the image of the CC residual under
+    x -> 1 (``SparsePoly.monomial_image``).  The report carries both sides
+    and the residual (zero iff the identity holds).
     """
     if ge.kind != "nonsplit":
         raise DomainError("the multiplication formula applies to nonsplit extensions")
@@ -190,7 +193,7 @@ def verify_multiplication(ge):
     lhs = cc_x * cc_s
     rhs = cc_y + corr * cc_xs * cc_ssx
     residual = lhs - rhs
-    f_residual = SparsePoly(n, [(exp[n:], c) for exp, c in residual.terms.items()])
+    f_residual = residual.monomial_image([(0,) * n] * n + _units(n), (0,) * n)
     return MultiplicationReport(lhs, rhs, residual, f_residual,
                                 tuple(sx_dims), tuple(f_exp))
 

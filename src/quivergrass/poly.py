@@ -1,42 +1,36 @@
 """Sparse integer polynomials with tuple exponents (Laurent allowed).
 
-Terms map an exponent vector to an integer coefficient; zero coefficients are
-dropped eagerly.  Canonical term order is graded lexicographic, which fixes
-every serialized form.
+A polynomial maps exponent vectors to nonzero integer coefficients, in
+graded lexicographic order wherever it is serialized.  It is stored in one
+form: packed integer keys with a shift, a spread and a slot width.  Every
+exponent e has shift <= e <= shift + spread per variable: the minimum and
+maximum - minimum of the terms it was built from, or for a product the sums
+of its factors' shifts and spreads.  A vector shifted to e - shift >= 0 packs
+into one int: a leading slot holding its total degree, then one slot per
+variable, each w bytes big-endian (``struct`` and ``int.from_bytes``, both in
+C).  The slot width w is the fewest of 1, 2, 4 or 8 bytes (or as many bytes
+as needed past 2**64) that hold the sum of all the spreads, not only their
+maximum, since that sum bounds the degree slot.  Adding two keys adds their
+vectors slot by slot, degree slot included, and no carry can cross a slot
+boundary: each slot sum is at most the product's own bound.
 
-Products and sorting run on packed integer keys.  Each operand comes with a
-shift and a spread per variable: every exponent e of it has shift <= e <=
-shift + spread.  For a polynomial given by its terms these are the
-per-variable minimum and maximum - minimum; a product takes the sums of its
-factors' shifts and spreads, which bound its exponents too.  A vector shifted
-to e - shift >= 0 packs into one int: a leading slot holding its total degree,
-then one slot per variable, each w bytes big-endian (``struct`` and
-``int.from_bytes``, both in C).  The slot width w is the fewest of 1, 2, 4 or
-8 bytes (or as many bytes as needed past 2**64) that hold the sum of all the
-spreads, not only their maximum, since that sum bounds the degree slot.
-Adding two keys adds their vectors slot by slot, degree slot included, and no
-carry can cross a slot boundary: each slot sum is at most the product's own
-bound, which fits in w bytes.
+Keys compare on the degree slot first, then on the variable slots in order,
+and the shift moves every degree alike, so the grlex order of the terms is
+the order of their keys: ``sorted_terms`` is one int sort and one unpack.
+``terms`` unpacks the keys (``int.to_bytes``, the degree slot skipped as
+padding) on every read and never changes the polynomial.  A product reuses an
+operand's keys at the same width and repacks them otherwise.
 
-Comparing two keys compares the degree slots first and then the variable
-slots in order, and the shift moves every degree by the same amount, so the
-graded-lex order of the terms is the order of their keys.  ``sorted_terms``
-of a product is one sort of ints and one unpack; a polynomial given by its
-terms is sorted on its exponent tuples, since packing them would cost more
-than the tuple sort saves.
-
-A product keeps its keys packed, with their shift, spread and width, and
-unpacks them (with ``int.to_bytes``, the degree slot skipped as padding) into
-``terms`` only when ``terms`` is first read; then it drops the keys, so it
-never holds both.  The next product reuses an operand's keys as they are when
-it picks the same slot width, and packs the operand's terms otherwise.  A
-chain p1 * p2 * ... * pk whose width stays put packs each pi once, and
-``sorted_terms`` of the end product reads its keys without building
-``terms``.
+The substitution y_j -> x^(a_j), times x^c, is a ring map: y^e goes to
+x^(c + A e), A with columns a_j.  A key is a linear form in the shifted
+exponents u = e - shift, so the key of the image is an affine form in u:
+``monomial_image`` maps each key by one dot product of its slots.  Its shift
+is c + A shift less the spreads that negative entries of A can subtract, its
+spread is |A| times the old spread, and keys that meet add up.
 """
 
 import struct
-from operator import add, getitem, index, methodcaller, neg, sub
+from operator import add, getitem, index, methodcaller, mul, neg, sub
 
 from .errors import DomainError
 
@@ -102,42 +96,39 @@ def _codec(nvars, width):
 
 class SparsePoly:
     def __init__(self, nvars, terms=None):
+        nvars = _integer(nvars)
+        if nvars < 0:
+            raise DomainError(f"the number of variables {nvars} is negative")
+        merged = {}
+        for exp, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
+            exp, coeff = tuple(map(_integer, exp)), _integer(coeff)
+            if len(exp) != nvars:
+                raise DomainError(f"exponent {exp} has wrong arity for {nvars} variables")
+            merged[exp] = merged.get(exp, 0) + coeff
+        merged = {e: c for e, c in merged.items() if c}
+        shift, spread = _range(merged) if merged else ((0,) * nvars, (0,) * nvars)
+        width = _slot_width(sum(spread))
+        pack = _codec(nvars, width)[0]
+        keys = dict(zip(pack(_moved(merged, tuple(map(neg, shift)))), merged.values()))
         self.nvars = nvars
-        self._terms = {}
-        # a product's (keys, shift, spread, width) until terms is read
-        self._packed = None
-        if terms:
-            for exp, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                self._add_term(tuple(map(_integer, exp)), _integer(coeff))
+        self._packed = (keys, shift, spread, width)
 
     @classmethod
-    def from_canonical(cls, nvars, terms):
-        """Wrap a dict already in canonical form (exponent tuples of length
-        nvars, nonzero int coefficients) without copying or checking it."""
+    def _from_packed(cls, nvars, keys, shift, spread, width):
+        """A polynomial from keys that fit (shift, spread, width), zero
+        coefficients dropped."""
+        if 0 in keys.values():
+            keys = {k: c for k, c in keys.items() if c}
         poly = cls.__new__(cls)
-        poly.nvars, poly._terms, poly._packed = nvars, terms, None
+        poly.nvars, poly._packed = nvars, (keys, shift, spread, width)
         return poly
 
     @property
     def terms(self):
-        """{exponent tuple: nonzero coefficient}, unpacked on first read."""
-        if self._packed is not None:
-            keys, shift, _, width = self._packed
-            unpack = _codec(self.nvars, width)[1]
-            self._terms = dict(zip(_moved(unpack(keys), shift), keys.values()))
-            self._packed = None
-        return self._terms
-
-    def _add_term(self, exp, coeff):
-        if len(exp) != self.nvars:
-            raise DomainError(f"exponent {exp} has wrong arity for {self.nvars} variables")
-        if coeff == 0:
-            return
-        new = self._terms.get(exp, 0) + coeff
-        if new:
-            self._terms[exp] = new
-        else:
-            self._terms.pop(exp, None)
+        """{exponent tuple: nonzero coefficient}, unpacked afresh on each read."""
+        keys, shift, _, width = self._packed
+        unpack = _codec(self.nvars, width)[1]
+        return dict(zip(_moved(unpack(keys), shift), keys.values()))
 
     @classmethod
     def one(cls, nvars):
@@ -148,8 +139,7 @@ class SparsePoly:
         return cls(len(exp), {tuple(exp): coeff})
 
     def is_zero(self):
-        # a product with no terms left is never kept packed
-        return self._packed is None and not self._terms
+        return not self._packed[0]
 
     def _check_nvars(self, other, verb):
         if other.nvars != self.nvars:
@@ -160,10 +150,8 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_nvars(other, verb)
-        out = SparsePoly(self.nvars, self.terms)
-        for exp, c in other.terms.items():
-            out._add_term(exp, sign * c)
-        return out
+        return SparsePoly(self.nvars, [*self.terms.items(),
+                                       *((e, sign * c) for e, c in other.terms.items())])
 
     def __add__(self, other):
         return self._plus(other, 1, "add")
@@ -171,19 +159,13 @@ class SparsePoly:
     def __sub__(self, other):
         return self._plus(other, -1, "subtract")
 
-    def _bounds(self):
-        """(shift, spread) per variable, as the module docstring states."""
-        if self._packed is not None:
-            return self._packed[1:3]
-        return _range(self._terms)
-
-    def _keys(self, shift, width):
-        """[(packed key, coefficient)] of the exponents minus shift."""
-        if self._packed is not None and self._packed[3] == width:
-            return list(self._packed[0].items())
-        terms = self.terms
-        pack = _codec(self.nvars, width)[0]
-        return list(zip(pack(_moved(terms, tuple(map(neg, shift)))), terms.values()))
+    def _keys(self, width):
+        """[(packed key, coefficient)] of the exponents minus shift, at width."""
+        keys, _, _, own = self._packed
+        if own == width:
+            return list(keys.items())
+        pack, unpack = _codec(self.nvars, width)[0], _codec(self.nvars, own)[1]
+        return list(zip(pack(unpack(keys)), keys.values()))
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
@@ -193,14 +175,12 @@ class SparsePoly:
                 return NotImplemented
             return SparsePoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         self._check_nvars(other, "multiply")
-        if self.is_zero() or other.is_zero():
-            return SparsePoly(self.nvars)
-        shift1, spread1 = self._bounds()
-        shift2, spread2 = other._bounds()
+        _, shift1, spread1, _ = self._packed
+        _, shift2, spread2, _ = other._packed
         spread = tuple(map(add, spread1, spread2))
         width = _slot_width(sum(spread))
-        outer = self._keys(shift1, width)
-        inner = other._keys(shift2, width)
+        outer = self._keys(width)
+        inner = other._keys(width)
         if len(outer) > len(inner):
             outer, inner = inner, outer
         out = {}
@@ -209,15 +189,39 @@ class SparsePoly:
             for k2, c2 in inner:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-            if not out:
-                return SparsePoly(self.nvars)
-        poly = SparsePoly(self.nvars)
-        poly._packed = (out, tuple(map(add, shift1, shift2)), spread, width)
-        return poly
+        return SparsePoly._from_packed(self.nvars, out, tuple(map(add, shift1, shift2)),
+                                       spread, width)
 
     __rmul__ = __mul__
+
+    def monomial_image(self, images, offset):
+        """The image under the ring map y_j -> x^images[j], times x^offset:
+        y^e goes to x^(offset + sum_j e_j images[j]), in len(offset)
+        variables.  Terms whose images meet add up (``poly`` docstring)."""
+        offset = tuple(map(_integer, offset))
+        nout = len(offset)
+        images = [tuple(map(_integer, a)) for a in images]
+        if len(images) != self.nvars or any(len(a) != nout for a in images):
+            raise DomainError(f"need {self.nvars} images of {nout} exponents each")
+        keys, shift, spread, width = self._packed
+        rows = list(zip(*images)) if images else [()] * nout
+        # per output variable: the spreads its negative entries can subtract
+        low = [-sum(min(a, 0) * s for a, s in zip(row, spread)) for row in rows]
+        new_shift = tuple(c + sum(map(mul, row, shift)) - lo
+                          for c, row, lo in zip(offset, rows, low))
+        new_spread = tuple(sum(abs(a) * s for a, s in zip(row, spread)) for row in rows)
+        new_width = _slot_width(sum(new_spread))
+        # a key is sum_i u_i (slot_i + degree slot) over the shifted exponents u
+        bits = 8 * new_width
+        places = [(1 << bits * (nout - 1 - i)) + (1 << bits * nout) for i in range(nout)]
+        base = sum(map(mul, low, places))
+        weights = [sum(map(mul, column, places)) for column in images]
+        out = {}
+        get = out.get
+        for u, c in zip(_codec(self.nvars, width)[1](keys), keys.values()):
+            k = base + sum(map(mul, u, weights))
+            out[k] = get(k, 0) + c
+        return SparsePoly._from_packed(nout, out, new_shift, new_spread, new_width)
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and other.nvars == self.nvars
@@ -227,10 +231,8 @@ class SparsePoly:
         return hash((self.nvars, tuple(self.sorted_terms())))
 
     def sorted_terms(self):
-        """Terms in graded lexicographic order (total degree, then lex).  A
-        product's packed keys are already in that order as ints."""
-        if self._packed is None:
-            return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        """Terms in graded lexicographic order (total degree, then lex): the
+        order of the packed keys as ints."""
         keys, shift, _, width = self._packed
         order = sorted(keys)
         unpack = _codec(self.nvars, width)[1]
@@ -239,20 +241,9 @@ class SparsePoly:
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
 
-    def evaluate(self, values):
-        total = 0
-        for exp, c in self.terms.items():
-            term = c
-            for e, v in zip(exp, values):
-                if e < 0:
-                    raise DomainError("cannot evaluate a Laurent polynomial at integers")
-                term *= v ** e
-            total += term
-        return total
-
     def specialize_ones(self):
         """Sum of coefficients (every variable set to 1)."""
-        return sum(self.terms.values())
+        return sum(self._packed[0].values())
 
     def format(self, names):
         return _pretty(self.sorted_terms(), names)

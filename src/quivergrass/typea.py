@@ -344,7 +344,7 @@ def generating_function(m):
     n = m.n
     poly = SparsePoly.one(n)
     for (i, j), mult in m.m.items():
-        row = SparsePoly.from_canonical(n, {interval_dims(n, a, j): 1 for a in range(i, j + 2)})
+        row = SparsePoly(n, {interval_dims(n, a, j): 1 for a in range(i, j + 2)})
         power = row
         for _ in range(mult - 1):
             power = power * row

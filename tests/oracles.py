@@ -7,9 +7,11 @@ the Hom fingerprint of the subrepresentation, the finite-field oracle of
 search of Hom and decomposes the cokernel, the oracle of the exponent f that
 ``cluster`` solves from dimension vectors alone.  ``convolve`` multiplies two
 polynomials term by term over exponent tuples, the oracle of the packed-key
-product ``SparsePoly.__mul__``.  ``point_witness`` turns a type-A torus fixed
-point into the subspaces it spans, so that general linear algebra (arrow
-stability, tangent spaces) can check the cell and stratum engines at it.
+product ``SparsePoly.__mul__``, and ``substitute`` maps each exponent tuple
+through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.
+``point_witness`` turns a type-A torus fixed point into the subspaces it
+spans, so that general linear algebra (arrow stability, tangent spaces) can
+check the cell and stratum engines at it.
 """
 
 import random
@@ -95,6 +97,16 @@ def convolve(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def substitute(p, images, offset):
+    """The terms of p under y_j -> x^images[j], times x^offset, one exponent
+    tuple at a time."""
+    out = {}
+    for e, c in p.terms.items():
+        x = tuple(o + sum(ej * a[i] for ej, a in zip(e, images)) for i, o in enumerate(offset))
+        out[x] = out.get(x, 0) + c
+    return {x: c for x, c in out.items() if c}
 
 
 def point_witness(dec, starts, field):

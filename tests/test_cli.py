@@ -465,6 +465,47 @@ def test_verify_mult_output_bytes_are_pinned(tmp_path, fmt):
     assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[key]
 
 
+# sha256 of the output of the count strategy with its F-polynomial stored as a
+# tuple-keyed dict and tuple-sorted, and of the cluster character rebuilt from
+# it tuple by tuple: the packed keys and their ring-map image must not move a
+# byte
+COUNT_STRATEGY_DOCUMENTS = {
+    "kronecker (1,2)": {"vertices": 2, "arrows": [[1, 2], [1, 2]], "field": "Q",
+                        "dims": [1, 2], "matrices": {"0": [[1], [0]], "1": [[0], [1]]}},
+    "D4 (1,1,1,2)": {"vertices": 4, "arrows": [[1, 4], [2, 4], [3, 4]], "field": "Q",
+                     "dims": [1, 1, 1, 2],
+                     "matrices": {"0": [[1], [0]], "1": [[0], [1]], "2": [[1], [1]]}},
+}
+COUNT_STRATEGY_OUTPUT_DIGESTS = {
+    ("fpoly", "kronecker (1,2)", "text"):
+        "faa0f57f549aeeb33a4fb0530b4b143fad71818a3ee24bf13d1b458f54de4178",
+    ("fpoly", "kronecker (1,2)", "machine"):
+        "c795ebbb6626c847bfc421268e404ffedf4a4be2c0a1e089e12885e1a48ca3a9",
+    ("cc", "kronecker (1,2)", "text"):
+        "092964e67712781bd76f107f60dcc449f064791eb3533e73410d0f22ba67d04f",
+    ("cc", "kronecker (1,2)", "machine"):
+        "3f68f29a601de594abb526d854de1facf052c7a57c0076bfefd79ff839475fa8",
+    ("fpoly", "D4 (1,1,1,2)", "text"):
+        "72944cf110162c832ae2292747fbfe772393b55d87a778d2ff900770c856c0b6",
+    ("fpoly", "D4 (1,1,1,2)", "machine"):
+        "04a5c765e207a7c6b5b9cf1b92111eee2d48bbc04ac1bd9dc9326f4f8bb4a4f6",
+    ("cc", "D4 (1,1,1,2)", "text"):
+        "5cbe52cb5b818596854f5d984e40df5bfb31f34d99fa75349baee24f9390f18b",
+    ("cc", "D4 (1,1,1,2)", "machine"):
+        "86b13a9f54a3777c1afd9716e0a456f64b034d55e7008f11f3e2c9dcd32ac5e4",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("sub", ["fpoly", "cc"])
+@pytest.mark.parametrize("name", COUNT_STRATEGY_DOCUMENTS)
+def test_count_strategy_output_bytes_are_pinned(tmp_path, sub, name, fmt):
+    path = tmp_path / "m.rep"
+    path.write_text(json.dumps(COUNT_STRATEGY_DOCUMENTS[name]))
+    code, text = run([sub, "--rep", str(path), "--format", fmt])
+    assert code == 0 and _sha256(text) == COUNT_STRATEGY_OUTPUT_DIGESTS[(sub, name, fmt)]
+
+
 def _matrix_document(dec):
     """The representation file of dec with explicit matrices, no intervals."""
     m = dec.to_representation(QQ)
@@ -501,6 +542,26 @@ def test_intervals_and_matrices_give_the_same_answers(tmp_path, dec):
             doc = json.loads(text)
             answers.append((doc["outputs"], doc["provenance"]))
         assert answers[0] == answers[1], sub
+
+
+@pytest.mark.parametrize("sub", ["decompose", "fpoly", "cc", "gvector", "catenoid",
+                                 "flat-locus", "hom", "deg-compare"])
+def test_intervals_with_n_0_answer_as_a_0_vertex_file(tmp_path, sub):
+    """--n 0 is given, not missing: the empty module of A_0 answers as the
+    rep file with no vertices does."""
+    path = tmp_path / "v0.rep"
+    path.write_text(json.dumps({"vertices": 0, "arrows": [], "field": "Q",
+                                "dims": [], "matrices": {}}))
+    second = ["--rep2", str(path)] if sub in ("hom", "deg-compare") else []
+    answers = []
+    for module in (["--intervals", "0", "--n", "0"], ["--rep", str(path)]):
+        code, text = run([sub, *module, *second, "--format", "machine"])
+        assert code == 0, text
+        doc = json.loads(text)
+        answers.append((doc["outputs"], doc["provenance"]))
+    assert answers[0] == answers[1]
+    assert run(["decompose", "--intervals", "U[1,1]", "--n", "0"]) == \
+        (2, "error: bad interval (1,1) for n=0\n")
 
 
 def test_deg_compare_subcommand(tmp_path):

@@ -1,6 +1,6 @@
 """Sparse polynomials: the packed-key product against the plain convolution,
-and the checks on what a polynomial may be built from, added to and
-multiplied by."""
+the packed monomial image against the plain substitution, and the checks on
+what a polynomial may be built from, added to and multiplied by."""
 
 from fractions import Fraction
 from operator import add, sub
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve
+from oracles import convolve, substitute
 from quivergrass import DomainError
 from quivergrass.poly import SparsePoly
 
@@ -48,7 +48,7 @@ def test_chained_products_equal_the_convolution(triple):
     """A product feeds the next one with its packed keys, whether or not its
     terms were read in between, and whichever side it is on."""
     p, q, r = triple
-    pq = SparsePoly.from_canonical(p.nvars, convolve(p, q))
+    pq = SparsePoly(p.nvars, convolve(p, q))
     expected = convolve(pq, r)
     assert (p * q * r).terms == expected
     assert (r * (q * p)).terms == expected
@@ -62,6 +62,70 @@ def test_chained_products_equal_the_convolution(triple):
 def _grlex(terms):
     """The tuple-key sort that packed keys replace."""
     return sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+@st.composite
+def termed(draw):
+    """(nvars, terms) with distinct exponents and nonzero coefficients."""
+    nvars = draw(st.integers(0, 4))
+    return nvars, draw(st.dictionaries(st.tuples(*[EXPONENTS] * nvars), COEFFICIENTS,
+                                       max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(termed())
+def test_sorted_terms_of_a_polynomial_built_from_its_terms_is_grlex(case):
+    """Not only a product: the constructor packs too, and its keys sort."""
+    nvars, terms = case
+    assert SparsePoly(nvars, terms).sorted_terms() == _grlex(terms)
+
+
+# images up to 2**40 on exponents up to 2**70 spread the image past 2**64
+IMAGE_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+
+
+@st.composite
+def substitutions(draw):
+    """(p, images, offset, cancels): p in 0 to 4 variables and images of 0 to
+    4 exponents.  When cancels, y_j goes to 1 and p is q - y_j q, whose image
+    is 0 though its terms are not."""
+    nvars, terms = draw(termed())
+    p = SparsePoly(nvars, terms)
+    nout = draw(st.integers(0, 4))
+    entries = st.tuples(*[IMAGE_ENTRIES] * nout)
+    images = [draw(entries) for _ in range(nvars)]
+    if nvars and draw(st.booleans()):
+        # all images equal: terms that differ by moving degree between them meet
+        images = [images[0]] * nvars
+    cancels = nvars > 0 and draw(st.booleans())
+    if cancels:
+        j = draw(st.integers(0, nvars - 1))
+        images[j] = (0,) * nout
+        p = p - SparsePoly(nvars, {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in terms.items()})
+    return p, images, draw(entries), cancels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(substitutions(), st.data())
+def test_monomial_image_equals_the_substitution(case, data):
+    p, images, offset, cancels = case
+    nout = len(offset)
+    expected = substitute(p, images, offset)
+    image = p.monomial_image(images, offset)
+    assert image.nvars == nout and image.terms == expected
+    assert image.sorted_terms() == _grlex(expected)
+    assert image.is_zero() or not cancels
+    # the image feeds a product with its keys, on either side
+    r = SparsePoly(nout, data.draw(st.dictionaries(st.tuples(*[EXPONENTS] * nout),
+                                                   COEFFICIENTS, max_size=4)))
+    assert (image * r).terms == (r * image).terms == convolve(SparsePoly(nout, expected), r)
+
+
+def test_monomial_image_refuses_images_of_the_wrong_shape():
+    p = SparsePoly(2, {(1, 0): 1})
+    for images, offset in [([(1,)], (0,)), ([(1,), (0, 1)], (0,)), ([(1,), (2,)], (0, 0))]:
+        with pytest.raises(DomainError):
+            p.monomial_image(images, offset)
 
 
 @st.composite
@@ -98,9 +162,9 @@ def test_sorted_terms_of_a_packed_chain_is_grlex(case, data):
     product, expected = factors[0], factors[0].terms
     for f in factors[1:]:
         product = product * f
-        expected = convolve(SparsePoly.from_canonical(f.nvars, expected), f)
+        expected = convolve(SparsePoly(f.nvars, expected), f)
     # the top corners multiply to the one term of highest degree: never zero
-    assert product._packed is not None and expected_width(product._packed[3])
+    assert expected_width(product._packed[3])
     assert product.sorted_terms() == _grlex(expected)
     assert product.terms == expected
 
@@ -169,6 +233,12 @@ def test_sum_and_difference_refuse_a_non_polynomial(other):
 def test_constructor_refuses_non_integers(terms):
     with pytest.raises(DomainError):
         SparsePoly(1, terms)
+
+
+@pytest.mark.parametrize("nvars", [2.5, "2", -1])
+def test_constructor_refuses_a_bad_number_of_variables(nvars):
+    with pytest.raises(DomainError):
+        SparsePoly(nvars)
 
 
 def test_constructor_takes_numpy_integers():
