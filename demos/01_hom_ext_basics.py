@@ -6,6 +6,7 @@ dimensions come out of one linear map whose kernel is the morphism space and
 whose cokernel is the extension space.
 """
 
+from quivergrass import linalg as la
 from quivergrass import (QQ, build_extension, direct_sum, dual, euler_form,
                          ext1_dim, hom_dim, injective, is_rigid,
                          linear_quiver, phi_map, projective, simple)
@@ -21,8 +22,13 @@ print("I1 =", injective(a2, QQ, 1).dims, " I2 =", injective(a2, QQ, 2).dims)
 print("\n<dim S1, dim S2> =", euler_form(a2, (1, 0), (0, 1)))
 # ... and the defect map recovers both terms separately.
 print("[S1, S2] =", hom_dim(s1, s2), "   [S1, S2]^1 =", ext1_dim(s1, s2))
+# Phi is stored as its nonzeros, one {column: value} dict per row; here it
+# maps Hom(K^(1,0), K^(0,1)) = 0 to Hom(K, K) = K, so its one row is empty.
 phi, cols = phi_map(s1, s2)
-print("defect map:", len(phi), "x", cols, "matrix", phi)
+print("defect map:", len(phi), "x", cols, "rows of nonzeros", phi,
+      "dense", la.dense(phi, QQ, cols))
+phi, cols = phi_map(p1, p1)
+print("defect map of P1 on itself:", len(phi), "x", cols, "rows of nonzeros", phi)
 
 # A nonzero class in Ext^1(S1, S2) glues S2 under S1; the middle term is P1.
 z = nonzero_ext_cocycle(s1, s2)

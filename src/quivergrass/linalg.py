@@ -12,8 +12,11 @@ the caller.
 Every elimination is one ``rref``.  It reduces rows held as ``{column:
 value}`` dicts of their nonzeros, so its work follows the nonzeros and their
 fill-in rather than rows x columns; the matrix it returns is dense like every
-other.  No pivoting heuristics are needed since arithmetic is exact, and the
-reduced echelon form is unique.
+other.  Its input rows may be given in either form: dense, or already as such
+dicts (``rank`` and ``nullspace`` pass them on), in which case the caller
+gives the width ``cols`` and the elimination never reads a zero entry;
+``dense`` writes dict rows out densely.  No pivoting heuristics are needed
+since arithmetic is exact, and the reduced echelon form is unique.
 """
 
 
@@ -71,15 +74,32 @@ def vstack(blocks):
     return tuple(row for b in blocks for row in b)
 
 
-def rref(a, field):
+def dense(rows, field, cols):
+    """The dense form of rows given as {column: value} dicts, ``cols`` wide."""
+    out = []
+    for row in rows:
+        full = [field.zero] * cols
+        for j, x in row.items():
+            full[j] = x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def rref(a, field, cols=None):
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
-    The matrix keeps a's height, with its zero rows last.  Each row of a is
-    reduced, as a dict of its nonzeros, by the pivot rows found so far at its
+    Rows of a are dense or {column: value} dicts; dict rows need the width
+    ``cols``, which dense rows carry themselves.  The matrix is dense, keeps
+    a's height and has its zero rows last.  Each row of a is copied into a
+    dict of its nonzeros and reduced by the pivot rows found so far at its
     leading column until it vanishes or leads at a new column, where it is
     normalised into a pivot row.  Back substitution, from the last pivot
     column to the first, then clears each pivot column in the other rows.
     """
+    if cols is None:
+        if a and isinstance(a[0], dict):
+            raise ValueError("rref: rows given as dicts need the column count cols")
+        cols = len(a[0]) if a else 0
     of, zero = field.of, field.zero
     lead = {}  # pivot column -> its pivot row, {column: value}, 1 at the pivot
 
@@ -92,7 +112,8 @@ def rref(a, field):
                 del row[j]
 
     for source in a:
-        row = {j: x for j, x in enumerate(source) if x}
+        items = source.items() if isinstance(source, dict) else enumerate(source)
+        row = {j: x for j, x in items if x}  # a copy: the caller's dict is kept
         while row:
             c = min(row)
             pivot_row = lead.get(c)
@@ -108,19 +129,12 @@ def rref(a, field):
         # subtraction clears its pivot column and leaves the others zero
         for c in [c for c in row if c != p and c in lead]:
             subtract(row, row[c], lead[c])
-    cols = len(a[0]) if a else 0
-    out = []
-    for c in pivots:
-        dense = [zero] * cols
-        for j, x in lead[c].items():
-            dense[j] = x
-        out.append(tuple(dense))
-    out += [(zero,) * cols] * (len(a) - len(pivots))
-    return tuple(out), pivots
+    out = dense((lead[c] for c in pivots), field, cols)
+    return out + ((zero,) * cols,) * (len(a) - len(pivots)), pivots
 
 
-def rank(a, field):
-    return len(rref(a, field)[1])
+def rank(a, field, cols=None):
+    return len(rref(a, field, cols)[1])
 
 
 def row_basis(a, field):
@@ -130,16 +144,16 @@ def row_basis(a, field):
 
 
 def nullspace(a, field, cols):
-    """Basis of the right kernel of the (rows x cols) matrix a, as a list of
-    column vectors (tuples).
+    """Basis of the right kernel of the (rows x cols) matrix a, dense or with
+    dict rows as ``rref`` takes them, as a list of column vectors (tuples).
 
     One basis vector per free column, with a 1 in the free position; this is
     the canonical basis read off the reduced echelon form, so the output is
     deterministic.
     """
-    if a and shape(a)[1] != cols:
-        raise ValueError(f"nullspace: matrix width {shape(a)[1]}, expected {cols}")
-    r, pivots = rref(a, field)
+    if a and not isinstance(a[0], dict) and len(a[0]) != cols:
+        raise ValueError(f"nullspace: matrix width {len(a[0])}, expected {cols}")
+    r, pivots = rref(a, field, cols)
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(cols) if c not in pivot_set):

@@ -6,7 +6,11 @@ The central computation is the defect map of a pair of representations N, M:
 
 whose kernel is Hom_Q(N,M) and whose cokernel is Ext^1_Q(N,M).  Its matrix is
 written in a fixed basis (vertices ascending, column-major inside each block),
-so phi_map output is reproducible bit for bit.
+so phi_map output is reproducible bit for bit.  Each row holds at most
+dim M_t + dim N_s nonzeros out of sum_i e_i d_i columns, so phi_map stores
+only those, one {column: value} dict per row; ``hom_dim`` and ``ext1_dim``
+hand the dicts to ``linalg.rank`` as they are, and only the cocycle search,
+which eliminates the transpose, writes the matrix out densely.
 
 Conventions: arrow matrices have shape (d_target x d_source) and act on column
 vectors; subspaces are row spaces of reduced-row-echelon basis matrices.  A
@@ -83,13 +87,15 @@ def _check_pair(n, m):
 def phi_map(n_rep, m_rep):
     """Matrix of Phi for the pair (N, M); kernel = Hom(N,M), cokernel = Ext^1.
 
-    Columns index Hom(e,d) = sum of blocks Hom(K^{e_i}, K^{d_i}), vertices
-    ascending, each block vectorized column-major.  Rows index Hom(e,d[1]),
-    arrows in quiver order, blocks vectorized the same way.  Row c*d_t + r of
-    the block of a: s -> t is entry (r, c) of M_a f_s - f_t N_a, which holds
-    M_a[r][j] at column j of column c of f_s and -N_a[k][c] at row r of
-    column k of f_t; only these nonzeros are written (s != t since the quiver
-    is acyclic, so they never share a column).
+    Returns (rows, cols), each row a {column: value} dict of its nonzeros, as
+    ``linalg.rref`` takes them with the width ``cols``; ``linalg.dense``
+    writes the matrix out.  Columns index Hom(e,d) = sum of blocks
+    Hom(K^{e_i}, K^{d_i}), vertices ascending, each block vectorized
+    column-major.  Rows index Hom(e,d[1]), arrows in quiver order, blocks
+    vectorized the same way.  Row c*d_t + r of the block of a: s -> t is entry
+    (r, c) of M_a f_s - f_t N_a, which holds M_a[r][j] at column j of column c
+    of f_s and -N_a[k][c] at row r of column k of f_t; only these nonzeros are
+    stored (s != t since the quiver is acyclic, so they never share a column).
     """
     _check_pair(n_rep, m_rep)
     quiver, field = n_rep.quiver, n_rep.field
@@ -100,7 +106,6 @@ def phi_map(n_rep, m_rep):
         col_offsets.append(off)
         off += e[i] * d[i]
     total_cols = off
-    zero = field.zero
     rows = []
     for a, (s, t) in enumerate(quiver.arrows):
         ma = [[(j, x) for j, x in enumerate(row) if x] for row in m_rep.matrix(a)]
@@ -109,25 +114,24 @@ def phi_map(n_rep, m_rep):
         ds, dt = d[s - 1], d[t - 1]
         ls, rs = col_offsets[s - 1], col_offsets[t - 1]
         for c in range(e[s - 1]):
+            left = ls + c * ds
             for r in range(dt):
-                row = [zero] * total_cols
-                for j, x in ma[r]:
-                    row[ls + c * ds + j] = x
+                row = {left + j: x for j, x in ma[r]}
                 for k, x in na[c]:
                     row[rs + k * dt + r] = x
-                rows.append(tuple(row))
+                rows.append(row)
     return tuple(rows), total_cols
 
 
 def hom_dim(n_rep, m_rep):
     phi, cols = phi_map(n_rep, m_rep)
-    return cols - la.rank(phi, n_rep.field)
+    return cols - la.rank(phi, n_rep.field, cols)
 
 
 def ext1_dim(n_rep, m_rep):
     """dim Ext^1(N,M) = dim Hom(N,M) - <dim N, dim M> (cokernel rank of Phi)."""
     phi, cols = phi_map(n_rep, m_rep)
-    r = la.rank(phi, n_rep.field)
+    r = la.rank(phi, n_rep.field, cols)
     return len(phi) - r
 
 
@@ -385,7 +389,7 @@ def nonzero_ext_cocycle(s_rep, x_rep):
     field = x_rep.field
     nrows = len(phi)
     # Im Phi is the row space of Phi^T, eliminated once
-    image, pivots = la.rref(la.transpose(phi, cols), field)
+    image, pivots = la.rref(la.transpose(la.dense(phi, field, cols), cols), field)
     if len(pivots) == nrows:
         raise DomainError("Ext^1(S,X) = 0, no nonzero class")
     shapes = [(x_rep.dims[t - 1], s_rep.dims[s - 1]) for s, t in x_rep.quiver.arrows]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from . import rep as rp
-from .counting import CountPoly
-from .errors import DomainError
+from .counting import DEFAULT_BUDGET, CountPoly
+from .errors import BudgetError, DomainError
 from .poly import SparsePoly
 from .quiver import linear_quiver
 
@@ -87,22 +87,48 @@ class IntervalDecomposition:
                 d[v - 1] += mult
         return tuple(d)
 
+    def _row_order(self):
+        """The distinct intervals in coefficient-quiver row order."""
+        return sorted(self.m, key=lambda ij: (-ij[1], -ij[0]))
+
     def summands(self):
         """Intervals with multiplicity, in coefficient-quiver row order."""
         out = []
-        for (i, j) in sorted(self.m, key=lambda ij: (-ij[1], -ij[0])):
-            out.extend([(i, j)] * self.m[(i, j)])
+        for ij in self._row_order():
+            out.extend([ij] * self.m[ij])
         return out
 
     def total_dim(self):
         return sum(self.dim_vector())
 
     def to_representation(self, field):
-        q = linear_quiver(self.n)
-        parts = [interval_rep(q, field, i, j) for (i, j) in self.summands()]
-        if not parts:
-            return rp.zero_rep(q, field)
-        return rp.direct_sum(*parts)
+        """The direct sum of ``summands()`` in that order, one block matrix per
+        arrow: arrow v -> v+1 has a 1 at (row, column) for each summand through
+        v and v+1, at its place among the summands through v+1 and through v.
+
+        BudgetError, before anything is allocated, when the arrow matrices
+        would hold more than DEFAULT_BUDGET entries.
+        """
+        d = self.dim_vector()
+        size = sum(d[v - 1] * d[v] for v in range(1, self.n))
+        if size > DEFAULT_BUDGET:
+            raise BudgetError(f"the arrow matrices of {format_intervals(self)} would hold "
+                              f"{size} entries, over the ceiling {DEFAULT_BUDGET}", size)
+        zero, one = field.zero, field.one
+        order = self._row_order()
+        mats = []
+        for v in range(1, self.n):
+            mat = [[zero] * d[v - 1] for _ in range(d[v])]
+            r = c = 0  # the first row and column of the next summand's block
+            for (i, j) in order:
+                mult = self.m[(i, j)]
+                if i <= v < j:
+                    for k in range(mult):
+                        mat[r + k][c + k] = one
+                r += mult if i <= v + 1 <= j else 0
+                c += mult if i <= v <= j else 0
+            mats.append(mat)
+        return rp.Representation(linear_quiver(self.n), field, d, mats)
 
     def __eq__(self, other):
         return (isinstance(other, IntervalDecomposition) and other.n == self.n
@@ -131,9 +157,10 @@ def rank_sequence(m_rep):
     r = {}
     for i in range(1, n + 1):
         r[(i, i)] = d[i - 1]
-        comp = la.identity(d[i - 1], field)
+        comp = None  # the composite from i to j, starting at the arrow out of i
         for j in range(i + 1, n + 1):
-            comp = la.mul(m_rep.matrix(arrow_index[j - 1]), comp, field, d[i - 1])
+            arrow = m_rep.matrix(arrow_index[j - 1])
+            comp = arrow if comp is None else la.mul(arrow, comp, field, d[i - 1])
             r[(i, j)] = la.rank(comp, field)
     return r
 

@@ -11,14 +11,17 @@ product ``SparsePoly.__mul__``, and ``substitute`` maps each exponent tuple
 through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.
 ``point_witness`` turns a type-A torus fixed point into the subspaces it
 spans, so that general linear algebra (arrow stability, tangent spaces) can
-check the cell and stratum engines at it.
+check the cell and stratum engines at it.  ``interval_direct_sum`` builds an
+interval module as the direct sum of one representation per summand, the
+oracle of the block matrices ``IntervalDecomposition.to_representation``
+writes at once.
 """
 
 import random
 
 from quivergrass import linalg as la
-from quivergrass import (DomainError, SubrepWitness, hom_basis, hom_dim, linear_quiver, quotient,
-                         restrict)
+from quivergrass import (DomainError, SubrepWitness, direct_sum, hom_basis, hom_dim, linear_quiver,
+                         quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness, zero_witness
 from quivergrass.typea import coefficient_quiver, decompose, interval_rep, translate
@@ -126,3 +129,11 @@ def point_witness(dec, starts, field):
         bases.append([[field.one if c == k else field.zero for c in range(len(through))]
                       for k in units])
     return SubrepWitness(linear_quiver(dec.n), field, bases)
+
+
+def interval_direct_sum(dec, field):
+    """``dec`` as ``direct_sum`` of one ``interval_rep`` per summand, in
+    ``summands()`` order; the zero module when there are none."""
+    q = linear_quiver(dec.n)
+    parts = [interval_rep(q, field, i, j) for (i, j) in dec.summands()]
+    return direct_sum(*parts) if parts else zero_rep(q, field)

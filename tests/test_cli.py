@@ -12,7 +12,8 @@ from quivergrass.errors import DomainError
 from quivergrass.fields import QQ
 from quivergrass.repfile import format_intervals, parse_intervals, parse_rep_document
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec, flag_dec,
-                               most_flat_dec, random_decomposition)
+                               injective_cogenerator_dec, most_flat_dec, path_algebra_dec,
+                               random_decomposition)
 
 EX4 = json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                   "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 0]]}})
@@ -203,6 +204,11 @@ def test_budget_exit_3(tmp_path):
                       "--budget", "100"])
     assert code == 3 and "budget" in text
 
+
+def test_oversize_interval_module_exits_3_before_allocating():
+    # 10^22 entries: building any of them would raise MemoryError
+    code, text = run(["decompose", "--intervals", "U[1,2]^99999999999", "--n", "2"])
+    assert code == 3 and "over the ceiling 10000000" in text
 
 
 def _q_binomial(n, k):
@@ -504,6 +510,72 @@ def test_count_strategy_output_bytes_are_pinned(tmp_path, sub, name, fmt):
     path.write_text(json.dumps(COUNT_STRATEGY_DOCUMENTS[name]))
     code, text = run([sub, "--rep", str(path), "--format", fmt])
     assert code == 0 and _sha256(text) == COUNT_STRATEGY_OUTPUT_DIGESTS[(sub, name, fmt)]
+
+
+# sha256 of the hom/ext output with the defect map written densely and the
+# interval modules built as direct sums of their summands: each family at
+# n = 6 against the next one, as the benchmark pairs them
+HOM_EXT_FAMILIES = (("flag", flag_dec), ("path", path_algebra_dec),
+                    ("injective", injective_cogenerator_dec),
+                    ("degenerate_flag", degenerate_flag_dec), ("most_flat", most_flat_dec))
+HOM_EXT_OUTPUT_DIGESTS = {
+    ("hom", "flag", "Q"):
+        "3738a596e99dcff1ee535f5cb737a462e30c46e5ed0b328c907281258f75d9a4",
+    ("ext", "flag", "Q"):
+        "5893c71b6d27bda9bb441f4f32bc360fc55b5d16f398b7e2a88d8bd3ed56912d",
+    ("hom", "flag", "Fp:7"):
+        "657d073a42424e04468c9f24f8086adeb22af73f5335f0f65e03a0ae71427538",
+    ("ext", "flag", "Fp:7"):
+        "6e4f2df6986db526f5d5ef293632384c5fca58d2810ea3682c09c2fd7ac42010",
+    ("hom", "path", "Q"):
+        "e6032ad277d7b2d7c0bf1962ce67609d452bd8b50b2b5d6314f05a9342a3fb86",
+    ("ext", "path", "Q"):
+        "a4c8a6ee93aa1c4527e3f4ade59aa4740feac0ec25c7da16314807cd36412e18",
+    ("hom", "path", "Fp:7"):
+        "0c6db037776a9c16c4a27ca666fee656caba56b19e4cd0e34973e160ac717c1d",
+    ("ext", "path", "Fp:7"):
+        "60b3798b2edb677d8c39ebdd3601e9091d2c9a33d32caae7879dae511a71649a",
+    ("hom", "injective", "Q"):
+        "d94f0e32b8e072004a1b5febfd163065dd0cd414f7a5d05a690c58d45b01569e",
+    ("ext", "injective", "Q"):
+        "76fa59286c4069abe05711d79a0a69912004322a2fee98217fefff40b628d9e6",
+    ("hom", "injective", "Fp:7"):
+        "f815d73e6fe64caad0ff096d10ea47467c8d66b9cb8cf62ce9b62d9181c263b1",
+    ("ext", "injective", "Fp:7"):
+        "afa84b163ae23d10e2e6c355825dc9bbc574933ff8febe4a634c6157cee602ba",
+    ("hom", "degenerate_flag", "Q"):
+        "5ec2921cdaaa7e0a3a687556ae8bc2362d34dd5788a9a1808aebf9818c75d995",
+    ("ext", "degenerate_flag", "Q"):
+        "8379bc98082004d1fce3ef9a8360226aca0a482d219a5f22a937108875be7b77",
+    ("hom", "degenerate_flag", "Fp:7"):
+        "fd01e429ed73d2eed4176172edfb4f314a281b15c5a5bb32540332af7e23339e",
+    ("ext", "degenerate_flag", "Fp:7"):
+        "b4f2f3a7fbb465f6e3d6f052b5aa14e319c998563dc082278446f8bd95684f96",
+    ("hom", "most_flat", "Q"):
+        "df6fd26101056994131d5a9211a98a191757f6dcf6784e7185d900e4e4516772",
+    ("ext", "most_flat", "Q"):
+        "b025078dd6e91cd13962889fa61e6a811a584802da283440ed3217c07b92d55a",
+    ("hom", "most_flat", "Fp:7"):
+        "6aa46a9345c2716aac4e92e6fac78e005efd8da281a7a7ce54bc2041b243feda",
+    ("ext", "most_flat", "Fp:7"):
+        "013969141b9177ccd3af91fe527764e8522558f725d341037b8cf5ac96be3468",
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+@pytest.mark.parametrize("k", range(len(HOM_EXT_FAMILIES)))
+def test_hom_ext_output_bytes_are_pinned(tmp_path, k, field):
+    paths = []
+    for name, family in (HOM_EXT_FAMILIES[k], HOM_EXT_FAMILIES[(k + 1) % len(HOM_EXT_FAMILIES)]):
+        path = tmp_path / f"{name}.rep"
+        path.write_text(json.dumps({"vertices": 6, "field": field,
+                                    "arrows": [[v, v + 1] for v in range(1, 6)],
+                                    "intervals": format_intervals(family(6))}))
+        paths.append(str(path))
+    for sub in ("hom", "ext"):
+        code, text = run([sub, "--rep", paths[0], "--rep2", paths[1], "--format", "machine"])
+        key = (sub, HOM_EXT_FAMILIES[k][0], field)
+        assert code == 0 and _sha256(text) == HOM_EXT_OUTPUT_DIGESTS[key]
 
 
 def _matrix_document(dec):

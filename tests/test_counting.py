@@ -602,3 +602,21 @@ def test_linalg_entries_stay_in_the_field(case):
     assert la.mat_vec(pa, pv, gf) == la.mat([la.mat_vec(qa, qv, QQ)], gf)[0]
     # a factor with no rows still gives the product its width: (2 x 0)(0 x 3)
     assert la.mul(((), ()), (), QQ, 3) == la.zeros(2, 3, QQ)
+
+
+@_PROPERTY
+@given(sparse_matrices(), st.integers(0, 3))
+def test_rref_reads_dict_rows_as_dense_rows(case, zero_rows):
+    p, a, _, v = case
+    cols = len(v)
+    a = a + [[0] * cols] * zero_rows  # zero rows, and no rows at all when a is empty
+    for field in (QQ, PrimeField(p)):
+        dense = la.mat(a, field)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        given_rows = [dict(row) for row in rows]
+        want = la.rref(dense, field)
+        assert la.rref(rows, field, cols) == want
+        assert la.rank(rows, field, cols) == len(want[1])
+        assert la.nullspace(rows, field, cols) == la.nullspace(dense, field, cols)
+        assert la.dense(rows, field, cols) == dense
+        assert rows == given_rows  # the caller's dicts are left as they were

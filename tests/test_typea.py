@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from quivergrass import QQ, DomainError, Representation, ext1_dim, hom_dim, \
-    kronecker_quiver, linear_quiver
+from quivergrass import QQ, BudgetError, DomainError, PrimeField, Representation, ext1_dim, \
+    hom_dim, kronecker_quiver, linear_quiver
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
@@ -19,8 +19,30 @@ from quivergrass.typea import (
     poincare_polynomial, random_decomposition, rank_sequence,
     ranks_from_multiplicities, semisimple_dec, strata, translate)
 
+from oracles import interval_direct_sum
+
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_interval_module_is_the_direct_sum_of_its_summands(seed):
+    dec = random_decomposition(1 + seed % 6, seed, max_mult=3)
+    for field in (QQ, PrimeField(5)):
+        assert dec.to_representation(field) == interval_direct_sum(dec, field)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_zero_interval_module_is_the_zero_representation(n):
+    dec = IntervalDecomposition(n, {})
+    assert dec.to_representation(QQ) == interval_direct_sum(dec, QQ)
+    assert dec.to_representation(QQ).is_zero()
+
+
+def test_interval_module_over_the_entry_ceiling_is_refused():
+    # U[1,2]^3163 would need 3163^2 > 10^7 entries; refused before building
+    with pytest.raises(BudgetError, match="10004569 entries"):
+        IntervalDecomposition(2, {(1, 2): 3163}).to_representation(QQ)
 
 
 def test_rank_sequence_named_modules():
