@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from . import linalg as la
 from . import rep as rp
 from . import typea as ta
-from .counting import DEFAULT_BUDGET, count_points, counting_polynomial, euler_characteristic
+from .counting import (DEFAULT_BUDGET, _Reductions, count_points, counting_polynomial,
+                       euler_characteristic)
 from .errors import DomainError
 from .fields import QQ
 from .poly import SparsePoly
@@ -50,7 +51,8 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
 
     m is a representation or, for an A_n module, its IntervalDecomposition.
     The cells strategy returns ``typea.generating_function`` with its packed
-    keys; the count strategy interpolates a counting polynomial per e over Q.
+    keys; the count strategy interpolates a counting polynomial per e over Q,
+    reducing M once per prime for all e.
     """
     if strategy == "cells":
         return ta.generating_function(
@@ -60,9 +62,9 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
             m = m.to_representation(QQ)
         if m.field != QQ:
             raise DomainError("the counting strategy expects a representation over Q")
-        out = {}
+        out, reductions = {}, _Reductions(m)
         for e in _sub_dim_vectors(m.dims):
-            cp = counting_polynomial(m, e, budget=budget)
+            cp = counting_polynomial(m, e, budget=budget, _reductions=reductions)
             if cp.consistency != "verified":
                 raise DomainError(
                     f"counting polynomial at e={e} is {cp.consistency}, not verified")

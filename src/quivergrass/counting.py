@@ -18,13 +18,20 @@ the preimages M_a^-1(U_t), of codimension r say: [d_s - r, e_s]_p of them.
 ``plan_count`` picks an independent set of sources and sinks to sum this way,
 minimising the product of Gaussian binomials over the vertices still
 enumerated; the executor runs one depth-first search over those, testing
-each vertex a numpy batch at a time.  The rows of the last one are grouped by
+each vertex a numpy batch at a time.  A batch is a fixed number of rows that
+runs across pivot patterns, and a vertex's annihilators are built only where
+an arrow test or a summed source reads them, so the cost of a count follows
+its rows and not its batches.  The rows of the last vertex are grouped by
 their rank vector (one lexsort over its columns, whatever their number), so
 every distinct product of Gaussian binomials is formed once and every sum and
 product is taken exactly in Python ints.  The ranks come from
 ``batched_rank_mod_p``, one lazily reduced forward elimination per batch.
 Exhaustive (``enumerate_subreps``) and planned counts are cross-asserted on
 random small representations in the test suite.
+
+A counting polynomial (``counting_polynomial``) is the interpolant of counts
+at D + 1 primes, D the degree bound, by Newton divided differences in exact
+integers, checked against one more prime.
 """
 
 import itertools
@@ -90,28 +97,36 @@ class SubspaceIter:
                 yield tuple(tuple(row) for row in m)
 
     def batches(self, chunk=1 << 15):
-        """Same subspaces, same order, as numpy arrays of shape (m, e, d).
+        """Same subspaces, same order, as int64 arrays of shape (m, e, d).
 
-        All matrices of one batch share one pivot pattern.
+        Every batch but the last holds exactly ``chunk`` matrices; a batch
+        runs on from one pivot pattern into the next.  Each batch is
+        allocated once, zeroed, and its run of each pattern is written into
+        its slice in place.
         """
         d, e, p = self.d, self.e, self.p
+        left = gaussian_binomial(d, e, p)
+        mats, fill = None, 0
         for pattern in pivot_patterns(d, e):
             free = free_positions(pattern, d)
             k = len(free)
-            base = np.zeros((e, d), dtype=np.int64)
-            for r, j in enumerate(pattern):
-                base[r, j] = 1
-            total = p ** k
-            start = 0
+            total, start = p ** k, 0
             while start < total:
-                stop = min(start + chunk, total)
-                mats = np.broadcast_to(base, (stop - start, e, d)).copy()
+                if mats is None:
+                    mats, fill = np.zeros((min(chunk, left), e, d), dtype=np.int64), 0
+                stop = min(start + mats.shape[0] - fill, total)
+                run = mats[fill:fill + stop - start]
+                run[:, range(e), list(pattern)] = 1
                 if k:
                     digits = np.unravel_index(np.arange(start, stop), (p,) * k)
                     for idx, (r, c) in enumerate(free):
-                        mats[:, r, c] = digits[idx]
-                yield mats
+                        run[:, r, c] = digits[idx]
+                fill += stop - start
+                left -= stop - start
                 start = stop
+                if fill == mats.shape[0]:
+                    yield mats
+                    mats = None
 
 
 def _residue_dtype(p, n):
@@ -322,14 +337,27 @@ def _annihilators(batch, p):
     """Row bases of the annihilators of the row spaces of a batch of RREF bases.
 
     For pivots J the annihilator has one vector per non-pivot column c: 1 at
-    c and -B[j, c] at pivot J_j.  A batch shares one pivot pattern.
+    c and -B[j, c] at pivot J_j (for e = 0, the identity).  The batch may
+    span several pivot patterns: each run of equal patterns, found from the
+    first nonzero column of every basis row, is built by slicing.
     """
     m, e, d = batch.shape
-    pivots = [int(np.flatnonzero(row)[0]) for row in batch[0]]
-    free = [c for c in range(d) if c not in pivots]
     ann = np.zeros((m, d - e, d), dtype=batch.dtype)
-    ann[:, np.arange(d - e), free] = 1
-    ann[:, :, pivots] = (-batch[:, :, free]).transpose(0, 2, 1) % p
+    changed = np.zeros(max(m - 1, 0), dtype=bool)
+    if e:
+        lead = (batch != 0).argmax(axis=2)
+        for r in range(e):
+            changed |= lead[1:, r] != lead[:-1, r]
+    cuts = np.flatnonzero(changed) + 1
+    for start, stop in zip(np.r_[0, cuts], np.r_[cuts, m]):
+        pivots = lead[start].tolist() if e else []
+        free = [c for c in range(d) if c not in pivots]
+        run = ann[start:stop]
+        run[:, range(d - e), free] = 1
+        negated = batch[start:stop, :, free]
+        np.negative(negated, out=negated)
+        negated %= p
+        run[:, :, pivots] = negated.transpose(0, 2, 1)
     return ann
 
 
@@ -349,11 +377,14 @@ class _PlannedCount:
     """The executor of a CountPlan: a depth-first search over the enumerated
     vertices, each tested a batch of subspaces at a time.
 
-    A chosen vertex holds its basis and annihilator.  Each arrow between two
-    enumerated vertices is tested when its later endpoint is drawn; each
-    summed vertex is ranked when its last neighbour is drawn.  The rows of
-    the leaf are grouped by their rank vector (``_rank_groups``), so each
-    distinct product of Gaussian binomials is formed once, in Python ints.
+    A chosen vertex holds its basis and, where something reads it, its
+    annihilator.  Each arrow s -> t between two enumerated vertices is tested
+    when its later endpoint is drawn, unless U_s = 0 (e_s = 0) or U_t is the
+    whole space (e_t = d_t); the test reads the annihilator of U_t, and so
+    does the rank of a summed source with an arrow into t.  Each summed
+    vertex is ranked when its last neighbour is drawn.  The rows of the leaf
+    are grouped by their rank vector (``_rank_groups``), so each distinct
+    product of Gaussian binomials is formed once, in Python ints.
     """
 
     def __init__(self, m_rep, e, plan):
@@ -365,6 +396,15 @@ class _PlannedCount:
         self.sinks = set(q.sinks())
         pos = {v: i for i, v in enumerate(plan.enumerated)}
         self.completes = {v: [] for v in plan.enumerated}
+        self.tests = {v: [] for v in plan.enumerated}
+        self.reads_ann = {v: False for v in plan.enumerated}
+        for a, (s, t) in enumerate(q.arrows):
+            if s in pos and t in pos:
+                if e[s - 1] and e[t - 1] < self.dims[t - 1]:
+                    self.tests[max(s, t, key=pos.__getitem__)].append((a, s, t))
+                    self.reads_ann[t] = True
+            elif t in pos:  # from a summed source, which ranks ann(U_t) M_a
+                self.reads_ann[t] = True
         self.constant = 1
         for w in plan.summed:
             around = [u for a, s, t in q.arrows_into(w) + q.arrows_from(w)
@@ -386,13 +426,16 @@ class _PlannedCount:
         total = 0
         for batch in SubspaceIter(self.dims[v - 1], self.e[v - 1], self.p).batches():
             batch = batch.astype(self.dtype, copy=False)
-            ann = _annihilators(batch, self.p)
-            keep = np.flatnonzero(self._stable(v, batch, ann))
-            if not keep.size:
-                continue
-            batch, ann = batch[keep], ann[keep]
+            ann = _annihilators(batch, self.p) if self.reads_ann[v] else None
+            ok = self._stable(v, batch, ann)
+            if ok is not None and not ok.all():
+                keep = np.flatnonzero(ok)
+                if not keep.size:
+                    continue
+                batch = batch[keep]
+                ann = None if ann is None else ann[keep]
             ranks = np.stack([self._rank(w, v, batch, ann) for w in completes], axis=1) \
-                if completes else np.zeros((keep.size, 0), dtype=np.int64)
+                if completes else np.zeros((batch.shape[0], 0), dtype=np.int64)
             if k + 1 == len(self.plan.enumerated):
                 for row, count in zip(*_rank_groups(ranks)):
                     total += int(count) * self._factor(completes, row)
@@ -400,39 +443,50 @@ class _PlannedCount:
             for i, row in enumerate(ranks):
                 factor = self._factor(completes, row)
                 if factor:
-                    self.chosen[v] = (batch[i], ann[i])
+                    self.chosen[v] = (batch[i], None if ann is None else ann[i])
                     total += factor * self._level(k + 1)
         self.chosen.pop(v, None)
         return total
 
     def _stable(self, v, batch, ann):
         """Rows of the batch at v mapping into, and mapped into by, the chosen
-        neighbours: ann(U_t) M_a U_v = 0 and ann(U_v) M_a U_s = 0."""
-        p, ok = self.p, np.ones(batch.shape[0], dtype=bool)
-        for a, _, t in self.quiver.arrows_from(v):
-            if t in self.chosen:
+        neighbours (ann(U_t) M_a U_v = 0 and ann(U_v) M_a U_s = 0), or None
+        when no arrow at v is tested."""
+        p, ok = self.p, None
+        for a, s, t in self.tests[v]:
+            if s == v:
                 test = _mul(batch, _mul(self.chosen[t][1], self.mats[a], p).T, p)
-                ok &= ~(test != 0).any(axis=(1, 2))
-        for a, s, _ in self.quiver.arrows_into(v):
-            if s in self.chosen:
+            else:
                 test = _mul(ann, _mul(self.mats[a], self.chosen[s][0].T, p), p)
-                ok &= ~(test != 0).any(axis=(1, 2))
+            passed = ~(test != 0).any(axis=(1, 2))
+            ok = passed if ok is None else ok & passed
         return ok
 
     def _rank(self, w, v, batch, ann):
         """Per row of the batch at v: the rank r of the images into a summed
-        sink w, or of the stacked ann(U_t) M_a out of a summed source w."""
-        m, p, pieces = batch.shape[0], self.p, []
+        sink w, or of the stacked ann(U_t) M_a out of a summed source w.
+
+        Each product is written into its rows of one preallocated stack, so
+        no piece is held beside the stack while it is ranked.
+        """
         if w in self.sinks:
-            for a, s, _ in self.quiver.arrows_into(w):
-                basis = batch if s == v else self.chosen[s][0]
-                pieces.append(_mul(basis, self.mats[a].T, p))
+            factors = [(batch if s == v else self.chosen[s][0], self.mats[a].T)
+                       for a, s, _ in self.quiver.arrows_into(w)]
         else:
-            for a, _, t in self.quiver.arrows_from(w):
-                annihilator = ann if t == v else self.chosen[t][1]
-                pieces.append(_mul(annihilator, self.mats[a], p))
-        pieces = [np.broadcast_to(x, (m,) + x.shape[-2:]) for x in pieces]
-        return batched_rank_mod_p(np.concatenate(pieces, axis=1), p)
+            factors = [(ann if t == v else self.chosen[t][1], self.mats[a])
+                       for a, _, t in self.quiver.arrows_from(w)]
+        stack = np.empty((batch.shape[0], sum(x.shape[-2] for x, _ in factors),
+                          self.dims[w - 1]), dtype=self.dtype)
+        top = 0
+        for x, y in factors:
+            rows = stack[:, top:top + x.shape[-2]]
+            if x.ndim == 3:
+                np.matmul(x, y, out=rows)
+                rows %= self.p
+            else:
+                rows[:] = _mul(x, y, self.p)
+            top += x.shape[-2]
+        return batched_rank_mod_p(stack, self.p)
 
     def _factor(self, summed, ranks):
         """Product of the Gaussian-binomial factors of summed vertices at their ranks."""
@@ -473,14 +527,68 @@ def _primes_from(start=2):
         cand += 1
 
 
-def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
+class _Reductions:
+    """A representation over Q reduced modulo successive primes, each prime
+    once however often the sequence is read: (p, M mod p) pairs in prime
+    order, with None where M has bad reduction mod p.
+
+    ``counting_polynomial`` reads one for its own primes; the count strategy
+    of ``cluster.euler_char_table`` makes one per call and hands it to the
+    counting polynomial of every e.
+    """
+
+    def __init__(self, m_rep, primes=None):
+        self._m_rep = m_rep
+        self._primes = iter(_primes_from() if primes is None else primes)
+        self._seen = []
+
+    def __iter__(self):
+        yield from self._seen
+        for p in self._primes:
+            PrimeField(p)  # DomainError unless p is prime
+            try:
+                reduced = rp.reduce_mod(self._m_rep, p)
+            except DomainError:
+                reduced = None
+            self._seen.append((p, reduced))
+            yield p, reduced
+
+
+def _newton_interpolation(xs, ys):
+    """The polynomial of degree < len(xs) through the integer points (x, y),
+    as ascending integer coefficients, or None when they are not all integers.
+
+    The divided differences are formed in place, O(len(xs)**2) exact integer
+    divisions.  The interpolant is integral exactly when every divided
+    difference is an integer (each one of an integral polynomial at integer
+    nodes is a sum of its coefficients times monomials in the nodes), so the
+    first inexact division answers None.  The Newton form is then expanded
+    by Horner's rule.
+    """
+    diffs = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            num, den = diffs[i] - diffs[i - 1], xs[i] - xs[i - k]
+            if num % den:
+                return None
+            diffs[i] = num // den
+    poly = [diffs[-1]]
+    for x, c in zip(xs[-2::-1], diffs[-2::-1]):
+        # poly * (q - x) + c
+        poly = [c - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+    return poly
+
+
+def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET, *, _reductions=None):
     """Interpolate #Gr_e(M) over F_p through enough good-reduction primes.
 
     M lives over Q; the degree bound is D = sum e_i (d_i - e_i), so D+1 primes
-    interpolate and one more is held out for the consistency check.  A prime
-    where M has bad reduction is skipped.  The budget is checked at every one
-    of these primes before any is counted.  Given primes must be distinct
-    primes (DomainError otherwise).
+    interpolate (exact Newton divided differences in integers) and one more
+    is held out for the consistency check.  A prime where M has bad
+    reduction is skipped.  The budget is checked at every one of these
+    primes before any is counted.  Given primes must be distinct primes
+    (DomainError otherwise).  ``_reductions`` lets ``euler_char_table``
+    share the reductions of M across its e, each prime reduced once.
     """
     if m_rep.field != QQ:
         raise DomainError("counting_polynomial expects a representation over Q")
@@ -489,12 +597,11 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     if primes is not None and len(set(primes)) != len(primes):
         raise DomainError(f"repeated primes in {list(primes)}")
     reductions, skipped = [], []
-    for p in _primes_from() if primes is None else primes:
-        PrimeField(p)  # DomainError unless p is prime
-        try:
-            reductions.append(rp.reduce_mod(m_rep, p))
-        except DomainError:
+    for p, reduced in _Reductions(m_rep, primes) if _reductions is None else _reductions:
+        if reduced is None:
             skipped.append(p)
+        else:
+            reductions.append(reduced)
         if primes is None and len(reductions) == degree_bound + 2:
             break
     if len(reductions) < degree_bound + 1:
@@ -506,17 +613,12 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     interp = reductions[:degree_bound + 1]
     interp_primes = tuple(r.field.p for r in interp)
     counts = tuple(count_points(r, e, budget=budget) for r in interp)
-    vandermonde = [[p ** k for k in range(len(interp))] for p in interp_primes]
-    poly = [row[0] for row in la.solve(la.mat(vandermonde, QQ),
-                                       la.mat([[c] for c in counts], QQ), QQ)]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    integral = all(c.denominator == 1 for c in poly)
-    if not integral:
+    poly = _newton_interpolation(interp_primes, counts)
+    if poly is None:
         return CountPoly((), "inconsistent", interp_primes, counts, (), tuple(skipped))
-    coeffs = tuple(int(c) for c in poly)
-    if coeffs == (0,):
-        coeffs = ()
+    while poly and poly[-1] == 0:
+        poly.pop()
+    coeffs = tuple(poly)
     if len(reductions) == len(interp):
         return CountPoly(coeffs, "assumed", interp_primes, counts, (), tuple(skipped))
     held = reductions[-1]

@@ -149,20 +149,38 @@ def format_intervals(dec):
 
 
 def rank_sequence(m_rep):
-    """{(i, j): r} with r the rank of the composite map from vertex i to j."""
+    """{(i, j): r} with r the rank of the composite map from vertex i to j.
+
+    The composites are kept as rows of {column: value} nonzeros, which
+    ``la.rank`` reads as given: each step multiplies by the next arrow's
+    nonzeros only, so the cost follows the nonzeros of the composites and
+    not the cube of the dimension.
+    """
     n = _require_linear(m_rep.quiver)
     field = m_rep.field
-    arrow_index = {s: a for a, (s, t) in enumerate(m_rep.quiver.arrows)}
     d = m_rep.dims
+    # the arrow out of vertex s, as {column: value} rows
+    sparse = {s: [{k: x for k, x in enumerate(row) if x} for row in m_rep.matrix(a)]
+              for a, (s, _) in enumerate(m_rep.quiver.arrows)}
     r = {}
     for i in range(1, n + 1):
         r[(i, i)] = d[i - 1]
         comp = None  # the composite from i to j, starting at the arrow out of i
         for j in range(i + 1, n + 1):
-            arrow = m_rep.matrix(arrow_index[j - 1])
-            comp = arrow if comp is None else la.mul(arrow, comp, field, d[i - 1])
-            r[(i, j)] = la.rank(comp, field)
+            arrow = sparse[j - 1]
+            comp = arrow if comp is None else [_sparse_row_times(row, comp, field)
+                                               for row in arrow]
+            r[(i, j)] = la.rank(comp, field, d[i - 1])
     return r
+
+
+def _sparse_row_times(row, rows, field):
+    """The {column: value} nonzeros of row @ M, for M given by its rows as dicts."""
+    out = {}
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            out[c] = out.get(c, field.zero) + x * y
+    return {c: v for c, x in out.items() if (v := field.of(x))}
 
 
 def multiplicities_from_ranks(n, r):

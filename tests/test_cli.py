@@ -209,6 +209,9 @@ def test_oversize_interval_module_exits_3_before_allocating():
     # 10^22 entries: building any of them would raise MemoryError
     code, text = run(["decompose", "--intervals", "U[1,2]^99999999999", "--n", "2"])
     assert code == 3 and "over the ceiling 10000000" in text
+    # with no arrows nothing is built, and the ranks start at the arrows
+    code, text = run(["decompose", "--intervals", "U[1,1]^99999999999", "--n", "1"])
+    assert code == 0 and "99999999999" in text
 
 
 def _q_binomial(n, k):
@@ -510,6 +513,46 @@ def test_count_strategy_output_bytes_are_pinned(tmp_path, sub, name, fmt):
     path.write_text(json.dumps(COUNT_STRATEGY_DOCUMENTS[name]))
     code, text = run([sub, "--rep", str(path), "--format", fmt])
     assert code == 0 and _sha256(text) == COUNT_STRATEGY_OUTPUT_DIGESTS[(sub, name, fmt)]
+
+
+# sha256 of the flags benchmark's poly and fpoly --strategy count output as
+# it was with the Vandermonde system solved over Q, every batch of one pivot
+# pattern and M reduced again for every e: the interpolation, the batching
+# and the shared reductions must not move a byte
+FLAG_FAMILIES = {"flag_dec": flag_dec, "degenerate_flag_dec": degenerate_flag_dec,
+                 "most_flat_dec": most_flat_dec}
+COUNTING_OUTPUT_DIGESTS = {
+    ("poly", "flag_dec", (0, 1, 2)):
+        "a7030b9dc257dbf422ceb2964b642285bbe52a12fe1b78fec4960b3595fc70df",
+    ("poly", "flag_dec", (0, 1, 1)):
+        "73917919616bd6524ab79f5c130feb97dee2b8f213469561dd5e98f06f56f789",
+    ("poly", "degenerate_flag_dec", (0, 1, 2)):
+        "0f395326941cbd199ee18953d53760136652de93ebf07f5c1220fe00703f93b5",
+    ("poly", "degenerate_flag_dec", (0, 1, 1)):
+        "72b62fef7778953f60b213c4af312166c47401358b030fb0282f1b4fff46cda1",
+    ("poly", "most_flat_dec", (0, 1, 2)):
+        "7a7ece73037376f35325d75f53eab4d77a71d628c75bbb95478c4195255e466d",
+    ("poly", "most_flat_dec", (0, 1, 1)):
+        "fd8f10262b1d9ff21a145006ec54a24486a4009842b3086f276a84a6c99f2955",
+    ("fpoly", "flag_dec", None):
+        "672ceb2f9d0830d8ced4b384e062840ac73ed3a29f8c6c36548e43ea7215e6da",
+    ("fpoly", "most_flat_dec", None):
+        "9774a8892231ee261d80f49c9a2f217bdb717d4a52e65118631871962ac2bf12",
+}
+
+
+@pytest.mark.parametrize("sub, family, e", COUNTING_OUTPUT_DIGESTS)
+def test_counting_output_bytes_are_pinned(sub, family, e):
+    if sub == "poly":
+        dec = FLAG_FAMILIES[family](3)
+        argv = ["poly", "--intervals", format_intervals(dec), "--n", "3",
+                "--e", ",".join(map(str, e))]
+    else:
+        dec = FLAG_FAMILIES[family](2)
+        argv = ["fpoly", "--strategy", "count", "--intervals", format_intervals(dec),
+                "--n", "2"]
+    code, text = run(argv + ["--format", "machine"])
+    assert code == 0 and _sha256(text) == COUNTING_OUTPUT_DIGESTS[(sub, family, e)]
 
 
 # sha256 of the hom/ext output with the defect map written densely and the

@@ -15,7 +15,9 @@ from quivergrass import linalg as la
 from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, dual, kronecker_quiver, linear_quiver,
                          tangent_dim)
-from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _rank_groups,
+from quivergrass.cluster import f_polynomial
+from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _annihilators,
+                                  _newton_interpolation, _rank_groups,
                                   batched_rank_mod_p, betti_numbers, count_points,
                                   counting_polynomial, enumerate_subreps,
                                   euler_characteristic, gaussian_binomial, plan_count)
@@ -56,6 +58,62 @@ def test_subspace_batches_match_iterator():
     flat = [tuple(tuple(int(x) for x in row) for row in m)
             for batch in SubspaceIter(4, 2, 3).batches(chunk=11) for m in batch]
     assert flat == it
+
+
+# Each case of the grid below lists its subspaces in pure Python, so it is
+# capped at BATCH_ROWS_PER_CHUNK * chunk rows and at 40,000.  Left out are:
+# at p = 3, d = 6 with 2 <= e <= 4 for chunk <= 5 and e = 3 for chunk 11; at
+# p = 5, d = 6 with 2 <= e <= 4 (500,000 rows and more), and for chunk <= 5
+# also d = 5 with e in {2, 3} (and at chunk 1, d = 6 with e in {1, 5}).  d = 6,
+# e = 3 at p = 3 (33,880 rows) is in with chunk 2**15, across its boundary.
+BATCH_ROWS_PER_CHUNK = 2000
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 11, 2 ** 15])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspace_batches_fill_across_pivot_patterns(p, chunk):
+    checked = 0
+    for d in range(7):
+        for e in range(d + 1):
+            total = gaussian_binomial(d, e, p)
+            if total > min(BATCH_ROWS_PER_CHUNK * chunk, 40_000):
+                continue
+            batches = list(SubspaceIter(d, e, p).batches(chunk=chunk))
+            assert all(b.shape[0] == chunk for b in batches[:-1])
+            assert 1 <= batches[-1].shape[0] <= chunk
+            flat = [tuple(tuple(int(x) for x in row) for row in m)
+                    for batch in batches for m in batch]
+            assert flat == list(SubspaceIter(d, e, p))
+            for batch in batches:
+                ann = _annihilators(batch, p)
+                assert ann.shape == (batch.shape[0], d - e, d)
+                assert not (np.matmul(batch, ann.transpose(0, 2, 1)) % p).any()
+                assert (batched_rank_mod_p(ann, p) == d - e).all()
+            checked += 1
+    assert checked >= 20
+
+
+def test_annihilators_of_a_filtered_mixed_batch():
+    # rows dropped from a batch (as the stability test drops them) leave
+    # runs of equal pattern that need not be whole patterns
+    batch = next(SubspaceIter(5, 2, 3).batches())
+    kept = batch[np.arange(batch.shape[0]) % 7 != 3]
+    ann = _annihilators(kept, 3)
+    assert not (np.matmul(kept, ann.transpose(0, 2, 1)) % 3).any()
+    assert (batched_rank_mod_p(ann, 3) == 3).all()
+    # e = 0: the annihilator of the zero space is the whole space
+    empty = next(SubspaceIter(3, 0, 5).batches())
+    assert (_annihilators(empty, 5) == np.eye(3, dtype=np.int64)).all()
+
+
+def test_count_across_a_chunk_boundary():
+    # [4,2]_17 = 89,030 planes at the one enumerated vertex: three full
+    # batches of 2**15 rows would not hold them
+    dec = flag_dec(3)
+    m = reduce_mod(dec.to_representation(QQ), 17)
+    plan = plan_count(m.quiver, m.dims, (1, 2, 3), 17)
+    assert plan.enumerated == (2,) and plan.estimate == 89_030 > 2 * 2 ** 15
+    assert count_points(m, (1, 2, 3)) == poincare_polynomial(dec, (1, 2, 3)).evaluate(17)
 
 
 def test_batched_rank():
@@ -354,6 +412,46 @@ def test_plan_sums_the_cheaper_side():
     assert (alone.summed, alone.enumerated, alone.estimate) == ((1, 2), (), 1)
 
 
+def _random_rep(quiver, dims, p, rng):
+    mats = [[[rng.randrange(p) for _ in range(dims[s - 1])] for _ in range(dims[t - 1])]
+            for s, t in quiver.arrows]
+    return Representation(quiver, PrimeField(p), dims, mats)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_annihilators_read_only_by_a_summed_source(p):
+    # the summed source 1 ranks ann(U_2) M_a stacked on ann(U_3) M_b, and no
+    # arrow joins the enumerated sinks; e_2, e_3 run through 0 and full
+    rng = random.Random(p)
+    star = Quiver(3, [(1, 2), (1, 3)])
+    for _ in range(4):
+        m = _random_rep(star, (4, 2, 2), p, rng)
+        for e in itertools.product((1, 2, 3), range(3), range(3)):
+            assert plan_count(star, m.dims, e, p).summed == (1,)
+            assert count_points(m, e) == len(enumerate_subreps(m, e)), e
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dims, order", [((2, 3, 2, 2), (3, 2)), ((2, 2, 3, 2), (2, 3))])
+def test_annihilators_read_by_an_enumerated_neighbour(p, dims, order):
+    # A_4 with both ends summed and the arrow 2 -> 3 between the enumerated
+    # vertices.  With 3 drawn first ann(U_3) is read only by the later vertex
+    # 2; with 2 drawn first only by the test at 3 against the chosen U_2.  The
+    # test is skipped where e_2 = 0 or e_3 = d_3, and e_3 = 0 makes ann(U_3)
+    # the whole space.
+    rng = random.Random(len(dims) * p + dims[1])
+    a4 = linear_quiver(4)
+    for _ in range(3):
+        m = _random_rep(a4, dims, p, rng)
+        for e2, e3 in itertools.product(range(dims[1] + 1), range(dims[2] + 1)):
+            e = (1, e2, e3, 1)
+            plan = plan_count(a4, dims, e, p)
+            assert plan.summed == (1, 4)
+            if 0 < e2 < dims[1] and 0 < e3 < dims[2]:
+                assert plan.enumerated == order
+            assert count_points(m, e) == len(enumerate_subreps(m, e)), e
+
+
 def test_summed_sinks_stay_exact_beyond_int64():
     m = Representation(Quiver(3, [(1, 2), (1, 3)]), PrimeField(31), (1, 6, 6),
                        [[[0]] * 6, [[0]] * 6])
@@ -439,6 +537,38 @@ def test_counting_polynomial_checks_budget_before_counting(monkeypatch):
     with pytest.raises(BudgetError) as err:
         counting_polynomial(flag_dec(3).to_representation(QQ), (1, 2, 2), budget=1_000_000)
     assert err.value.estimate == gaussian_binomial(4, 2, 41) == 2_898_086
+
+
+def test_count_strategy_reduces_each_prime_once(monkeypatch):
+    import quivergrass.rep as rep
+    calls = Counter()
+    reduce = rep.reduce_mod
+
+    def counted(m_rep, p):
+        calls[p] += 1
+        return reduce(m_rep, p)
+    monkeypatch.setattr(rep, "reduce_mod", counted)
+    f = f_polynomial(flag_dec(2), "count")
+    # every e with e_1, e_2 in {1, 2} has degree bound 4: six primes, 2 to 13
+    assert set(calls) == {2, 3, 5, 7, 11, 13}
+    assert set(calls.values()) == {1}
+    assert f.terms[(0, 0)] == 1 and f.terms[(3, 3)] == 1
+
+
+def test_non_integral_interpolation_is_inconsistent(monkeypatch):
+    import quivergrass.counting as counting
+    # (q^2 + q) / 2 takes integer values at every prime
+    monkeypatch.setattr(counting, "count_points",
+                        lambda m, e, budget: (m.field.p ** 2 + m.field.p) // 2)
+    cp = counting_polynomial(example4_rep(), (1, 1))
+    assert (cp.coefficients, cp.consistency, cp.primes) == ((), "inconsistent", (2, 3, 5))
+    assert cp.counts == (3, 6, 15) and cp.held_out == ()
+
+
+def test_counting_polynomial_of_degree_zero():
+    cp = counting_polynomial(example4_rep(), (0, 0))
+    assert (cp.coefficients, cp.consistency, cp.primes, cp.held_out) == \
+        ((1,), "verified", (2,), (3, 1))
 
 
 @st.composite
@@ -620,3 +750,33 @@ def test_rref_reads_dict_rows_as_dense_rows(case, zero_rows):
         assert la.nullspace(rows, field, cols) == la.nullspace(dense, field, cols)
         assert la.dense(rows, field, cols) == dense
         assert rows == given_rows  # the caller's dicts are left as they were
+
+
+FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@st.composite
+def interpolation_cases(draw):
+    """Distinct primes and integer values at them: either arbitrary, so that
+    the interpolant is rarely integral, or those of an integral polynomial
+    of lower degree."""
+    xs = draw(st.lists(st.sampled_from(FIRST_PRIMES), min_size=1, max_size=9, unique=True))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=len(xs)))
+        ys = [sum(c * x ** i for i, c in enumerate(coeffs)) for x in xs]
+    else:
+        ys = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=len(xs), max_size=len(xs)))
+    return xs, ys
+
+
+@_PROPERTY
+@given(interpolation_cases())
+def test_newton_interpolation_equals_the_vandermonde_solve(case):
+    xs, ys = case
+    vandermonde = la.mat([[x ** k for k in range(len(xs))] for x in xs], QQ)
+    want = [row[0] for row in la.solve(vandermonde, la.mat([[y] for y in ys], QQ), QQ)]
+    got = _newton_interpolation(xs, ys)
+    if all(c.denominator == 1 for c in want):
+        assert got == [int(c) for c in want]
+    else:
+        assert got is None

@@ -8,6 +8,7 @@ import pytest
 
 from quivergrass import QQ, BudgetError, DomainError, PrimeField, Representation, ext1_dim, \
     hom_dim, kronecker_quiver, linear_quiver
+from quivergrass import linalg as la
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
@@ -58,6 +59,33 @@ def test_rank_sequence_named_modules():
                     assert r2[(i, j)] == n - (j - i)
                 else:
                     assert r2[(i, i)] == n + 1
+
+
+def test_rank_sequence_equals_ranks_of_dense_composites():
+    # the dense product of the arrow matrices is the reference for the
+    # sparse composites, over Q and GF(3), with zero-dimensional vertices
+    rng = random.Random(17)
+    for field in (QQ, PrimeField(3)):
+        for _ in range(15):
+            n = rng.randint(2, 5)
+            d = [rng.randint(0, 4) for _ in range(n)]
+            mats = [[[rng.choice([0, 0, 1, 2, -1]) for _ in range(d[s])] for _ in range(d[s + 1])]
+                    for s in range(n - 1)]
+            m = Representation(linear_quiver(n), field, d, mats)
+            r = rank_sequence(m)
+            for i in range(1, n + 1):
+                comp = la.identity(d[i - 1], field)
+                for j in range(i + 1, n + 1):
+                    comp = la.mul(m.matrix(j - 2), comp, field, d[i - 1])
+                    assert r[(i, j)] == la.rank(comp, field), (i, j)
+
+
+def test_decompose_a_large_multiplicity():
+    # 400 copies of U[1,3]: 400 x 400 arrow matrices, whose dense composites
+    # cost 400**3 products each
+    dec = IntervalDecomposition(3, {(1, 3): 400})
+    assert decompose(dec.to_representation(QQ)) == dec
+    assert rank_sequence(dec.to_representation(QQ)) == ranks_from_multiplicities(dec)
 
 
 def test_rank_sequence_rejects_wrong_quiver():
