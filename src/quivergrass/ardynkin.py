@@ -1,5 +1,5 @@
 """Auslander-Reiten quivers of Dynkin quivers by knitting, at the level of
-dimension vectors, plus the Coxeter transform.
+dimension vectors, plus the Coxeter transform read off the Euler form.
 
 Knitting builds the preprojective component mesh by mesh: starting from the
 projectives (with the irreducible maps rad P -> P), a vertex X is completed
@@ -12,11 +12,9 @@ positive root) and terminates at the injectives.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg as la
 from .errors import DomainError
-from .fields import QQ
+from .quiver import euler_form
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,10 @@ def classify(quiver):
             if deg[b] == 4 and legs == [1, 1, 1, 1]:
                 return Classification("affine")  # four-subspace shape
             return Classification("wild")
-        if len(branch) == 2 and all(deg[b] == 3 for b in branch):
-            ok = all(sorted(_leg_lengths(adj, deg, b))[:2] == [1, 1] for b in branch)
-            if ok:
-                return Classification("affine")
+        # extended D_n: two trivalent vertices, every leaf hanging off one
+        if len(branch) == 2 and all(deg[b] == 3 for b in branch) and \
+                all(deg[w] == 3 for v in range(1, n + 1) if deg[v] == 1 for w in adj[v]):
+            return Classification("affine")
         return Classification("wild")
     if edges == n and all(d == 2 for d in degs):
         return Classification("affine")  # oriented cycle graph (incl. Kronecker)
@@ -186,41 +184,27 @@ def knit(quiver):
                     [index[d] for d in inj_dims])
 
 
-def euler_matrix(quiver):
-    """E with <e,d> = e^T E d: identity minus the arrow-count matrix."""
-    n = quiver.vertex_count
-    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for s, t in quiver.arrows:
-        e[s - 1][t - 1] -= 1
-    return tuple(tuple(row) for row in e)
-
-
 def coxeter_matrix(quiver):
-    """Integer matrix C with dim tau M = C dim M for non-projective M."""
-    e = euler_matrix(quiver)
+    """Integer matrix C with dim tau M = C dim M for non-projective M.
+
+    C = -E^-1 E^T for the Euler matrix E, whose inverse has the rows dim P_i,
+    so C[i][j] = -<e_j, dim P_i>.
+    """
     n = quiver.vertex_count
-    inv = la.solve(e, la.identity(n, QQ), QQ)
-    et = la.transpose(e, cols=n)
-    c = la.neg(la.mul(inv, et, QQ, n), QQ)
-    out = []
-    for row in c:
-        for x in row:
-            if x.denominator != 1:
-                raise AssertionError("Coxeter matrix must be integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return tuple(tuple(-euler_form(quiver, u, p) for u in units)
+                 for p in quiver.projective_dims())
 
 
 def tau_dim(quiver, dim):
-    """Coxeter transform of a non-projective positive root's dimension vector."""
+    """Coxeter transform of a non-projective positive root's dimension
+    vector: (dim tau M)_i = -<dim M, dim P_i>."""
     dim = quiver.check_dim_vector(dim)
-    n = quiver.vertex_count
     proj_dims = quiver.projective_dims()
     if dim in proj_dims:
         raise DomainError(
             f"dimension vector of the projective P_{proj_dims.index(dim) + 1} has no translate")
-    c = coxeter_matrix(quiver)
-    out = tuple(sum(c[i][j] * dim[j] for j in range(n)) for i in range(n))
+    out = tuple(-euler_form(quiver, dim, p) for p in proj_dims)
     if any(v < 0 for v in out):
         raise DomainError(f"{dim} is not the dimension vector of a non-projective module")
     return out

@@ -146,18 +146,14 @@ def make_generating(s_rep, x_rep):
 def _injective_cokernel_exponent(ge):
     """f with I = (+) I_k^(f_k) from 0 -> X/X_S -> tau S^X -> I -> 0.
 
-    The dimension vectors of the indecomposable injectives form a basis of
-    Z^n, so f is the unique solution of sum_k f_k dim I_k =
-    dim tau S^X - dim X/X_S.  When the two dimension vectors are equal the
-    cokernel is 0, and the two modules must be isomorphic.
+    dim I = dim tau S^X - dim X/X_S, and f is its vector of injective
+    multiplicities (``_injective_multiplicities``), 0 when the two dimension
+    vectors are equal; the two modules must then be isomorphic.
     """
-    n = ge.s.quiver.vertex_count
     a = ta.decompose(ge.x_mod_xs)
     tau_sx = ta.translate(ta.decompose(ge.s_x), 1)
-    if a.dim_vector() == tau_sx.dim_vector():
-        if a != tau_sx:
-            raise AssertionError("X/X_S and tau S^X have equal dims but differ")
-        return (0,) * n
+    if a.dim_vector() == tau_sx.dim_vector() and a != tau_sx:
+        raise AssertionError("X/X_S and tau S^X have equal dims but differ")
     return _injective_multiplicities(
         ge.s.quiver, tuple(t - x for t, x in zip(tau_sx.dim_vector(), a.dim_vector())))
 
@@ -284,16 +280,11 @@ def g_vector_from_injective_resolution(m_rep):
 def _injective_multiplicities(quiver, dims):
     """The nonnegative integer f with sum_k f_k dim I_k = dims.
 
-    (dim I_k)_v counts the paths v -> k, so in reverse topological order each
-    f_v is dims_v minus the f_k already solved: the injective dimension
-    vectors form a basis of Z^n and f is unique.  AssertionError when some
-    f_v is negative, that is when dims is not the dimension vector of an
-    injective module.
+    The dim I_k are the columns of E^-1 for the Euler matrix E, so f = E dims,
+    that is f_v = <e_v, dims>.  AssertionError when some f_v is negative,
+    that is when dims is not the dimension vector of an injective module.
     """
-    inj_dims = quiver.opposite().projective_dims()
-    f = {}
-    for v in reversed(quiver.topological_order):
-        f[v] = dims[v - 1] - sum(fk * inj_dims[k - 1][v - 1] for k, fk in f.items())
-    if any(x < 0 for x in f.values()):
+    f = tuple(euler_form(quiver, u, dims) for u in _units(quiver.vertex_count))
+    if any(x < 0 for x in f):
         raise AssertionError(f"{tuple(dims)} is not the dimension vector of an injective")
-    return tuple(f[v] for v in range(1, quiver.vertex_count + 1))
+    return f

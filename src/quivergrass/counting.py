@@ -585,8 +585,8 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET, *, _reduct
     M lives over Q; the degree bound is D = sum e_i (d_i - e_i), so D+1 primes
     interpolate (exact Newton divided differences in integers) and one more
     is held out for the consistency check.  A prime where M has bad
-    reduction is skipped.  The budget is checked at every one of these
-    primes before any is counted.  Given primes must be distinct primes
+    reduction is skipped.  The budget is checked once, at the largest of these
+    primes, before any is counted.  Given primes must be distinct primes
     (DomainError otherwise).  ``_reductions`` lets ``euler_char_table``
     share the reductions of M across its e, each prime reduced once.
     """
@@ -608,8 +608,10 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET, *, _reduct
         raise DomainError(f"need at least {degree_bound + 1} good-reduction primes, "
                           f"have {len(reductions)}")
     reductions = reductions[:degree_bound + 2]
-    _check_budget(max(plan_count(m_rep.quiver, m_rep.dims, e, r.field.p).estimate
-                      for r in reductions), budget)
+    # [d, e]_p has nonnegative coefficients in p, so every plan's estimate,
+    # and their minimum, is largest at the largest prime
+    _check_budget(plan_count(m_rep.quiver, m_rep.dims, e,
+                             max(r.field.p for r in reductions)).estimate, budget)
     interp = reductions[:degree_bound + 1]
     interp_primes = tuple(r.field.p for r in interp)
     counts = tuple(count_points(r, e, budget=budget) for r in interp)

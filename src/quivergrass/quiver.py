@@ -107,12 +107,22 @@ class Quiver:
         return by_vertex
 
     def projective_dims(self):
-        """Dimension vectors of the indecomposable projectives P_1..P_n: the
-        paths from k, counted by endpoint.  The injectives I_k are the
-        projectives of ``opposite()``."""
+        """Dimension vectors of the indecomposable projectives P_1..P_n.
+
+        (dim P_v)_w counts the paths v -> w, so in reverse topological order
+        dim P_v = e_v + sum of dim P_t over the arrows v -> t (parallel arrows
+        once each): a path count, not a path list.  These are the rows of
+        E^-1 for the Euler matrix E of ``euler_form``.  The injectives I_k
+        are the projectives of ``opposite()``.
+        """
         n = self.vertex_count
-        return tuple(tuple(len(paths[v]) for v in range(1, n + 1))
-                     for paths in map(self.paths_from, range(1, n + 1)))
+        dims = {}
+        for v in reversed(self.topological_order):
+            row = [int(w == v) for w in range(1, n + 1)]
+            for _, _, t in self.arrows_from(v):
+                row = [a + b for a, b in zip(row, dims[t])]
+            dims[v] = tuple(row)
+        return tuple(dims[v] for v in range(1, n + 1))
 
     def check_dim_vector(self, d):
         """d as a tuple of nonnegative ints, one per vertex."""

@@ -14,14 +14,17 @@ spans, so that general linear algebra (arrow stability, tangent spaces) can
 check the cell and stratum engines at it.  ``interval_direct_sum`` builds an
 interval module as the direct sum of one representation per summand, the
 oracle of the block matrices ``IntervalDecomposition.to_representation``
-writes at once.
+writes at once.  ``coxeter_by_inverse`` is -E^-1 E^T for the Euler matrix E,
+inverted over Q by Gaussian elimination, the oracle of the Coxeter matrix
+``ardynkin`` reads off the Euler form and the path counts.
 """
 
 import random
+from fractions import Fraction
 
 from quivergrass import linalg as la
-from quivergrass import (DomainError, SubrepWitness, direct_sum, hom_basis, hom_dim, linear_quiver,
-                         quotient, restrict, zero_rep)
+from quivergrass import (QQ, DomainError, SubrepWitness, direct_sum, hom_basis, hom_dim,
+                         linear_quiver, quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness, zero_witness
 from quivergrass.typea import coefficient_quiver, decompose, interval_rep, translate
@@ -137,3 +140,16 @@ def interval_direct_sum(dec, field):
     q = linear_quiver(dec.n)
     parts = [interval_rep(q, field, i, j) for (i, j) in dec.summands()]
     return direct_sum(*parts) if parts else zero_rep(q, field)
+
+
+def coxeter_by_inverse(quiver):
+    """-E^-1 E^T as int tuples, E = I - (arrow counts) inverted by ``la.solve``
+    over Q; AssertionError unless the product is integral."""
+    n = quiver.vertex_count
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for s, t in quiver.arrows:
+        e[s - 1][t - 1] -= 1
+    inv = la.solve(e, la.identity(n, QQ), QQ)
+    c = la.neg(la.mul(inv, la.transpose(e, cols=n), QQ, n), QQ)
+    assert all(x.denominator == 1 for row in c for x in row), "Coxeter matrix not integral"
+    return tuple(tuple(int(x) for x in row) for row in c)

@@ -2,10 +2,13 @@
 
 import pytest
 
-from quivergrass import DomainError, Quiver, kronecker_quiver, linear_quiver
+from quivergrass import (QQ, DomainError, Quiver, euler_form, kronecker_quiver, linear_quiver,
+                         projective)
 from quivergrass.ardynkin import (classify, coxeter_matrix, knit,
                                   positive_root_count, tau_dim)
 from quivergrass.typea import IntervalDecomposition, interval_dims, translate
+
+from oracles import coxeter_by_inverse
 
 D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
 D5 = Quiver(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
@@ -108,3 +111,80 @@ def test_coxeter_agrees_with_knitting():
             want = ar.vertices[source]
             got = tuple(sum(c[i][j] * dim[j] for j in range(n)) for i in range(n))
             assert got == want
+
+
+def _branched(letter, rank):
+    """D_n: arms of length 1, 1 and n-3 at vertex 3.  E_n: arms of length 1,
+    2 and n-4 at vertex 1, with the arrows pointing both ways."""
+    if letter == "D":
+        arrows = [(1, 3), (2, 3)] + [(v, v + 1) for v in range(3, rank)]
+    else:
+        arrows = [(2, 1), (1, 3), (3, 4), (1, 5)] + [(v, v + 1) for v in range(5, rank)]
+    return Quiver(rank, arrows)
+
+
+# parallel arrows 1 => 2, a branch at 2 and two paths 2 -> 5
+MIXED = Quiver(5, [(1, 2), (1, 2), (2, 3), (2, 4), (1, 4), (4, 5), (3, 5)])
+
+EULER_QUIVERS = ([linear_quiver(n) for n in range(1, 9)]
+                 + [_branched("D", n) for n in range(4, 9)]
+                 + [_branched("E", n) for n in (6, 7, 8)]
+                 + [kronecker_quiver(3), MIXED, Quiver(3, [(3, 1), (3, 2), (2, 1)]),
+                    Quiver(12, [(v, v + 1) for v in range(1, 12) for _ in range(2)])])
+EULER_IDS = ([f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "K3", "mixed", "relabelled", "doubled-chain"])
+
+
+@pytest.mark.parametrize("quiver", EULER_QUIVERS, ids=EULER_IDS)
+def test_coxeter_matrix_equals_the_inverse_of_the_euler_matrix(quiver):
+    assert coxeter_matrix(quiver) == coxeter_by_inverse(quiver)
+
+
+@pytest.mark.parametrize("quiver", EULER_QUIVERS, ids=EULER_IDS)
+def test_projective_dims_are_dual_to_the_simples(quiver):
+    n = quiver.vertex_count
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    proj = quiver.projective_dims()
+    inj = quiver.opposite().projective_dims()
+    if n <= 5:
+        assert proj == tuple(projective(quiver, QQ, k).dims for k in range(1, n + 1))
+    for i in range(n):
+        for j in range(n):
+            assert euler_form(quiver, proj[i], units[j]) == int(i == j)
+            assert euler_form(quiver, units[i], inj[j]) == int(i == j)
+
+
+def test_projective_dims_count_paths_without_listing_them():
+    doubled = Quiver(40, [(v, v + 1) for v in range(1, 40) for _ in range(2)])
+    proj = doubled.projective_dims()
+    assert proj[0][39] == 2 ** 39
+    assert proj[39] == (0,) * 39 + (1,)
+    # -<e_j, dim P_1> = -(2^j - 2 * 2^(j+1)) below the sink
+    assert coxeter_matrix(doubled)[0] == tuple(3 * 2 ** j for j in range(39)) + (-2 ** 39,)
+
+
+@pytest.mark.parametrize("rank, roots", [(6, 36), (7, 63), (8, 120)])
+def test_knit_e_types(rank, roots):
+    quiver = _branched("E", rank)
+    cls = classify(quiver)
+    assert (cls.letter, cls.rank) == ("E", rank)
+    assert positive_root_count("E", rank) == roots
+    ar = knit(quiver)
+    assert len(ar.vertices) == len(set(ar.vertices)) == roots
+    c = coxeter_matrix(quiver)
+    for target, source in ar.tau.items():
+        dim = ar.vertices[target]
+        assert tuple(sum(c[i][j] * dim[j] for j in range(rank)) for i in range(rank)) \
+            == ar.vertices[source] == tau_dim(quiver, dim)
+
+
+def test_classify_affine_and_wild_beyond_one_branch():
+    # two branch vertices with two legs of length 1 each: extended D_5
+    assert classify(Quiver(6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])).kind == "affine"
+    # ... and with a longer leg at one end
+    assert classify(Quiver(7, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7)])).kind == "wild"
+    # a cycle with a tail, a five-leaf star, and legs (2, 2, 3)
+    assert classify(Quiver(4, [(1, 2), (2, 3), (1, 3), (3, 4)])).kind == "wild"
+    assert classify(Quiver(6, [(v, 6) for v in range(1, 6)])).kind == "wild"
+    assert classify(Quiver(8, [(1, 2), (2, 8), (3, 4), (4, 8), (5, 6), (6, 7),
+                               (7, 8)])).kind == "wild"

@@ -91,6 +91,76 @@ def test_ill_typed_rep_file_exit_2(tmp_path, change):
     assert code == 2 and text.startswith("error: ")
 
 
+D4_FILE = {"vertices": 4, "arrows": [[1, 4], [2, 4], [3, 4]], "field": "Q",
+           "dims": [1, 1, 1, 2], "matrices": {"0": [[1], [0]], "1": [[0], [1]],
+                                              "2": [[1], [1]]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "top level must be an object"),
+    ({"vertices": 2, "arrows": [[1, 2]], "dims": [1, 1], "matrices": {}},
+     "missing field 'field'"),
+    (dict(json.loads(EX4), extra=1), "unknown fields ['extra']"),
+    ({"vertices": 2, "arrows": [[1, 2]], "field": "Q", "intervals": "U[1,2]",
+      "dims": [1, 2]}, "do not match the intervals"),
+    ({"vertices": 2, "arrows": [[2, 1]], "field": "Q", "intervals": "U[1,2]"},
+     "needs the equioriented A_n quiver"),
+    ({"vertices": 2, "arrows": [[1, 2]], "field": "Q", "matrices": {}},
+     "missing field 'dims'"),
+    (dict(json.loads(EX4), matrices={"a": [[1, 0], [0, 0]]}), "is not a 0-based arrow index"),
+    (dict(json.loads(EX4), matrices={"1": [[1, 0], [0, 0]]}), "out of range for 1 arrows"),
+    (dict(json.loads(EX4), field="Fp:x"), "malformed field name 'Fp:x'"),
+    (dict(json.loads(EX4), field="R"), "unknown field 'R'"),
+], ids=["top-level", "missing", "unknown", "interval-dims", "interval-quiver",
+        "no-dims", "key", "key-range", "Fp:x", "R"])
+def test_rep_file_refusals_exit_2(tmp_path, doc, message):
+    path = tmp_path / "bad.rep"
+    path.write_text(json.dumps(doc))
+    code, text = run(["decompose", "--rep", str(path)])
+    assert code == 2 and text.startswith("error: ") and message in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--intervals", "U[1,2]"], "--intervals requires --n"),
+    (["count", "--rep", "{fp5}", "--e", "1,1", "--p", "7"],
+     "--p 7 conflicts with the file's field GF(5)"),
+    (["count", "--rep", "{q}", "--e", "1,1"], "--p is required for a representation over Q"),
+])
+def test_prime_and_interval_flag_refusals_exit_2(tmp_path, argv, message):
+    files = {}
+    for name, field in (("fp5", "Fp:5"), ("q", "Q")):
+        files[name] = tmp_path / f"{name}.rep"
+        files[name].write_text(json.dumps(dict(json.loads(EX4), field=field)))
+    code, text = run([a.format(**files) for a in argv])
+    assert (code, text) == (2, f"error: {message}\n")
+
+
+def test_verify_mult_on_a_split_pair_notes_it(tmp_path):
+    # Ext^1(S_2, S_1) = 0 on 1 -> 2: the class splits
+    paths = []
+    for name, intervals in (("x", "U[1,1]"), ("s", "U[2,2]")):
+        path = tmp_path / f"{name}.rep"
+        path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
+                                    "intervals": intervals}))
+        paths.append(str(path))
+    code, text = run(["verify-mult", "--x", paths[0], "--s", paths[1],
+                      "--format", "machine"])
+    assert code == 0
+    assert json.loads(text)["outputs"] == {
+        "kind": "split", "note": "split class: the multiplication formula does not apply"}
+
+
+def test_ar_quiver_of_a_d4_file(tmp_path):
+    path = tmp_path / "d4.rep"
+    path.write_text(json.dumps(D4_FILE))
+    code, text = run(["ar-quiver", "--rep", str(path), "--format", "machine"])
+    assert code == 0
+    out = json.loads(text)["outputs"]
+    assert len(out["vertices"]) == 12 and [1, 1, 1, 2] in out["vertices"]
+    assert [out["vertices"][k] for k in out["projectives"]] == \
+        [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+
+
 def test_interval_syntax():
     dec = parse_intervals("U[1,2]^2 + U[2,2]", 2)
     assert dec.m == {(1, 2): 2, (2, 2): 1}
@@ -259,6 +329,21 @@ def test_psi_check_rejects_repeated_primes(tmp_path):
     code, text = run(["psi-check", "--x", paths[0], "--s", paths[1], "--e", "1,1",
                       "--primes", "2,2"])
     assert code == 2 and "repeated primes" in text
+
+
+def test_poly_inconsistent_at_the_held_out_prime_prints_no_euler(tmp_path):
+    # Kronecker module with maps I and a rotation: #Gr_(1,1) counts the roots
+    # of x^2 + 1, 2 at 5, 13 and 17 but none at the held-out 3
+    path = tmp_path / "rot.rep"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2], [1, 2]], "field": "Q",
+                                "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 1]],
+                                                             "1": [[0, -1], [1, 0]]}}))
+    for fmt in ("text", "machine"):
+        code, text = run(["poly", "--rep", str(path), "--e", "1,1",
+                          "--primes", "5,13,17,3", "--format", fmt])
+        assert code == 0 and "inconsistent" in text
+        assert "euler_characteristic" not in text and "betti_numbers" not in text
+    assert json.loads(text)["outputs"]["counting_polynomial"]["held_out"] == [3, 0]
 
 
 def test_poly_budget_checked_at_the_largest_prime():

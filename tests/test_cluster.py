@@ -55,7 +55,8 @@ def test_g_vector_against_injective_resolution():
                          + [Quiver(4, [(1, 4), (2, 4), (3, 4)])],
                          ids=["A1", "A2", "A3", "A4", "A5", "D4"])
 def test_injective_multiplicities_inverts_sums_of_injectives(quiver):
-    # no generating pair of the multiplication tests reaches this solve
+    # every nonsplit pair of the multiplication tests asks for f at the zero
+    # vector (X/X_S = tau S^X); these sums of injectives are the nonzero f
     n = quiver.vertex_count
     inj = [injective(quiver, QQ, k).dims for k in range(1, n + 1)]
     for f in itertools.product(range(3), repeat=n):

@@ -230,6 +230,10 @@ def test_counting_polynomial_skips_bad_reduction():
     assert cp.consistency == "verified"
     with pytest.raises(DomainError, match="0 is not prime"):
         counting_polynomial(m, (1, 1), primes=[0, 2, 3, 5])
+    # a denominator of 3 skips 3 among the primes drawn when none are given
+    cp = counting_polynomial(Representation(A2, QQ, (1, 1), [[["1/3"]]]), (1, 1))
+    assert 3 in cp.skipped_primes and 3 not in cp.primes + cp.held_out[:1]
+    assert (cp.coefficients, cp.consistency) == ((1,), "verified")
 
 
 def test_euler_characteristic_refuses_inconsistent():
@@ -569,6 +573,66 @@ def test_counting_polynomial_of_degree_zero():
     cp = counting_polynomial(example4_rep(), (0, 0))
     assert (cp.coefficients, cp.consistency, cp.primes, cp.held_out) == \
         ((1,), "verified", (2,), (3, 1))
+
+
+def _rotation_kronecker():
+    """Kronecker module with maps I and the rotation [[0, -1], [1, 0]]: its
+    subrepresentations at e = (1, 1) are the eigenlines of the rotation, so
+    #Gr_(1,1) over F_p counts the roots of x^2 + 1."""
+    return Representation(kronecker_quiver(2), QQ, (2, 2),
+                          [[[1, 0], [0, 1]], [[0, -1], [1, 0]]])
+
+
+def test_held_out_prime_that_disagrees_is_inconsistent():
+    # 5, 13 and 17 are 1 mod 4 (two roots each) and interpolate 2; 3 has none
+    cp = counting_polynomial(_rotation_kronecker(), (1, 1), primes=[5, 13, 17, 3])
+    assert cp.counts == (2, 2, 2) and cp.held_out == (3, 0)
+    assert (cp.coefficients, cp.consistency) == ((), "inconsistent")
+
+
+def test_library_refusals():
+    with pytest.raises(DomainError, match="out of range"):
+        SubspaceIter(2, 3, 5)
+    with pytest.raises(DomainError, match="GF\\(p\\)"):
+        count_points(example4_rep(), (1, 1))
+    with pytest.raises(DomainError, match="over Q"):
+        counting_polynomial(example4_rep(PrimeField(5)), (1, 1))
+
+
+def test_counting_polynomial_plans_the_budget_once(monkeypatch):
+    import quivergrass.counting as counting
+    calls = []
+
+    def counted(quiver, dims, e, p):
+        calls.append(p)
+        return plan_count(quiver, dims, e, p)
+    monkeypatch.setattr(counting, "plan_count", counted)
+    cp = counting_polynomial(flag_dec(3).to_representation(QQ), (0, 1, 2))
+    # one plan at the largest prime for the budget, one per count
+    assert calls == [max(cp.primes + cp.held_out[:1])] + list(cp.primes) + [cp.held_out[0]]
+    assert len(calls) == 10
+
+
+@st.composite
+def quiver_dims_and_e(draw):
+    """An acyclic quiver on at most six vertices (parallel arrows allowed),
+    dimensions at most 4 and a sub-dimension vector."""
+    n = draw(st.integers(1, 6))
+    arrow = st.integers(1, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, n)))
+    arrows = draw(st.lists(arrow, max_size=8)) if n > 1 else []
+    dims = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    e = tuple(draw(st.integers(0, d)) for d in dims)
+    return Quiver(n, arrows), dims, e
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quiver_dims_and_e())
+def test_plan_estimate_is_nondecreasing_in_p(case):
+    # [d, e]_p has nonnegative coefficients in p, so one budget check at the
+    # largest prime stands for every smaller one
+    quiver, dims, e = case
+    estimates = [plan_count(quiver, dims, e, p).estimate for p in (2, 3, 5, 7, 11, 13, 31)]
+    assert estimates == sorted(estimates)
 
 
 @st.composite
