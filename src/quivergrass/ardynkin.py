@@ -1,6 +1,9 @@
 """Auslander-Reiten quivers of Dynkin quivers by knitting, at the level of
 dimension vectors, plus the Coxeter transform read off the Euler form.
 
+``classify`` decides Dynkin, affine or wild by the Tits form q(x) = <x, x>
+(Gabriel's criterion), from the signs of its leading principal minors.
+
 Knitting builds the preprojective component mesh by mesh: starting from the
 projectives (with the irreducible maps rad P -> P), a vertex X is completed
 once every irreducible map out of it is known, and then
@@ -28,73 +31,46 @@ class Classification:
         return f"{self.letter}{self.rank}" if self.kind == "dynkin" else self.kind
 
 
-def _degree_data(quiver):
-    n = quiver.vertex_count
-    deg = [0] * (n + 1)
-    adj = {v: [] for v in range(1, n + 1)}
-    for s, t in quiver.arrows:
-        deg[s] += 1
-        deg[t] += 1
-        adj[s].append(t)
-        adj[t].append(s)
-    return deg, adj
-
-
-def _leg_lengths(adj, deg, branch):
-    """Lengths of the legs hanging off a branch vertex of a tree."""
-    legs = []
-    for first in adj[branch]:
-        length = 1
-        prev, cur = branch, first
-        while deg[cur] == 2:
-            nxt = next(w for w in adj[cur] if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        legs.append(length)
-    return sorted(legs)
-
-
 def classify(quiver):
-    """Underlying-graph classification: Dynkin ADE, affine (extended), or wild."""
+    """Gabriel's criterion: Dynkin iff the Tits form q(x) = <x, x> is positive
+    definite, affine iff it is positive semidefinite but not definite, wild
+    otherwise.
+
+    The kind is read off the leading principal minors of C = 2I - A, the
+    matrix of <x, y> + <y, x> (A[i][j] counts the arrows between i and j),
+    by Bareiss elimination in ints up to the first minor <= 0.  All positive
+    is Dynkin.  The first n - 1 positive and the last 0 is affine, in any
+    vertex order, since every proper subgraph of an extended Dynkin diagram
+    is Dynkin.  Anything else is wild.  A Dynkin graph
+    is a tree: A without a trivalent vertex, else D or E as the branch vertex
+    has two or more leaves as neighbours, or one.
+    """
     n = quiver.vertex_count
     if n == 0:
         raise DomainError("empty quiver")
     if not quiver.is_connected():
         raise DomainError("classification expects a connected quiver")
-    edges = quiver.arrow_count
-    deg, adj = _degree_data(quiver)
-    degs = deg[1:]
-    if edges == n - 1:  # tree
-        branch = [v for v in range(1, n + 1) if deg[v] >= 3]
-        if not branch:
-            return Classification("dynkin", "A", n)
-        if len(branch) == 1:
-            b = branch[0]
-            legs = _leg_lengths(adj, deg, b)
-            if deg[b] == 3:
-                a, bb, c = legs
-                if (a, bb) == (1, 1):
-                    return Classification("dynkin", "D", c + 3)
-                if legs == [1, 2, 2]:
-                    return Classification("dynkin", "E", 6)
-                if legs == [1, 2, 3]:
-                    return Classification("dynkin", "E", 7)
-                if legs == [1, 2, 4]:
-                    return Classification("dynkin", "E", 8)
-                if legs in ([2, 2, 2], [1, 3, 3], [1, 2, 5]):
-                    return Classification("affine")
-                return Classification("wild")
-            if deg[b] == 4 and legs == [1, 1, 1, 1]:
-                return Classification("affine")  # four-subspace shape
-            return Classification("wild")
-        # extended D_n: two trivalent vertices, every leaf hanging off one
-        if len(branch) == 2 and all(deg[b] == 3 for b in branch) and \
-                all(deg[w] == 3 for v in range(1, n + 1) if deg[v] == 1 for w in adj[v]):
-            return Classification("affine")
-        return Classification("wild")
-    if edges == n and all(d == 2 for d in degs):
-        return Classification("affine")  # oriented cycle graph (incl. Kronecker)
-    return Classification("wild")
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    deg = [0] * (n + 1)
+    for s, t in quiver.arrows:
+        c[s - 1][t - 1] -= 1
+        c[t - 1][s - 1] -= 1
+        deg[s] += 1
+        deg[t] += 1
+    prev = 1
+    for k in range(n):
+        pivot = c[k][k]  # the (k+1)-th leading minor
+        if pivot <= 0:
+            return Classification("affine" if pivot == 0 and k == n - 1 else "wild")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                c[i][j] = (c[i][j] * pivot - c[i][k] * c[k][j]) // prev
+        prev = pivot
+    branch = next((v for v in range(1, n + 1) if deg[v] == 3), None)
+    if branch is None:
+        return Classification("dynkin", "A", n)
+    leaves = sum(deg[s + t - branch] == 1 for s, t in quiver.arrows if branch in (s, t))
+    return Classification("dynkin", "D" if leaves >= 2 else "E", n)
 
 
 def positive_root_count(letter, rank):

@@ -5,7 +5,8 @@ the Hom fingerprint of the subrepresentation, the finite-field oracle of
 ``typea.strata`` (which reads strata off torus fixed points).
 ``injective_cokernel_exponent`` embeds X/X_S into tau S^X by a seeded random
 search of Hom and decomposes the cokernel, the oracle of the exponent f that
-``cluster`` solves from dimension vectors alone.  ``convolve`` multiplies two
+``cluster`` proves is 0 for interval modules and asserts through the
+isomorphism X/X_S = tau S^X.  ``convolve`` multiplies two
 polynomials term by term over exponent tuples, the oracle of the packed-key
 product ``SparsePoly.__mul__``, and ``substitute`` maps each exponent tuple
 through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.

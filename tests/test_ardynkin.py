@@ -1,5 +1,9 @@
 """Dynkin classification, AR-quiver knitting, Coxeter transform."""
 
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from quivergrass import (QQ, DomainError, Quiver, euler_form, kronecker_quiver, linear_quiver,
@@ -188,3 +192,84 @@ def test_classify_affine_and_wild_beyond_one_branch():
     assert classify(Quiver(6, [(v, 6) for v in range(1, 6)])).kind == "wild"
     assert classify(Quiver(8, [(1, 2), (2, 8), (3, 4), (4, 8), (5, 6), (6, 7),
                                (7, 8)])).kind == "wild"
+
+
+def _dynkin_edges(letter, rank):
+    """The path 1 - 2 - ... for A_n; for D_n and E_n the path on 1..n-1 with
+    the leaf n hung off vertex 2 (legs 1, 1, n-3) or vertex 3 (legs 2, 1, n-4)."""
+    if letter == "A":
+        return [(v, v + 1) for v in range(1, rank)]
+    return [(v, v + 1) for v in range(1, rank - 1)] + [(2 if letter == "D" else 3, rank)]
+
+
+def _random_orientation(rng, letter, rank):
+    """The Dynkin graph under a random labelling, each edge oriented at random."""
+    label = rng.sample(range(1, rank + 1), rank)
+    arrows = []
+    for a, b in _dynkin_edges(letter, rank):
+        s, t = label[a - 1], label[b - 1]
+        arrows.append((s, t) if rng.random() < 0.5 else (t, s))
+    rng.shuffle(arrows)
+    return Quiver(rank, arrows)
+
+
+DYNKIN = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+          + [("E", n) for n in (6, 7, 8)])
+DYNKIN_IDS = [f"{letter}{rank}" for letter, rank in DYNKIN]
+
+
+@pytest.mark.parametrize("letter, rank", DYNKIN, ids=DYNKIN_IDS)
+def test_classify_names_every_orientation_and_labelling(letter, rank):
+    rng = random.Random(100 * rank + ord(letter))
+    for _ in range(40):
+        assert classify(_random_orientation(rng, letter, rank)).name == f"{letter}{rank}"
+
+
+@pytest.mark.parametrize("letter, rank", DYNKIN, ids=DYNKIN_IDS)
+def test_knit_every_orientation_and_labelling(letter, rank):
+    rng = random.Random(100 * rank + ord(letter) + 1)
+    for _ in range(40):
+        quiver = _random_orientation(rng, letter, rank)
+        ar = knit(quiver)
+        assert len(ar.vertices) == positive_root_count(letter, rank)
+        # every vertex is a positive root: q(x) = <x, x> = 1 (Gabriel)
+        assert all(euler_form(quiver, x, x) == 1 for x in ar.vertices)
+        c = coxeter_matrix(quiver)
+        for target, source in ar.tau.items():
+            dim = ar.vertices[target]
+            assert tuple(sum(c[i][j] * dim[j] for j in range(rank)) for i in range(rank)) \
+                == ar.vertices[source] == tau_dim(quiver, dim)
+
+
+def _random_connected_quiver(rng):
+    """A random spanning tree on n <= 10 vertices plus up to two extra edges
+    (parallel ones allowed), each oriented along the order of construction
+    and relabelled at random."""
+    n = rng.randint(1, 10)
+    edges = [(rng.randrange(k), k) for k in range(1, n)]
+    if n > 1:
+        edges += [tuple(sorted(rng.sample(range(n), 2)))
+                  for _ in range(rng.choice((0, 0, 1, 2)))]
+    label = rng.sample(range(1, n + 1), n)
+    return Quiver(n, [(label[i], label[j]) for i, j in edges])
+
+
+def test_classify_agrees_with_the_spectral_radius():
+    """2I - A is positive definite iff the largest eigenvalue of the
+    adjacency matrix A is below 2, and positive semidefinite iff it is at
+    most 2: an oracle for Gabriel's criterion that shares no code with
+    ``classify``."""
+    rng = random.Random(1972)
+    kinds = Counter()
+    for _ in range(2000):
+        quiver = _random_connected_quiver(rng)
+        n = quiver.vertex_count
+        adjacency = np.zeros((n, n))
+        for s, t in quiver.arrows:
+            adjacency[s - 1, t - 1] += 1
+            adjacency[t - 1, s - 1] += 1
+        lam = np.linalg.eigvalsh(adjacency)[-1]
+        want = "dynkin" if lam < 2 - 1e-9 else "affine" if abs(lam - 2) <= 1e-9 else "wild"
+        assert classify(quiver).kind == want, (quiver, lam)
+        kinds[want] += 1
+    assert min(kinds[k] for k in ("dynkin", "affine", "wild")) >= 50, kinds

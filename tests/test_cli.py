@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from quivergrass.cli import COMMANDS, _parser, run
+from quivergrass.cli import COMMANDS, _parser, main, run
 from quivergrass.errors import DomainError
 from quivergrass.fields import QQ
 from quivergrass.repfile import format_intervals, parse_intervals, parse_rep_document
@@ -174,6 +174,22 @@ def test_interval_syntax():
 def test_unknown_subcommand_exit_1():
     code, text = run(["frobnicate"])
     assert code == 1 and "unknown subcommand" in text
+    code, text = run([])
+    assert code == 1 and "no subcommand given" in text
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["catenoid", "--intervals", "U[1,2]", "--n", "2"], 0, "subcommand: catenoid"),
+    ([], 1, "no subcommand given"),
+    (["count", "--intervals", "U[1,2]", "--n", "2", "--e", "1,1"], 2, "--p is required"),
+])
+def test_main_writes_success_to_stdout_and_failure_to_stderr(monkeypatch, capsys,
+                                                             argv, code, fragment):
+    monkeypatch.setattr("sys.argv", ["quivergrass", *argv])
+    assert main() == code
+    out, err = capsys.readouterr()
+    assert fragment in (out if code == 0 else err)
+    assert (out, err) == ((run(argv)[1], "") if code == 0 else ("", run(argv)[1]))
 
 
 def test_malformed_file_exit_2(tmp_path):
@@ -363,6 +379,33 @@ def test_count_reports_the_planned_estimate():
 def test_count_subcommand(ex4_file):
     code, text = run(["count", "--rep", ex4_file, "--e", "1,1", "--p", "2"])
     assert code == 0 and "count: 5" in text
+
+
+def test_count_on_a_prime_field_file_needs_no_p(tmp_path):
+    # the identity 2 x 2 map over GF(3): Gr_(1,1) is P^1(F_3), 4 points
+    path = tmp_path / "eye3.rep"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Fp:3",
+                                "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 1]]}}))
+    code, text = run(["count", "--rep", str(path), "--e", "1,1", "--format", "machine"])
+    doc = json.loads(text)
+    assert code == 0 and doc["outputs"]["count"] == 4 and doc["inputs"]["p"] == 3
+
+
+def test_poly_reports_the_primes_it_skipped(tmp_path):
+    path = tmp_path / "third.rep"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
+                                "dims": [1, 1], "matrices": {"0": [["1/3"]]}}))
+    code, text = run(["poly", "--rep", str(path), "--e", "1,0", "--format", "machine"])
+    assert code == 0
+    assert 3 in json.loads(text)["outputs"]["counting_polynomial"]["skipped_primes"]
+
+
+def test_intervals_document_echoes_matching_dims(tmp_path):
+    path = tmp_path / "dims.rep"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
+                                "intervals": "U[1,2] + U[2,2]", "dims": [1, 2]}))
+    code, text = run(["decompose", "--rep", str(path), "--format", "machine"])
+    assert code == 0 and json.loads(text)["inputs"]["document"]["dims"] == [1, 2]
 
 
 def test_flat_locus_subcommand(mf3_file):

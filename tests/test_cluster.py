@@ -3,6 +3,7 @@ identities (multiplication formula, affine-bundle point counts)."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,8 @@ from quivergrass.cluster import (_injective_multiplicities, cluster_character,
                                  verify_multiplication)
 from quivergrass.poly import SparsePoly
 from quivergrass.typea import (IntervalDecomposition, decompose,
-                               degenerate_flag_dec, ext_interval,
-                               fixed_points, interval_rep)
+                               degenerate_flag_dec, ext_dim_decs, ext_interval,
+                               fixed_points, interval_rep, translate)
 
 A2 = linear_quiver(2)
 
@@ -55,8 +56,8 @@ def test_g_vector_against_injective_resolution():
                          + [Quiver(4, [(1, 4), (2, 4), (3, 4)])],
                          ids=["A1", "A2", "A3", "A4", "A5", "D4"])
 def test_injective_multiplicities_inverts_sums_of_injectives(quiver):
-    # every nonsplit pair of the multiplication tests asks for f at the zero
-    # vector (X/X_S = tau S^X); these sums of injectives are the nonzero f
+    # g_vector_from_injective_resolution reads I_1 this way; the exponent f
+    # of the multiplication formula is 0 (X/X_S = tau S^X) and not solved
     n = quiver.vertex_count
     inj = [injective(quiver, QQ, k).dims for k in range(1, n + 1)]
     for f in itertools.product(range(3), repeat=n):
@@ -263,8 +264,49 @@ def test_psi_count_identity_split_case():
         assert psi_count_identity(ge, e, [2, 3]).holds
 
 
+def test_count_strategy_refuses_an_unverified_polynomial_and_an_unknown_name():
+    # maps I and a rotation: #Gr_(1,1) counts the roots of x^2 + 1, so the
+    # counts at the default primes fit no one polynomial
+    rotation = Representation(kronecker_quiver(2), QQ, (2, 2),
+                              [[[1, 0], [0, 1]], [[0, -1], [1, 0]]])
+    with pytest.raises(DomainError, match="is inconsistent, not verified"):
+        f_polynomial(rotation, "count")
+    with pytest.raises(DomainError, match="unknown strategy 'nope'"):
+        f_polynomial(rotation, "nope")
+
+
 def test_count_strategy_rejects_finite_field_input():
     from quivergrass.rep import reduce_mod
     m = reduce_mod(projective(A2, QQ, 1), 3)
     with pytest.raises(DomainError):
         f_polynomial(m, "count")
+
+
+def _interval_sums(n):
+    """Every sum of one or two interval modules of A_n."""
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return [IntervalDecomposition(n, Counter(summands))
+            for r in (1, 2) for summands in itertools.combinations_with_replacement(intervals, r)]
+
+
+def _assert_injective_exponent_is_zero(sdec, xdec):
+    ge = make_generating(sdec.to_representation(QQ), xdec.to_representation(QQ))
+    assert decompose(ge.x_mod_xs) == translate(decompose(ge.s_x), 1), (sdec, xdec)
+    rep = verify_multiplication(ge)
+    assert rep.holds, (sdec, xdec)
+    assert rep.x_f == (0,) * sdec.n
+
+
+def test_injective_exponent_is_zero_for_every_pair_up_to_a3():
+    pairs = [(s, x) for n in (1, 2, 3) for s in _interval_sums(n) for x in _interval_sums(n)
+             if ext_dim_decs(s, x) == 1]
+    assert len(pairs) == 138
+    for sdec, xdec in pairs:
+        _assert_injective_exponent_is_zero(sdec, xdec)
+
+
+def test_injective_exponent_is_zero_on_sampled_a4_pairs():
+    sums = _interval_sums(4)
+    pairs = [(s, x) for s in sums for x in sums if ext_dim_decs(s, x) == 1]
+    for sdec, xdec in random.Random(11).sample(pairs, 150):
+        _assert_injective_exponent_is_zero(sdec, xdec)

@@ -9,17 +9,19 @@ import pytest
 from quivergrass import linalg as la
 from quivergrass import (
     QQ, DomainError, PrimeField, Quiver, Representation, SubrepWitness,
-    build_extension, direct_sum, dual, euler_form, ext1_dim,
+    build_extension, direct_sum, dual, elliptic, euler_form, ext1_dim,
     hom_basis, hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
     projective, quotient, restrict, simple, tangent_dim,
 )
+from quivergrass.ardynkin import classify
 from quivergrass.cluster import make_generating, psi_count_identity, verify_multiplication
 from quivergrass.counting import count_points
 from quivergrass.fields import _is_prime
 from quivergrass.rep import (arrow_stable, full_witness, morphism_image_witness,
                              morphism_kernel_witness, nonzero_ext_cocycle, reduce_mod,
                              zero_witness)
-from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec, ext_dim_decs,
+from quivergrass.typea import (IntervalDecomposition, deg_leq_hom, deg_leq_ranks,
+                               degenerate_flag_dec, ext_dim_decs,
                                fixed_points, flag_dec, hom_dim_decs, interval_rep,
                                most_flat_dec, path_algebra_dec, random_decomposition)
 
@@ -322,7 +324,7 @@ def test_nonsplit_extension_differs_from_split():
 
 
 def test_injective_exponent_matches_embedding_search():
-    # verify-mult's x_f, solved from dimension vectors, against a seeded
+    # verify-mult's x_f, 0 by the isomorphism X/X_S = tau S^X, against a seeded
     # embedding X/X_S -> tau S^X and its decomposed cokernel
     rng = random.Random(11)
 
@@ -465,3 +467,39 @@ def test_prime_field_of_a_large_prime():
         PrimeField(2**61 + 1)
     with pytest.raises(DomainError, match="exact only below"):
         PrimeField(10**25 + 13)
+
+
+def test_prime_field_coerces_a_fraction_string_and_refuses_a_float():
+    assert PrimeField(7).of("1/3") == 5  # 3 * 5 = 15 = 1 mod 7
+    with pytest.raises(DomainError, match="cannot coerce 1.5 into GF"):
+        PrimeField(7).of(1.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: classify(Quiver(0, [])), "empty quiver"),
+    (lambda: Quiver(-1, []), "vertex_count must be nonnegative"),
+    (lambda: A2.check_dim_vector((1, -1)), "entries must be >= 0"),
+    (lambda: Representation(A2, QQ, (1, 1), []), "expected 1 matrices, got 0"),
+    (lambda: simple(A2, QQ, 3), "bad vertex 3"),
+    (lambda: projective(A2, QQ, 0), "bad vertex 0"),
+    (lambda: direct_sum(), "direct_sum of nothing"),
+    (lambda: SubrepWitness(A2, QQ, [[[1]]]), "one basis matrix per vertex"),
+    (lambda: build_extension(simple(A2, QQ, 1), simple(A2, QQ, 2), []),
+     "one cocycle matrix per arrow"),
+    (lambda: nonzero_ext_cocycle(simple(A2, QQ, 2), simple(A2, QQ, 1)), "Ext^1(S,X) = 0"),
+    (lambda: reduce_mod(reduce_mod(simple(A2, QQ, 1), 3), 5), "expects a representation over Q"),
+    (lambda: interval_rep(A2, QQ, 2, 1), "bad interval (2,1) for n=2"),
+    (lambda: IntervalDecomposition(-1, {}), "vertex_count must be nonnegative"),
+    (lambda: deg_leq_ranks(IntervalDecomposition(2, {}), IntervalDecomposition(3, {})),
+     "different A_n quivers"),
+    (lambda: deg_leq_hom(IntervalDecomposition(2, {}), IntervalDecomposition(3, {})),
+     "different A_n quivers"),
+    (lambda: elliptic.demo(1), "p must be a prime >= 2"),
+], ids=["classify-empty", "negative-vertex-count", "negative-dims", "matrix-count",
+        "simple-vertex", "projective-vertex", "empty-direct-sum", "witness-bases",
+        "cocycle-count", "ext-zero-cocycle", "reduce-gf-p", "interval-rep",
+        "negative-interval-n", "deg-leq-ranks-n", "deg-leq-hom-n", "elliptic-p"])
+def test_library_refusals(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert message in str(err.value)

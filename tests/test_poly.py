@@ -245,3 +245,10 @@ def test_constructor_takes_numpy_integers():
     p = SparsePoly(1, {(np.int64(2),): np.int32(3), (True,): 1})
     assert p.terms == {(2,): 3, (1,): 1}
     assert all(type(x) is int for e, c in p.terms.items() for x in e + (c,))
+
+
+def test_format_of_zero_and_of_a_leading_negative_term():
+    names = ["y1", "y2"]
+    assert SparsePoly(2).format(names) == "0"
+    assert SparsePoly(2, {(1, 0): -1}).format(names) == "-y1"
+    assert SparsePoly(2, {(0, 0): -3, (0, 1): 2}).format(names) == "-3 + 2*y2"

@@ -240,6 +240,10 @@ def test_fixed_points_binomial():
     assert len(fixed_points(dec, (2,))) == 6
 
 
+def test_fixed_points_beyond_dim_m_are_none():
+    assert fixed_points(IntervalDecomposition(2, {(1, 2): 1}), (2, 0)) == []
+
+
 def test_fixed_points_wrong_quiver_rejected():
     m = Representation(kronecker_quiver(2), QQ, (1, 1), [[[1]], [[1]]])
     with pytest.raises(DomainError):
@@ -430,10 +434,13 @@ def test_strata_degenerate_flag():
 
 
 def test_strata_most_flat_catalan():
-    st2 = strata(most_flat_dec(2), (1, 2))
-    assert sum(1 for s in st2 if s.dim == max(x.dim for x in st2)) == 2
-    st3 = strata(most_flat_dec(3), (1, 2, 3))
-    assert sum(1 for s in st3 if s.dim == max(x.dim for x in st3)) == 5
+    # a regression pin, not an oracle: the Catalan count of top-dimensional
+    # strata at e = (1, ..., n) is observed, not yet derived from a theorem
+    for n, catalan in [(2, 2), (3, 5), (4, 14), (5, 42)]:
+        st = strata(most_flat_dec(n), tuple(range(1, n + 1)))
+        top = max(s.dim for s in st)
+        assert top == n * (n + 1) // 2
+        assert sum(1 for s in st if s.dim == top) == catalan, n
 
 
 def test_is_catenoid():
