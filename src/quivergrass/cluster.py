@@ -50,9 +50,10 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
     """F_M(y) = sum over e <= dim M of chi(Gr_e(M)) y^e, as a SparsePoly.
 
     m is a representation or, for an A_n module, its IntervalDecomposition.
-    The cells strategy returns ``typea.generating_function`` with its packed
-    keys; the count strategy interpolates a counting polynomial per e over Q,
-    reducing M once per prime for all e.
+    The cells strategy returns ``typea.generating_function`` as it is, its
+    terms held as sorted key and coefficient arrays (``poly``); the count
+    strategy interpolates a counting polynomial per e over Q, reducing M
+    once per prime for all e.
     """
     if strategy == "cells":
         return ta.generating_function(
@@ -86,7 +87,7 @@ def cluster_character(m, strategy="cells", budget=DEFAULT_BUDGET):
 
     A sparse polynomial in 2n variables x_1..x_n, y_1..y_n with the x
     exponents allowed to be negative: F_M under a ring map, applied to its
-    packed keys (``SparsePoly.monomial_image``).  m is a representation or
+    key array at once (``SparsePoly.monomial_image``).  m is a representation or
     an IntervalDecomposition, as for ``euler_char_table``.
     """
     n = m.quiver.vertex_count

@@ -2,39 +2,76 @@
 
 A polynomial maps exponent vectors to nonzero integer coefficients, in
 graded lexicographic order wherever it is serialized.  It is stored in one
-form: packed integer keys with a shift, a spread and a slot width.  Every
+form: two parallel 1-D numpy arrays, packed integer keys sorted ascending and
+their nonzero coefficients, with a shift, a spread and a slot width.  Every
 exponent e has shift <= e <= shift + spread per variable: the minimum and
 maximum - minimum of the terms it was built from, or for a product the sums
-of its factors' shifts and spreads.  A vector shifted to e - shift >= 0 packs
-into one int: a leading slot holding its total degree, then one slot per
-variable, each w bytes big-endian (``struct`` and ``int.from_bytes``, both in
-C).  The slot width w is the fewest of 1, 2, 4 or 8 bytes (or as many bytes
-as needed past 2**64) that hold the sum of all the spreads, not only their
+of its factors' shifts and spreads.
+
+A vector shifted to u = e - shift >= 0 packs into one integer: a leading
+slot holding its total degree, then one slot per variable, each w bytes,
+most significant first.  With B = 2**(8w) the key is the dot product of u
+with the weights B**n + B**(n-1-i), and slot i comes back as
+(key >> 8w(n-1-i)) & (B - 1).  Both are done on the whole (m, n) array of
+shifted exponents at once, a run of as many slots as an int64 holds at a
+time (``_layout``): a key that fits an int64 is one run, and a wider key is
+joined from its runs with a few Python-int operations, not one per slot.
+The slot width w is the fewest of 1, 2, 4 or 8 bytes (or as many bytes as
+needed past 2**64) that hold the sum of all the spreads, not only their
 maximum, since that sum bounds the degree slot.  Adding two keys adds their
 vectors slot by slot, degree slot included, and no carry can cross a slot
 boundary: each slot sum is at most the product's own bound.
 
 Keys compare on the degree slot first, then on the variable slots in order,
 and the shift moves every degree alike, so the grlex order of the terms is
-the order of their keys: ``sorted_terms`` is one int sort and one unpack.
-``terms`` unpacks the keys (``int.to_bytes``, the degree slot skipped as
-padding) on every read and never changes the polynomial.  A product reuses an
-operand's keys at the same width and repacks them otherwise.
+the order of their keys: ``sorted_terms`` and ``terms`` read the stored
+order.  Every exponent and coefficient leaves the class as a Python int
+(``tolist``), so JSON and hashing see ints, never numpy scalars.
+
+Arrays are int64 inside a stated bound and ``dtype=object`` (Python ints)
+outside it, with one code path for both (``_dtype``):
+- keys while 8w(n + 1) <= 63, shifted exponents while 8w <= 63;
+- exponents while |shift|, |shift + spread| and spread are below 2**63;
+- stored coefficients while every |c| < 2**63;
+- the coefficients of a product while sum |c1| * max |c2| < 2**63, c1 on
+  the shorter operand, which bounds every sum of term products, and those
+  of a monomial image while sum |c| < 2**63.
+
+A product takes one outer sum of the keys with the longer operand on the
+inner axis, so the raveled keys are len(shorter) sorted runs; one stable
+argsort merges the runs, ``np.add.reduceat`` adds the coefficients of equal
+keys and zero sums are dropped.  When the outer array would pass ``_BLOCK``
+entries, the shorter operand is taken a block of rows at a time and each
+block's runs are merged the same way into the sum of the blocks before it,
+so memory grows with the output, not with the product of the lengths.  An
+operand at a narrower slot width is unpacked and packed again at the
+product's width.
 
 The substitution y_j -> x^(a_j), times x^c, is a ring map: y^e goes to
-x^(c + A e), A with columns a_j.  A key is a linear form in the shifted
-exponents u = e - shift, so the key of the image is an affine form in u:
-``monomial_image`` maps each key by one dot product of its slots.  Its shift
-is c + A shift less the spreads that negative entries of A can subtract, its
-spread is |A| times the old spread, and keys that meet add up.
+x^(c + A e), A with columns a_j.  On shifted exponents it is an integer
+affine map, u -> A u + low, so ``monomial_image`` is one matrix product of
+the slot array, a packing and a re-sort.  The image's shift is c + A shift
+less the spreads low that negative entries of A can subtract, its spread is
+|A| times the old spread, and keys that meet add up.
+
+The text form (``format``, ``render``) writes each distinct piece once.  The
+variables are split in two halves and each term's exponents in a half read
+as one mixed-radix code; one sort of both halves' codes and the coefficient
+magnitudes, a ``np.unique`` that also keeps a term carrying each value,
+leaves a few hundred pieces to write as strings.  One pass over the terms
+lays out sign, coefficient and the two half-monomials, and one join makes
+the text.
 """
 
-import struct
-from operator import add, getitem, index, methodcaller, mul, neg, sub
+from functools import lru_cache
+from operator import add, index, mul, sub
+
+import numpy as np
 
 from .errors import DomainError
 
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# entries of the outer arrays of one block of a product (``SparsePoly.__mul__``)
+_BLOCK = 1 << 16
 
 
 def _integer(x):
@@ -44,6 +81,12 @@ def _integer(x):
         raise DomainError(f"{x!r} is not an integer") from None
 
 
+def _dtype(bound):
+    """int64 for integers of absolute value below bound when bound <= 2**63,
+    else object (Python ints)."""
+    return np.int64 if bound <= 2 ** 63 else object
+
+
 def _range(exps):
     """(minimum, maximum - minimum) per variable over nonempty exponent vectors."""
     columns = list(zip(*exps))
@@ -51,47 +94,80 @@ def _range(exps):
     return low, tuple(map(sub, map(max, columns), low))
 
 
-def _moved(exps, offset):
-    """The vectors translated by offset, lazily; exps itself for a zero offset."""
-    return (tuple(map(add, e, offset)) for e in exps) if any(offset) else exps
-
-
 def _slot_width(top):
     """Bytes per slot for entries in [0, top]: 1, 2, 4 or 8 up to 2**64, as
     many as needed past it."""
     width = max(1, (top.bit_length() + 7) // 8)
-    return width if width > 8 else min(w for w in _SLOT_FORMATS if w >= width)
+    return width if width > 8 else 1 << (width - 1).bit_length()
 
 
-def _codec(nvars, width):
-    """(pack, unpack) between exponent vectors whose entries and sum fit
-    ``width`` bytes and ints with a leading degree slot, then one slot per
-    variable, each lazy over an iterable."""
-    if width <= 8:
-        slot = _SLOT_FORMATS[width]
-        layout = struct.Struct(">" + slot * (nvars + 1))
-        # the same bytes, read back with the degree slot skipped as padding
-        entries = struct.Struct(f">{width}x" + slot * nvars)
-        pack_slots = layout.pack
+@lru_cache(maxsize=None)
+def _layout(nvars, width):
+    """How a key in nvars variables at width splits into runs of slots, each
+    of as many slots as an int64 holds (at least one; a run fills the whole
+    key when the key fits an int64): the (nvars, runs) weights that take the
+    shifted exponents to the value of each run, degree slot included, and
+    per run its bit offset in the key, its bit length and the shifts of its
+    variable slots."""
+    bits = 8 * width
+    per = max(1, 63 // bits)
+    nslots = nvars + 1
+    dtype = _dtype(1 << bits * per)
+    weights = np.zeros((nvars, -(-nslots // per)), dtype=dtype)
+    runs = []
+    for r, a in enumerate(range(0, nslots, per)):
+        b = min(a + per, nslots)
+        slots = range(max(a, 1), b)
+        for s in slots:
+            weights[s - 1, r] = 1 << bits * (b - 1 - s)
+        if a == 0:
+            weights[:, r] += 1 << bits * (b - 1)
+        runs.append((bits * (nslots - b), bits * (b - a),
+                     np.array([bits * (b - 1 - s) for s in slots], dtype=dtype)))
+    return weights, runs
 
-        def pack(exps):
-            return (int.from_bytes(pack_slots(sum(e), *e), "big") for e in exps)
 
-        def unpack(keys):
-            return map(entries.unpack, map(methodcaller("to_bytes", layout.size, "big"), keys))
-        return pack, unpack
-    size = width * (nvars + 1)
+def _pack(u, width):
+    """Keys of an (m, n) array of shifted exponents at width: one product
+    with the run weights, then the runs joined in the key dtype."""
+    nvars = u.shape[1]
+    weights, runs = _layout(nvars, width)
+    values = u.astype(weights.dtype, copy=False) @ weights
+    keys = values[:, 0].astype(_dtype(1 << 8 * width * (nvars + 1)), copy=False)
+    for r in range(1, len(runs)):
+        keys = (keys << runs[r][1]) + values[:, r]
+    return keys
 
-    def pack_wide(exps):
-        return (int.from_bytes(b"".join(x.to_bytes(width, "big") for x in (sum(e), *e)), "big")
-                for e in exps)
 
-    def unpack_wide(keys):
-        for key in keys:
-            raw = key.to_bytes(size, "big")
-            yield tuple(int.from_bytes(raw[k:k + width], "big")
-                        for k in range(width, size, width))
-    return pack_wide, unpack_wide
+def _unpack(keys, nvars, width):
+    """The (m, nvars) shifted exponents of keys at width, a run of slots at
+    a time by shifts and masks."""
+    runs = _layout(nvars, width)[1]
+    mask = (1 << 8 * width) - 1
+    if len(runs) == 1:
+        return (keys[:, None] >> runs[0][2]) & mask
+    out = [(((keys >> offset) & ((1 << length) - 1)).astype(shifts.dtype)[:, None] >> shifts)
+           & mask for offset, length, shifts in runs]
+    return np.concatenate(out, axis=1)
+
+
+def _group_starts(ordered):
+    """True where a sorted 1-D array starts a group of equal entries."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _summed(keys, coeffs):
+    """Sorted keys with the coefficients of equal keys added, zero sums dropped."""
+    starts = _group_starts(keys).nonzero()[0]
+    if starts.size < keys.size:
+        keys, coeffs = keys[starts], np.add.reduceat(coeffs, starts)
+    kept = coeffs.nonzero()[0]
+    if kept.size < keys.size:
+        keys, coeffs = keys[kept], coeffs[kept]
+    return keys, coeffs
 
 
 class SparsePoly:
@@ -108,27 +184,40 @@ class SparsePoly:
         merged = {e: c for e, c in merged.items() if c}
         shift, spread = _range(merged) if merged else ((0,) * nvars, (0,) * nvars)
         width = _slot_width(sum(spread))
-        pack = _codec(nvars, width)[0]
-        keys = dict(zip(pack(_moved(merged, tuple(map(neg, shift)))), merged.values()))
+        u = np.array([tuple(map(sub, e, shift)) for e in merged],
+                     dtype=_dtype(1 << 8 * width)).reshape(len(merged), nvars)
+        keys = _pack(u, width)
+        order = keys.argsort()
         self.nvars = nvars
-        self._packed = (keys, shift, spread, width)
+        self._packed = (keys[order], shift, spread, width,
+                        np.array(list(merged.values()),
+                                 dtype=_dtype(1 + max(map(abs, merged.values()), default=0)))[order])
 
     @classmethod
-    def _from_packed(cls, nvars, keys, shift, spread, width):
-        """A polynomial from keys that fit (shift, spread, width), zero
-        coefficients dropped."""
-        if 0 in keys.values():
-            keys = {k: c for k, c in keys.items() if c}
+    def _from_packed(cls, nvars, keys, shift, spread, width, coeffs):
+        """A polynomial from sorted distinct keys that fit (shift, spread,
+        width) and their nonzero coefficients."""
         poly = cls.__new__(cls)
-        poly.nvars, poly._packed = nvars, (keys, shift, spread, width)
+        poly.nvars, poly._packed = nvars, (keys, shift, spread, width, coeffs)
         return poly
+
+    def _exponent_tuples(self):
+        """The exponent tuples in key order, of Python ints, built column by
+        column with no list per term."""
+        keys, shift, spread, width, _ = self._packed
+        if not self.nvars:
+            return [()] * keys.size
+        # the shifted exponents u lie in [0, spread] and u + shift in [shift,
+        # shift + spread]
+        dtype = _dtype(1 + max(max(abs(s), abs(s + d), d) for s, d in zip(shift, spread)))
+        exps = _unpack(keys, self.nvars, width).astype(dtype, copy=False) \
+            + np.array(shift, dtype=dtype)
+        return list(zip(*exps.T.tolist()))
 
     @property
     def terms(self):
         """{exponent tuple: nonzero coefficient}, unpacked afresh on each read."""
-        keys, shift, _, width = self._packed
-        unpack = _codec(self.nvars, width)[1]
-        return dict(zip(_moved(unpack(keys), shift), keys.values()))
+        return dict(zip(self._exponent_tuples(), self._packed[4].tolist()))
 
     @classmethod
     def one(cls, nvars):
@@ -139,7 +228,7 @@ class SparsePoly:
         return cls(len(exp), {tuple(exp): coeff})
 
     def is_zero(self):
-        return not self._packed[0]
+        return not self._packed[4].size
 
     def _check_nvars(self, other, verb):
         if other.nvars != self.nvars:
@@ -159,13 +248,12 @@ class SparsePoly:
     def __sub__(self, other):
         return self._plus(other, -1, "subtract")
 
-    def _keys(self, width):
-        """[(packed key, coefficient)] of the exponents minus shift, at width."""
-        keys, _, _, own = self._packed
-        if own == width:
-            return list(keys.items())
-        pack, unpack = _codec(self.nvars, width)[0], _codec(self.nvars, own)[1]
-        return list(zip(pack(unpack(keys)), keys.values()))
+    def _at(self, width):
+        """(keys, coefficients) with the keys packed at width."""
+        keys, _, _, own, coeffs = self._packed
+        if own != width:
+            keys = _pack(_unpack(keys, self.nvars, own), width)
+        return keys, coeffs
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
@@ -175,22 +263,32 @@ class SparsePoly:
                 return NotImplemented
             return SparsePoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         self._check_nvars(other, "multiply")
-        _, shift1, spread1, _ = self._packed
-        _, shift2, spread2, _ = other._packed
+        _, shift1, spread1, _, _ = self._packed
+        _, shift2, spread2, _, _ = other._packed
         spread = tuple(map(add, spread1, spread2))
         width = _slot_width(sum(spread))
-        outer = self._keys(width)
-        inner = other._keys(width)
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        out = {}
-        get = out.get
-        for k1, c1 in outer:
-            for k2, c2 in inner:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return SparsePoly._from_packed(self.nvars, out, tuple(map(add, shift1, shift2)),
-                                       spread, width)
+        (k1, c1), (k2, c2) = self._at(width), other._at(width)
+        if k1.size > k2.size:
+            (k1, c1), (k2, c2) = (k2, c2), (k1, c1)
+        if c1.size:
+            # every coefficient of the product, and of a part of it, is a sum
+            # of c1[i] c2[j], one j per i
+            dtype = _dtype(1 + sum(map(abs, c1.tolist())) * int(abs(c2).max()))
+            c1, c2 = c1.astype(dtype, copy=False), c2.astype(dtype, copy=False)
+            # the shorter operand a block of rows at a time, so that an outer
+            # array stays near _BLOCK entries; each block is merged into the
+            # sum of the blocks before it
+            step = max(1, _BLOCK // k2.size)
+            for i in range(0, k1.size, step):
+                keys = np.add.outer(k1[i:i + step], k2).ravel()
+                coeffs = np.multiply.outer(c1[i:i + step], c2).ravel()
+                if i:
+                    keys, coeffs = np.concatenate((done, keys)), np.concatenate((sums, coeffs))
+                order = keys.argsort(kind="stable")
+                done, sums = _summed(keys[order], coeffs[order])
+            k1, c1 = done, sums
+        return SparsePoly._from_packed(self.nvars, k1, tuple(map(add, shift1, shift2)),
+                                       spread, width, c1)
 
     __rmul__ = __mul__
 
@@ -203,7 +301,7 @@ class SparsePoly:
         images = [tuple(map(_integer, a)) for a in images]
         if len(images) != self.nvars or any(len(a) != nout for a in images):
             raise DomainError(f"need {self.nvars} images of {nout} exponents each")
-        keys, shift, spread, width = self._packed
+        keys, shift, spread, width, coeffs = self._packed
         rows = list(zip(*images)) if images else [()] * nout
         # per output variable: the spreads its negative entries can subtract
         low = [-sum(min(a, 0) * s for a, s in zip(row, spread)) for row in rows]
@@ -211,17 +309,20 @@ class SparsePoly:
                           for c, row, lo in zip(offset, rows, low))
         new_spread = tuple(sum(abs(a) * s for a, s in zip(row, spread)) for row in rows)
         new_width = _slot_width(sum(new_spread))
-        # a key is sum_i u_i (slot_i + degree slot) over the shifted exponents u
-        bits = 8 * new_width
-        places = [(1 << bits * (nout - 1 - i)) + (1 << bits * nout) for i in range(nout)]
-        base = sum(map(mul, low, places))
-        weights = [sum(map(mul, column, places)) for column in images]
-        out = {}
-        get = out.get
-        for u, c in zip(_codec(self.nvars, width)[1](keys), keys.values()):
-            k = base + sum(map(mul, u, weights))
-            out[k] = get(k, 0) + c
-        return SparsePoly._from_packed(nout, out, new_shift, new_spread, new_width)
+        # one affine map of the shifted exponents: only variables with a
+        # nonzero image and a nonzero spread move it, and their entries fit
+        # the new slots
+        live = [j for j, s in enumerate(spread) if s and any(images[j])]
+        dtype = _dtype(1 << 8 * new_width)
+        moved = _unpack(keys, self.nvars, width)[:, live].astype(dtype, copy=False) \
+            @ np.array([images[j] for j in live], dtype=dtype).reshape(len(live), nout) \
+            + np.array(low, dtype=dtype)
+        new_keys = _pack(moved, new_width)
+        order = new_keys.argsort(kind="stable")
+        coeffs = coeffs.astype(_dtype(1 + int(abs(coeffs).sum(dtype=object))), copy=False)
+        new_keys, coeffs = _summed(new_keys[order], coeffs[order])
+        return SparsePoly._from_packed(nout, new_keys, new_shift, new_spread, new_width,
+                                       coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and other.nvars == self.nvars
@@ -232,52 +333,95 @@ class SparsePoly:
 
     def sorted_terms(self):
         """Terms in graded lexicographic order (total degree, then lex): the
-        order of the packed keys as ints."""
-        keys, shift, _, width = self._packed
-        order = sorted(keys)
-        unpack = _codec(self.nvars, width)[1]
-        return list(zip(_moved(unpack(order), shift), map(keys.__getitem__, order)))
+        stored order of the keys."""
+        return list(zip(self._exponent_tuples(), self._packed[4].tolist()))
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
 
-    def specialize_ones(self):
-        """Sum of coefficients (every variable set to 1)."""
-        return sum(self._packed[0].values())
-
     def format(self, names):
-        return _pretty(self.sorted_terms(), names)
+        return self.render(names)[1]
 
     def render(self, names):
-        """(sorted_terms(), format(names)) from one sort of the terms; JSON
-        writes the (exponent tuple, coefficient) pairs as [[e1, ...], c]."""
-        terms = self.sorted_terms()
-        return terms, _pretty(terms, names)
+        """(sorted_terms(), format(names)), the text written from the exponent
+        tuples of the terms; JSON writes the (exponent tuple, coefficient)
+        pairs as [[e1, ...], c]."""
+        keys, _, spread, width, coeffs = self._packed
+        exps = self._exponent_tuples()
+        # the text before the pairs, and from keys unpacked afresh: the
+        # temporaries of the text never meet the slot array or the pairs
+        text = _pretty(_unpack(keys, self.nvars, width), exps, coeffs, spread, names)
+        return list(zip(exps, coeffs.tolist())), text
 
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {dict(self.sorted_terms())})"
 
 
-def _pretty(terms, names):
-    """Sorted terms as text, e.g. "1 + 2*y2 - y1^-1*y2^2"; "0" for no terms."""
-    if not terms:
+def _pretty(u, exps, coeffs, spread, names):
+    """Terms in key order as text, e.g. "1 + 2*y2 - y1^-1*y2^2"; "0" for no
+    terms.  u: the shifted exponents, exps: the exponent tuples.
+
+    Each distinct piece of text is written once.  The variables are split in
+    two halves, each term's shifted exponents in a half read as one
+    mixed-radix code, and one sort runs over both halves' codes and the
+    coefficient magnitudes, laid side by side in disjoint ranges.  A pass
+    over the terms then lays out the pieces, and one join makes the text.
+    """
+    m, nvars = u.shape
+    if not m:
         return "0"
-    exps = [exp for exp, _ in terms]
-    # one string per (variable, exponent) that occurs, "" for exponent 0
-    factors = [{e: "" if e == 0 else name if e == 1 else f"{name}^{e}" for e in set(column)}
-               for name, column in zip(names, zip(*exps))]
+    halves = (range(nvars // 2), range(nvars // 2, nvars))
+    # the place of each variable within its half's code, and the code ranges
+    places = [[0] * 3 for _ in range(nvars)]
+    offsets = [0]
+    for k, half in enumerate(halves):
+        radix = 1
+        for i in reversed(half):
+            places[i][k] = radix
+            radix *= spread[i] + 1
+        offsets.append(offsets[-1] + radix)
+    magnitudes = abs(coeffs)
+    dtype = _dtype(offsets[2] + 1 + int(magnitudes.max()))
+    code = u.astype(dtype, copy=False) @ np.array(places, dtype=dtype).reshape(nvars, 3)
+    code += np.array(offsets, dtype=dtype)
+    code[:, 2] += magnitudes.astype(dtype, copy=False)
+    del u  # the caller's only reference: freed before the sort's temporaries
+    # one sort of all codes, as np.unique does, keeping also a term that
+    # carries each distinct piece: its exponents show how to write it
+    code = code.ravel()
+    order = code.argsort()
+    first = _group_starts(code[order])
+    inverse = np.empty(code.size, dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    inverse = inverse.reshape(m, 3)
+    values, carriers = code[order[first]].tolist(), (order[first] // 3).tolist()
+    del code, order, first
+    texts = []
+    for v, t in zip(values, carriers):
+        if v >= offsets[2]:
+            texts.append(str(v - offsets[2]))
+            continue
+        e = exps[t]
+        half = halves[0 if v < offsets[1] else 1]
+        texts.append("*".join([names[i] if e[i] == 1 else f"{names[i]}^{e[i]}"
+                               for i in half if e[i]]))
+    lefts, rights, numbers = np.array(texts, dtype=object)[inverse].T.tolist()
+    del inverse
+    # one pass lays out sign, coefficient (not at all when it is 1 before a
+    # monomial) and the two half-monomials of each term
     pieces = []
-    for exp, (_, coeff) in zip(exps, terms):
-        if pieces:
-            pieces.append(" - " if coeff < 0 else " + ")
-        elif coeff < 0:
-            pieces.append("-")
-        coeff = abs(coeff)
-        mono = "*".join(filter(None, map(getitem, factors, exp)))
-        if not mono:
-            pieces.append(str(coeff))
-        elif coeff == 1:
-            pieces.append(mono)
-        else:
-            pieces.append(f"{coeff}*{mono}")
+    append = pieces.append
+    for c, number, left, right in zip(coeffs.tolist(), numbers, lefts, rights):
+        append(" - " if c < 0 else " + ")
+        if not (left or right):
+            append(number)
+            continue
+        if c != 1 and c != -1:
+            append(number)
+            append("*")
+        append(left)
+        if left and right:
+            append("*")
+        append(right)
+    pieces[0] = "-" if coeffs[0] < 0 else ""
     return "".join(pieces)

@@ -384,17 +384,16 @@ def generating_function(m):
     nothing) in each coefficient-quiver row independently, so the sum is a
     product over rows: a copy of U[i,j] sums y^dim U[a,j] over its suffixes,
     the empty one (a = j + 1) included, and U[i,j]^m gives that row to the
-    m-th power.  The product keeps its packed keys (``poly``).
+    m-th power.  The product runs on the sorted key and coefficient arrays
+    of ``SparsePoly`` and keeps them (``poly``).
     """
     n = m.n
-    poly = SparsePoly.one(n)
+    poly = None
     for (i, j), mult in m.m.items():
         row = SparsePoly(n, {interval_dims(n, a, j): 1 for a in range(i, j + 2)})
-        power = row
-        for _ in range(mult - 1):
-            power = power * row
-        poly = poly * power
-    return poly
+        for _ in range(mult):
+            poly = row if poly is None else poly * row
+    return SparsePoly.one(n) if poly is None else poly
 
 
 def euler_char_cells(m, e):

@@ -10,6 +10,9 @@ isomorphism X/X_S = tau S^X.  ``convolve`` multiplies two
 polynomials term by term over exponent tuples, the oracle of the packed-key
 product ``SparsePoly.__mul__``, and ``substitute`` maps each exponent tuple
 through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.
+``pretty`` writes sorted terms as text one term at a time, the oracle of the
+table-driven ``SparsePoly.format``, and ``specialize_ones`` sums the
+coefficients (every variable set to 1).
 ``point_witness`` turns a type-A torus fixed point into the subspaces it
 spans, so that general linear algebra (arrow stability, tangent spaces) can
 check the cell and stratum engines at it.  ``interval_direct_sum`` builds an
@@ -114,6 +117,34 @@ def substitute(p, images, offset):
         x = tuple(o + sum(ej * a[i] for ej, a in zip(e, images)) for i, o in enumerate(offset))
         out[x] = out.get(x, 0) + c
     return {x: c for x, c in out.items() if c}
+
+
+def pretty(terms, names):
+    """Sorted (exponent tuple, coefficient) terms as text, e.g.
+    "1 + 2*y2 - y1^-1*y2^2", one term at a time; "0" for no terms."""
+    if not terms:
+        return "0"
+    pieces = []
+    for exp, coeff in terms:
+        if pieces:
+            pieces.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            pieces.append("-")
+        coeff = abs(coeff)
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, exp) if e)
+        if not mono:
+            pieces.append(str(coeff))
+        elif coeff == 1:
+            pieces.append(mono)
+        else:
+            pieces.append(f"{coeff}*{mono}")
+    return "".join(pieces)
+
+
+def specialize_ones(p):
+    """The sum of the coefficients of p: its value with every variable 1."""
+    return sum(p.terms.values())
 
 
 def point_witness(dec, starts, field):

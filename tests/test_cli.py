@@ -537,6 +537,29 @@ POLYNOMIAL_OUTPUT_DIGESTS = {
 }
 
 
+# sha256 of the same outputs at n = 6, the size the benchmark runs, from the
+# dict-keyed product and the term-by-term text that the sorted key and
+# coefficient arrays replaced
+BENCHMARK_SIZE_POLYNOMIAL_DIGESTS = {
+    ("fpoly", "degenerate_flag", "text"):
+        "a9b8b42fd427aa00f3d92e27dcc642919876deb2f4fa41f2ea84fc08cdf16e62",
+    ("fpoly", "degenerate_flag", "machine"):
+        "251411e675bc29ca242e58dd60672d3bd1931895b62dd6fcc90318d4668e57d9",
+    ("cc", "degenerate_flag", "text"):
+        "cf213a4206d444a4e39f77b81697316538cccdf5a237afd336e9278aeef4ed92",
+    ("cc", "degenerate_flag", "machine"):
+        "8158a0b48227f2b6d364163ccf52bc8918e775f5e2d2e27682856b852e5efacf",
+    ("fpoly", "most_flat", "text"):
+        "f7c9f7acb367897c15ede4f8027ad662ff748cc05d4e8f1d0f1fc4c781669f37",
+    ("fpoly", "most_flat", "machine"):
+        "60a5fa18393ef354fd50ddc0a7f9800169265e1e3c6bec49ccf04551fcdfbc20",
+    ("cc", "most_flat", "text"):
+        "ced179878651eb57f90ca1cfcb16a293788cc8b09bd172f6ac31d22fa755edcd",
+    ("cc", "most_flat", "machine"):
+        "81033aca82584b8398ec8cf6ab17a712ba02c908385264e13c59935d039f51c6",
+}
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -549,6 +572,18 @@ def test_polynomial_output_bytes_are_pinned(sub, name, family, fmt):
     code, text = run([sub, "--intervals", format_intervals(family(4)), "--n", "4",
                       "--format", fmt])
     assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[(sub, name, fmt)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("sub", ["fpoly", "cc"])
+@pytest.mark.parametrize("name,family", [("degenerate_flag", degenerate_flag_dec),
+                                         ("most_flat", most_flat_dec)])
+def test_polynomial_output_bytes_at_benchmark_size_are_pinned(sub, name, family, fmt):
+    """12,597 and 38,130 terms: the term order, the text and the JSON of the
+    largest F-polynomials and cluster characters the benchmark reads."""
+    code, text = run([sub, "--strategy", "cells", "--intervals", format_intervals(family(6)),
+                      "--n", "6", "--format", fmt])
+    assert code == 0 and _sha256(text) == BENCHMARK_SIZE_POLYNOMIAL_DIGESTS[(sub, name, fmt)]
 
 
 # sha256 of the output of the unpruned fixed-point search with a separate

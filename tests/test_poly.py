@@ -1,6 +1,7 @@
 """Sparse polynomials: the packed-key product against the plain convolution,
-the packed monomial image against the plain substitution, and the checks on
-what a polynomial may be built from, added to and multiplied by."""
+the packed monomial image against the plain substitution, the table-driven
+text against the term-by-term one, and the checks on what a polynomial may
+be built from, added to and multiplied by."""
 
 from fractions import Fraction
 from operator import add, sub
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve, substitute
+from oracles import convolve, pretty, substitute
 from quivergrass import DomainError
 from quivergrass.poly import SparsePoly
 
@@ -252,3 +253,103 @@ def test_format_of_zero_and_of_a_leading_negative_term():
     assert SparsePoly(2).format(names) == "0"
     assert SparsePoly(2, {(1, 0): -1}).format(names) == "-y1"
     assert SparsePoly(2, {(0, 0): -3, (0, 1): 2}).format(names) == "-3 + 2*y2"
+
+
+@pytest.mark.parametrize("nvars,key_dtype", [(6, np.int64), (7, object)])
+def test_product_at_key_dtype_edges(nvars, key_dtype):
+    """One-byte slots: 8 (n + 1) bits of key fit an int64 at n = 6 (56 bits)
+    and not at n = 7 (64 bits)."""
+    rng = np.random.default_rng(nvars)
+    # spreads of at most 15 + 15 per variable: their sum fits one byte
+    p = SparsePoly(nvars, {tuple(e): c for e, c in zip(rng.integers(-3, 13, (12, nvars)).tolist(),
+                                                        rng.integers(-9, 9, 12).tolist())})
+    q = SparsePoly(nvars, {tuple(e): c for e, c in zip(rng.integers(0, 16, (9, nvars)).tolist(),
+                                                        rng.integers(-9, 9, 9).tolist())})
+    pq = p * q
+    assert pq._packed[3] == 1 and pq._packed[0].dtype == key_dtype
+    assert pq.terms == convolve(p, q) and (q * p).terms == convolve(p, q)
+    assert pq.sorted_terms() == _grlex(convolve(p, q))
+
+
+@pytest.mark.parametrize("short,long,coeff_dtype", [
+    # sum |c1| * max |c2| = 2**63 - 1 and 2**63 with one term on the short side
+    ({(0,): 7}, {(0,): (2 ** 63 - 1) // 7, (1,): -1}, np.int64),
+    ({(0,): -2}, {(0,): 2 ** 62, (1,): 1}, object),
+    # the same bounds reached by a sum of two term products
+    ({(0,): 1, (1,): -1}, {(0,): 2 ** 62 - 1, (1,): 1 - 2 ** 62, (2,): 5}, np.int64),
+    ({(0,): 1, (1,): -1}, {(0,): 2 ** 62, (1,): -2 ** 62, (2,): 5}, object)])
+def test_product_at_coefficient_dtype_edges(short, long, coeff_dtype):
+    """Coefficients stay int64 while sum |c1| * max |c2| < 2**63, c1 on the
+    shorter operand: that bounds every sum of term products."""
+    p, q = SparsePoly(1, short), SparsePoly(1, long)
+    for product in (p * q, q * p):
+        assert product._packed[4].dtype == coeff_dtype
+        assert product.terms == convolve(p, q)
+        # the text reads coefficients of either dtype, small ones held as
+        # objects included
+        assert product.format(["y"]) == pretty(product.sorted_terms(), ["y"])
+    assert max(map(abs, convolve(p, q).values())) >= 2 ** 63 - 2
+
+
+def test_format_of_small_coefficients_held_as_objects():
+    """The bound 2 * 2**62 puts the product's coefficients in Python ints,
+    and the middle term cancels: what is left fits an int64 again."""
+    p = SparsePoly(1, {(0,): 1, (1,): 1}) * SparsePoly(1, {(0,): 2 ** 62, (1,): -2 ** 62})
+    assert p._packed[4].dtype == object
+    assert p.terms == {(0,): 2 ** 62, (2,): -2 ** 62}
+    assert p.format(["y"]) == "4611686018427387904 - 4611686018427387904*y^2"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(polys(2))
+def test_terms_leave_as_python_ints(pair):
+    """Every exponent and coefficient read out of a polynomial, a product and
+    a monomial image is an int, not a numpy scalar: JSON and hashing read them."""
+    p, q = pair
+    image = p.monomial_image([(1,) * p.nvars] * p.nvars, (0,) * p.nvars)
+    for poly in (p, p * q, image):
+        names = [f"y{i}" for i in range(poly.nvars)]
+        for terms in (list(poly.terms.items()), poly.sorted_terms(), poly.render(names)[0]):
+            assert all(type(e) is tuple and type(c) is int and all(type(x) is int for x in e)
+                       for e, c in terms)
+
+
+def laurent(nvars):
+    """Laurent polynomials in nvars variables, the zero polynomial included,
+    with negative coefficients and coefficients past 2**64."""
+    exps = st.tuples(*[st.one_of(st.integers(-3, 3), st.integers(-300, 300),
+                                 st.sampled_from([-2 ** 33, 2 ** 33]))] * nvars)
+    return st.dictionaries(exps, COEFFICIENTS, max_size=12).map(
+        lambda terms: SparsePoly(nvars, terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0, 1, 3, 6]).flatmap(lambda n: st.tuples(laurent(n), laurent(n))))
+def test_format_equals_the_term_by_term_text(pair):
+    p, q = pair
+    names = [f"y{i}" for i in range(1, p.nvars + 1)]
+    assert p.format(names) == pretty(p.sorted_terms(), names)
+    # a product, whose keys the constructor never packed
+    pq = p * q
+    assert pq.render(names) == (pq.sorted_terms(), pretty(pq.sorted_terms(), names))
+
+
+@pytest.mark.parametrize("block", [1, 5, 17])
+def test_product_in_blocks_equals_the_convolution(monkeypatch, block):
+    """A product too long for one outer array is summed a block of rows of
+    the shorter operand at a time: the same terms, cancellations across
+    blocks and wide keys and coefficients included."""
+    monkeypatch.setattr("quivergrass.poly._BLOCK", block)
+    rng = np.random.default_rng(block)
+    for nvars, coeff in ((2, 1), (7, 1), (3, 2 ** 70)):
+        p = SparsePoly(nvars, {tuple(e): c * coeff for e, c in zip(
+            rng.integers(-2, 4, (11, nvars)).tolist(), rng.integers(-3, 4, 11).tolist())})
+        q = SparsePoly(nvars, {tuple(e): c for e, c in zip(
+            rng.integers(0, 5, (8, nvars)).tolist(), rng.integers(-3, 4, 8).tolist())})
+        for product in (p * q, q * p):
+            assert product.terms == convolve(p, q)
+            assert product.sorted_terms() == _grlex(convolve(p, q))
+    # (1 - y)(1 + y + ... + y^9) = 1 - y^10: every middle term cancels
+    # between blocks
+    geometric = SparsePoly(1, {(k,): 1 for k in range(10)})
+    assert (SparsePoly(1, {(0,): 1, (1,): -1}) * geometric).terms == {(0,): 1, (10,): -1}
