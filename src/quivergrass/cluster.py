@@ -11,7 +11,6 @@ suite asserts that.
 import itertools
 from dataclasses import dataclass
 
-from . import linalg as la
 from . import rep as rp
 from . import typea as ta
 from .counting import (DEFAULT_BUDGET, _Reductions, count_points, counting_polynomial,
@@ -144,21 +143,6 @@ def make_generating(s_rep, x_rep):
         x_mod_xs=rp.quotient(x_rep, xs_w), s_mod_sx=rp.quotient(s_rep, sx_w))
 
 
-def _injective_cokernel_exponent(ge):
-    """f with I = (+) I_k^(f_k) from 0 -> X/X_S -> tau S^X -> I -> 0, which
-    is 0: X/X_S and tau S^X are isomorphic, and that is asserted.
-
-    Ext^1(S, X) = 1 between interval sums comes from one pair of summands,
-    S' = U[k,l] and X' = U[i,j] with k+1 <= i <= l+1 <= j.  The map
-    X' -> tau S' = U[k+1,l+1] has image X/X_S = U[i,l+1], and the map
-    tau^- X' = U[i-1,j-1] -> S' has image S^X = U[i-1,l].  So
-    tau S^X = U[i,l+1] = X/X_S and the injective cokernel I is 0.
-    """
-    if ta.decompose(ge.x_mod_xs) != ta.translate(ta.decompose(ge.s_x), 1):
-        raise AssertionError("X/X_S and tau S^X are not isomorphic")
-    return (0,) * ge.s.quiver.vertex_count
-
-
 @dataclass
 class MultiplicationReport:
     lhs: object
@@ -166,7 +150,6 @@ class MultiplicationReport:
     residual: object
     f_residual: object
     s_x_dims: tuple
-    x_f: tuple
 
     @property
     def holds(self):
@@ -174,7 +157,15 @@ class MultiplicationReport:
 
 
 def verify_multiplication(ge):
-    """Check CC(X) CC(S) = CC(Y) + y^(dim S^X) CC(X_S) CC(S/S^X) x^f exactly.
+    """Check CC(X) CC(S) = CC(Y) + y^(dim S^X) CC(X_S) CC(S/S^X) exactly.
+
+    The correction is y^(dim S^X) alone: the formula's x^f, f the exponent
+    of the injective cokernel I of X/X_S -> tau S^X, is 1.  Ext^1(S, X) = 1
+    between interval sums comes from one pair of summands, S' = U[k,l] and X' = U[i,j] with
+    k+1 <= i <= l+1 <= j, whose maps X' -> tau S' = U[k+1,l+1] and
+    tau^- X' = U[i-1,j-1] -> S' have images X/X_S = U[i,l+1] and
+    S^X = U[i-1,l].  So X/X_S = tau S^X and I = 0; AssertionError when the
+    isomorphism fails.
 
     Also checks the F-polynomial shadow of the same identity: F_M is CC_M at
     x = 1, a ring map, so its residual is the image of the CC residual under
@@ -183,18 +174,17 @@ def verify_multiplication(ge):
     """
     if ge.kind != "nonsplit":
         raise DomainError("the multiplication formula applies to nonsplit extensions")
+    if ta.decompose(ge.x_mod_xs) != ta.translate(ta.decompose(ge.s_x), 1):
+        raise AssertionError("X/X_S and tau S^X are not isomorphic")
     n = ge.s.quiver.vertex_count
     cc_x, cc_s, cc_y, cc_xs, cc_ssx = (
         cluster_character(m) for m in (ge.x, ge.s, ge.y, ge.x_s, ge.s_mod_sx))
-    f_exp = _injective_cokernel_exponent(ge)
     sx_dims = ge.s_x.dims
-    corr = SparsePoly.monomial(tuple(f_exp) + tuple(sx_dims))
     lhs = cc_x * cc_s
-    rhs = cc_y + corr * cc_xs * cc_ssx
+    rhs = cc_y + SparsePoly.monomial((0,) * n + tuple(sx_dims)) * cc_xs * cc_ssx
     residual = lhs - rhs
     f_residual = residual.monomial_image([(0,) * n] * n + _units(n), (0,) * n)
-    return MultiplicationReport(lhs, rhs, residual, f_residual,
-                                tuple(sx_dims), tuple(f_exp))
+    return MultiplicationReport(lhs, rhs, residual, f_residual, tuple(sx_dims))
 
 
 @dataclass
@@ -252,40 +242,3 @@ def psi_count_identity(ge, e, primes, budget=DEFAULT_BUDGET):
             rhs += image * p ** fiber_exp
         results.append((p, lhs, rhs))
     return PsiCountReport(results)
-
-
-def socle_dims(m_rep):
-    """Per-vertex socle dimensions: kernel of the stacked outgoing maps."""
-    q = m_rep.quiver
-    return tuple(
-        m_rep.dims[v - 1]
-        - la.rank(la.vstack([m_rep.matrix(a) for a, _, _ in q.arrows_from(v)]), m_rep.field)
-        for v in range(1, q.vertex_count + 1))
-
-
-def g_vector_from_injective_resolution(m_rep):
-    """g = [I_1] - [I_0] read from the minimal injective resolution.
-
-    I_0 = (+) I_k^(socle dim at k); the multiplicities of I_1 are solved from
-    dim I_1 = dim I_0 - dim M (injective dimension vectors are independent).
-    """
-    q = m_rep.quiver
-    n = q.vertex_count
-    a = socle_dims(m_rep)
-    inj_dims = q.opposite().projective_dims()
-    i0 = tuple(sum(a[k] * inj_dims[k][v] for k in range(n)) for v in range(n))
-    i1 = tuple(i0[v] - m_rep.dims[v] for v in range(n))
-    return tuple(bv - av for bv, av in zip(_injective_multiplicities(q, i1), a))
-
-
-def _injective_multiplicities(quiver, dims):
-    """The nonnegative integer f with sum_k f_k dim I_k = dims.
-
-    The dim I_k are the columns of E^-1 for the Euler matrix E, so f = E dims,
-    that is f_v = <e_v, dims>.  AssertionError when some f_v is negative,
-    that is when dims is not the dimension vector of an injective module.
-    """
-    f = tuple(euler_form(quiver, u, dims) for u in _units(quiver.vertex_count))
-    if any(x < 0 for x in f):
-        raise AssertionError(f"{tuple(dims)} is not the dimension vector of an injective")
-    return f

@@ -6,8 +6,8 @@ own ``+ - *``; ``field.of`` brings each result back into the field (``% p``
 over GF(p)), so every entry returned is a ``Fraction`` over Q and an int in
 ``range(p)`` over GF(p), given entries of that kind (as ``mat`` makes them).
 A matrix with no rows is ``()`` whatever its width, so it carries no width:
-``transpose``, ``mul`` and ``nullspace`` take the column count ``cols`` from
-the caller.
+``transpose`` and ``nullspace`` take the column count ``cols`` from the
+caller.
 
 Every elimination is one ``rref``.  It reduces rows held as ``{column:
 value}`` dicts of their nonzeros, so its work follows the nonzeros and their
@@ -45,24 +45,8 @@ def transpose(a, cols=None):
     return tuple(() for _ in range(cols)) if cols else ()
 
 
-def neg(a, field):
-    return tuple(tuple(field.of(-x) for x in row) for row in a)
-
-
-def _dot(row, v, field):
-    return field.of(sum(x * y for x, y in zip(row, v) if x and y))
-
-
-def mul(a, b, field, cols):
-    """Matrix product a @ b, where b has ``cols`` columns."""
-    if (a and len(a[0]) != len(b)) or (b and len(b[0]) != cols):
-        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}, expected {cols} columns")
-    bt = transpose(b, cols)
-    return tuple(tuple(_dot(row, col, field) for col in bt) for row in a)
-
-
 def mat_vec(a, v, field):
-    return tuple(_dot(row, v, field) for row in a)
+    return tuple(field.of(sum(x * y for x, y in zip(row, v) if x and y)) for row in a)
 
 
 def hstack(blocks):
@@ -163,24 +147,6 @@ def nullspace(a, field, cols):
             v[pc] = field.of(-r[i][fc])
         basis.append(tuple(v))
     return basis
-
-
-def solve(a, b, field):
-    """Solve a @ X = b exactly (b may have several columns); None if inconsistent."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ra != rb:
-        raise ValueError("solve: row mismatch")
-    aug = hstack([a, b]) if ca else b
-    r, pivots = rref(aug, field)
-    for i in range(len(pivots)):
-        if pivots[i] >= ca:
-            return None
-    x = [[field.zero] * cb for _ in range(ca)]
-    for i, pc in enumerate(pivots):
-        for j in range(cb):
-            x[pc][j] = r[i][ca + j]
-    return tuple(tuple(row) for row in x)
 
 
 def reduce_by(rref_basis, pivots, v, field):

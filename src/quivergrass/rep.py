@@ -277,15 +277,6 @@ class SubrepWitness:
         return f"SubrepWitness(dims={self.dims})"
 
 
-def full_witness(m_rep):
-    q, f = m_rep.quiver, m_rep.field
-    return SubrepWitness(q, f, [la.identity(d, f) for d in m_rep.dims])
-
-
-def zero_witness(m_rep):
-    return SubrepWitness(m_rep.quiver, m_rep.field, [()] * m_rep.quiver.vertex_count)
-
-
 def arrow_stable(m_rep, bases, pivots):
     """Whether M_a(U_{s(a)}) lies in U_{t(a)} for every arrow a of M.
 

@@ -19,18 +19,29 @@ check the cell and stratum engines at it.  ``interval_direct_sum`` builds an
 interval module as the direct sum of one representation per summand, the
 oracle of the block matrices ``IntervalDecomposition.to_representation``
 writes at once.  ``coxeter_by_inverse`` is -E^-1 E^T for the Euler matrix E,
-inverted over Q by Gaussian elimination, the oracle of the Coxeter matrix
-``ardynkin`` reads off the Euler form and the path counts.
+inverted over Q by Gaussian elimination (``solve``, with the matrix product
+``mul`` and ``neg``), the oracle of the Coxeter matrix ``ardynkin`` reads
+off the Euler form and the path counts; ``solve`` is also the Vandermonde
+solve that checks ``counting``'s Newton interpolation, and ``mul`` checks
+that Hom bases commute with the arrows and composes type-A arrow matrices.
+``full_witness`` and ``zero_witness`` are the largest and the smallest
+subrepresentation, the edge cases of ``restrict`` and ``quotient``.
+``meshes`` reads the meshes off a knitted AR quiver, so that the tests can
+check that dimension vectors are additive on them.
+``g_vector_from_injective_resolution`` reads g = [I_1] - [I_0] off the
+minimal injective resolution (socle dimensions by rank, the multiplicities
+of I_1 by ``injective_multiplicities``), the oracle of ``cluster.g_vector``,
+which reads -<S_i, dim M> off the Euler form.
 """
 
 import random
 from fractions import Fraction
 
 from quivergrass import linalg as la
-from quivergrass import (QQ, DomainError, SubrepWitness, direct_sum, hom_basis, hom_dim,
-                         linear_quiver, quotient, restrict, zero_rep)
+from quivergrass import (QQ, DomainError, SubrepWitness, direct_sum, euler_form, hom_basis,
+                         hom_dim, linear_quiver, quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
-from quivergrass.rep import morphism_image_witness, zero_witness
+from quivergrass.rep import morphism_image_witness
 from quivergrass.typea import coefficient_quiver, decompose, interval_rep, translate
 
 
@@ -174,14 +185,95 @@ def interval_direct_sum(dec, field):
     return direct_sum(*parts) if parts else zero_rep(q, field)
 
 
+def neg(a, field):
+    """-a, entrywise."""
+    return tuple(tuple(field.of(-x) for x in row) for row in a)
+
+
+def mul(a, b, field, cols):
+    """The matrix product a @ b, where b has ``cols`` columns: each row of
+    the product is b^T times a row of a."""
+    bt = la.transpose(b, cols)
+    return tuple(la.mat_vec(bt, row, field) for row in a)
+
+
+def solve(a, b, field):
+    """Solve a @ X = b exactly (b may have several columns); None if inconsistent."""
+    ca, cb = la.shape(a)[1], la.shape(b)[1]
+    r, pivots = la.rref(la.hstack([a, b]) if ca else b, field)
+    if pivots and pivots[-1] >= ca:
+        return None
+    x = [[field.zero] * cb for _ in range(ca)]
+    for i, pc in enumerate(pivots):
+        x[pc] = list(r[i][ca:])
+    return tuple(tuple(row) for row in x)
+
+
 def coxeter_by_inverse(quiver):
-    """-E^-1 E^T as int tuples, E = I - (arrow counts) inverted by ``la.solve``
+    """-E^-1 E^T as int tuples, E = I - (arrow counts) inverted by ``solve``
     over Q; AssertionError unless the product is integral."""
     n = quiver.vertex_count
     e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for s, t in quiver.arrows:
         e[s - 1][t - 1] -= 1
-    inv = la.solve(e, la.identity(n, QQ), QQ)
-    c = la.neg(la.mul(inv, la.transpose(e, cols=n), QQ, n), QQ)
+    inv = solve(e, la.identity(n, QQ), QQ)
+    c = neg(mul(inv, la.transpose(e, cols=n), QQ, n), QQ)
     assert all(x.denominator == 1 for row in c for x in row), "Coxeter matrix not integral"
     return tuple(tuple(int(x) for x in row) for row in c)
+
+
+def full_witness(m_rep):
+    """The whole of M as a point of its own Grassmannian."""
+    q, f = m_rep.quiver, m_rep.field
+    return SubrepWitness(q, f, [la.identity(d, f) for d in m_rep.dims])
+
+
+def zero_witness(m_rep):
+    """The zero subrepresentation of M."""
+    return SubrepWitness(m_rep.quiver, m_rep.field, [()] * m_rep.quiver.vertex_count)
+
+
+def meshes(ar):
+    """(start, middles, end) for every mesh of the AR quiver ``ar``, where
+    end = tau^- start and the middles are the sources of the arrows into end."""
+    return [(start, [s for s, t in ar.arrows if t == end], end)
+            for end, start in ar.tau.items()]
+
+
+def socle_dims(m_rep):
+    """Per-vertex socle dimensions: kernel of the stacked outgoing maps."""
+    q = m_rep.quiver
+    return tuple(
+        m_rep.dims[v - 1]
+        - la.rank(la.vstack([m_rep.matrix(a) for a, _, _ in q.arrows_from(v)]), m_rep.field)
+        for v in range(1, q.vertex_count + 1))
+
+
+def injective_multiplicities(quiver, dims):
+    """The nonnegative integer f with sum_k f_k dim I_k = dims.
+
+    The dim I_k are the columns of E^-1 for the Euler matrix E, so f = E dims,
+    that is f_v = <e_v, dims>.  AssertionError when some f_v is negative,
+    that is when dims is not the dimension vector of an injective module.
+    """
+    n = quiver.vertex_count
+    f = tuple(euler_form(quiver, tuple(int(i == j) for j in range(n)), dims)
+              for i in range(n))
+    if any(x < 0 for x in f):
+        raise AssertionError(f"{tuple(dims)} is not the dimension vector of an injective")
+    return f
+
+
+def g_vector_from_injective_resolution(m_rep):
+    """g = [I_1] - [I_0] read from the minimal injective resolution.
+
+    I_0 = (+) I_k^(socle dim at k); the multiplicities of I_1 are solved from
+    dim I_1 = dim I_0 - dim M (injective dimension vectors are independent).
+    """
+    q = m_rep.quiver
+    n = q.vertex_count
+    a = socle_dims(m_rep)
+    inj_dims = q.opposite().projective_dims()
+    i0 = tuple(sum(a[k] * inj_dims[k][v] for k in range(n)) for v in range(n))
+    i1 = tuple(i0[v] - m_rep.dims[v] for v in range(n))
+    return tuple(bv - av for bv, av in zip(injective_multiplicities(q, i1), a))

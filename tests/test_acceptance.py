@@ -33,7 +33,7 @@ from quivergrass.typea import (IntervalDecomposition, cell_dimension,
                                multiplicities_from_ranks, semisimple_dec,
                                strata, translate)
 
-from oracles import classify_strata_ff
+from oracles import classify_strata_ff, meshes
 
 A2 = linear_quiver(2)
 
@@ -237,7 +237,7 @@ def test_criterion_13_knitting():
         ar = knit(quiver)
         counts[name] = len(ar.vertices)
         n = quiver.vertex_count
-        for start, middles, end in ar.meshes():
+        for start, middles, end in meshes(ar):
             mid = tuple(sum(ar.vertices[m][i] for m in middles) for i in range(n))
             assert mid == tuple(ar.vertices[start][i] + ar.vertices[end][i]
                                 for i in range(n))

@@ -12,7 +12,7 @@ from quivergrass.ardynkin import (classify, coxeter_matrix, knit,
                                   positive_root_count, tau_dim)
 from quivergrass.typea import IntervalDecomposition, interval_dims, translate
 
-from oracles import coxeter_by_inverse
+from oracles import coxeter_by_inverse, meshes
 
 D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
 D5 = Quiver(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
@@ -56,7 +56,7 @@ def test_knit_rejects_non_dynkin():
 def test_knit_a2_structure():
     ar = knit(linear_quiver(2))
     assert set(ar.vertices) == {(1, 1), (0, 1), (1, 0)}
-    s1, s2 = ar.index_of((1, 0)), ar.index_of((0, 1))
+    s1, s2 = ar.vertices.index((1, 0)), ar.vertices.index((0, 1))
     assert ar.tau == {s1: s2}  # tau(S1) = S2
 
 
@@ -64,7 +64,7 @@ def test_mesh_additivity():
     for quiver in (linear_quiver(4), D4, D5, linear_quiver(6)):
         ar = knit(quiver)
         n = quiver.vertex_count
-        for start, middles, end in ar.meshes():
+        for start, middles, end in meshes(ar):
             mid_sum = tuple(sum(ar.vertices[m][i] for m in middles) for i in range(n))
             both = tuple(ar.vertices[start][i] + ar.vertices[end][i] for i in range(n))
             assert both == mid_sum

@@ -823,23 +823,30 @@ def test_intervals_and_matrices_give_the_same_answers(tmp_path, dec):
 
 
 @pytest.mark.parametrize("sub", ["decompose", "fpoly", "cc", "gvector", "catenoid",
-                                 "flat-locus", "hom", "deg-compare"])
+                                 "flat-locus", "hom", "deg-compare", "euler", "count",
+                                 "poly", "cells", "poincare", "strata"])
 def test_intervals_with_n_0_answer_as_a_0_vertex_file(tmp_path, sub):
-    """--n 0 is given, not missing: the empty module of A_0 answers as the
-    rep file with no vertices does."""
+    """--n 0 is given, not missing, and --e '' is the empty dimension vector:
+    the empty module of A_0 answers as the rep file with no vertices does."""
     path = tmp_path / "v0.rep"
     path.write_text(json.dumps({"vertices": 0, "arrows": [], "field": "Q",
                                 "dims": [], "matrices": {}}))
-    second = ["--rep2", str(path)] if sub in ("hom", "deg-compare") else []
+    extra = {"hom": ["--rep2", str(path)], "deg-compare": ["--rep2", str(path)],
+             "euler": ["--e", ""], "count": ["--e", "", "--p", "2"], "poly": ["--e", ""],
+             "cells": ["--e", ""], "poincare": ["--e", ""], "strata": ["--e", ""]}
     answers = []
     for module in (["--intervals", "0", "--n", "0"], ["--rep", str(path)]):
-        code, text = run([sub, *module, *second, "--format", "machine"])
+        code, text = run([sub, *module, *extra.get(sub, []), "--format", "machine"])
         assert code == 0, text
         doc = json.loads(text)
         answers.append((doc["outputs"], doc["provenance"]))
     assert answers[0] == answers[1]
+    if sub == "count":
+        assert answers[0][0] == {"count": 1}  # Gr_0(0) is one point
     assert run(["decompose", "--intervals", "U[1,1]", "--n", "0"]) == \
         (2, "error: bad interval (1,1) for n=0\n")
+    assert run(["count", "--intervals", "U[1,1]", "--n", "1", "--e", "", "--p", "2"]) == \
+        (2, "error: dimension vector length 0 != 1\n")
 
 
 def test_deg_compare_subcommand(tmp_path):

@@ -1,20 +1,20 @@
 """Cluster characters, generating extensions, and the two verification
 identities (multiplication formula, affine-bundle point counts)."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from oracles import specialize_ones
+from oracles import (g_vector_from_injective_resolution, injective_multiplicities,
+                     specialize_ones)
 from quivergrass import (QQ, DomainError, Quiver, Representation, direct_sum,
                          injective, kronecker_quiver, linear_quiver,
                          projective, simple, zero_rep)
-from quivergrass.cluster import (_injective_multiplicities, cluster_character,
-                                 exchange_matrix, f_polynomial, g_vector,
-                                 g_vector_from_injective_resolution,
-                                 make_generating, psi_count_identity,
+from quivergrass.cluster import (cluster_character, exchange_matrix, f_polynomial,
+                                 g_vector, make_generating, psi_count_identity,
                                  verify_multiplication)
 from quivergrass.poly import SparsePoly
 from quivergrass.typea import (IntervalDecomposition, decompose,
@@ -57,21 +57,20 @@ def test_g_vector_against_injective_resolution():
                          + [Quiver(4, [(1, 4), (2, 4), (3, 4)])],
                          ids=["A1", "A2", "A3", "A4", "A5", "D4"])
 def test_injective_multiplicities_inverts_sums_of_injectives(quiver):
-    # g_vector_from_injective_resolution reads I_1 this way; the exponent f
-    # of the multiplication formula is 0 (X/X_S = tau S^X) and not solved
+    # the oracle g_vector_from_injective_resolution reads I_1 this way
     n = quiver.vertex_count
     inj = [injective(quiver, QQ, k).dims for k in range(1, n + 1)]
     for f in itertools.product(range(3), repeat=n):
         dims = tuple(sum(fk * d[v] for fk, d in zip(f, inj)) for v in range(n))
-        assert _injective_multiplicities(quiver, dims) == f
+        assert injective_multiplicities(quiver, dims) == f
 
 
 def test_injective_multiplicities_refuses_non_injective_dims():
     # dim S_2 = (0, 1) = dim I_2 - dim I_1 on A_2, a coefficient of -1
     with pytest.raises(AssertionError):
-        _injective_multiplicities(A2, (0, 1))
+        injective_multiplicities(A2, (0, 1))
     with pytest.raises(AssertionError):
-        _injective_multiplicities(linear_quiver(3), (1, 2, 1))
+        injective_multiplicities(linear_quiver(3), (1, 2, 1))
 
 
 def test_f_polynomial_examples():
@@ -180,7 +179,9 @@ def test_verify_multiplication_a2():
     rep = verify_multiplication(ge)
     assert rep.holds
     assert rep.s_x_dims == (1, 0)
-    assert rep.x_f == (0, 0)
+    # x^f = 1 rests on X/X_S = U[2,2] = tau S^X, which is asserted
+    with pytest.raises(AssertionError):
+        verify_multiplication(dataclasses.replace(ge, x_mod_xs=zero_rep(A2, QQ)))
     # the difference of the two cluster characters is exactly y^(1,0)
     cc_s1 = cluster_character(simple(A2, QQ, 1))
     cc_s2 = cluster_character(simple(A2, QQ, 2))
@@ -295,7 +296,6 @@ def _assert_injective_exponent_is_zero(sdec, xdec):
     assert decompose(ge.x_mod_xs) == translate(decompose(ge.s_x), 1), (sdec, xdec)
     rep = verify_multiplication(ge)
     assert rep.holds, (sdec, xdec)
-    assert rep.x_f == (0,) * sdec.n
 
 
 def test_injective_exponent_is_zero_for_every_pair_up_to_a3():

@@ -17,15 +17,15 @@ from quivergrass.ardynkin import classify
 from quivergrass.cluster import make_generating, psi_count_identity, verify_multiplication
 from quivergrass.counting import count_points
 from quivergrass.fields import _is_prime
-from quivergrass.rep import (arrow_stable, full_witness, morphism_image_witness,
-                             morphism_kernel_witness, nonzero_ext_cocycle, reduce_mod,
-                             zero_witness)
+from quivergrass.rep import (arrow_stable, morphism_image_witness, morphism_kernel_witness,
+                             nonzero_ext_cocycle, reduce_mod)
 from quivergrass.typea import (IntervalDecomposition, deg_leq_hom, deg_leq_ranks,
                                degenerate_flag_dec, ext_dim_decs,
                                fixed_points, flag_dec, hom_dim_decs, interval_rep,
                                most_flat_dec, path_algebra_dec, random_decomposition)
 
-from oracles import hom_fingerprint, injective_cokernel_exponent
+from oracles import (full_witness, hom_fingerprint, injective_cokernel_exponent, mul, neg,
+                     zero_witness)
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -106,7 +106,7 @@ def _phi_by_kron(n_rep, m_rep):
     for a, (s, t) in enumerate(n_rep.quiver.arrows):
         left = kron(la.identity(e[s - 1], field), m_rep.matrix(a))
         nat = la.transpose(n_rep.matrix(a), cols=e[s - 1])
-        right = kron(la.neg(nat, field), la.identity(d[t - 1], field))
+        right = kron(neg(nat, field), la.identity(d[t - 1], field))
         for lrow, rrow in zip(left, right):
             row = [field.zero] * offsets[-1]
             row[offsets[s - 1]:offsets[s]] = lrow
@@ -324,8 +324,9 @@ def test_nonsplit_extension_differs_from_split():
 
 
 def test_injective_exponent_matches_embedding_search():
-    # verify-mult's x_f, 0 by the isomorphism X/X_S = tau S^X, against a seeded
-    # embedding X/X_S -> tau S^X and its decomposed cokernel
+    # verify-mult writes x_f = 0 since X/X_S = tau S^X, which
+    # verify_multiplication asserts; a seeded embedding X/X_S -> tau S^X must
+    # then have no cokernel
     rng = random.Random(11)
 
     def rand_dec(n):
@@ -345,7 +346,7 @@ def test_injective_exponent_matches_embedding_search():
         ge = make_generating(sdec.to_representation(QQ), xdec.to_representation(QQ))
         report = verify_multiplication(ge)
         assert report.holds, (sdec, xdec)
-        assert report.x_f == injective_cokernel_exponent(ge), (sdec, xdec)
+        assert injective_cokernel_exponent(ge) == (0,) * n, (sdec, xdec)
         cases += 1
 
 
@@ -414,8 +415,8 @@ def test_hom_basis_spans_hom():
                     assert all(len(f[i]) == d[i] and all(len(row) == e[i] for row in f[i])
                                for i in range(q.vertex_count))
                     for a, (s, t) in enumerate(q.arrows):
-                        assert la.mul(m.matrix(a), f[s - 1], field, e[s - 1]) == \
-                            la.mul(f[t - 1], n.matrix(a), field, e[s - 1])
+                        assert mul(m.matrix(a), f[s - 1], field, e[s - 1]) == \
+                            mul(f[t - 1], n.matrix(a), field, e[s - 1])
                 if basis:
                     ker = morphism_kernel_witness(basis[0], n, m)
                     img = morphism_image_witness(basis[0], n, m)

