@@ -9,9 +9,14 @@ arrow maps, a plain dict whose inclusion-exclusion inverse is
 explicit inequalities.  A torus fixed point of a Grassmannian is a plain
 tuple with one suffix start (or None) per row of ``coefficient_quiver(m)``,
 and each fixed point carries an attracting cell whose dimension is read off
-the diagram.  ``fixed_points`` is the one search over them; it returns each
-point with its cell dimension, which ``poincare_polynomial``, ``strata`` and
-the ``cells`` subcommand read.  ``generating_function`` sums the Euler
+the diagram.  ``_row_choices`` holds the one pruning rule: given the state
+after the earlier rows, it yields the admissible choices of the next row
+with their cell-dimension increments.  Two searches read it.
+``fixed_points`` goes depth first and lists every point with its cell
+dimension, for the ``cells`` subcommand.  ``_sweep`` goes forward row by
+row and merges the partial points that have selected the same suffixes, so
+``poincare_polynomial`` and ``strata`` count cells per isoclass without
+listing the points.  ``generating_function`` sums the Euler
 characteristics of all the Grassmannians of a module as one product of row
 polynomials, without listing the fixed points.
 """
@@ -273,6 +278,73 @@ def coefficient_quiver(m):
     return tuple(m.summands())
 
 
+def _search_rows(m, e):
+    """(e, rows, capacity) for the fixed points of Gr_e(M), or None when some
+    e_v exceeds d_v: e checked against the quiver, the rows of
+    ``coefficient_quiver(m)``, and ``capacity[r][v - 1]``, the rows r, r + 1,
+    ... whose support contains v.  DomainError on a module of another quiver
+    or an e of the wrong length or with a negative entry."""
+    quiver = m.quiver
+    _require_linear(quiver)
+    e = quiver.check_dim_vector(e)
+    d = m.dim_vector()
+    if any(x > y for x, y in zip(e, d)):
+        return None
+    rows = coefficient_quiver(m)
+    capacity = [d]
+    for i, j in rows:
+        capacity.append(tuple(c - (i <= v <= j) for v, c in enumerate(capacity[-1], 1)))
+    return e, rows, capacity
+
+
+def _row_choices(i, j, cap, remaining, selected):
+    """The admissible choices of the row [i, j], as (start, increment) pairs
+    in the order None, j, j - 1, ...: the start a of the suffix U[a, j] the
+    row selects (None for nothing) and what the choice adds to the cell
+    dimension.
+
+    The state is the demand still to place at each vertex, ``remaining``,
+    and the starts the earlier rows selected at each vertex, ``selected``;
+    ``cap`` is the capacity of this row (``_search_rows``).  While the
+    generator is suspended at a choice, both lists hold the state after the
+    row has taken it; they are restored when it finishes.
+
+    The slack of a vertex is its capacity minus its demand.  A row that
+    skips a vertex of its support lowers the vertex's slack by one, and a
+    row that takes it leaves the slack as it was.  So a row must take every
+    vertex of its support with no slack left: its start is at or before the
+    first such vertex, and None is not allowed.  A suffix stops growing at
+    a vertex with no demand left, since every longer suffix contains it
+    too.  Every choice cut this way would leave a vertex with more demand
+    than rows to fill it, so no fixed point is lost; and slack stays >= 0
+    on every choice kept, so after the last row, which leaves no capacity,
+    the demand is 0 everywhere.
+
+    The choice a adds the number of earlier selected starts in [i, a - 1],
+    and None those in [i, j] (``cell_dimension``).
+    """
+    below = 0
+    tight = None  # the first vertex of the support with no slack
+    for v in range(i - 1, j):
+        below += selected[v]
+        if tight is None and remaining[v] == cap[v]:
+            tight = v + 1
+    if tight is None:
+        yield None, below
+        tight = j
+    a = j + 1
+    while a > i and remaining[a - 2]:
+        a -= 1
+        remaining[a - 1] -= 1
+        below -= selected[a - 1]
+        if a <= tight:
+            selected[a - 1] += 1
+            yield a, below
+            selected[a - 1] -= 1
+    for v in range(a - 1, j):
+        remaining[v] += 1
+
+
 def fixed_points(m, e):
     """All torus fixed points of Gr_e, as (starts, cell dimension) pairs.
 
@@ -281,65 +353,78 @@ def fixed_points(m, e):
     a fixed point selects one start a (or None, nothing) in every row.
     Points come in lexicographic order of the per-row choices None, j, ..., i.
 
-    The search goes row by row and keeps, per vertex, the demand still to
-    place.  Its slack is the number of rows still to come that contain the
-    vertex minus that demand.  A row that skips a vertex of its support
-    lowers the vertex's slack by one, and a row that takes it leaves the
-    slack as it was.  So a row must take every vertex of its support with
-    no slack left: its start is at or before the first such vertex, and
-    None is not allowed.  Every choice cut this way would leave a vertex
-    with more demand than rows to fill it, so no point is lost.  Slack
-    stays >= 0 on every branch kept, so after the last row, which leaves
-    no capacity, the demand is 0 everywhere and every leaf is a point.
-
-    The cell dimension is ``cell_dimension(rows, starts)``, summed as the
-    search goes: the row r' choosing a adds the number of earlier selected
-    starts in [i', a - 1] (in [i', j'] when it chooses None).
+    A depth-first search over the rows: each row takes in turn the
+    admissible choices of ``_row_choices``, which prunes by slack and keeps
+    every point, and adds their increments to the cell dimension
+    ``cell_dimension(rows, starts)``.  The list has one entry per point;
+    ``poincare_polynomial`` and ``strata`` read the same choices without it.
     """
-    e = linear_quiver(m.n).check_dim_vector(e)
-    d = m.dim_vector()
-    if any(x > y for x, y in zip(e, d)):
+    setup = _search_rows(m, e)
+    if setup is None:
         return []
-    rows = coefficient_quiver(m)
-    # capacity[r][v - 1]: rows r, r + 1, ... whose support contains v
-    capacity = [d]
-    for i, j in rows:
-        capacity.append(tuple(c - (i <= v <= j) for v, c in enumerate(capacity[-1], 1)))
+    e, rows, capacity = setup
+    if not rows:
+        return [((), 0)]  # d = 0, so e = 0: the zero subrepresentation
     out = []
     starts = []
     remaining = list(e)
-    selected = [0] * m.n  # earlier selected starts at each vertex
+    selected = [0] * m.n
+    last = len(rows) - 1
 
     def descend(r, dim):
-        if r == len(rows):
-            out.append((tuple(starts), dim))
-            return
         i, j = rows[r]
-        cap = capacity[r]
-        tight = next((v for v in range(i, j + 1) if remaining[v - 1] == cap[v - 1]), None)
-        below = sum(selected[i - 1:j])
-        starts.append(None)
-        if tight is None:
-            descend(r + 1, dim + below)
-            tight = j
-        # the suffix [a, j] grows one vertex at a time; once a vertex runs
-        # out, every longer suffix contains it too
-        a = j + 1
-        while a > i and remaining[a - 2]:
-            a -= 1
-            remaining[a - 1] -= 1
-            below -= selected[a - 1]
-            if a <= tight:
-                starts[-1] = a
-                selected[a - 1] += 1
-                descend(r + 1, dim + below)
-                selected[a - 1] -= 1
-        for v in range(a - 1, j):
-            remaining[v] += 1
-        starts.pop()
+        for a, inc in _row_choices(i, j, capacity[r], remaining, selected):
+            starts.append(a)
+            if r == last:
+                out.append((tuple(starts), dim + inc))
+            else:
+                descend(r + 1, dim + inc)
+            starts.pop()
 
     descend(0, 0)
     return out
+
+
+def _sweep(m, e):
+    """The fixed points of Gr_e(M) by isoclass: a list of (multiplicities,
+    tally) pairs, one per nonempty iso-stratum, with the multiplicities of
+    the intervals of the stratum's sub-representation N = (+) U[a, j] and
+    the tally {cell dimension: number of fixed points}.
+
+    One forward sweep over the rows of ``coefficient_quiver(m)``.  Partial
+    points that have selected the same multiset of suffixes U[a, j] are one
+    state: the multiset fixes the demand still to place and the starts
+    histogram that the increments read, so such points have the same
+    completions with the same dimension increments, and the state carries
+    their dimensions as one tally.  After the last row each state is one
+    isoclass N, since a fixed point spans the sum of its suffixes.
+    """
+    setup = _search_rows(m, e)
+    if setup is None:
+        return []
+    e, rows, capacity = setup
+    n = m.n
+    # a state's key counts its suffixes U[a, j] in the order of ``intervals``
+    intervals = [(a, j) for j in range(1, n + 1) for a in range(1, j + 1)]
+    position = {ij: k for k, ij in enumerate(intervals)}
+    states = {(0,) * len(intervals): (list(e), [0] * n, {0: 1})}
+    for r, (i, j) in enumerate(rows):
+        after = {}
+        for key, (remaining, selected, tally) in states.items():
+            for a, inc in _row_choices(i, j, capacity[r], remaining, selected):
+                to = key
+                if a is not None:
+                    k = position[a, j]
+                    to = key[:k] + (key[k] + 1,) + key[k + 1:]
+                state = after.get(to)
+                if state is None:
+                    state = after[to] = (remaining[:], selected[:], {})
+                merged = state[2]
+                for dim, count in tally.items():
+                    merged[dim + inc] = merged.get(dim + inc, 0) + count
+        states = after
+    return [({ij: mult for ij, mult in zip(intervals, key) if mult}, tally)
+            for key, (_, _, tally) in states.items()]
 
 
 def cell_dimension(rows, starts):
@@ -349,8 +434,8 @@ def cell_dimension(rows, starts):
     subdiagram; the cell dimension is the number of white vertices lying
     strictly below such a source in the same column (rows after r whose
     support contains the column but whose selection does not).  This is the
-    per-point definition; ``fixed_points`` sums the same count as it
-    searches.
+    per-point definition; ``fixed_points`` and ``_sweep`` sum the same count
+    row by row, the increments of ``_row_choices``.
     """
     if len(starts) != len(rows):
         raise DomainError("one suffix choice per row required")
@@ -371,8 +456,11 @@ def cell_dimension(rows, starts):
 
 
 def poincare_polynomial(m, e):
-    """Sum of q^(cell dimension) over all torus fixed points."""
-    counts = Counter(map(operator.itemgetter(1), fixed_points(m, e)))
+    """Sum of q^(cell dimension) over all torus fixed points of Gr_e(M): the
+    tallies of ``_sweep`` added up, without listing the points."""
+    counts = Counter()
+    for _, tally in _sweep(m, e):
+        counts.update(tally)
     return CountPoly(tuple(counts[k] for k in range(max(counts, default=-1) + 1)), "assumed")
 
 
@@ -412,18 +500,15 @@ def strata(m, e):
     """Nonempty iso-strata of Gr_e(M), their dimensions, and their cell counts.
 
     A stratum is nonempty exactly when it contains a torus fixed point (every
-    cell lies in the stratum of its fixed point); its dimension is
-    [N,M] - [N,N] by the closed-form interval Homs.
+    cell lies in the stratum of its fixed point), so the strata are the
+    states ``_sweep`` ends with and the cells of one are its tally's sum; its
+    dimension is [N,M] - [N,N] by the closed-form interval Homs.
     """
-    rows = coefficient_quiver(m)
-    # the fixed point spans the sum of its selected suffixes U[a, j]
-    classes = Counter(tuple(sorted((a, j) for (_, j), a in zip(rows, pt) if a is not None))
-                      for pt, _ in fixed_points(m, e))
     out = []
-    for summands, cells in classes.items():
-        iso = IntervalDecomposition(m.n, Counter(summands))
+    for multiplicities, tally in _sweep(m, e):
+        iso = IntervalDecomposition(m.n, multiplicities)
         dim = hom_dim_decs(iso, m) - hom_dim_decs(iso, iso)
-        out.append(Stratum(iso, dim, cells))
+        out.append(Stratum(iso, dim, sum(tally.values())))
     out.sort(key=lambda s: (-s.dim, sorted(s.isoclass.m.items())))
     return out
 

@@ -13,6 +13,10 @@ through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.
 ``pretty`` writes sorted terms as text one term at a time, the oracle of the
 table-driven ``SparsePoly.format``, and ``specialize_ones`` sums the
 coefficients (every variable set to 1).
+``poincare_by_points`` and ``strata_by_points`` fold the listed torus fixed
+points of ``typea.fixed_points``, one at a time, into the Poincaré
+polynomial and the iso-strata: the oracles of the row sweep, which merges
+partial points by their suffixes and never lists a point.
 ``point_witness`` turns a type-A torus fixed point into the subspaces it
 spans, so that general linear algebra (arrow stability, tangent spaces) can
 check the cell and stratum engines at it.  ``interval_direct_sum`` builds an
@@ -35,6 +39,7 @@ which reads -<S_i, dim M> off the Euler form.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from quivergrass import linalg as la
@@ -42,7 +47,8 @@ from quivergrass import (QQ, DomainError, SubrepWitness, direct_sum, euler_form,
                          hom_dim, linear_quiver, quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness
-from quivergrass.typea import coefficient_quiver, decompose, interval_rep, translate
+from quivergrass.typea import (IntervalDecomposition, Stratum, coefficient_quiver, decompose,
+                               fixed_points, hom_dim_decs, interval_rep, translate)
 
 
 def hom_fingerprint(test_family, n_rep):
@@ -156,6 +162,26 @@ def pretty(terms, names):
 def specialize_ones(p):
     """The sum of the coefficients of p: its value with every variable 1."""
     return sum(p.terms.values())
+
+
+def poincare_by_points(dec, e):
+    """The coefficients of sum q^(cell dimension) over the listed fixed points."""
+    counts = Counter(dim for _, dim in fixed_points(dec, e))
+    return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
+
+
+def strata_by_points(dec, e):
+    """The iso-strata as ``typea.strata`` lists them, from the listed fixed
+    points grouped by the sorted suffixes (a, j) each one selects."""
+    rows = coefficient_quiver(dec)
+    classes = Counter(tuple(sorted((a, j) for (_, j), a in zip(rows, pt) if a is not None))
+                      for pt, _ in fixed_points(dec, e))
+    out = []
+    for summands, cells in classes.items():
+        iso = IntervalDecomposition(dec.n, Counter(summands))
+        out.append(Stratum(iso, hom_dim_decs(iso, dec) - hom_dim_decs(iso, iso), cells))
+    out.sort(key=lambda s: (-s.dim, sorted(s.isoclass.m.items())))
+    return out
 
 
 def point_witness(dec, starts, field):

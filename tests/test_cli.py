@@ -626,6 +626,50 @@ def test_fixed_point_output_bytes_are_pinned(sub, name, family, fmt):
     assert code == 0 and _sha256(text) == FIXED_POINT_OUTPUT_DIGESTS[(sub, name, fmt)]
 
 
+# sha256 of the output at e = (2, ..., 2) of the Poincaré polynomial and the
+# strata folded from the full list of fixed points, and of that list on
+# degenerate_flag_dec(6): the row sweep must not move a byte
+LARGE_FIXED_POINT_OUTPUT_DIGESTS = {
+    ("poincare", "most_flat", 5, "text"):
+        "faea4cc25216263bf859f7620456da84bca94515791751d33bf0c6b89acd7dba",
+    ("poincare", "most_flat", 5, "machine"):
+        "834a48a7b899107064d3e0bd5fc790d95fef190dfdd9594ac4d532e1caee0148",
+    ("strata", "most_flat", 5, "text"):
+        "f03392c51e2934a67e2dbf335d3a1d9f896fd94e1a34f04c4111f14e6862a240",
+    ("strata", "most_flat", 5, "machine"):
+        "bf61bb907ddc50d40f16cb191ec101c1d71dc61e8d5d2d612985eb47b00cd092",
+    ("poincare", "degenerate_flag", 6, "text"):
+        "2556dd5b5367eacbf7e547fb27103c696c63951f83d878011b48630bfa2bf187",
+    ("poincare", "degenerate_flag", 6, "machine"):
+        "8f017c1f6bbf39f98c3fefdd42bf7686db479676816a2637fe942d0d51d58fb3",
+    ("strata", "degenerate_flag", 6, "text"):
+        "ca225fac8539503f7f7a417d584920eed5cc4f28c9ca728606351b9617378c1a",
+    ("strata", "degenerate_flag", 6, "machine"):
+        "5aa4246ad460cad9e83a67db109fb0ebc819a43bcd68207c15625f898fe8e180",
+    ("cells", "degenerate_flag", 6, "text"):
+        "c3020850be1df46a56e58cb3c8da203524de3d7e8c6d337abf424fd3c05abd1e",
+    ("cells", "degenerate_flag", 6, "machine"):
+        "5c45bd6ecaf756b00352f50ccd102ad27e5355a295ba619c76ecfa0ee0c75256",
+    ("poincare", "most_flat", 6, "text"):
+        "535945762b00d9c604bd0d7cabd971db41f08d6776f08432e7966b5fc0f9e625",
+    ("poincare", "most_flat", 6, "machine"):
+        "9a8a22f230a9d394bb298f2b2d6bb0e7d45d26e7d034cd5ed3add47d95574735",
+    ("strata", "most_flat", 6, "text"):
+        "511d6ed228bde9ea056c7ab37fed09cf863604b8e54dac8cb85b689ffe535b85",
+    ("strata", "most_flat", 6, "machine"):
+        "070382abf1df3cab92fab502005b859a127ea40c173d2e6532cd48f1f7bd9ef4",
+}
+LARGE_FIXED_POINT_FAMILIES = {"most_flat": most_flat_dec, "degenerate_flag": degenerate_flag_dec}
+
+
+@pytest.mark.parametrize("sub,name,n,fmt", sorted(LARGE_FIXED_POINT_OUTPUT_DIGESTS))
+def test_fixed_point_output_bytes_at_e_2_are_pinned(sub, name, n, fmt):
+    dec = LARGE_FIXED_POINT_FAMILIES[name](n)
+    code, text = run([sub, "--intervals", format_intervals(dec), "--n", str(n),
+                      "--e", ",".join(["2"] * n), "--format", fmt])
+    assert code == 0 and _sha256(text) == LARGE_FIXED_POINT_OUTPUT_DIGESTS[(sub, name, n, fmt)]
+
+
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_verify_mult_output_bytes_are_pinned(tmp_path, fmt):
     a3 = {"vertices": 3, "arrows": [[1, 2], [2, 3]], "field": "Q"}

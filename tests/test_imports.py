@@ -17,7 +17,9 @@ Nothing public is there for the tests alone: a public module-level
 class, is dead when no package module, demo or ``perfbench`` file reads it,
 unless ``__all__`` or README.md names it.  An attribute of that name reads
 it anywhere; a bare name only in its own module or where it is imported
-from, so ``operator.mul`` does not read ``linalg.mul``.  An oracle that only
+from, so ``operator.mul`` does not read ``linalg.mul``.  What a package
+definition reads counts only once that definition is read itself, so code
+that only an unread definition reads is unread too.  An oracle that only
 the tests use lives in ``tests/oracles.py``.
 """
 
@@ -160,15 +162,21 @@ def test_no_unread_class_fields(path, project_attributes_loaded):
     assert unread_fields(path.read_text(), project_attributes_loaded) == []
 
 
-def surface_reads(sources):
+def surface_reads(sources, exempt=frozenset()):
     """What the (source, module stem or None) pairs read of the package:
     every attribute name, and the bare names read by defining module,
     {module stem: names}.  A bare name counts for the package module whose
-    source reads it and for a package module it is imported from."""
+    source reads it and for a package module it is imported from.
+
+    What a module-level def or class of a package module reads counts only
+    once that definition is itself read, by an attribute, a bare name
+    credited to its module or an exempt name; reads are credited until
+    nothing changes, so a definition that only an unread one reads is
+    unread too."""
     attrs, by_module = set(), {}
-    for source, stem in sources:
-        tree = ast.parse(source)
-        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+    def credit(tree, stem):
+        attrs.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
         if stem:
             by_module.setdefault(stem, set()).update(
                 n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
@@ -177,7 +185,22 @@ def surface_reads(sources):
                     node.level or node.module.startswith("quivergrass.")):
                 by_module.setdefault(node.module.split(".")[-1], set()).update(
                     alias.name for alias in node.names)
-    return attrs, by_module
+
+    deferred = []
+    for source, stem in sources:
+        for node in ast.parse(source).body:
+            if stem and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                deferred.append((node, stem))
+            else:
+                credit(node, stem)
+    while True:
+        read = [(node, stem) for node, stem in deferred
+                if node.name in attrs | exempt or node.name in by_module.get(stem, ())]
+        if not read:
+            return attrs, by_module
+        for node, stem in read:
+            deferred.remove((node, stem))
+            credit(node, stem)
 
 
 def unread_public_definitions(source, stem, attrs, by_module, exempt):
@@ -203,28 +226,32 @@ def test_detector_flags_only_unread_public_definitions():
     source = ("from operator import mul\n"
               "def used():\n    return helper()\ndef helper():\n    pass\n"
               "def mul(a, b):\n    pass\ndef imported():\n    pass\n"
-              "def exempt():\n    pass\ndef dead():\n    pass\n"
+              "def exempt():\n    return kept()\ndef dead():\n    pass\n"
               "class Shape:\n    def area(self):\n        pass\n"
               "    def perimeter(self):\n        pass\n    def __repr__(self):\n        pass\n"
-              "class _Private:\n    def print_help(self):\n        pass\n")
+              "class _Private:\n    def print_help(self):\n        pass\n"
+              "def kept():\n    pass\n"
+              "def unread():\n    return only_unread_reads()\n"
+              "def only_unread_reads():\n    pass\n")
     # the bare ``mul`` read here is operator's, not m's
     other = ("from operator import mul\nfrom .m import Shape, imported\n"
              "x = mul(Shape().area(), m.used)\n")
-    read = surface_reads([(source, "m"), (other, "poly")])
+    read = surface_reads([(source, "m"), (other, "poly")], {"exempt"})
     assert unread_public_definitions(source, "m", *read, {"exempt"}) == [
-        (6, "mul"), (12, "dead"), (17, "Shape.perimeter")]
+        (6, "mul"), (12, "dead"), (17, "Shape.perimeter"), (26, "unread"),
+        (28, "only_unread_reads")]
 
 
 @pytest.fixture(scope="module")
 def surface_read():
-    attrs, by_module = surface_reads(
-        (p.read_text(), p.stem if p.parent.name == "quivergrass" else None)
-        for p in SURFACE_READERS)
     init = ast.parse((ROOT / "src" / "quivergrass" / "__init__.py").read_text())
     exported = {elt.value for node in init.body if isinstance(node, ast.Assign)
                 and node.targets[0].id == "__all__" for elt in node.value.elts}
-    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    return attrs, by_module, exported | named
+    exempt = exported | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    attrs, by_module = surface_reads(
+        ((p.read_text(), p.stem if p.parent.name == "quivergrass" else None)
+         for p in SURFACE_READERS), exempt)
+    return attrs, by_module, exempt
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -3,8 +3,11 @@ coefficient quivers, fixed points, cells, strata, catenoids, flat loci."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivergrass import QQ, BudgetError, DomainError, PrimeField, Representation, ext1_dim, \
     hom_dim, kronecker_quiver, linear_quiver
@@ -12,7 +15,7 @@ from quivergrass import linalg as la
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
-    IntervalDecomposition, cell_dimension,
+    IntervalDecomposition, Stratum, cell_dimension,
     coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
     degenerate_flag_dec, euler_char_cells, ext_interval, fixed_points,
     flag_dec, generating_function, flat_locus_class, hom_interval, interval_rep, is_catenoid,
@@ -20,7 +23,7 @@ from quivergrass.typea import (
     poincare_polynomial, random_decomposition, rank_sequence,
     ranks_from_multiplicities, semisimple_dec, strata, translate)
 
-from oracles import interval_direct_sum, mul
+from oracles import interval_direct_sum, mul, poincare_by_points, strata_by_points
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -441,6 +444,64 @@ def test_strata_most_flat_catalan():
         top = max(s.dim for s in st)
         assert top == n * (n + 1) // 2
         assert sum(1 for s in st if s.dim == top) == catalan, n
+
+
+@st.composite
+def small_decompositions(draw):
+    """A type-A module with n <= 5 and at most six summands, and an e <= d."""
+    n = draw(st.integers(0, 5))
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    summands = draw(st.lists(st.sampled_from(intervals), max_size=6)) if n else []
+    dec = IntervalDecomposition(n, Counter(summands))
+    return dec, tuple(draw(st.integers(0, x)) for x in dec.dim_vector())
+
+
+def assert_sweep_equals_the_points(dec, e):
+    """Poincaré polynomial and strata from the row sweep equal the folds over
+    the listed fixed points, and count chi(Gr_e(M)) cells."""
+    pp = poincare_polynomial(dec, e).coefficients
+    found = strata(dec, e)
+    assert pp == poincare_by_points(dec, e)
+    assert found == strata_by_points(dec, e)
+    assert sum(pp) == sum(s.cells for s in found) == generating_function(dec).coefficient(e)
+    return pp, found
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_decompositions())
+def test_sweep_equals_the_fold_over_the_points(case):
+    assert_sweep_equals_the_points(*case)
+
+
+def test_sweep_at_every_e():
+    """Every e <= d of a few modules, and one past d_v at each vertex, where
+    the Grassmannian is empty; e = 0 and e = d are single points."""
+    zero = IntervalDecomposition(0, {})
+    for dec in (degenerate_flag_dec(3), most_flat_dec(2), zero,
+                IntervalDecomposition(3, {(1, 3): 1, (2, 3): 2, (2, 2): 1}),
+                IntervalDecomposition(3, {})):
+        d = dec.dim_vector()
+        for e in itertools.product(*(range(x + 2) for x in d)):
+            if any(x > y for x, y in zip(e, d)):
+                assert poincare_polynomial(dec, e).coefficients == ()
+                assert strata(dec, e) == []
+            else:
+                assert_sweep_equals_the_points(dec, e)
+        for e, iso in ((d, dec), ((0,) * dec.n, IntervalDecomposition(dec.n, {}))):
+            assert assert_sweep_equals_the_points(dec, e) == ((1,), [Stratum(iso, 0, 1)])
+    assert strata(zero, ()) == [Stratum(zero, 0, 1)]
+
+
+@pytest.mark.parametrize("engine", [fixed_points, poincare_polynomial, strata])
+def test_cell_engines_refuse_bad_input(engine):
+    """Each engine checks e and the quiver itself."""
+    dec = degenerate_flag_dec(2)
+    for e in [(1,), (1, 2, 0), (-1, 1), (1, -2), (0.5, 1)]:
+        with pytest.raises(DomainError):
+            engine(dec, e)
+    kronecker = Representation(kronecker_quiver(2), QQ, (1, 1), [[[1]], [[1]]])
+    with pytest.raises(DomainError, match="wrong quiver shape"):
+        engine(kronecker, (1, 1))
 
 
 def test_is_catenoid():
