@@ -51,12 +51,9 @@ def classify(quiver):
     if not quiver.is_connected():
         raise DomainError("classification expects a connected quiver")
     c = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    deg = [0] * (n + 1)
     for s, t in quiver.arrows:
         c[s - 1][t - 1] -= 1
         c[t - 1][s - 1] -= 1
-        deg[s] += 1
-        deg[t] += 1
     prev = 1
     for k in range(n):
         pivot = c[k][k]  # the (k+1)-th leading minor
@@ -66,10 +63,11 @@ def classify(quiver):
             for j in range(k + 1, n):
                 c[i][j] = (c[i][j] * pivot - c[i][k] * c[k][j]) // prev
         prev = pivot
-    branch = next((v for v in range(1, n + 1) if deg[v] == 3), None)
+    deg = {v: len(quiver.neighbours(v)) for v in range(1, n + 1)}
+    branch = next((v for v in deg if deg[v] == 3), None)
     if branch is None:
         return Classification("dynkin", "A", n)
-    leaves = sum(deg[s + t - branch] == 1 for s, t in quiver.arrows if branch in (s, t))
+    leaves = sum(deg[u] == 1 for u in quiver.neighbours(branch))
     return Classification("dynkin", "D" if leaves >= 2 else "E", n)
 
 

@@ -275,7 +275,7 @@ def _deg_compare(args, echo):
     dm, dn = _decomposition(args.m), ta.decompose(args.m2)
     out = {"ranks_m_deg_n": ta.deg_leq_ranks(dm, dn),
            "ranks_n_deg_m": ta.deg_leq_ranks(dn, dm)}
-    if dm.dim_vector() == dn.dim_vector():
+    if dm.dims == dn.dims:
         out["hom_m_deg_n"] = ta.deg_leq_hom(dm, dn)
         out["hom_n_deg_m"] = ta.deg_leq_hom(dn, dm)
     return out, {"engine": "closed-form"}

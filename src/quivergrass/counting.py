@@ -41,10 +41,11 @@ import numpy as np
 
 from . import linalg as la
 from . import rep as rp
-from .errors import BudgetError, DomainError
-from .fields import PrimeField, QQ
+from .errors import BudgetError, DomainError, integer
+from .fields import _MR_BOUND, PrimeField, QQ, _is_prime
 
 DEFAULT_BUDGET = 10_000_000
+_CHUNK = 1 << 15  # matrices per batch of ``SubspaceIter.batches``
 
 
 def gaussian_binomial(d, e, p):
@@ -79,9 +80,10 @@ class SubspaceIter:
     """Iterator over all e-dimensional subspaces of F_p^d as RREF bases."""
 
     def __init__(self, d, e, p):
+        d, e = integer(d, "subspace dimensions"), integer(e, "subspace dimensions")
         if e < 0 or e > d:
             raise DomainError(f"subspace dimension {e} out of range 0..{d}")
-        self.d, self.e, self.p = d, e, p
+        self.d, self.e, self.p = d, e, PrimeField(p).p
 
     def __iter__(self):
         d, e, p = self.d, self.e, self.p
@@ -96,10 +98,10 @@ class SubspaceIter:
                     m[r][c] = v
                 yield tuple(tuple(row) for row in m)
 
-    def batches(self, chunk=1 << 15):
+    def batches(self):
         """Same subspaces, same order, as int64 arrays of shape (m, e, d).
 
-        Every batch but the last holds exactly ``chunk`` matrices; a batch
+        Every batch but the last holds exactly ``_CHUNK`` matrices; a batch
         runs on from one pivot pattern into the next.  Each batch is
         allocated once, zeroed, and its run of each pattern is written into
         its slice in place.
@@ -113,7 +115,7 @@ class SubspaceIter:
             total, start = p ** k, 0
             while start < total:
                 if mats is None:
-                    mats, fill = np.zeros((min(chunk, left), e, d), dtype=np.int64), 0
+                    mats, fill = np.zeros((min(_CHUNK, left), e, d), dtype=np.int64), 0
                 stop = min(start + mats.shape[0] - fill, total)
                 run = mats[fill:fill + stop - start]
                 run[:, range(e), list(pattern)] = 1
@@ -197,9 +199,12 @@ def batched_rank_mod_p(mats, p):
     rows still free are updated.  The trailing block is reduced once every
     k steps (see ``_residue_dtype``), so int64 is exact up to p = 3037000493
     and Python ints take over beyond.  Returns the ranks as int64, shape
-    (m,); a stack of non-integer dtype raises DomainError.
+    (m,).  DomainError for a stack of non-integer dtype, a p that is not an
+    int or, below ``fields._MR_BOUND``, not a prime (a larger p is trusted).
     """
-    p = int(p)
+    p = integer(p, "primes")
+    if p < _MR_BOUND and not _is_prime(p):
+        raise DomainError(f"{p} is not prime")
     a = _residue_stack(mats, p)
     cols, rows, m = a.shape
     rank = np.zeros(m, dtype=np.int64)
@@ -283,10 +288,7 @@ def plan_count(quiver, dims, e, p):
     """
     n = quiver.vertex_count
     cost = {v: gaussian_binomial(dims[v - 1], e[v - 1], p) for v in range(1, n + 1)}
-    neighbours = {v: set() for v in range(1, n + 1)}
-    for s, t in quiver.arrows:
-        neighbours[s].add(t)
-        neighbours[t].add(s)
+    neighbours = {v: quiver.neighbours(v) for v in range(1, n + 1)}
     isolated = {v for v in neighbours if not neighbours[v]}
     side = [v for v in quiver.sources() if v not in isolated]
     other = [v for v in quiver.sinks() if v not in isolated]
@@ -405,11 +407,11 @@ class _PlannedCount:
                     self.reads_ann[t] = True
             elif t in pos:  # from a summed source, which ranks ann(U_t) M_a
                 self.reads_ann[t] = True
+        self.subspaces = {v: SubspaceIter(self.dims[v - 1], e[v - 1], self.p)
+                          for v in plan.enumerated}
         self.constant = 1
         for w in plan.summed:
-            around = [u for a, s, t in q.arrows_into(w) + q.arrows_from(w)
-                      for u in (s, t) if u != w]
-            if around:
+            if around := q.neighbours(w):
                 self.completes[max(around, key=pos.__getitem__)].append(w)
             else:
                 self.constant *= gaussian_binomial(self.dims[w - 1], e[w - 1], self.p)
@@ -424,7 +426,7 @@ class _PlannedCount:
         v = self.plan.enumerated[k]
         completes = self.completes[v]
         total = 0
-        for batch in SubspaceIter(self.dims[v - 1], self.e[v - 1], self.p).batches():
+        for batch in self.subspaces[v].batches():
             batch = batch.astype(self.dtype, copy=False)
             ann = _annihilators(batch, self.p) if self.reads_ann[v] else None
             ok = self._stable(v, batch, ann)
@@ -518,15 +520,6 @@ class CountPoly:
         return sum(c * q ** i for i, c in enumerate(self.coefficients))
 
 
-def _primes_from(start=2):
-    from .fields import _is_prime
-    cand = start
-    while True:
-        if _is_prime(cand):
-            yield cand
-        cand += 1
-
-
 class _Reductions:
     """A representation over Q reduced modulo successive primes, each prime
     once however often the sequence is read: (p, M mod p) pairs in prime
@@ -539,13 +532,14 @@ class _Reductions:
 
     def __init__(self, m_rep, primes=None):
         self._m_rep = m_rep
-        self._primes = iter(_primes_from() if primes is None else primes)
+        self._primes = (filter(_is_prime, itertools.count(2)) if primes is None
+                        else iter(primes))
         self._seen = []
 
     def __iter__(self):
         yield from self._seen
         for p in self._primes:
-            PrimeField(p)  # DomainError unless p is prime
+            p = PrimeField(p).p  # DomainError unless p is a prime
             try:
                 reduced = rp.reduce_mod(self._m_rep, p)
             except DomainError:

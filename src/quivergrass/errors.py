@@ -1,10 +1,13 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the one integer rule.
 
 DomainError covers every precondition violation (bad vertex, shape mismatch,
 unstable subspaces, ...).  BudgetError signals that a finite-field enumeration
 would exceed its configured tuple budget; it carries the estimate so callers
-can report it.
+can report it.  ``integer`` is how every entry point takes an integer: a
+float, a Fraction or a string is refused with DomainError, never truncated.
 """
+
+from operator import index
 
 
 class DomainError(ValueError):
@@ -15,3 +18,11 @@ class BudgetError(RuntimeError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
+
+
+def integer(x, what):
+    """x as an int by ``operator.index``, else DomainError naming ``what``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {x!r}") from None

@@ -10,7 +10,7 @@ constants.
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -81,9 +81,10 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for a prime p; elements are ints in range(p)."""
+    """GF(p) for a prime p, an int (GF(7.0) is refused); elements are ints in range(p)."""
 
     def __init__(self, p):
+        p = integer(p, "primes")
         if not _is_prime(p):
             raise DomainError(f"{p} is not prime")
         self.p = p

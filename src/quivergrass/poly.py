@@ -68,17 +68,10 @@ from operator import add, index, mul, sub
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 # entries of the outer arrays of one block of a product (``SparsePoly.__mul__``)
 _BLOCK = 1 << 16
-
-
-def _integer(x):
-    try:
-        return index(x)
-    except TypeError:
-        raise DomainError(f"{x!r} is not an integer") from None
 
 
 def _dtype(bound):
@@ -172,15 +165,15 @@ def _summed(keys, coeffs):
 
 class SparsePoly:
     def __init__(self, nvars, terms=None):
-        nvars = _integer(nvars)
+        nvars = integer(nvars, "numbers of variables")
         if nvars < 0:
             raise DomainError(f"the number of variables {nvars} is negative")
         merged = {}
         for exp, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
-            exp, coeff = tuple(map(_integer, exp)), _integer(coeff)
+            exp = tuple(integer(x, "exponents") for x in exp)
             if len(exp) != nvars:
                 raise DomainError(f"exponent {exp} has wrong arity for {nvars} variables")
-            merged[exp] = merged.get(exp, 0) + coeff
+            merged[exp] = merged.get(exp, 0) + integer(coeff, "coefficients")
         merged = {e: c for e, c in merged.items() if c}
         shift, spread = _range(merged) if merged else ((0,) * nvars, (0,) * nvars)
         width = _slot_width(sum(spread))
@@ -224,8 +217,8 @@ class SparsePoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls(len(exp), {tuple(exp): coeff})
+    def monomial(cls, exp):
+        return cls(len(exp), {tuple(exp): 1})
 
     def is_zero(self):
         return not self._packed[4].size
@@ -296,9 +289,9 @@ class SparsePoly:
         """The image under the ring map y_j -> x^images[j], times x^offset:
         y^e goes to x^(offset + sum_j e_j images[j]), in len(offset)
         variables.  Terms whose images meet add up (``poly`` docstring)."""
-        offset = tuple(map(_integer, offset))
+        offset = tuple(integer(x, "exponents") for x in offset)
         nout = len(offset)
-        images = [tuple(map(_integer, a)) for a in images]
+        images = [tuple(integer(x, "exponents") for x in a) for a in images]
         if len(images) != self.nvars or any(len(a) != nout for a in images):
             raise DomainError(f"need {self.nvars} images of {nout} exponents each")
         keys, shift, spread, width, coeffs = self._packed
@@ -345,7 +338,10 @@ class SparsePoly:
     def render(self, names):
         """(sorted_terms(), format(names)), the text written from the exponent
         tuples of the terms; JSON writes the (exponent tuple, coefficient)
-        pairs as [[e1, ...], c]."""
+        pairs as [[e1, ...], c].  DomainError unless there is one name per
+        variable."""
+        if len(names) != self.nvars:
+            raise DomainError(f"need {self.nvars} variable names, got {len(names)}")
         keys, _, spread, width, coeffs = self._packed
         exps = self._exponent_tuples()
         # the text before the pairs, and from keys unpacked afresh: the

@@ -2,44 +2,50 @@
 
 Vertices are the integers 1..n (the convention of the representation-theory
 literature); arrows are (source, target) pairs, parallel arrows allowed,
-oriented cycles rejected at construction.
+oriented cycles rejected at construction.  The constructor takes the vertex
+count and the endpoints by the integer rule (``errors.integer``) and indexes
+the arrows once, as the (index, source, target) tuples out of and into each
+vertex: every reader of a vertex's arrows, neighbours or degree reads them.
 """
 
-import operator
+import heapq
+from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 class Quiver:
     def __init__(self, vertex_count, arrows):
-        if vertex_count < 0:
+        n = integer(vertex_count, "vertex counts")
+        if n < 0:
             raise DomainError("vertex_count must be nonnegative")
-        arrows = tuple((int(s), int(t)) for s, t in arrows)
-        for s, t in arrows:
-            if not (1 <= s <= vertex_count and 1 <= t <= vertex_count):
-                raise DomainError(f"arrow ({s},{t}) out of range 1..{vertex_count}")
-        self.vertex_count = vertex_count
-        self.arrows = arrows
+        arrows = tuple((integer(s, "arrow endpoints"), integer(t, "arrow endpoints"))
+                       for s, t in arrows)
+        out = {v: [] for v in range(1, n + 1)}
+        into = {v: [] for v in range(1, n + 1)}
+        for i, (s, t) in enumerate(arrows):
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise DomainError(f"arrow ({s},{t}) out of range 1..{n}")
+            out[s].append((i, s, t))
+            into[t].append((i, s, t))
+        self.vertex_count, self.arrows = n, arrows
+        self._out = {v: tuple(a) for v, a in out.items()}
+        self._into = {v: tuple(a) for v, a in into.items()}
         self.topological_order = self._topo_sort()
 
     def _topo_sort(self):
-        n = self.vertex_count
-        indeg = [0] * (n + 1)
-        succ = [[] for _ in range(n + 1)]
-        for s, t in self.arrows:
-            indeg[t] += 1
-            succ[s].append(t)
-        queue = sorted(v for v in range(1, n + 1) if indeg[v] == 0)
+        # Kahn's algorithm, the smallest ready vertex first
+        indeg = {v: len(a) for v, a in self._into.items()}
+        ready = [v for v in indeg if not indeg[v]]
         order = []
-        while queue:
-            v = queue.pop(0)
+        while ready:
+            v = heapq.heappop(ready)
             order.append(v)
-            for w in succ[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-            queue.sort()
-        if len(order) != n:
+            for _, _, t in self._out[v]:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    heapq.heappush(ready, t)
+        if len(order) != self.vertex_count:
             raise DomainError("quiver has an oriented cycle")
         return tuple(order)
 
@@ -48,18 +54,20 @@ class Quiver:
         return len(self.arrows)
 
     def arrows_from(self, v):
-        return [(i, s, t) for i, (s, t) in enumerate(self.arrows) if s == v]
+        return self._out.get(v, ())
 
     def arrows_into(self, v):
-        return [(i, s, t) for i, (s, t) in enumerate(self.arrows) if t == v]
+        return self._into.get(v, ())
+
+    def neighbours(self, v):
+        """The vertices joined to v by an arrow, either way."""
+        return {t for _, _, t in self.arrows_from(v)} | {s for _, s, _ in self.arrows_into(v)}
 
     def sinks(self):
-        src = {s for s, _ in self.arrows}
-        return [v for v in range(1, self.vertex_count + 1) if v not in src]
+        return [v for v, a in self._out.items() if not a]
 
     def sources(self):
-        tgt = {t for _, t in self.arrows}
-        return [v for v in range(1, self.vertex_count + 1) if v not in tgt]
+        return [v for v, a in self._into.items() if not a]
 
     def opposite(self):
         """Reverse every arrow, keeping arrow order (so dual is an involution)."""
@@ -68,14 +76,10 @@ class Quiver:
     def is_connected(self):
         if self.vertex_count <= 1:
             return True
-        adj = {v: set() for v in range(1, self.vertex_count + 1)}
-        for s, t in self.arrows:
-            adj[s].add(t)
-            adj[t].add(s)
         seen = {1}
         stack = [1]
         while stack:
-            for w in adj[stack.pop()]:
+            for w in self.neighbours(stack.pop()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -83,8 +87,7 @@ class Quiver:
 
     def is_linear_equioriented(self):
         """True for the quiver 1 -> 2 -> ... -> n in this exact labeling."""
-        want = [(i, i + 1) for i in range(1, self.vertex_count)]
-        return sorted(self.arrows) == want and len(self.arrows) == len(set(self.arrows))
+        return sorted(self.arrows) == [(i, i + 1) for i in range(1, self.vertex_count)]
 
     def paths_from(self, k):
         """All paths starting at k, as arrow-index tuples, grouped by endpoint.
@@ -143,21 +146,21 @@ class Quiver:
 
 
 def _integer_vector(d, n):
-    """d as a tuple of n ints; a float, a Fraction or a string is refused,
-    not truncated."""
+    """d as a tuple of n ints, by the integer rule."""
     try:
         d = tuple(d)
-        d = tuple(map(operator.index, d))
     except TypeError:
         raise DomainError(f"dimension vector entries must be integers, got {d!r}") from None
+    d = tuple(integer(x, "dimension vector entries") for x in d)
     if len(d) != n:
         raise DomainError(f"dimension vector length {len(d)} != {n}")
     return d
 
 
+@lru_cache(maxsize=None, typed=True)
 def linear_quiver(n):
-    """The equioriented quiver 1 -> 2 -> ... -> n."""
-    return Quiver(n, [(i, i + 1) for i in range(1, n)])
+    """The equioriented quiver 1 -> 2 -> ... -> n, one shared instance per n."""
+    return Quiver(n, [(i, i + 1) for i in range(1, integer(n, "vertex counts"))])
 
 
 def kronecker_quiver(arrow_count=2):

@@ -114,9 +114,9 @@ def parse_rep_document(text):
         dec = parse_intervals(raw["intervals"], vertices)
         if "dims" in raw:
             dims = tuple(raw["dims"])
-            if dims != dec.dim_vector():
+            if dims != dec.dims:
                 raise DomainError(
-                    f"dims {dims} do not match the intervals {dec.dim_vector()}")
+                    f"dims {dims} do not match the intervals {dec.dims}")
             echo["dims"] = raw["dims"]
         quiver = Quiver(vertices, arrows)
         field = field_from_name(raw["field"])

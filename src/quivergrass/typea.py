@@ -21,7 +21,6 @@ characteristics of all the Grassmannians of a module as one product of row
 polynomials, without listing the fixed points.
 """
 
-import operator
 import random as _random
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from . import linalg as la
 from . import rep as rp
 from .counting import DEFAULT_BUDGET, CountPoly
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, integer
 from .poly import SparsePoly
 from .quiver import linear_quiver
 
@@ -54,16 +53,21 @@ def interval_dims(n, i, j):
 
 
 class IntervalDecomposition:
-    """Multiset of intervals: M = (+) U[i,j]^m[i,j], a complete isoclass key."""
+    """Multiset of intervals: M = (+) U[i,j]^m[i,j], a complete isoclass key.
+
+    n, the interval ends and the multiplicities go through the integer rule
+    (``errors.integer``).  ``quiver`` (the shared ``linear_quiver(n)``) and
+    ``dims``, as a Representation names them, are set at construction.
+    """
 
     def __init__(self, n, multiplicities):
-        self.n = n
+        self.n = n = integer(n, "vertex counts")
         m = {}
-        for (i, j), mult in multiplicities.items():
-            try:
-                mult = operator.index(mult)
-            except TypeError:
-                raise DomainError(f"multiplicities must be integers, got {mult!r}") from None
+        for ij, mult in multiplicities.items():
+            if not (isinstance(ij, tuple) and len(ij) == 2):
+                raise DomainError(f"an interval is a pair (i, j), got {ij!r}")
+            i, j = integer(ij[0], "interval ends"), integer(ij[1], "interval ends")
+            mult = integer(mult, "multiplicities")
             if mult < 0:
                 raise DomainError("multiplicities must be nonnegative")
             if not (1 <= i <= j <= n):
@@ -74,23 +78,15 @@ class IntervalDecomposition:
         if n < 0:
             raise DomainError("vertex_count must be nonnegative")
         self.m = m
-
-    @property
-    def quiver(self):
-        """The equioriented A_n quiver, as a Representation names it."""
-        return linear_quiver(self.n)
-
-    @property
-    def dims(self):
-        """``dim_vector()``, as a Representation names it."""
-        return self.dim_vector()
+        self.quiver = linear_quiver(n)
+        d = [0] * n
+        for (i, j), mult in m.items():
+            for v in range(i - 1, j):
+                d[v] += mult
+        self.dims = tuple(d)
 
     def dim_vector(self):
-        d = [0] * self.n
-        for (i, j), mult in self.m.items():
-            for v in range(i, j + 1):
-                d[v - 1] += mult
-        return tuple(d)
+        return self.dims
 
     def _row_order(self):
         """The distinct intervals in coefficient-quiver row order."""
@@ -104,7 +100,7 @@ class IntervalDecomposition:
         return out
 
     def total_dim(self):
-        return sum(self.dim_vector())
+        return sum(self.dims)
 
     def to_representation(self, field):
         """The direct sum of ``summands()`` in that order, one block matrix per
@@ -114,7 +110,7 @@ class IntervalDecomposition:
         BudgetError, before anything is allocated, when the arrow matrices
         would hold more than DEFAULT_BUDGET entries.
         """
-        d = self.dim_vector()
+        d = self.dims
         size = sum(d[v - 1] * d[v] for v in range(1, self.n))
         if size > DEFAULT_BUDGET:
             raise BudgetError(f"the arrow matrices of {format_intervals(self)} would hold "
@@ -133,7 +129,7 @@ class IntervalDecomposition:
                 r += mult if i <= v + 1 <= j else 0
                 c += mult if i <= v <= j else 0
             mats.append(mat)
-        return rp.Representation(linear_quiver(self.n), field, d, mats)
+        return rp.Representation(self.quiver, field, d, mats)
 
     def __eq__(self, other):
         return (isinstance(other, IntervalDecomposition) and other.n == self.n
@@ -256,7 +252,7 @@ def deg_leq_hom(m, n):
     """Degeneration order by Hom conditions: [U, M] <= [U, N] for all intervals."""
     if m.n != n.n:
         raise DomainError("modules live on different A_n quivers")
-    if m.dim_vector() != n.dim_vector():
+    if m.dims != n.dims:
         raise DomainError("degeneration order compares equal dimension vectors only")
     for k in range(1, m.n + 1):
         for l in range(k, m.n + 1):
@@ -287,7 +283,7 @@ def _search_rows(m, e):
     quiver = m.quiver
     _require_linear(quiver)
     e = quiver.check_dim_vector(e)
-    d = m.dim_vector()
+    d = m.dims
     if any(x > y for x, y in zip(e, d)):
         return None
     rows = coefficient_quiver(m)
@@ -486,7 +482,7 @@ def generating_function(m):
 
 def euler_char_cells(m, e):
     """chi(Gr_e(M)): the coefficient of y^e in ``generating_function(m)``."""
-    return generating_function(m).coefficient(linear_quiver(m.n).check_dim_vector(e))
+    return generating_function(m).coefficient(m.quiver.check_dim_vector(e))
 
 
 @dataclass(frozen=True)
@@ -528,7 +524,7 @@ def flat_locus_class(m):
     """Position of a d = (n+1,...,n+1) module in the flat locus of the
     universal Grassmannian degenerating the complete flag variety."""
     n = m.n
-    if m.dim_vector() != (n + 1,) * n:
+    if m.dims != (n + 1,) * n:
         raise DomainError(f"flat-locus classification needs d = {(n + 1,) * n}")
     ranks = ranks_from_multiplicities(m)
 

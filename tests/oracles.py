@@ -36,6 +36,9 @@ check that dimension vectors are additive on them.
 minimal injective resolution (socle dimensions by rank, the multiplicities
 of I_1 by ``injective_multiplicities``), the oracle of ``cluster.g_vector``,
 which reads -<S_i, dim M> off the Euler form.
+``incidence_by_scan`` reads a quiver's incidence by scanning its arrow list
+for every question, as ``Quiver`` once did: the oracle of the arrow index
+the constructor builds once.
 """
 
 import random
@@ -303,3 +306,36 @@ def g_vector_from_injective_resolution(m_rep):
     i0 = tuple(sum(a[k] * inj_dims[k][v] for k in range(n)) for v in range(n))
     i1 = tuple(i0[v] - m_rep.dims[v] for v in range(n))
     return tuple(bv - av for bv, av in zip(injective_multiplicities(q, i1), a))
+
+
+def incidence_by_scan(quiver):
+    """arrows_from, arrows_into and neighbours per vertex, sources, sinks,
+    is_connected and topological_order, each read by scanning the arrows."""
+    n, arrows = quiver.vertex_count, quiver.arrows
+    vertices = range(1, n + 1)
+    out = {v: [(i, s, t) for i, (s, t) in enumerate(arrows) if s == v] for v in vertices}
+    into = {v: [(i, s, t) for i, (s, t) in enumerate(arrows) if t == v] for v in vertices}
+    adj = {v: set() for v in vertices}
+    for s, t in arrows:
+        adj[s].add(t)
+        adj[t].add(s)
+    seen, stack = {1}, [1]
+    while n and stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    indeg = {v: len(into[v]) for v in vertices}
+    queue, order = sorted(v for v in vertices if indeg[v] == 0), []
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        for _, _, t in out[v]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                queue.append(t)
+        queue.sort()
+    return {"arrows_from": out, "arrows_into": into, "neighbours": adj,
+            "sources": [v for v in vertices if v not in {t for _, t in arrows}],
+            "sinks": [v for v in vertices if v not in {s for s, _ in arrows}],
+            "is_connected": n <= 1 or len(seen) == n, "topological_order": tuple(order)}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from quivergrass import counting
 from quivergrass import linalg as la
 from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, dual, kronecker_quiver, linear_quiver,
@@ -52,11 +53,11 @@ def test_subspace_iterator_counts(d, p):
         assert len(set(mats)) == len(mats)
 
 
-def test_subspace_batches_match_iterator():
-    import numpy as np
+def test_subspace_batches_match_iterator(monkeypatch):
+    monkeypatch.setattr(counting, "_CHUNK", 11)
     it = list(SubspaceIter(4, 2, 3))
     flat = [tuple(tuple(int(x) for x in row) for row in m)
-            for batch in SubspaceIter(4, 2, 3).batches(chunk=11) for m in batch]
+            for batch in SubspaceIter(4, 2, 3).batches() for m in batch]
     assert flat == it
 
 
@@ -71,14 +72,15 @@ BATCH_ROWS_PER_CHUNK = 2000
 
 @pytest.mark.parametrize("chunk", [1, 5, 11, 2 ** 15])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_subspace_batches_fill_across_pivot_patterns(p, chunk):
+def test_subspace_batches_fill_across_pivot_patterns(p, chunk, monkeypatch):
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
     checked = 0
     for d in range(7):
         for e in range(d + 1):
             total = gaussian_binomial(d, e, p)
             if total > min(BATCH_ROWS_PER_CHUNK * chunk, 40_000):
                 continue
-            batches = list(SubspaceIter(d, e, p).batches(chunk=chunk))
+            batches = list(SubspaceIter(d, e, p).batches())
             assert all(b.shape[0] == chunk for b in batches[:-1])
             assert 1 <= batches[-1].shape[0] <= chunk
             flat = [tuple(tuple(int(x) for x in row) for row in m)
