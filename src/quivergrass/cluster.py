@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import rep as rp
 from . import typea as ta
-from .counting import (DEFAULT_BUDGET, _Reductions, count_points, counting_polynomial,
+from .counting import (DEFAULT_BUDGET, _counting_polynomials, count_points,
                        euler_characteristic)
 from .errors import DomainError
 from .fields import QQ
@@ -51,8 +51,9 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
     m is a representation or, for an A_n module, its IntervalDecomposition.
     The cells strategy returns ``typea.generating_function`` as it is, its
     terms held as sorted key and coefficient arrays (``poly``); the count
-    strategy interpolates a counting polynomial per e over Q, reducing M
-    once per prime for all e.
+    strategy interpolates a counting polynomial per e over Q, all from one
+    ladder of primes (``counting._counting_polynomials``) with every budget
+    checked before the first count; an e not verified raises DomainError.
     """
     if strategy == "cells":
         return ta.generating_function(
@@ -62,9 +63,8 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
             m = m.to_representation(QQ)
         if m.field != QQ:
             raise DomainError("the counting strategy expects a representation over Q")
-        out, reductions = {}, _Reductions(m)
-        for e in _sub_dim_vectors(m.dims):
-            cp = counting_polynomial(m, e, budget=budget, _reductions=reductions)
+        out, es = {}, list(_sub_dim_vectors(m.dims))
+        for e, cp in zip(es, _counting_polynomials(m, es, budget=budget)):
             if cp.consistency != "verified":
                 raise DomainError(
                     f"counting polynomial at e={e} is {cp.consistency}, not verified")

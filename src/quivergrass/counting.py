@@ -31,7 +31,9 @@ random small representations in the test suite.
 
 A counting polynomial (``counting_polynomial``) is the interpolant of counts
 at D + 1 primes, D the degree bound, by Newton divided differences in exact
-integers, checked against one more prime.
+integers, checked against one more prime.  ``_counting_polynomials`` runs
+it for every e of ``cluster.euler_char_table`` too: one ladder of primes, M
+reduced once per prime, and every e's budget checked before the first count.
 """
 
 import itertools
@@ -42,7 +44,7 @@ import numpy as np
 from . import linalg as la
 from . import rep as rp
 from .errors import BudgetError, DomainError, integer
-from .fields import _MR_BOUND, PrimeField, QQ, _is_prime
+from .fields import PrimeField, QQ, _is_prime
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 15  # matrices per batch of ``SubspaceIter.batches``
@@ -199,12 +201,10 @@ def batched_rank_mod_p(mats, p):
     rows still free are updated.  The trailing block is reduced once every
     k steps (see ``_residue_dtype``), so int64 is exact up to p = 3037000493
     and Python ints take over beyond.  Returns the ranks as int64, shape
-    (m,).  DomainError for a stack of non-integer dtype, a p that is not an
-    int or, below ``fields._MR_BOUND``, not a prime (a larger p is trusted).
+    (m,).  DomainError for a stack of non-integer dtype or a p that
+    ``PrimeField`` refuses.
     """
-    p = integer(p, "primes")
-    if p < _MR_BOUND and not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    p = PrimeField(p).p
     a = _residue_stack(mats, p)
     cols, rows, m = a.shape
     rank = np.zeros(m, dtype=np.int64)
@@ -520,34 +520,6 @@ class CountPoly:
         return sum(c * q ** i for i, c in enumerate(self.coefficients))
 
 
-class _Reductions:
-    """A representation over Q reduced modulo successive primes, each prime
-    once however often the sequence is read: (p, M mod p) pairs in prime
-    order, with None where M has bad reduction mod p.
-
-    ``counting_polynomial`` reads one for its own primes; the count strategy
-    of ``cluster.euler_char_table`` makes one per call and hands it to the
-    counting polynomial of every e.
-    """
-
-    def __init__(self, m_rep, primes=None):
-        self._m_rep = m_rep
-        self._primes = (filter(_is_prime, itertools.count(2)) if primes is None
-                        else iter(primes))
-        self._seen = []
-
-    def __iter__(self):
-        yield from self._seen
-        for p in self._primes:
-            p = PrimeField(p).p  # DomainError unless p is a prime
-            try:
-                reduced = rp.reduce_mod(self._m_rep, p)
-            except DomainError:
-                reduced = None
-            self._seen.append((p, reduced))
-            yield p, reduced
-
-
 def _newton_interpolation(xs, ys):
     """The polynomial of degree < len(xs) through the integer points (x, y),
     as ascending integer coefficients, or None when they are not all integers.
@@ -573,7 +545,7 @@ def _newton_interpolation(xs, ys):
     return poly
 
 
-def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET, *, _reductions=None):
+def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET):
     """Interpolate #Gr_e(M) over F_p through enough good-reduction primes.
 
     M lives over Q; the degree bound is D = sum e_i (d_i - e_i), so D+1 primes
@@ -581,50 +553,69 @@ def counting_polynomial(m_rep, e, primes=None, budget=DEFAULT_BUDGET, *, _reduct
     is held out for the consistency check.  A prime where M has bad
     reduction is skipped.  The budget is checked once, at the largest of these
     primes, before any is counted.  Given primes must be distinct primes
-    (DomainError otherwise).  ``_reductions`` lets ``euler_char_table``
-    share the reductions of M across its e, each prime reduced once.
+    (DomainError otherwise).  This is ``_counting_polynomials`` at one e.
+    """
+    return next(_counting_polynomials(m_rep, [e], primes, budget))
+
+
+def _counting_polynomials(m_rep, es, primes=None, budget=DEFAULT_BUDGET):
+    """The counting polynomials of M at every e of es, in that order, from one
+    ladder of primes: the given ones, or 2, 3, 5, ... until max_e D_e + 2
+    have good reduction.  M is reduced once per prime.
+
+    Each e interpolates at the first D_e + 1 good primes of the ladder and
+    holds out the next one; its skipped primes are the bad ones below its
+    last prime, or all of them when the primes are given.  Every e's budget
+    is checked at its largest prime before anything is counted; the counts
+    then run e by e, lazily, as the returned iterator is read.
     """
     if m_rep.field != QQ:
         raise DomainError("counting_polynomial expects a representation over Q")
-    e = check_sub_dim_vector(m_rep, e)
-    degree_bound = sum(ei * (di - ei) for ei, di in zip(e, m_rep.dims))
+    es = [check_sub_dim_vector(m_rep, e) for e in es]
+    bounds = [sum(ei * (di - ei) for ei, di in zip(e, m_rep.dims)) for e in es]
     if primes is not None and len(set(primes)) != len(primes):
         raise DomainError(f"repeated primes in {list(primes)}")
-    reductions, skipped = [], []
-    for p, reduced in _Reductions(m_rep, primes) if _reductions is None else _reductions:
-        if reduced is None:
-            skipped.append(p)
-        else:
-            reductions.append(reduced)
-        if primes is None and len(reductions) == degree_bound + 2:
+    reductions, bad, wanted = [], [], max(bounds, default=0) + 2
+    for p in filter(_is_prime, itertools.count(2)) if primes is None else primes:
+        if primes is None and len(reductions) == wanted:
             break
-    if len(reductions) < degree_bound + 1:
-        raise DomainError(f"need at least {degree_bound + 1} good-reduction primes, "
-                          f"have {len(reductions)}")
-    reductions = reductions[:degree_bound + 2]
-    # [d, e]_p has nonnegative coefficients in p, so every plan's estimate,
-    # and their minimum, is largest at the largest prime
-    _check_budget(plan_count(m_rep.quiver, m_rep.dims, e,
-                             max(r.field.p for r in reductions)).estimate, budget)
-    interp = reductions[:degree_bound + 1]
+        p = PrimeField(p).p  # DomainError unless p is a prime
+        try:
+            reductions.append(rp.reduce_mod(m_rep, p))
+        except DomainError:
+            bad.append(p)
+    plans = []
+    for e, bound in zip(es, bounds):
+        used = reductions[:bound + 2]
+        if len(used) < bound + 1:
+            raise DomainError(f"need at least {bound + 1} good-reduction primes, "
+                              f"have {len(used)}")
+        # [d, e]_p has nonnegative coefficients in p, so every plan's estimate,
+        # and their minimum, is largest at the largest prime
+        _check_budget(plan_count(m_rep.quiver, m_rep.dims, e,
+                                 max(r.field.p for r in used)).estimate, budget)
+        skipped = bad if primes is not None else [p for p in bad if p < used[-1].field.p]
+        plans.append((e, used[:bound + 1], used[bound + 1:], tuple(skipped)))
+    return (_interpolate(*plan, budget) for plan in plans)
+
+
+def _interpolate(e, interp, held, skipped, budget):
+    """The CountPoly of e from the reductions it interpolates and holds out."""
     interp_primes = tuple(r.field.p for r in interp)
     counts = tuple(count_points(r, e, budget=budget) for r in interp)
     poly = _newton_interpolation(interp_primes, counts)
     if poly is None:
-        return CountPoly((), "inconsistent", interp_primes, counts, (), tuple(skipped))
+        return CountPoly((), "inconsistent", interp_primes, counts, (), skipped)
     while poly and poly[-1] == 0:
         poly.pop()
     coeffs = tuple(poly)
-    if len(reductions) == len(interp):
-        return CountPoly(coeffs, "assumed", interp_primes, counts, (), tuple(skipped))
-    held = reductions[-1]
-    fresh = count_points(held, e, budget=budget)
-    predicted = sum(c * held.field.p ** i for i, c in enumerate(coeffs))
-    verdict = "verified" if predicted == fresh else "inconsistent"
-    if verdict == "inconsistent":
-        coeffs = ()
-    return CountPoly(coeffs, verdict, interp_primes, counts, (held.field.p, fresh),
-                     tuple(skipped))
+    if not held:
+        return CountPoly(coeffs, "assumed", interp_primes, counts, (), skipped)
+    p = held[0].field.p
+    fresh = count_points(held[0], e, budget=budget)
+    if sum(c * p ** i for i, c in enumerate(coeffs)) != fresh:
+        return CountPoly((), "inconsistent", interp_primes, counts, (p, fresh), skipped)
+    return CountPoly(coeffs, "verified", interp_primes, counts, (p, fresh), skipped)
 
 
 def euler_characteristic(count_poly):

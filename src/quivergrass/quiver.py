@@ -19,8 +19,7 @@ class Quiver:
         n = integer(vertex_count, "vertex counts")
         if n < 0:
             raise DomainError("vertex_count must be nonnegative")
-        arrows = tuple((integer(s, "arrow endpoints"), integer(t, "arrow endpoints"))
-                       for s, t in arrows)
+        arrows = tuple(_arrow(a) for a in arrows)
         out = {v: [] for v in range(1, n + 1)}
         into = {v: [] for v in range(1, n + 1)}
         for i, (s, t) in enumerate(arrows):
@@ -143,6 +142,15 @@ class Quiver:
 
     def __repr__(self):
         return f"Quiver({self.vertex_count}, {list(self.arrows)})"
+
+
+def _arrow(a):
+    """a as a (source, target) pair of ints; DomainError for anything else."""
+    try:
+        s, t = a
+    except (TypeError, ValueError):
+        raise DomainError(f"an arrow is a pair (source, target), got {a!r}") from None
+    return integer(s, "arrow endpoints"), integer(t, "arrow endpoints")
 
 
 def _integer_vector(d, n):

@@ -40,12 +40,10 @@ def _require_linear(quiver):
 
 
 def interval_rep(quiver, field, i, j):
-    """The thin indecomposable U[i,j] supported on vertices i..j."""
-    n = _require_linear(quiver)
-    if not (1 <= i <= j <= n):
-        raise DomainError(f"bad interval ({i},{j}) for n={n}")
-    mats = [((field.one,),) if i <= s and t <= j else () for s, t in quiver.arrows]
-    return rp.Representation(quiver, field, interval_dims(n, i, j), mats)
+    """The thin indecomposable U[i,j] supported on vertices i..j: the
+    ``IntervalDecomposition`` U[i,j] over field, in the quiver's arrow order."""
+    u = IntervalDecomposition(_require_linear(quiver), {(i, j): 1}).to_representation(field)
+    return rp.Representation(quiver, field, u.dims, [u.matrix(s - 1) for s, _ in quiver.arrows])
 
 
 def interval_dims(n, i, j):

@@ -19,9 +19,11 @@ polynomial and the iso-strata: the oracles of the row sweep, which merges
 partial points by their suffixes and never lists a point.
 ``point_witness`` turns a type-A torus fixed point into the subspaces it
 spans, so that general linear algebra (arrow stability, tangent spaces) can
-check the cell and stratum engines at it.  ``interval_direct_sum`` builds an
-interval module as the direct sum of one representation per summand, the
-oracle of the block matrices ``IntervalDecomposition.to_representation``
+check the cell and stratum engines at it.  ``interval_by_arrows`` writes
+U[i,j] arrow by arrow, a 1x1 identity on every arrow inside [i, j], the
+oracle of ``typea.interval_rep``.  ``interval_direct_sum`` builds an
+interval module as the direct sum of one such representation per summand,
+the oracle of the block matrices ``IntervalDecomposition.to_representation``
 writes at once.  ``coxeter_by_inverse`` is -E^-1 E^T for the Euler matrix E,
 inverted over Q by Gaussian elimination (``solve``, with the matrix product
 ``mul`` and ``neg``), the oracle of the Coxeter matrix ``ardynkin`` reads
@@ -46,12 +48,14 @@ from collections import Counter
 from fractions import Fraction
 
 from quivergrass import linalg as la
-from quivergrass import (QQ, DomainError, SubrepWitness, direct_sum, euler_form, hom_basis,
-                         hom_dim, linear_quiver, quotient, restrict, zero_rep)
+from quivergrass import (QQ, DomainError, Representation, SubrepWitness, direct_sum,
+                         euler_form, hom_basis, hom_dim, linear_quiver, quotient, restrict,
+                         zero_rep)
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness
 from quivergrass.typea import (IntervalDecomposition, Stratum, coefficient_quiver, decompose,
-                               fixed_points, hom_dim_decs, interval_rep, translate)
+                               fixed_points, hom_dim_decs, interval_dims, interval_rep,
+                               translate)
 
 
 def hom_fingerprint(test_family, n_rep):
@@ -206,11 +210,18 @@ def point_witness(dec, starts, field):
     return SubrepWitness(linear_quiver(dec.n), field, bases)
 
 
+def interval_by_arrows(quiver, field, i, j):
+    """U[i,j] on an A_n quiver, its arrows in any order: [[1]] on each arrow
+    inside [i, j], an empty matrix on every other."""
+    mats = [((field.one,),) if i <= s and t <= j else () for s, t in quiver.arrows]
+    return Representation(quiver, field, interval_dims(quiver.vertex_count, i, j), mats)
+
+
 def interval_direct_sum(dec, field):
-    """``dec`` as ``direct_sum`` of one ``interval_rep`` per summand, in
+    """``dec`` as ``direct_sum`` of one ``interval_by_arrows`` per summand, in
     ``summands()`` order; the zero module when there are none."""
     q = linear_quiver(dec.n)
-    parts = [interval_rep(q, field, i, j) for (i, j) in dec.summands()]
+    parts = [interval_by_arrows(q, field, i, j) for (i, j) in dec.summands()]
     return direct_sum(*parts) if parts else zero_rep(q, field)
 
 

@@ -135,8 +135,9 @@ def test_batched_rank_reduces_big_entries_before_narrowing():
     # 2**70 = 4 mod 5, so the matrix is [[4, 1], [3, 0]], of rank 2
     assert list(batched_rank_mod_p([[[2 ** 70, 1], [3, 5]]], 5)) == [2]
     assert list(batched_rank_mod_p(np.array([[[2 ** 64 - 1, 1]]], dtype=np.uint64), 3)) == [1]
+    # 2**61 - 1 is past the int64 bound; 2**64 - 1 = 7 mod it: [[5, 1], [7, 3]]
     held = np.array([[[np.int64(5), 1], [np.uint64(2 ** 64 - 1), 3]]], dtype=object)
-    assert list(batched_rank_mod_p(held, 2 ** 89 - 1)) == [2]
+    assert list(batched_rank_mod_p(held, 2 ** 61 - 1)) == [2]
     # -2**63 + 4 = 1 mod 5, so the determinant is 0 mod 5; eliminating the
     # unreduced entry would leave int64
     assert list(batched_rank_mod_p(np.array([[[1, 4], [4, -2 ** 63 + 4]]]), 5)) == [1]
@@ -559,6 +560,33 @@ def test_count_strategy_reduces_each_prime_once(monkeypatch):
     assert set(calls) == {2, 3, 5, 7, 11, 13}
     assert set(calls.values()) == {1}
     assert f.terms[(0, 0)] == 1 and f.terms[(3, 3)] == 1
+
+
+def test_count_strategy_checks_every_budget_before_the_first_count(monkeypatch):
+    import quivergrass.counting as counting
+    from quivergrass.cli import run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prime was counted before every budget was checked")
+    monkeypatch.setattr(counting, "count_points", refuse)
+    with pytest.raises(BudgetError) as err:
+        f_polynomial(flag_dec(3), "count", budget=10 ** 6)
+    assert err.value.estimate == 1_927_590
+    assert run(["fpoly", "--strategy", "count", "--intervals", "U[1,3]^4", "--n", "3",
+                "--budget", "1000000"]) == \
+        (3, "budget error: enumeration of ~1927590 tuples exceeds budget 1000000\n")
+
+
+def test_all_e_ladder_gives_each_e_its_lone_primes():
+    # bad reduction at 3 and 11: the degree bounds 0, 1 and 2 end their
+    # ladders at 5, 7 and 13, so 11 is skipped only where D_e = 2
+    m = Representation(A2, QQ, (2, 2), [[["1/3", 0], [0, "1/11"]]])
+    es = list(itertools.product(range(3), repeat=2))
+    ladder = list(counting._counting_polynomials(m, es))
+    assert ladder == [counting_polynomial(m, e) for e in es]
+    assert {(cp.held_out[0], cp.skipped_primes) for cp in ladder} == \
+        {(5, (3,)), (7, (3,)), (13, (3, 11))}
+    assert all(cp.consistency == "verified" for cp in ladder)
 
 
 def test_non_integral_interpolation_is_inconsistent(monkeypatch):

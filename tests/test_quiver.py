@@ -101,6 +101,14 @@ REFUSED = {
     "subspaces-float-d": lambda: SubspaceIter(2.0, 1, 2),
     "rank-mod-4": lambda: batched_rank_mod_p([[[2, 0], [0, 2]]], 4),
     "rank-mod-1": lambda: batched_rank_mod_p([[[2, 0], [0, 2]]], 1),
+    # past the bound of the exact primality test: one prime, one composite
+    "rank-mod-2**89-1": lambda: batched_rank_mod_p([[[3, 0], [0, 1]]], 2 ** 89 - 1),
+    "rank-mod-big-composite": lambda: batched_rank_mod_p(
+        [[[3, 0], [0, 1]]], 3 * 1108516537283398712345679),
+    "quiver-arrow-of-one-end": lambda: Quiver(2, [(1,)]),
+    "quiver-arrow-of-three-ends": lambda: Quiver(2, [(1, 2, 3)]),
+    "quiver-arrow-int": lambda: Quiver(2, [5]),
+    "quiver-arrow-none": lambda: Quiver(2, [None]),
     "interval-float-end": lambda: IntervalDecomposition(2, {(1.5, 2): 1}),
     "interval-one-end": lambda: IntervalDecomposition(2, {(1,): 1}),
     "poly-too-few-names": lambda: SparsePoly(2, {(1, 1): 1}).format(["a"]),

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergrass import QQ, BudgetError, DomainError, PrimeField, Representation, ext1_dim, \
-    hom_dim, kronecker_quiver, linear_quiver
+from quivergrass import QQ, BudgetError, DomainError, PrimeField, Quiver, Representation, \
+    ext1_dim, hom_dim, kronecker_quiver, linear_quiver
 from quivergrass import linalg as la
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
@@ -23,7 +23,8 @@ from quivergrass.typea import (
     poincare_polynomial, random_decomposition, rank_sequence,
     ranks_from_multiplicities, semisimple_dec, strata, translate)
 
-from oracles import interval_direct_sum, mul, poincare_by_points, strata_by_points
+from oracles import (interval_by_arrows, interval_direct_sum, mul, poincare_by_points,
+                     strata_by_points)
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -34,6 +35,17 @@ def test_interval_module_is_the_direct_sum_of_its_summands(seed):
     dec = random_decomposition(1 + seed % 6, seed, max_mult=3)
     for field in (QQ, PrimeField(5)):
         assert dec.to_representation(field) == interval_direct_sum(dec, field)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interval_rep_keeps_the_arrow_order_of_its_quiver(n):
+    reordered = Quiver(n, [(v, v + 1) for v in range(n - 1, 0, -1)])
+    for quiver in (linear_quiver(n), reordered):
+        for field in (QQ, PrimeField(3)):
+            for i, j in itertools.combinations_with_replacement(range(1, n + 1), 2):
+                u = interval_rep(quiver, field, i, j)
+                assert u == interval_by_arrows(quiver, field, i, j)
+                assert u.quiver is quiver
 
 
 @pytest.mark.parametrize("n", range(4))
