@@ -6,10 +6,24 @@ The Euler characteristic engine is either the type-A cell count (the
 generating function of torus fixed points, ``typea.generating_function``) or
 finite-field interpolation; where both apply they must agree, and the test
 suite asserts that.
+
+Euler characteristics are multiplicative on direct sums: C* scaling the
+summand N of M (+) N has the fixed locus of Gr_e(M (+) N) the disjoint union
+over f of Gr_f(M) x Gr_(e-f)(N), so F_(M(+)N) = F_M F_N and
+CC(M (+) N) = CC(M) CC(N) (Caldero-Chapoton, Comment. Math. Helv. 81, 2006;
+Derksen-Weyman-Zelevinsky, J. Amer. Math. Soc. 23, 2010).  The count
+strategy interpolates only the direct summands that the given basis shows,
+the coordinate blocks the nonzero entries of the arrow matrices join; a
+splitting that the basis hides is not searched for, and such a module is
+counted whole.  Counting polynomials do not multiply this way, so ``count``
+and ``poly`` always count the whole module.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from . import rep as rp
 from . import typea as ta
@@ -45,15 +59,63 @@ def _sub_dim_vectors(d):
     return itertools.product(*(range(x + 1) for x in d))
 
 
+def _visible_summands(m):
+    """The direct summands of m that its basis shows, with multiplicities.
+
+    Union-find over the pairs (vertex, basis index) joins the source and
+    target coordinate of every nonzero matrix entry; each class spans a
+    summand, restricted to its coordinates as a representation of the same
+    quiver.  Equal summands (``Representation.__eq__``) are counted together,
+    in the order of their first coordinate.
+    """
+    offsets = list(itertools.accumulate(m.dims, initial=0))
+    root = list(range(offsets[-1]))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for a, (s, t) in enumerate(m.quiver.arrows):
+        for r, row in enumerate(m.matrix(a)):
+            for c, x in enumerate(row):
+                if x:
+                    root[find(offsets[s - 1] + c)] = find(offsets[t - 1] + r)
+    classes = {}
+    for x in range(offsets[-1]):
+        classes.setdefault(find(x), []).append(x)
+    summands = Counter()
+    for coords in classes.values():
+        at = [[x - lo for x in coords if lo <= x < hi]
+              for lo, hi in zip(offsets, offsets[1:])]
+        mats = [[[m.matrix(a)[r][c] for c in at[s - 1]] for r in at[t - 1]]
+                for a, (s, t) in enumerate(m.quiver.arrows)]
+        summands[rp.Representation(m.quiver, m.field, tuple(map(len, at)), mats)] += 1
+    return summands
+
+
+def _ladder(m, budget):
+    """(e, counting polynomial) for every e <= dim m: every budget is checked
+    in this call, and the primes are counted as the returned iterator is read."""
+    es = list(_sub_dim_vectors(m.dims))
+    return zip(es, _counting_polynomials(m, es, budget=budget))
+
+
 def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
     """F_M(y) = sum over e <= dim M of chi(Gr_e(M)) y^e, as a SparsePoly.
 
     m is a representation or, for an A_n module, its IntervalDecomposition.
     The cells strategy returns ``typea.generating_function`` as it is, its
-    terms held as sorted key and coefficient arrays (``poly``); the count
-    strategy interpolates a counting polynomial per e over Q, all from one
-    ladder of primes (``counting._counting_polynomials``) with every budget
-    checked before the first count; an e not verified raises DomainError.
+    terms held as sorted key and coefficient arrays (``poly``).  The count
+    strategy uses F_(M(+)N) = F_M F_N (Caldero-Chapoton 2006,
+    Derksen-Weyman-Zelevinsky 2010) on the direct summands visible in the
+    given basis (``_visible_summands``): each distinct one interpolates a
+    counting polynomial per e over Q, all from its own ladder of primes
+    (``counting._counting_polynomials``), and F_M is the product of their
+    tables, each raised to its multiplicity.  A splitting that the basis
+    hides is not used: such a module is one summand and is counted whole.
+    Every summand's budget is checked before any summand counts a prime, and
+    an e of any summand that is not verified raises DomainError.
     """
     if strategy == "cells":
         return ta.generating_function(
@@ -63,15 +125,21 @@ def euler_char_table(m, strategy="cells", budget=DEFAULT_BUDGET):
             m = m.to_representation(QQ)
         if m.field != QQ:
             raise DomainError("the counting strategy expects a representation over Q")
-        out, es = {}, list(_sub_dim_vectors(m.dims))
-        for e, cp in zip(es, _counting_polynomials(m, es, budget=budget)):
-            if cp.consistency != "verified":
-                raise DomainError(
-                    f"counting polynomial at e={e} is {cp.consistency}, not verified")
-            chi = euler_characteristic(cp)
-            if chi:
-                out[e] = chi
-        return SparsePoly(m.quiver.vertex_count, out)
+        # the zero module has no summands and F = 1, counted at e = 0
+        summands = _visible_summands(m) or {m: 1}
+        # a list, so that every ladder has checked its budgets before one counts
+        ladders = [(_ladder(s, budget), k) for s, k in summands.items()]
+        factors = []
+        for ladder, k in ladders:
+            out = {}
+            for e, cp in ladder:
+                if cp.consistency != "verified":
+                    raise DomainError(
+                        f"counting polynomial at e={e} is {cp.consistency}, not verified")
+                if chi := euler_characteristic(cp):
+                    out[e] = chi
+            factors += [SparsePoly(m.quiver.vertex_count, out)] * k
+        return reduce(mul, factors)
     raise DomainError(f"unknown strategy {strategy!r}")
 
 

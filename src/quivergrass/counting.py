@@ -32,8 +32,9 @@ random small representations in the test suite.
 A counting polynomial (``counting_polynomial``) is the interpolant of counts
 at D + 1 primes, D the degree bound, by Newton divided differences in exact
 integers, checked against one more prime.  ``_counting_polynomials`` runs
-it for every e of ``cluster.euler_char_table`` too: one ladder of primes, M
-reduced once per prime, and every e's budget checked before the first count.
+it for every e of ``cluster.euler_char_table`` too, once per direct summand
+the basis shows: one ladder of primes, M reduced once per prime, and every
+e's budget checked before the first count.
 """
 
 import itertools

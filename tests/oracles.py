@@ -41,6 +41,14 @@ which reads -<S_i, dim M> off the Euler form.
 ``incidence_by_scan`` reads a quiver's incidence by scanning its arrow list
 for every question, as ``Quiver`` once did: the oracle of the arrow index
 the constructor builds once.
+``hide_summands`` writes a representation in a new basis at every vertex,
+one whose arrow matrices join the coordinate blocks of its direct summands:
+the input that makes the count strategy of ``cluster.euler_char_table``
+count a split module whole, independently of its product over the summands.
+``kronecker_preprojective(n)`` is the rigid Kronecker module of dimension
+(n, n + 1), written with one 1 per column of each arrow matrix.
+``rep_document`` writes an integral representation over Q as the JSON
+document of a ``--rep`` file, one entry at a time.
 """
 
 import random
@@ -49,8 +57,8 @@ from fractions import Fraction
 
 from quivergrass import linalg as la
 from quivergrass import (QQ, DomainError, Representation, SubrepWitness, direct_sum,
-                         euler_form, hom_basis, hom_dim, linear_quiver, quotient, restrict,
-                         zero_rep)
+                         euler_form, hom_basis, hom_dim, kronecker_quiver, linear_quiver,
+                         quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness
 from quivergrass.typea import (IntervalDecomposition, Stratum, coefficient_quiver, decompose,
@@ -350,3 +358,47 @@ def incidence_by_scan(quiver):
             "sources": [v for v in vertices if v not in {t for _, t in arrows}],
             "sinks": [v for v in vertices if v not in {s for s, _ in arrows}],
             "is_connected": n <= 1 or len(seen) == n, "topological_order": tuple(order)}
+
+
+def _power(g, k, field, d):
+    out = la.identity(d, field)
+    for _ in range(k):
+        out = mul(out, g, field, d)
+    return out
+
+
+def hide_summands(m_rep):
+    """M_a -> g_t M_a g_s^-1 for the arrows a: s -> t, with g_v = (L U)^v at
+    vertex v, L and U the lower and upper triangular matrices of ones.
+
+    L U has the entries min(i, j) + 1 > 0, so an identity M_a with t > s
+    becomes (L U)^(t - s), a matrix without zeros, and the summands of
+    U[1,n]^k are no longer blocks.  L and U have integral inverses, so the
+    new module is isomorphic to M over Q and modulo every prime.
+    """
+    field, dims = m_rep.field, m_rep.dims
+    forward, backward = {}, {}
+    for v, d in enumerate(dims, 1):
+        ones = [[field.of(min(i, j) + 1) for j in range(d)] for i in range(d)]
+        u_inv = [[field.of(int(i == j) - int(j == i + 1)) for j in range(d)] for i in range(d)]
+        inverse = mul(u_inv, la.transpose(u_inv, d), field, d)
+        forward[v], backward[v] = _power(ones, v, field, d), _power(inverse, v, field, d)
+    mats = [mul(mul(forward[t], m_rep.matrix(a), field, dims[s - 1]), backward[s], field,
+                dims[s - 1])
+            for a, (s, t) in enumerate(m_rep.quiver.arrows)]
+    return Representation(m_rep.quiver, field, dims, mats)
+
+
+def rep_document(m_rep):
+    """The ``--rep`` document of a representation over Q with integer entries."""
+    return {"vertices": m_rep.quiver.vertex_count,
+            "arrows": [list(a) for a in m_rep.quiver.arrows], "field": "Q",
+            "dims": list(m_rep.dims),
+            "matrices": {str(a): [[int(x) for x in row] for row in m_rep.matrix(a)]
+                         for a in range(m_rep.quiver.arrow_count)}}
+
+
+def kronecker_preprojective(n):
+    """The rigid Kronecker module of dimension (n, n+1): A = [I; 0], B = [0; I]."""
+    a = [[int(i == j) for j in range(n)] for i in range(n + 1)]
+    return Representation(kronecker_quiver(2), QQ, (n, n + 1), [a, [[0] * n] + a[:n]])

@@ -3,23 +3,30 @@ identities (multiplication formula, affine-bundle point counts)."""
 
 import dataclasses
 import itertools
+import json
 import random
+import timeit
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import (g_vector_from_injective_resolution, injective_multiplicities,
+from oracles import (g_vector_from_injective_resolution, hide_summands,
+                     injective_multiplicities, kronecker_preprojective, rep_document,
                      specialize_ones)
 from quivergrass import (QQ, DomainError, Quiver, Representation, direct_sum,
                          injective, kronecker_quiver, linear_quiver,
                          projective, simple, zero_rep)
+from quivergrass.cli import run
 from quivergrass.cluster import (cluster_character, exchange_matrix, f_polynomial,
                                  g_vector, make_generating, psi_count_identity,
                                  verify_multiplication)
 from quivergrass.poly import SparsePoly
 from quivergrass.typea import (IntervalDecomposition, decompose,
                                degenerate_flag_dec, ext_dim_decs, ext_interval,
-                               fixed_points, interval_rep, translate)
+                               fixed_points, flag_dec, format_intervals, interval_rep,
+                               most_flat_dec, translate)
 
 A2 = linear_quiver(2)
 
@@ -282,6 +289,79 @@ def test_count_strategy_rejects_finite_field_input():
     m = reduce_mod(projective(A2, QQ, 1), 3)
     with pytest.raises(DomainError):
         f_polynomial(m, "count")
+
+
+# one side of the Kronecker quiver at most 1-dimensional, so that no
+# summand is a band module whose eigenvalues meet modulo some prime
+PRODUCT_QUIVERS = ((linear_quiver(2), (2, 2)), (linear_quiver(3), (2, 2, 2)),
+                   (kronecker_quiver(2), (1, 2)))
+
+
+@st.composite
+def tree_modules(draw, quiver, bounds):
+    """A module over Q with at most one 1 in each row and column of each
+    arrow matrix and zeros elsewhere, at most 3-dimensional, or the same
+    module after ``hide_summands``: isomorphic over every prime field, so its
+    counts are polynomials in p."""
+    dims = tuple(draw(st.integers(0, b)) for b in bounds)
+    assume(sum(dims) <= 3)
+    mats = []
+    for s, t in quiver.arrows:
+        rows, cols = dims[t - 1], dims[s - 1]
+        to = draw(st.permutations(range(max(rows, cols))))
+        # a column is kept (nonzero) three times in four
+        kept = draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols))
+        mats.append([[int(kept[c] and to[c] == r) for c in range(cols)] for r in range(rows)])
+    m = Representation(quiver, QQ, dims, mats)
+    return hide_summands(m) if draw(st.booleans()) else m
+
+
+@pytest.mark.parametrize("quiver, bounds", PRODUCT_QUIVERS, ids=["A2", "A3", "K2"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_count_strategy_is_multiplicative_on_direct_sums(quiver, bounds, data):
+    a, b = (data.draw(tree_modules(quiver, bounds)) for _ in range(2))
+    total = direct_sum(a, b)
+    assume(max(total.dims) <= 3)
+    product = f_polynomial(a, "count") * f_polynomial(b, "count")
+    assert f_polynomial(total, "count") == product
+    # counted whole, as one block when the base change hides every summand
+    assert f_polynomial(hide_summands(total), "count") == product
+    assert cluster_character(total, "count") == \
+        cluster_character(a, "count") * cluster_character(b, "count")
+
+
+def _best_of_three(call):
+    return min(timeit.repeat(call, number=1, repeat=3))
+
+
+@pytest.mark.parametrize("family", [flag_dec, degenerate_flag_dec, most_flat_dec],
+                         ids=lambda f: f.__name__)
+def test_count_strategy_answers_a3_flag_modules_at_once(family):
+    # counted whole, flag_dec(3) took 31 s; by summands each is a few ms
+    argv = ["fpoly", "--intervals", format_intervals(family(3)), "--n", "3",
+            "--format", "machine"]
+    outputs = {}
+    for strategy in ("cells", "count"):
+        code, text = run(argv + ["--strategy", strategy])
+        assert code == 0
+        outputs[strategy] = json.loads(text)["outputs"]
+    assert outputs["count"] == outputs["cells"]
+    assert _best_of_three(lambda: run(argv + ["--strategy", "count"])) < 0.1
+
+
+def test_count_strategy_answers_a_kronecker_sum_at_the_default_budget(tmp_path):
+    # refused at any budget up to 10**9 when counted whole
+    a, b = kronecker_preprojective(2), kronecker_preprojective(3)
+    path = tmp_path / "k2k3.rep"
+    path.write_text(json.dumps(rep_document(direct_sum(a, b))))
+    argv = ["fpoly", "--strategy", "count", "--rep", str(path), "--format", "machine"]
+    code, text = run(argv)
+    assert code == 0
+    product = f_polynomial(a, "count") * f_polynomial(b, "count")
+    assert {tuple(e): c for e, c in json.loads(text)["outputs"]["f_polynomial"]} == product.terms
+    assert _best_of_three(lambda: run(argv)) < 0.1
 
 
 def _interval_sums(n):

@@ -2,6 +2,7 @@
 polynomials, and stratum classification."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from quivergrass import counting
 from quivergrass import linalg as la
 from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
-                         Representation, dual, kronecker_quiver, linear_quiver,
-                         tangent_dim)
-from quivergrass.cluster import f_polynomial
+                         Representation, direct_sum, dual, kronecker_quiver,
+                         linear_quiver, tangent_dim)
+from quivergrass.cluster import _visible_summands, f_polynomial
 from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _annihilators,
                                   _newton_interpolation, _rank_groups,
                                   batched_rank_mod_p, betti_numbers, count_points,
@@ -27,7 +28,8 @@ from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec,
                                flag_dec, interval_rep, poincare_polynomial)
 
-from oracles import classify_strata_ff, hom_fingerprint, mul, neg, solve
+from oracles import (classify_strata_ff, hide_summands, hom_fingerprint, mul, neg,
+                     rep_document, solve)
 
 A2 = linear_quiver(2)
 
@@ -546,6 +548,14 @@ def test_counting_polynomial_checks_budget_before_counting(monkeypatch):
     assert err.value.estimate == gaussian_binomial(4, 2, 41) == 2_898_086
 
 
+def _hidden_flag(n):
+    """flag_dec(n) in a basis that joins its n + 1 summands into one block, so
+    that the count strategy interpolates the whole module."""
+    m = hide_summands(flag_dec(n).to_representation(QQ))
+    assert list(_visible_summands(m).values()) == [1]
+    return m
+
+
 def test_count_strategy_reduces_each_prime_once(monkeypatch):
     import quivergrass.rep as rep
     calls = Counter()
@@ -555,26 +565,42 @@ def test_count_strategy_reduces_each_prime_once(monkeypatch):
         calls[p] += 1
         return reduce(m_rep, p)
     monkeypatch.setattr(rep, "reduce_mod", counted)
-    f = f_polynomial(flag_dec(2), "count")
+    f = f_polynomial(_hidden_flag(2), "count")
     # every e with e_1, e_2 in {1, 2} has degree bound 4: six primes, 2 to 13
     assert set(calls) == {2, 3, 5, 7, 11, 13}
     assert set(calls.values()) == {1}
     assert f.terms[(0, 0)] == 1 and f.terms[(3, 3)] == 1
 
 
-def test_count_strategy_checks_every_budget_before_the_first_count(monkeypatch):
-    import quivergrass.counting as counting
-    from quivergrass.cli import run
-
+def _refuse_counts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a prime was counted before every budget was checked")
     monkeypatch.setattr(counting, "count_points", refuse)
+
+
+def test_count_strategy_checks_every_budget_before_the_first_count(monkeypatch, tmp_path):
+    from quivergrass.cli import run
+    _refuse_counts(monkeypatch)
+    m = _hidden_flag(3)
     with pytest.raises(BudgetError) as err:
-        f_polynomial(flag_dec(3), "count", budget=10 ** 6)
+        f_polynomial(m, "count", budget=10 ** 6)
     assert err.value.estimate == 1_927_590
-    assert run(["fpoly", "--strategy", "count", "--intervals", "U[1,3]^4", "--n", "3",
-                "--budget", "1000000"]) == \
+    path = tmp_path / "flag3.rep"
+    path.write_text(json.dumps(rep_document(m)))
+    assert run(["fpoly", "--strategy", "count", "--rep", str(path), "--budget", "1000000"]) == \
         (3, "budget error: enumeration of ~1927590 tuples exceeds budget 1000000\n")
+
+
+def test_count_strategy_checks_every_summand_budget_before_the_first_count(monkeypatch):
+    # the simple S_1 is counted first and fits any budget; the hidden flag
+    # module after it does not, and is refused before S_1 counts a prime
+    _refuse_counts(monkeypatch)
+    s1 = IntervalDecomposition(3, {(1, 1): 1}).to_representation(QQ)
+    m = direct_sum(s1, _hidden_flag(3))
+    assert list(_visible_summands(m).items()) == [(s1, 1), (_hidden_flag(3), 1)]
+    with pytest.raises(BudgetError) as err:
+        f_polynomial(m, "count", budget=10 ** 6)
+    assert err.value.estimate == 1_927_590
 
 
 def test_all_e_ladder_gives_each_e_its_lone_primes():

@@ -32,9 +32,8 @@ import functools
 import itertools
 from collections import Counter
 
-from oracles import point_witness
-from quivergrass import (QQ, PrimeField, Representation, euler_form, kronecker_quiver,
-                         linear_quiver, restrict, tangent_dim)
+from oracles import kronecker_preprojective, point_witness
+from quivergrass import PrimeField, euler_form, linear_quiver, restrict, tangent_dim
 from quivergrass.cluster import f_polynomial
 from quivergrass.counting import counting_polynomial
 from quivergrass.typea import (IntervalDecomposition, cell_dimension, coefficient_quiver,
@@ -132,12 +131,6 @@ def generic_subdimension_vectors(quiver, dims):
         return all(euler_form(quiver, f, rest) >= 0 for f in sub_vectors(e) if embeds(f, e))
 
     return {e for e in sub_vectors(dims) if embeds(e, tuple(dims))}
-
-
-def kronecker_preprojective(n):
-    """The rigid Kronecker module of dimension (n, n+1): A = [I; 0], B = [0; I]."""
-    a = [[int(i == j) for j in range(n)] for i in range(n + 1)]
-    return Representation(kronecker_quiver(2), QQ, (n, n + 1), [a, [[0] * n] + a[:n]])
 
 
 def test_rigid_f_polynomial_support_is_the_generic_subdimension_vectors():
