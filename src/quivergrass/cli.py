@@ -11,6 +11,7 @@ Vertices are 1-based in files, matching the standard labeling; arrow indices
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -18,9 +19,8 @@ import sys
 
 from . import __version__, ardynkin, cluster, elliptic
 from . import typea as ta
-from .counting import (DEFAULT_BUDGET, betti_numbers, check_sub_dim_vector,
-                       count_points, counting_polynomial, euler_characteristic,
-                       plan_count)
+from .counting import (DEFAULT_BUDGET, check_sub_dim_vector, count_points,
+                       counting_polynomial, euler_characteristic, plan_count)
 from .errors import BudgetError, DomainError
 from .fields import PrimeField, QQ
 from .quiver import euler_form, linear_quiver
@@ -106,9 +106,11 @@ def _with_prime(m_rep, p):
 def _inputs(args):
     """The input steps shared by the subcommands, decided by the flags each
     takes: sets ``args.m`` (the first module), ``args.m2`` (the second
-    representation) and ``args.ge`` (the extension), resolves ``--strategy
-    auto``, reduces ``args.m`` mod ``--p``, checks ``--e`` against
-    ``args.m`` (e <= dim M), and returns the inputs to echo.
+    representation), ``args.ge`` (the extension) and ``args.bases`` (the
+    witness), resolves ``--strategy auto``, reduces ``args.m`` mod ``--p``,
+    checks ``--e`` against ``args.m`` (e <= dim M), and returns the inputs
+    to echo.  Every file is read here, before ``run`` lifts the limit on
+    int <-> str conversion.
 
     Given ``--intervals``, ``args.m`` is the parsed IntervalDecomposition,
     which answers ``quiver`` and ``dims`` as a representation does.  The
@@ -120,6 +122,8 @@ def _inputs(args):
     echo = {}
     if hasattr(args, "intervals"):
         args.m, echo = _rep_input(args)
+    elif getattr(args, "rep", None) is not None:  # ar-quiver knits the file's quiver
+        args.m, echo = _load_rep(args.rep)
     if hasattr(args, "rep2"):
         args.m2, second = _load_rep(args.rep2)
         echo = {"first": echo, "second": second}
@@ -139,6 +143,9 @@ def _inputs(args):
     if hasattr(args, "e") and hasattr(args, "m"):
         # every subcommand refuses an e it would otherwise answer as empty
         check_sub_dim_vector(args.m, args.e)
+    if hasattr(args, "witness"):
+        args.bases, echo["witness"] = parse_witness_document(_read(args.witness),
+                                                             f"--witness {args.witness}")
     return echo
 
 
@@ -193,7 +200,6 @@ def _poly(args, echo):
     out = {"counting_polynomial": _count_poly_json(cp)}
     if cp.consistency != "inconsistent":
         out["euler_characteristic"] = euler_characteristic(cp)
-        out["betti_numbers"] = betti_numbers(cp)
     return out, {"engine": "interpolation", "primes": list(cp.primes),
                  "budget": args.budget}
 
@@ -292,8 +298,7 @@ def _catenoid(args, echo):
 
 def _ar_quiver(args, echo):
     if args.rep is not None:
-        m_rep, echo["document"] = parse_rep_document(_read(args.rep))
-        quiver = m_rep.quiver
+        quiver = args.m.quiver
     else:
         quiver = linear_quiver(args.n)
         echo["n"] = args.n
@@ -311,10 +316,8 @@ def _ar_quiver(args, echo):
 
 
 def _tangent(args, echo):
-    bases, echo["witness"] = parse_witness_document(_read(args.witness),
-                                                    f"--witness {args.witness}")
     m = _matrices(args.m)
-    w = SubrepWitness(m.quiver, m.field, bases)
+    w = SubrepWitness(m.quiver, m.field, args.bases)
     return {"tangent_dim": tangent_dim(m, w), "e": list(w.dims)},\
         {"engine": "kernel-of-defect-map"}
 
@@ -414,6 +417,22 @@ def _render_text(name, outputs):
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the interpreter's limit on int <-> str conversion (Python 3.10.7
+    and later) and restore it on exit.  ``run`` reads argv and files under
+    the limit and writes exact answers and messages of any length.  The limit
+    is process-wide, so two threads must not run ``run`` at once."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def run(argv):
     """Dispatch one invocation; returns (exit_code, rendered output string)."""
     if not argv:
@@ -429,19 +448,20 @@ def run(argv):
     try:
         args = _parse(name, argv[1:])
         echo = _inputs(args)
-        outputs, provenance = COMMANDS[name][0](args, echo)
+        with _all_digits():
+            outputs, provenance = COMMANDS[name][0](args, echo)
+            provenance.setdefault("version", __version__)
+            if args.format == "text":
+                return 0, _render_text(name, outputs)
+            doc = {"subcommand": name, "inputs": echo,
+                   "outputs": outputs, "provenance": provenance}
+            return 0, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     except _Stop as stop:
         return stop.args
     except DomainError as ex:
         return 2, f"error: {ex}\n"
     except BudgetError as ex:
         return 3, f"budget error: {ex}\n"
-    provenance.setdefault("version", __version__)
-    if args.format == "machine":
-        doc = {"subcommand": name, "inputs": echo,
-               "outputs": outputs, "provenance": provenance}
-        return 0, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return 0, _render_text(name, outputs)
 
 
 def main():

@@ -34,7 +34,10 @@ at D + 1 primes, D the degree bound, by Newton divided differences in exact
 integers, checked against one more prime.  ``_counting_polynomials`` runs
 it for every e of ``cluster.euler_char_table`` too, once per direct summand
 the basis shows: one ladder of primes, M reduced once per prime, and every
-e's budget checked before the first count.
+e's budget checked before the first count.  Its coefficients are the Betti
+numbers of Gr_e(M) only when Gr_e(M) has an affine paving (Lecture 3: the
+cells of ``typea.poincare_polynomial``) or is pure, and neither is checked
+here: the nodal cubic, a quiver Grassmannian, counts q with b_0 = b_1 = b_2 = 1.
 """
 
 import itertools
@@ -419,14 +422,36 @@ class _PlannedCount:
         self.chosen = {}
 
     def total(self):
+        """The constant times the sum, over the chosen rows of the vertices
+        above the leaf, of their factors times the leaf's sum below them.
+
+        The search keeps one row iterator (``_rows``) per enumerated vertex
+        above the leaf on an explicit stack, with the product of the factors
+        chosen above it, so its depth is not bounded by the interpreter's
+        recursion limit.
+        """
         if not self.constant or not self.plan.enumerated:
             return self.constant
-        return self.constant * self._level(0)
-
-    def _level(self, k):
-        v = self.plan.enumerated[k]
-        completes = self.completes[v]
+        leaf = len(self.plan.enumerated) - 1
+        if not leaf:
+            return self.constant * self._leaf()
         total = 0
+        stack = [(self._rows(0), self.constant)]
+        while stack:
+            rows, weight = stack[-1]
+            factor = next(rows, 0)
+            if not factor:
+                stack.pop()
+            elif len(stack) == leaf:
+                total += weight * factor * self._leaf()
+            else:
+                stack.append((self._rows(len(stack)), weight * factor))
+        return total
+
+    def _batches(self, v):
+        """Per batch of subspaces at v with a stable row: the stable rows, their
+        annihilators (None unless read) and their ranks at the vertices that v
+        completes, one column each."""
         for batch in self.subspaces[v].batches():
             batch = batch.astype(self.dtype, copy=False)
             ann = _annihilators(batch, self.p) if self.reads_ann[v] else None
@@ -437,18 +462,32 @@ class _PlannedCount:
                     continue
                 batch = batch[keep]
                 ann = None if ann is None else ann[keep]
+            completes = self.completes[v]
             ranks = np.stack([self._rank(w, v, batch, ann) for w in completes], axis=1) \
                 if completes else np.zeros((batch.shape[0], 0), dtype=np.int64)
-            if k + 1 == len(self.plan.enumerated):
-                for row, count in zip(*_rank_groups(ranks)):
-                    total += int(count) * self._factor(completes, row)
-                continue
+            yield batch, ann, ranks
+
+    def _rows(self, k):
+        """The nonzero factors of the rows of the k-th enumerated vertex, in
+        order; each row is the vertex's choice while its factor is current."""
+        v = self.plan.enumerated[k]
+        completes = self.completes[v]
+        for batch, ann, ranks in self._batches(v):
             for i, row in enumerate(ranks):
                 factor = self._factor(completes, row)
                 if factor:
                     self.chosen[v] = (batch[i], None if ann is None else ann[i])
-                    total += factor * self._level(k + 1)
-        self.chosen.pop(v, None)
+                    yield factor
+
+    def _leaf(self):
+        """The sum over the rows of the last enumerated vertex of their factors,
+        each distinct rank vector formed once (``_rank_groups``)."""
+        v = self.plan.enumerated[-1]
+        completes = self.completes[v]
+        total = 0
+        for _, _, ranks in self._batches(v):
+            for row, count in zip(*_rank_groups(ranks)):
+                total += int(count) * self._factor(completes, row)
         return total
 
     def _stable(self, v, batch, ann):
@@ -507,7 +546,8 @@ class CountPoly:
     coefficients are ascending powers of q; consistency is "verified" when a
     held-out prime reproduced the interpolation, "assumed" when no held-out
     prime was available, "inconsistent" when interpolation or the held-out
-    check failed (coefficients are then empty).
+    check failed (coefficients are then empty).  The coefficients are Betti
+    numbers only given an affine paving (Lecture 3) or purity.
     """
 
     coefficients: tuple
@@ -624,10 +664,3 @@ def euler_characteristic(count_poly):
     if count_poly.consistency == "inconsistent":
         raise DomainError("counting polynomial is inconsistent; no Euler characteristic")
     return sum(count_poly.coefficients)
-
-
-def betti_numbers(count_poly):
-    if count_poly.consistency == "inconsistent":
-        raise DomainError("counting polynomial is inconsistent; no Betti numbers")
-    return list(count_poly.coefficients)
-

@@ -411,7 +411,6 @@ def reduce_mod(m_rep, p):
     """Reduce a rational representation mod p; DomainError on bad reduction."""
     if m_rep.field != QQ:
         raise DomainError("reduce_mod expects a representation over Q")
-    gf = PrimeField(p)
-    mats = [la.mat(m_rep.matrix(i), gf) for i in range(m_rep.quiver.arrow_count)]
-    return Representation(m_rep.quiver, gf, m_rep.dims, mats)
+    # the constructor coerces each entry (PrimeField.of refuses a bad reduction)
+    return Representation(m_rep.quiver, PrimeField(p), m_rep.dims, m_rep.matrices)
 

@@ -17,6 +17,7 @@ same echo back.  A witness document (`parse_witness_document`) is
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from . import linalg as la
@@ -69,12 +70,18 @@ def _entry_to_json(x):
 
 
 def _json_document(text):
-    """The decoded JSON text; DomainError with the position if malformed."""
+    """The decoded JSON text; DomainError with the position if malformed, or
+    naming the limit if an integer has more digits than the interpreter's
+    limit on int <-> str conversion."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:
         raise DomainError(
             f"malformed file at line {ex.lineno}, column {ex.colno}: {ex.msg}") from None
+    except ValueError:
+        raise DomainError(f"an integer in the file has more than "
+                          f"{sys.get_int_max_str_digits()} digits, the limit on "
+                          f"int <-> str conversion") from None
 
 
 def parse_rep_document(text):

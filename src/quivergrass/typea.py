@@ -350,8 +350,12 @@ def fixed_points(m, e):
     A depth-first search over the rows: each row takes in turn the
     admissible choices of ``_row_choices``, which prunes by slack and keeps
     every point, and adds their increments to the cell dimension
-    ``cell_dimension(rows, starts)``.  The list has one entry per point;
-    ``poincare_polynomial`` and ``strata`` read the same choices without it.
+    ``cell_dimension(rows, starts)``.  The search keeps the suspended
+    generators of the rows down to the current one in a list, not on the
+    call stack, so its depth is not bounded by the interpreter's recursion
+    limit.  The list has
+    one entry per point; ``poincare_polynomial`` and ``strata`` read the same
+    choices without it.
     """
     setup = _search_rows(m, e)
     if setup is None:
@@ -360,22 +364,29 @@ def fixed_points(m, e):
     if not rows:
         return [((), 0)]  # d = 0, so e = 0: the zero subrepresentation
     out = []
-    starts = []
     remaining = list(e)
     selected = [0] * m.n
     last = len(rows) - 1
-
-    def descend(r, dim):
-        i, j = rows[r]
-        for a, inc in _row_choices(i, j, capacity[r], remaining, selected):
-            starts.append(a)
-            if r == last:
-                out.append((tuple(starts), dim + inc))
-            else:
-                descend(r + 1, dim + inc)
-            starts.pop()
-
-    descend(0, 0)
+    # the suspended choices of every row down to the current one, r, and
+    # the cell dimension before each; starts[:r] are the choices taken above
+    choices, dims, starts = [None] * len(rows), [0] * len(rows), [None] * len(rows)
+    choices[0] = _row_choices(*rows[0], capacity[0], remaining, selected)
+    r = 0
+    while r >= 0:
+        if r == last:
+            for a, inc in choices[r]:
+                starts[r] = a
+                out.append((tuple(starts), dims[r] + inc))
+            r -= 1
+            continue
+        for a, inc in choices[r]:
+            starts[r] = a
+            r += 1
+            dims[r] = dims[r - 1] + inc
+            choices[r] = _row_choices(*rows[r], capacity[r], remaining, selected)
+            break
+        else:
+            r -= 1
     return out
 
 

@@ -4,16 +4,18 @@ import hashlib
 import json
 import os
 import re
+import sys
 
 import pytest
 
 from quivergrass.cli import COMMANDS, _parser, main, run
+from quivergrass.counting import gaussian_binomial
 from quivergrass.errors import DomainError
 from quivergrass.fields import QQ
 from quivergrass.repfile import format_intervals, parse_intervals, parse_rep_document
 from quivergrass.typea import (IntervalDecomposition, degenerate_flag_dec, flag_dec,
                                injective_cogenerator_dec, most_flat_dec, path_algebra_dec,
-                               random_decomposition)
+                               poincare_polynomial, random_decomposition)
 
 EX4 = json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                   "dims": [2, 2], "matrices": {"0": [[1, 0], [0, 0]]}})
@@ -298,6 +300,81 @@ def test_oversize_interval_module_exits_3_before_allocating():
     # with no arrows nothing is built, and the ranks start at the arrows
     code, text = run(["decompose", "--intervals", "U[1,1]^99999999999", "--n", "1"])
     assert code == 0 and "99999999999" in text
+
+
+def test_cells_on_more_rows_than_the_recursion_limit():
+    # 1,200 rows U[1,1]: Gr_1(k^1200) is P^1199, one cell in each dimension
+    code, text = run(["cells", "--intervals", "U[1,1]^1200", "--n", "1", "--e", "1",
+                      "--format", "machine"])
+    assert code == 0
+    dims = sorted(cell["dim"] for cell in json.loads(text)["outputs"]["cells"])
+    pp = poincare_polynomial(IntervalDecomposition(1, {(1, 1): 1200}), (1,))
+    assert pp.coefficients == (1,) * 1200 and dims == list(range(1200))
+
+
+# U[1,1500] with every e_v in {0, d_v}: 1,498 enumerated vertices, one subspace each
+LONG_PATH = ["--intervals", "U[1,1500]", "--n", "1500"]
+
+
+@pytest.mark.parametrize("e", ["0", "1"])
+def test_count_enumerating_more_vertices_than_the_recursion_limit(e):
+    code, text = run(["count", *LONG_PATH, "--e", ",".join([e] * 1500), "--p", "2",
+                      "--format", "machine"])
+    doc = json.loads(text)
+    assert code == 0 and doc["outputs"]["count"] == 1
+    assert doc["provenance"]["budget_spent"] == 1
+
+
+def test_poly_enumerating_more_vertices_than_the_recursion_limit():
+    code, text = run(["poly", *LONG_PATH, "--e", ",".join(["0"] * 1500),
+                      "--format", "machine"])
+    cp = json.loads(text)["outputs"]["counting_polynomial"]
+    assert code == 0 and cp["coefficients"] == [1] and cp["consistency"] == "verified"
+
+
+LIMITED = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                             reason="no limit on int <-> str conversion")
+
+
+@LIMITED
+def test_an_integer_beyond_the_conversion_limit_in_a_file_exits_2(tmp_path):
+    long_entry = "7" * 5000
+    rep = tmp_path / "long.rep"
+    rep.write_text('{"vertices": 2, "arrows": [[1, 2]], "field": "Q", "dims": [1, 1], '
+                   '"matrices": {"0": [[' + long_entry + ']]}}')
+    witness = tmp_path / "long.json"
+    witness.write_text('{"bases": [[[' + long_entry + ']], [[1]]]}')
+    message = f"more than {sys.get_int_max_str_digits()} digits"
+    for argv in (["decompose", "--rep", str(rep)], ["ar-quiver", "--rep", str(rep)],
+                 ["tangent", *U12, "--witness", str(witness)]):
+        code, text = run(argv)
+        assert code == 2 and message in text
+
+
+@LIMITED
+def test_answers_beyond_the_conversion_limit_are_written_in_full(tmp_path):
+    path = tmp_path / "one.rep"
+    path.write_text(json.dumps({"vertices": 1, "arrows": [], "field": "Q", "dims": [100],
+                                "matrices": {}}))
+    limit = sys.get_int_max_str_digits()
+    outs = [run(["count", *module, "--e", "50", "--p", "1000003", "--format", fmt])
+            for module in (["--rep", str(path)], ["--intervals", "U[1,1]^100", "--n", "1"])
+            for fmt in ("text", "machine")]
+    # an estimate of ~60,000 digits, over budget
+    refusal = run(["count", "--intervals", "U[2,2]^200 + U[1,3]", "--n", "3",
+                   "--e", "0,100,0", "--p", "1000003"])
+    assert sys.get_int_max_str_digits() == limit
+    want = gaussian_binomial(100, 50, 1000003)
+    sys.set_int_max_str_digits(0)
+    try:
+        for (code, text), fmt in zip(outs, ["text", "machine"] * 2):
+            assert code == 0
+            got = int(text.split()[-1]) if fmt == "text" else \
+                json.loads(text)["outputs"]["count"]
+            assert got == want and len(str(want)) > 15000
+        assert refusal[0] == 3 and len(refusal[1]) > 60000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _q_binomial(n, k):
@@ -725,22 +802,24 @@ def test_count_strategy_output_bytes_are_pinned(tmp_path, sub, name, fmt):
 # sha256 of the flags benchmark's poly and fpoly --strategy count output as
 # it was with the Vandermonde system solved over Q, every batch of one pivot
 # pattern and M reduced again for every e: the interpolation, the batching
-# and the shared reductions must not move a byte
+# and the shared reductions must not move a byte.  The poly digests were
+# re-recorded when poly stopped writing a copy of its coefficients as
+# "betti_numbers"; nothing else in those documents moved.
 FLAG_FAMILIES = {"flag_dec": flag_dec, "degenerate_flag_dec": degenerate_flag_dec,
                  "most_flat_dec": most_flat_dec}
 COUNTING_OUTPUT_DIGESTS = {
     ("poly", "flag_dec", (0, 1, 2)):
-        "a7030b9dc257dbf422ceb2964b642285bbe52a12fe1b78fec4960b3595fc70df",
+        "a8745b056bf5b80f53184d0bbd1f8a30bffb34a12952ce62771d9d1949f5d92f",
     ("poly", "flag_dec", (0, 1, 1)):
-        "73917919616bd6524ab79f5c130feb97dee2b8f213469561dd5e98f06f56f789",
+        "11016a32a3b8cf030ac2feb100f35e67f5dd7090de10190d3d5b66e87f065363",
     ("poly", "degenerate_flag_dec", (0, 1, 2)):
-        "0f395326941cbd199ee18953d53760136652de93ebf07f5c1220fe00703f93b5",
+        "d4badecbdb2b6faeb9cc1b64e165ae9a4c87304e87a0a40ea6069613522e5e15",
     ("poly", "degenerate_flag_dec", (0, 1, 1)):
-        "72b62fef7778953f60b213c4af312166c47401358b030fb0282f1b4fff46cda1",
+        "b112eed3e27372d569b9c95d5750a788ca6bbba795823616da6caf5cb1fc15bb",
     ("poly", "most_flat_dec", (0, 1, 2)):
-        "7a7ece73037376f35325d75f53eab4d77a71d628c75bbb95478c4195255e466d",
+        "5a9cb13d1d29b2a47a53ff5c13a357a3f26d6a5a32b89bfbd4420a419397bb80",
     ("poly", "most_flat_dec", (0, 1, 1)):
-        "fd8f10262b1d9ff21a145006ec54a24486a4009842b3086f276a84a6c99f2955",
+        "72067f61a4e86785d3c7f2af09d6f0d2d9b7467ac8ee8ab1663f7803cd8bb343",
     ("fpoly", "flag_dec", None):
         "672ceb2f9d0830d8ced4b384e062840ac73ed3a29f8c6c36548e43ea7215e6da",
     ("fpoly", "most_flat_dec", None):
