@@ -26,8 +26,14 @@ their rank vector (one lexsort over its columns, whatever their number), so
 every distinct product of Gaussian binomials is formed once and every sum and
 product is taken exactly in Python ints.  The ranks come from
 ``batched_rank_mod_p``, one lazily reduced forward elimination per batch.
-Exhaustive (``enumerate_subreps``) and planned counts are cross-asserted on
-random small representations in the test suite.
+Every array of the search and of the rank kernel runs at the narrowest exact
+width, ``_residue_dtype(p, n)``: int16, then int32, then int64, and Python
+ints (dtype=object) beyond, by the one bound n (p-1)**2 < max of the width,
+n the largest dimension (1 for the rank kernel).  At n = 1 the edges are
+p = 181 | 191, 46337 | 46349 and 3037000493 | 3037000507; the elliptic
+representation (n = 10) runs at int16 up to p = 53.  Exhaustive
+(``enumerate_subreps``) and planned counts are cross-asserted on random small
+representations in the test suite.
 
 A counting polynomial (``counting_polynomial``) is the interpolant of counts
 at D + 1 primes, D the degree bound, by Newton divided differences in exact
@@ -138,19 +144,23 @@ class SubspaceIter:
 
 
 def _residue_dtype(p, n):
-    """int64 when sums of n products of residues mod p stay below 2**63.
+    """The narrowest of int16, int32 and int64 in which residues mod p are
+    exact, for sums of n products of two residues; object (Python ints) beyond.
 
-    Every int64 step of the counting engine is exact under that bound: its
-    entries are reduced below p and a matrix product sums at most n products
-    of two residues.  The rank kernel reduces lazily: each elimination step
-    subtracts one product of two residues, and the trailing block is reduced
-    only every k = (2**63 - 1 - p) // (p - 1)**2 steps, so its entries stay
-    in (-k (p-1)**2, p).  k >= 1 exactly when (p - 1)**2 < 2**63, so n = 1
-    covers the same primes (up to 3037000493; 3037000507 is the first prime
-    beyond).  Outside the bound the same code runs on Python ints
-    (dtype=object).
+    A width w holds when n (p-1)**2 < max_w, so that a matrix product summing
+    at most n products of entries reduced below p cannot wrap, and when the
+    rank kernel's lazy interval k = (max_w - p) // (p-1)**2 is at least 1 (see
+    ``batched_rank_mod_p``).  The width is a function of p and n alone.  At
+    n = 1 the edges are p = 181 | 191 (int16 | int32), 46337 | 46349
+    (int32 | int64) and 3037000493 | 3037000507 (int64 | object); at n = 10,
+    int16 holds up to p = 53.
     """
-    return np.int64 if max(n, 1) * (p - 1) ** 2 < 2 ** 63 else object
+    square = (p - 1) ** 2
+    for dtype in (np.int16, np.int32, np.int64):
+        top = np.iinfo(dtype).max
+        if max(n, 1) * square < top and (top - p) // square >= 1:
+            return dtype
+    return object
 
 
 def _residue_stack(mats, p):
@@ -159,10 +169,12 @@ def _residue_stack(mats, p):
     The stack is transposed when it is wide, so that rows >= cols, and laid
     out column first and matrix index last, so that a column, a pivot row
     and a trailing block of the elimination are each contiguous.  The dtype
-    is ``_residue_dtype(p, 1)`` and every entry lies in [0, p).  Python ints,
-    numpy integers held as objects and uint64 are reduced as Python ints
-    before they are narrowed, so entries beyond the int64 range keep their
-    residues; a non-integer stack is refused.
+    is ``_residue_dtype(p, 1)`` and every entry lies in [0, p).  A stack
+    with an entry outside [0, p) is reduced before it is narrowed, so no entry
+    wraps: a numpy integer stack in its own width (uint64, or int64 for every
+    other one), a stack of Python ints or of numpy integers held as objects,
+    or any stack bound for object, as Python ints.  A non-integer stack is
+    refused.
     """
     dtype = _residue_dtype(p, 1)
     a = np.asarray(mats)
@@ -172,13 +184,12 @@ def _residue_stack(mats, p):
         a = np.array([int(x) % p for x in a.flat], dtype=object).reshape(a.shape)
     elif a.dtype.kind not in "biu":
         raise DomainError(f"batched_rank_mod_p needs integer entries, not {a.dtype}")
-    elif a.dtype == np.uint64 or dtype is object:
+    elif dtype is object:
         a = a.astype(object) % p
+    elif a.size and (a.min() < 0 or a.max() >= p):
+        a = a.astype(np.uint64 if a.dtype == np.uint64 else np.int64) % p
     _, rows, cols = a.shape
-    a = a.transpose((2, 1, 0) if rows >= cols else (1, 2, 0)).astype(dtype, order="C")
-    if a.size and (a.min() < 0 or a.max() >= p):
-        a %= p
-    return a
+    return a.transpose((2, 1, 0) if rows >= cols else (1, 2, 0)).astype(dtype, order="C")
 
 
 def _inverses(x, p):
@@ -213,7 +224,7 @@ def batched_rank_mod_p(mats, p):
     cols, rows, m = a.shape
     rank = np.zeros(m, dtype=np.int64)
     # Python ints cannot overflow: their block is never reduced
-    lazy = (2 ** 63 - 1 - p) // (p - 1) ** 2 if a.dtype == np.int64 else cols
+    lazy = cols if a.dtype == object else (np.iinfo(a.dtype).max - p) // (p - 1) ** 2
     free = np.ones((rows, m), dtype=bool)
     update = np.empty_like(a)
     at = np.arange(m)

@@ -49,6 +49,9 @@ count a split module whole, independently of its product over the summands.
 (n, n + 1), written with one 1 per column of each arrow matrix.
 ``rep_document`` writes an integral representation over Q as the JSON
 document of a ``--rep`` file, one entry at a time.
+``rank_mod_p`` ranks one integer matrix mod p by Gaussian elimination on
+Python ints, row by row: the oracle of the batched, lazily reduced,
+fixed-width rank kernel ``counting.batched_rank_mod_p``.
 """
 
 import random
@@ -255,6 +258,25 @@ def solve(a, b, field):
     for i, pc in enumerate(pivots):
         x[pc] = list(r[i][ca:])
     return tuple(tuple(row) for row in x)
+
+
+def rank_mod_p(rows, p):
+    """The rank mod p of an integer matrix given as a list of rows."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def coxeter_by_inverse(quiver):

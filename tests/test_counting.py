@@ -23,13 +23,14 @@ from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _annihilat
                                   batched_rank_mod_p, count_points,
                                   counting_polynomial, enumerate_subreps,
                                   euler_characteristic, gaussian_binomial, plan_count)
-from quivergrass.elliptic import demo as elliptic_demo, elliptic_quiver
+from quivergrass.elliptic import (curve_count, demo as elliptic_demo, elliptic_quiver,
+                                  elliptic_representation)
 from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, decompose, degenerate_flag_dec,
-                               flag_dec, interval_rep, poincare_polynomial)
+                               flag_dec, interval_rep, most_flat_dec, poincare_polynomial)
 
 from oracles import (classify_strata_ff, hide_summands, hom_fingerprint, mul, neg,
-                     rep_document, solve)
+                     rank_mod_p, rep_document, solve)
 
 A2 = linear_quiver(2)
 
@@ -143,6 +144,72 @@ def test_batched_rank_reduces_big_entries_before_narrowing():
     # -2**63 + 4 = 1 mod 5, so the determinant is 0 mod 5; eliminating the
     # unreduced entry would leave int64
     assert list(batched_rank_mod_p(np.array([[[1, 4], [4, -2 ** 63 + 4]]]), 5)) == [1]
+
+
+@pytest.mark.parametrize("p, width", [(181, np.int16), (191, np.int32),
+                                     (46337, np.int32), (46349, np.int64)])
+def test_batched_rank_at_the_width_edges(p, width):
+    # At the largest prime of a width (181, 46337) the lazy interval is one
+    # step, so the trailing block is reduced after every step.  At the first
+    # prime of the next width (191, 46349) it is not reduced within 12
+    # columns, and after two steps its entries can pass the narrower range.
+    assert counting._residue_dtype(p, 1) is width
+    rng = random.Random(p)
+    for rows, cols in ((12, 12), (16, 12), (12, 16)):
+        mats = [[[p - 1] * cols for _ in range(rows)]]
+        for _ in range(40):
+            inner = rng.randrange(1, min(rows, cols) + 2)
+            a = [[rng.choice((p - 1, p - 2, rng.randrange(p))) for _ in range(inner)]
+                 for _ in range(rows)]
+            b = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(cols)]
+                 for _ in range(inner)]
+            mats.append([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+                         for row in a])
+        got = batched_rank_mod_p(np.array(mats, dtype=np.int64), p)
+        assert got.tolist() == [rank_mod_p(m, p) for m in mats]
+        assert min(got) < min(rows, cols) == max(got)
+
+
+@pytest.mark.parametrize("p, width", [(53, np.int16), (59, np.int32)])
+def test_zero_map_star_counts_on_both_sides_of_the_int16_bound(p, width):
+    # n = 10: 10 (p-1)**2 < 2**15 - 1 holds at p = 53, not at 59
+    star = Quiver(3, [(1, 2), (1, 3)])
+    dims = (10, 2, 3)
+    assert counting._residue_dtype(p, max(dims)) is width
+    m = Representation(star, PrimeField(p), dims, [[[0] * 10] * 2, [[0] * 10] * 3])
+    for e in ((1, 1, 1), (4, 1, 2), (10, 2, 0), (0, 1, 2), (9, 0, 3), (5, 1, 1)):
+        want = 1
+        for d, x in zip(dims, e):
+            want *= gaussian_binomial(d, x, p)
+        assert count_points(m, e) == want, e
+
+
+def test_count_whose_products_pass_int16_at_a_prime_ranked_in_int16():
+    # p = 181 ranks in int16, but the image of the line (1, 180, 180) under
+    # (179, 180, 180) sums to 64979 = 181 * 359 before it is reduced, so the
+    # search at n = 3 runs wider; wrapped, that kernel line would be lost
+    p = 181
+    m = Representation(linear_quiver(3), PrimeField(p), (1, 3, 1),
+                       [[[0], [0], [0]], [[179, 180, 180]]])
+    assert count_points(m, (0, 1, 0)) == p + 1
+
+
+def test_the_width_each_fixture_gets():
+    # a later widening of any of these shows up here, not only as a slowdown
+    n = max(elliptic_representation().dims)
+    assert n == 10
+    for p in (2, 3, 5, 11, 13, 17):
+        assert counting._residue_dtype(p, n) is np.int16
+    for family in (flag_dec, degenerate_flag_dec, most_flat_dec):
+        m = family(3).to_representation(QQ)
+        assert max(m.dims) == 4
+        for e in ((0, 1, 2), (0, 1, 1)):
+            cp = counting_polynomial(m, e)
+            ladder = cp.primes + cp.held_out[:1]
+            assert max(ladder) <= 23
+            assert all(counting._residue_dtype(p, 4) is np.int16 for p in ladder)
+    assert counting._residue_dtype(2 ** 31 - 1, 1) is np.int64
+    assert counting._residue_dtype(2 ** 61 - 1, 1) is object
 
 
 def test_batched_rank_refuses_non_integer_entries():
@@ -537,6 +604,12 @@ def test_elliptic_counts_at_7_and_the_supersingular_11():
     assert elliptic_demo(7)["grassmannian_points"] == 12
 
 
+def test_elliptic_counts_at_13_and_the_supersingular_17():
+    # 17 = 2 mod 3, so the curve is supersingular over F_17: p + 1 points
+    assert elliptic_demo(13)["grassmannian_points"] == 12 == curve_count(13)
+    assert elliptic_demo(17)["grassmannian_points"] == 18 == 17 + 1
+
+
 def test_counting_polynomial_checks_budget_before_counting(monkeypatch):
     import quivergrass.counting as counting
 
@@ -726,6 +799,22 @@ def test_planned_count_equals_exhaustive(rep_and_e):
     assert count_points(m, e) == len(enumerate_subreps(m, e))
 
 
+@pytest.mark.parametrize("width", [np.int32, np.int64, object],
+                         ids=["int32", "int64", "object"])
+@_PROPERTY
+@given(small_reps())
+def test_planned_count_at_every_wider_width(width, rep_and_e):
+    # these fixtures run at int16, so forcing each wider width keeps an
+    # oracle on the int32, int64 and object paths of the engine and kernel
+    m, e = rep_and_e
+    assume(_tuples(m, e) <= 3000)
+    assert counting._residue_dtype(m.field.p, max(m.dims)) is np.int16
+    natural = count_points(m, e)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_residue_dtype", lambda p, n: width)
+        assert count_points(m, e) == natural == len(enumerate_subreps(m, e))
+
+
 @_PROPERTY
 @given(small_reps())
 def test_planned_count_is_dual_invariant(rep_and_e):
@@ -734,7 +823,8 @@ def test_planned_count_is_dual_invariant(rep_and_e):
     assert count_points(m, e) == count_points(dual(m), co_e)
 
 
-RANK_PRIMES = [2, 3, 5, 7, 2 ** 31 - 1, 3037000493, 3037000507, 2 ** 61 - 1]
+RANK_PRIMES = [2, 3, 5, 7, 181, 191, 46337, 46349, 2 ** 31 - 1, 3037000493, 3037000507,
+               2 ** 61 - 1]
 
 
 @st.composite
