@@ -37,7 +37,6 @@ print("kernel subobject X_S:", decompose(ge.x_s), " image subobject S^X:",
       decompose(ge.s_x))
 report = verify_multiplication(ge)
 print("multiplication formula residual is zero:", report.residual.is_zero())
-print("F-polynomial shadow residual is zero:", report.f_residual.is_zero())
 
 counts = psi_count_identity(ge, (1, 1, 1, 1), [2, 3])
 print("\npoint-count identity #Gr_e(Y) = sum of image sizes times fiber sizes:")

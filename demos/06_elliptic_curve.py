@@ -6,7 +6,9 @@ catalecticant slices span at most a line; that locus is exactly the variety
 of (0,1,1)-dimensional subrepresentations of a representation of the quiver
 .  <-  .  =>  .   (one arrow left, three arrows right).
 
-Both sides are counted over small prime fields by brute force; they agree.
+Both sides are counted over small prime fields and agree: the curve point by
+point, the Grassmannian by the planned count, which enumerates the lines of
+Sym^2 and sums the source Sym^3 in closed form.
 """
 
 import time

@@ -256,12 +256,10 @@ def _verify_mult(args, echo):
         "middle_term": ta.format_intervals(ta.decompose(ge.y)),
         "x_s": ta.format_intervals(ta.decompose(ge.x_s)),
         "s_x": ta.format_intervals(ta.decompose(ge.s_x)),
-        "dim_s_x": list(rep.s_x_dims),
-        "x_f": [0] * ge.s.quiver.vertex_count,
+        "dim_s_x": list(ge.s_x.dims),
         "lhs": rep.lhs.sorted_terms(),
         "rhs": rep.rhs.sorted_terms(),
         "residual": rep.residual.sorted_terms(),
-        "f_residual": rep.f_residual.sorted_terms(),
         "holds": rep.holds,
     }, {"engine": "cells"}
 
@@ -406,12 +404,9 @@ def _render_text(name, outputs):
     lines = [f"subcommand: {name}"]
 
     def walk(prefix, value):
-        if isinstance(value, dict):
-            for k in sorted(value):
-                walk(f"{prefix}{k}.", value[k]) if isinstance(value[k], dict) \
-                    else lines.append(f"{prefix}{k}: {json.dumps(value[k])}")
-        else:
-            lines.append(f"{prefix[:-1]}: {json.dumps(value)}")
+        for k in sorted(value):
+            walk(f"{prefix}{k}.", value[k]) if isinstance(value[k], dict) \
+                else lines.append(f"{prefix}{k}: {json.dumps(value[k])}")
 
     walk("", outputs)
     return "\n".join(lines) + "\n"

@@ -53,10 +53,8 @@ import numpy as np
 
 from . import linalg as la
 from . import rep as rp
-from .errors import BudgetError, DomainError, integer
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, integer
 from .fields import PrimeField, QQ, _is_prime
-
-DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 15  # matrices per batch of ``SubspaceIter.batches``
 
 
@@ -622,7 +620,7 @@ def _counting_polynomials(m_rep, es, primes=None, budget=DEFAULT_BUDGET):
     then run e by e, lazily, as the returned iterator is read.
     """
     if m_rep.field != QQ:
-        raise DomainError("counting_polynomial expects a representation over Q")
+        raise DomainError("counting polynomials need a representation over Q")
     es = [check_sub_dim_vector(m_rep, e) for e in es]
     bounds = [sum(ei * (di - ei) for ei, di in zip(e, m_rep.dims)) for e in es]
     if primes is not None and len(set(primes)) != len(primes):

@@ -7,8 +7,10 @@ maps psi_1, psi_2, psi_3 : Sym^3(V) -> Sym^2(V).  Packaging (phi; psi_*) as a
 representation of the quiver  . <- . => .  makes the curve the Grassmannian
 of subrepresentations of dimension vector (0,1,1).
 
-Both sides of that isomorphism are counted over F_p by brute force and must
-agree; nothing is assumed.
+Both sides of that isomorphism are counted over F_p and must agree; nothing
+is assumed.  The curve is counted point by point in P^2(F_p); the
+Grassmannian by the planned count (``counting.count_points``), which
+enumerates the lines of Sym^2(V) and sums the source Sym^3(V) in closed form.
 """
 
 from itertools import combinations_with_replacement
@@ -61,7 +63,8 @@ def elliptic_representation():
 
 
 def grassmannian_count(p, budget=DEFAULT_BUDGET):
-    """#Gr_(0,1,1) of the representation over F_p, by the counting oracle."""
+    """#Gr_(0,1,1) of the representation over F_p, by the planned count: the
+    lines of Sym^2 enumerated, the source Sym^3 summed in closed form."""
     return count_points(reduce_mod(elliptic_representation(), p), (0, 1, 1),
                         budget=budget)
 

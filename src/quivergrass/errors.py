@@ -2,12 +2,16 @@
 
 DomainError covers every precondition violation (bad vertex, shape mismatch,
 unstable subspaces, ...).  BudgetError signals that a finite-field enumeration
-would exceed its configured tuple budget; it carries the estimate so callers
-can report it.  ``integer`` is how every entry point takes an integer: a
-float, a Fraction or a string is refused with DomainError, never truncated.
+would exceed its configured tuple budget, or that an object built from a size
+alone would exceed the ceiling of DEFAULT_BUDGET entries; it carries the
+estimate so callers can report it.  ``integer`` is how every entry point takes
+an integer: a float, a Fraction or a string is refused with DomainError, never
+truncated.
 """
 
 from operator import index
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class DomainError(ValueError):

@@ -19,6 +19,8 @@ gives the width ``cols`` and the elimination never reads a zero entry;
 since arithmetic is exact, and the reduced echelon form is unique.
 """
 
+from .errors import DomainError
+
 
 def mat(rows, field):
     """Normalize nested iterables into an immutable matrix over ``field``."""
@@ -82,7 +84,7 @@ def rref(a, field, cols=None):
     """
     if cols is None:
         if a and isinstance(a[0], dict):
-            raise ValueError("rref: rows given as dicts need the column count cols")
+            raise DomainError("rref: rows given as dicts need the column count cols")
         cols = len(a[0]) if a else 0
     of, zero = field.of, field.zero
     lead = {}  # pivot column -> its pivot row, {column: value}, 1 at the pivot
@@ -136,7 +138,7 @@ def nullspace(a, field, cols):
     deterministic.
     """
     if a and not isinstance(a[0], dict) and len(a[0]) != cols:
-        raise ValueError(f"nullspace: matrix width {len(a[0])}, expected {cols}")
+        raise DomainError(f"nullspace: matrix width {len(a[0])}, expected {cols}")
     r, pivots = rref(a, field, cols)
     pivot_set = set(pivots)
     basis = []

@@ -24,7 +24,7 @@ from . import linalg as la
 from .errors import DomainError
 from .fields import field_from_name
 from .quiver import Quiver
-from .rep import Representation
+from .rep import Representation, check_matrix_ceiling
 from .typea import IntervalDecomposition, format_intervals
 
 _INTERVAL_TERM = re.compile(r"^U\[(\d+),(\d+)\](?:\^(\d+))?$")
@@ -89,7 +89,9 @@ def parse_rep_document(text):
 
     Returns the pair (representation, echo): the ``Representation`` it
     describes and the canonical document as a dict.  DomainError on any
-    invalid input, with the position for malformed JSON.
+    invalid input, with the position for malformed JSON; BudgetError, before
+    any matrix is built, when the arrow matrices would hold more entries than
+    the ceiling (``rep.check_matrix_ceiling``).
     """
     raw = _json_document(text)
     if not isinstance(raw, dict):
@@ -135,6 +137,10 @@ def parse_rep_document(text):
         raise DomainError("missing field 'dims'")
     if not isinstance(raw["matrices"], dict):
         raise DomainError("matrices must be an object from arrow index to matrix")
+    quiver = Quiver(vertices, arrows)
+    field = field_from_name(raw["field"])
+    dims = quiver.check_dim_vector(raw["dims"])
+    check_matrix_ceiling(quiver, dims, f"a representation of dimension vector {list(dims)}")
     matrices = {}
     for key, rows in raw["matrices"].items():
         try:
@@ -147,9 +153,6 @@ def parse_rep_document(text):
             raise DomainError(f"matrices[{a}] must be a list of rows")
         matrices[a] = [[_entry_to_fraction(x, f"matrices[{a}]") for x in row]
                        for row in rows]
-    quiver = Quiver(vertices, arrows)
-    field = field_from_name(raw["field"])
-    dims = quiver.check_dim_vector(raw["dims"])
     m_rep = Representation(quiver, field, dims, [
         matrices[a] if a in matrices else la.zeros(dims[t - 1], dims[s - 1], field)
         for a, (s, t) in enumerate(quiver.arrows)])

@@ -106,13 +106,10 @@ class IntervalDecomposition:
         v and v+1, at its place among the summands through v+1 and through v.
 
         BudgetError, before anything is allocated, when the arrow matrices
-        would hold more than DEFAULT_BUDGET entries.
+        would hold more than DEFAULT_BUDGET entries (``rep.check_matrix_ceiling``).
         """
         d = self.dims
-        size = sum(d[v - 1] * d[v] for v in range(1, self.n))
-        if size > DEFAULT_BUDGET:
-            raise BudgetError(f"the arrow matrices of {format_intervals(self)} would hold "
-                              f"{size} entries, over the ceiling {DEFAULT_BUDGET}", size)
+        rp.check_matrix_ceiling(self.quiver, d, self)
         zero, one = field.zero, field.one
         order = self._row_order()
         mats = []
@@ -147,15 +144,26 @@ def format_intervals(dec):
                       for (i, j), m in sorted(dec.m.items())) or "0"
 
 
+def _check_rank_ceiling(n):
+    """BudgetError when a rank sequence of A_n, one r[i,j] per i <= j, would
+    hold more than DEFAULT_BUDGET entries."""
+    size = n * (n + 1) // 2
+    if size > DEFAULT_BUDGET:
+        raise BudgetError(f"the rank sequence of A_{n} would hold {size} entries, "
+                          f"over the ceiling {DEFAULT_BUDGET}", size)
+
+
 def rank_sequence(m_rep):
     """{(i, j): r} with r the rank of the composite map from vertex i to j.
 
     The composites are kept as rows of {column: value} nonzeros, which
     ``la.rank`` reads as given: each step multiplies by the next arrow's
     nonzeros only, so the cost follows the nonzeros of the composites and
-    not the cube of the dimension.
+    not the cube of the dimension.  BudgetError, before anything is built,
+    when the n(n+1)/2 ranks are over the ceiling (``_check_rank_ceiling``).
     """
     n = _require_linear(m_rep.quiver)
+    _check_rank_ceiling(n)
     field = m_rep.field
     d = m_rep.dims
     # the arrow out of vertex s, as {column: value} rows
@@ -205,7 +213,9 @@ def multiplicities_from_ranks(n, r):
 
 
 def ranks_from_multiplicities(dec):
-    """{(i, j): r}: U[k,l] contributes to r[i,j] iff k <= i <= j <= l."""
+    """{(i, j): r}: U[k,l] contributes to r[i,j] iff k <= i <= j <= l.
+    BudgetError when the n(n+1)/2 ranks are over the ceiling."""
+    _check_rank_ceiling(dec.n)
     return {(i, j): sum(mult for (k, l), mult in dec.m.items() if k <= i and j <= l)
             for i in range(1, dec.n + 1) for j in range(i, dec.n + 1)}
 

@@ -10,6 +10,9 @@ isomorphism X/X_S = tau S^X.  ``convolve`` multiplies two
 polynomials term by term over exponent tuples, the oracle of the packed-key
 product ``SparsePoly.__mul__``, and ``substitute`` maps each exponent tuple
 through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.
+``f_identity_sides`` writes both sides of the F-polynomial form of the
+multiplication formula with ``convolve``, each F_M the cell count of M: the
+oracle of ``cluster.verify_multiplication``, which checks the CC form.
 ``pretty`` writes sorted terms as text one term at a time, the oracle of the
 table-driven ``SparsePoly.format``, and ``specialize_ones`` sums the
 coefficients (every variable set to 1).
@@ -65,8 +68,8 @@ from quivergrass import (QQ, DomainError, Representation, SubrepWitness, direct_
 from quivergrass.counting import enumerate_subreps
 from quivergrass.rep import morphism_image_witness
 from quivergrass.typea import (IntervalDecomposition, Stratum, coefficient_quiver, decompose,
-                               fixed_points, hom_dim_decs, interval_dims, interval_rep,
-                               translate)
+                               fixed_points, generating_function, hom_dim_decs,
+                               interval_dims, interval_rep, translate)
 
 
 def hom_fingerprint(test_family, n_rep):
@@ -142,6 +145,19 @@ def convolve(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def f_identity_sides(ge):
+    """F_X F_S and F_Y + y^(dim S^X) F_(X_S) F_(S/S^X) as {exponent:
+    coefficient} dicts, for a nonsplit generating extension: each F_M is
+    ``generating_function(decompose(M))`` and each product ``convolve``."""
+    f_x, f_s, f_y, f_xs, f_ssx = (generating_function(decompose(m))
+                                  for m in (ge.x, ge.s, ge.y, ge.x_s, ge.s_mod_sx))
+    rhs = dict(f_y.terms)
+    for e, c in convolve(f_xs, f_ssx).items():
+        e = tuple(a + b for a, b in zip(e, ge.s_x.dims))
+        rhs[e] = rhs.get(e, 0) + c
+    return convolve(f_x, f_s), {e: c for e, c in rhs.items() if c}
 
 
 def substitute(p, images, offset):

@@ -608,9 +608,9 @@ POLYNOMIAL_OUTPUT_DIGESTS = {
     ("cc", "most_flat", "machine"):
         "808b16a14c02743664b13268ba39876a3e354aaa1510b8fe9ae9ce0fbfbdca6e",
     ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", "text"):
-        "a9e9ea797c66188cb3b93475c88893aa149f5c6c2fe319e969d1e0da5989e6ef",
+        "895ab2ba07a74cc0739e20fdb674bdfaf08193bc644f0c74e8c7db256443b835",
     ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", "machine"):
-        "3348aadd777e071f536da29e315846ed031feccbdfab3e5216c10b4c1cc32448",
+        "1316e92ca3eb1e41b87b49499703ca3b002875dd8edacb189a2c33e8285470dd",
 }
 
 

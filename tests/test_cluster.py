@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (g_vector_from_injective_resolution, hide_summands,
+from oracles import (f_identity_sides, g_vector_from_injective_resolution, hide_summands,
                      injective_multiplicities, kronecker_preprojective, rep_document,
                      specialize_ones)
 from quivergrass import (QQ, DomainError, Quiver, Representation, direct_sum,
@@ -178,14 +178,16 @@ def test_computed_image_vs_shifted_interval():
     assert decompose(ge.s_x) == IntervalDecomposition(5, {(1, 3): 1})
     assert decompose(ge.x_s) == IntervalDecomposition(5, {(5, 5): 1})
     rep = verify_multiplication(ge)
-    assert rep.residual.is_zero() and rep.f_residual.is_zero()
+    assert rep.residual.is_zero()
+    lhs, rhs = f_identity_sides(ge)
+    assert lhs == rhs
 
 
 def test_verify_multiplication_a2():
     ge = make_generating(simple(A2, QQ, 1), simple(A2, QQ, 2))
     rep = verify_multiplication(ge)
     assert rep.holds
-    assert rep.s_x_dims == (1, 0)
+    assert ge.s_x.dims == (1, 0)
     # x^f = 1 rests on X/X_S = U[2,2] = tau S^X, which is asserted
     with pytest.raises(AssertionError):
         verify_multiplication(dataclasses.replace(ge, x_mod_xs=zero_rep(A2, QQ)))
@@ -218,12 +220,15 @@ def test_verify_multiplication_random_extensions():
                              interval_rep(quiver, QQ, k, l))
         rep = verify_multiplication(ge)
         assert rep.holds, ((i, j), (k, l), n)
+        lhs, rhs = f_identity_sides(ge)
+        assert lhs == rhs, ((i, j), (k, l), n)
         made += 1
 
 
 def test_decomposable_generating_extensions():
-    """Interval sums with a one-dimensional Ext space also satisfy both
-    identities; exercises translate computation on decomposable ends."""
+    """Interval sums with a one-dimensional Ext space also satisfy the
+    multiplication formula, in its CC and its F form, and the point-count
+    identity; exercises translate computation on decomposable ends."""
     import itertools
     from quivergrass.typea import ext_dim_decs
     rng = random.Random(5150)
@@ -247,6 +252,8 @@ def test_decomposable_generating_extensions():
                              xdec.to_representation(QQ))
         rep = verify_multiplication(ge)
         assert rep.holds, (sdec, xdec)
+        lhs, rhs = f_identity_sides(ge)
+        assert lhs == rhs, (sdec, xdec)
         for e in itertools.product(*(range(d + 1) for d in ge.y.dims)):
             assert psi_count_identity(ge, e, [2]).holds, (sdec, xdec, e)
         cases += 1

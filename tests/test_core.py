@@ -13,10 +13,12 @@ from quivergrass import (
     hom_basis, hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
     projective, quotient, restrict, simple, tangent_dim,
 )
-from quivergrass.ardynkin import classify
-from quivergrass.cluster import make_generating, psi_count_identity, verify_multiplication
+from quivergrass.ardynkin import classify, tau_dim
+from quivergrass.cluster import (cluster_character, f_polynomial, make_generating,
+                                 psi_count_identity, verify_multiplication)
 from quivergrass.counting import count_points
 from quivergrass.fields import _is_prime
+from quivergrass.poly import SparsePoly
 from quivergrass.rep import (arrow_stable, morphism_image_witness, morphism_kernel_witness,
                              nonzero_ext_cocycle, reduce_mod)
 from quivergrass.typea import (IntervalDecomposition, deg_leq_hom, deg_leq_ranks,
@@ -324,9 +326,8 @@ def test_nonsplit_extension_differs_from_split():
 
 
 def test_injective_exponent_matches_embedding_search():
-    # verify-mult writes x_f = 0 since X/X_S = tau S^X, which
-    # verify_multiplication asserts; a seeded embedding X/X_S -> tau S^X must
-    # then have no cokernel
+    # verify_multiplication takes x^f = 1 since X/X_S = tau S^X, which it
+    # asserts; a seeded embedding X/X_S -> tau S^X must then have no cokernel
     rng = random.Random(11)
 
     def rand_dec(n):
@@ -496,10 +497,23 @@ def test_prime_field_coerces_a_fraction_string_and_refuses_a_float():
     (lambda: deg_leq_hom(IntervalDecomposition(2, {}), IntervalDecomposition(3, {})),
      "different A_n quivers"),
     (lambda: elliptic.demo(1), "p must be a prime >= 2"),
+    (lambda: QQ.of(object()), "cannot coerce"),
+    (lambda: A2.check_dim_vector(3), "dimension vector entries must be integers"),
+    (lambda: SparsePoly(2, {(1,): 1}), "wrong arity for 2 variables"),
+    (lambda: tau_dim(A2, (2, 1)), "(2, 1) is not the dimension vector"),
+    (lambda: la.rref([{0: QQ.one}], QQ), "need the column count"),
+    (lambda: la.nullspace([[QQ.one, QQ.zero]], QQ, 3), "matrix width 2, expected 3"),
+    # the ladder's own check, worded for every caller of the ladder
+    (lambda: f_polynomial(simple(A2, PrimeField(5), 1), strategy="count"),
+     "counting polynomials need a representation over Q"),
+    (lambda: cluster_character(simple(A2, PrimeField(5), 1), strategy="count"),
+     "counting polynomials need a representation over Q"),
 ], ids=["classify-empty", "negative-vertex-count", "negative-dims", "matrix-count",
         "simple-vertex", "projective-vertex", "empty-direct-sum", "witness-bases",
         "cocycle-count", "ext-zero-cocycle", "reduce-gf-p", "interval-rep",
-        "negative-interval-n", "deg-leq-ranks-n", "deg-leq-hom-n", "elliptic-p"])
+        "negative-interval-n", "deg-leq-ranks-n", "deg-leq-hom-n", "elliptic-p",
+        "qq-of-object", "dims-not-iterable", "exponent-arity", "tau-dim-non-root",
+        "rref-dict-rows-no-cols", "nullspace-width", "fpoly-count-gf-p", "cc-count-gf-p"])
 def test_library_refusals(call, message):
     with pytest.raises(DomainError) as err:
         call()

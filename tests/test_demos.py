@@ -19,7 +19,7 @@ STDOUT_DIGESTS = {
         "8a063a01434d40cadf16498e7e04193cde9a2dd6871d100c0d51e987d0706456",
     "04_ar_quiver.py": "a3b08a59e64b98e90870435de28db2934c99ac23a76fde1d801505ae6f897b5a",
     "05_cluster_characters.py":
-        "5fa5cbc34d502d406be254d3828332bfe53209f9244bf781290e9f22d4418f67",
+        "36065b1d4b0339487bc5a85273f8c1c0c4c3c4cb309bc24dca533cc3040fb99a",
     "06_elliptic_curve.py": "878dde0ee29ad8d37fa9731a99ff93595f3d76223651f0f4f4b55d711740d2d2",
 }
 

@@ -3,8 +3,10 @@ interpreter that caps its own address space at 2 GB and is killed after a
 timeout, and must exit 0-3 with no traceback on stderr.
 
 The rows are inputs that once escaped as a raw exception (recursion depth,
-the interpreter's limit on int <-> str conversion) and inputs that have
-always ended cleanly.  ``{dir}`` in an argv is the directory of the fixture
+the interpreter's limit on int <-> str conversion), inputs that once
+allocated until memory or time ran out (a rep file's omitted matrices built
+densely, the n(n+1)/2 ranks of a long A_n) and inputs that have always ended
+cleanly.  ``{dir}`` in an argv is the directory of the fixture
 files.
 """
 
@@ -40,6 +42,10 @@ FILES = {
                                  "dims": [1, 1], "matrices": {}}),
     "kronecker3.rep": json.dumps({"vertices": 2, "arrows": [[1, 2]] * 3, "field": "Q",
                                   "dims": [1, 1], "matrices": {}}),
+    "dims-1e30.rep": json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
+                                 "dims": [1, 10 ** 30], "matrices": {}}),
+    "dims-1e8.rep": json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
+                                "dims": [1, 10 ** 8], "matrices": {}}),
 }
 
 LONG_PATH = ["--intervals", "U[1,1500]", "--n", "1500"]
@@ -64,6 +70,10 @@ ROWS = {
     "oriented-cycle": (["count", "--rep", "{dir}/cycle.rep", "--e", "1,1", "--p", "2"], 2),
     "ar-quiver-kronecker": (["ar-quiver", "--rep", "{dir}/kronecker.rep"], 2),
     "ar-quiver-3-kronecker": (["ar-quiver", "--rep", "{dir}/kronecker3.rep"], 2),
+    "euler-omitted-matrix-1e30": (["euler", "--rep", "{dir}/dims-1e30.rep", "--e", "0,0"], 3),
+    "gvector-omitted-matrix-1e8": (["gvector", "--rep", "{dir}/dims-1e8.rep"], 3),
+    "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
+    "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
 }
 
 
