@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 unknown subcommand, 2 usage errors (a flag the
 subcommand does not take, a missing required flag, a malformed integer) and
 domain errors (including malformed files, reported with their position), 3
 budget errors.  Machine output is one canonical JSON document (sorted keys,
-fixed separators), so identical inputs produce byte-identical output.
+fixed separators), so identical inputs produce byte-identical output.  The
+term list of a polynomial answer goes into it as the JSON text that
+``SparsePoly.render`` wrote with the answer's text form, never as a list of
+terms for json.dumps to walk.
 
 Vertices are 1-based in files, matching the standard labeling; arrow indices
 (the keys of "matrices") are 0-based positions in the "arrows" list.
@@ -159,6 +162,21 @@ def _count_poly_json(cp):
     return out
 
 
+class _Terms:
+    """The term list of a polynomial as the JSON text ``SparsePoly.render``
+    wrote: a top-level output, put into the document as it is (``_json``)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _terms(poly):
+    """The term list of a polynomial whose text is not printed."""
+    return _Terms(poly.render([""] * poly.nvars)[0])
+
+
 # Each runner takes the parsed flags (after ``_inputs``) and the echoed
 # inputs, and returns the outputs and the provenance.
 
@@ -228,7 +246,7 @@ def _fpoly(args, echo):
     fp = cluster.f_polynomial(args.m, strategy=args.strategy, budget=args.budget)
     names = [f"y{i}" for i in range(1, args.m.quiver.vertex_count + 1)]
     terms, pretty = fp.render(names)
-    return {"f_polynomial": terms, "pretty": pretty},\
+    return {"f_polynomial": _Terms(terms), "pretty": pretty},\
         {"engine": args.strategy, "budget": args.budget}
 
 
@@ -240,7 +258,7 @@ def _cc(args, echo):
     ccp = cluster.cluster_character(args.m, strategy=args.strategy, budget=args.budget)
     names = [f"{c}{i}" for c in "xy" for i in range(1, args.m.quiver.vertex_count + 1)]
     terms, pretty = ccp.render(names)
-    return {"cluster_character": terms, "pretty": pretty},\
+    return {"cluster_character": _Terms(terms), "pretty": pretty},\
         {"engine": args.strategy, "budget": args.budget}
 
 
@@ -257,9 +275,9 @@ def _verify_mult(args, echo):
         "x_s": ta.format_intervals(ta.decompose(ge.x_s)),
         "s_x": ta.format_intervals(ta.decompose(ge.s_x)),
         "dim_s_x": list(ge.s_x.dims),
-        "lhs": rep.lhs.sorted_terms(),
-        "rhs": rep.rhs.sorted_terms(),
-        "residual": rep.residual.sorted_terms(),
+        "lhs": _terms(rep.lhs),
+        "rhs": _terms(rep.rhs),
+        "residual": _terms(rep.residual),
         "holds": rep.holds,
     }, {"engine": "cells"}
 
@@ -400,16 +418,45 @@ def _parse(name, argv):
     return parser.parse_args(argv)
 
 
+# the canonical form: sorted keys, no spaces
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json(value, spaced):
+    """The JSON of one output: a term list (``_Terms``) as it was written,
+    with a space after each comma in the text form, which is exact because
+    it holds only integers, brackets and commas; any other value by
+    json.dumps, with the separators of the form."""
+    if type(value) is _Terms:
+        return value.text.replace(",", ", ") if spaced else value.text
+    return json.dumps(value) if spaced else _encode(value)
+
+
 def _render_text(name, outputs):
     lines = [f"subcommand: {name}"]
 
     def walk(prefix, value):
         for k in sorted(value):
             walk(f"{prefix}{k}.", value[k]) if isinstance(value[k], dict) \
-                else lines.append(f"{prefix}{k}: {json.dumps(value[k])}")
+                else lines.append(f"{prefix}{k}: {_json(value[k], True)}")
 
     walk("", outputs)
     return "\n".join(lines) + "\n"
+
+
+def _render_machine(name, echo, outputs, provenance):
+    """The canonical document.  Where no output is a term list it is one
+    json.dumps; else its parts are written in the order json.dumps would
+    write them, the outputs one by one."""
+    if not any(type(v) is _Terms for v in outputs.values()):
+        return _encode({"subcommand": name, "inputs": echo, "outputs": outputs,
+                        "provenance": provenance}) + "\n"
+    parts = ['{"inputs":', _encode(echo), ',"outputs":{']
+    for k, v in sorted(outputs.items()):
+        parts += [_encode(k), ":", _json(v, False), ","]
+    parts[-1] = '},"provenance":'
+    parts += [_encode(provenance), ',"subcommand":', _encode(name), "}\n"]
+    return "".join(parts)
 
 
 @contextlib.contextmanager
@@ -429,7 +476,12 @@ def _all_digits():
 
 
 def run(argv):
-    """Dispatch one invocation; returns (exit_code, rendered output string)."""
+    """Dispatch one invocation; returns (exit_code, rendered output string).
+
+    The runner's outputs are written in the text form line by line, each
+    value as json.dumps writes it, or as the one canonical machine document
+    (``_render_machine``).  A term list (``_Terms``) is the same JSON text in
+    both, with a space after each comma in the text form."""
     if not argv:
         return 1, "error: no subcommand given; expected one of: " \
             + ", ".join(COMMANDS) + "\n"
@@ -448,9 +500,7 @@ def run(argv):
             provenance.setdefault("version", __version__)
             if args.format == "text":
                 return 0, _render_text(name, outputs)
-            doc = {"subcommand": name, "inputs": echo,
-                   "outputs": outputs, "provenance": provenance}
-            return 0, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            return 0, _render_machine(name, echo, outputs, provenance)
     except _Stop as stop:
         return stop.args
     except DomainError as ex:

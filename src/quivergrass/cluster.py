@@ -29,7 +29,7 @@ from . import rep as rp
 from . import typea as ta
 from .counting import (DEFAULT_BUDGET, _counting_polynomials, count_points,
                        euler_characteristic)
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .fields import QQ
 from .poly import SparsePoly
 from .quiver import euler_form
@@ -45,14 +45,15 @@ def exchange_matrix(quiver):
     return tuple(tuple(row) for row in b)
 
 
-def _units(n):
-    """The unit vectors of Z^n."""
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-
 def g_vector(m):
-    """(g_M)_i = -<S_i, dim M>, for a representation or an IntervalDecomposition."""
-    return tuple(-euler_form(m.quiver, u, m.dims) for u in _units(m.quiver.vertex_count))
+    """(g_M)_i = -<S_i, dim M> = -(d_i - sum of d_t(a) over the arrows a out
+    of i), in one pass over the arrows, for a representation or an
+    IntervalDecomposition."""
+    d = m.dims
+    g = [-x for x in d]
+    for s, t in m.quiver.arrows:
+        g[s - 1] += d[t - 1]
+    return tuple(g)
 
 
 def _sub_dim_vectors(d):
@@ -153,12 +154,17 @@ def cluster_character(m, strategy="cells", budget=DEFAULT_BUDGET):
     A sparse polynomial in 2n variables x_1..x_n, y_1..y_n with the x
     exponents allowed to be negative: F_M under a ring map, applied to its
     key array at once (``SparsePoly.monomial_image``).  m is a representation or
-    an IntervalDecomposition, as for ``euler_char_table``.
+    an IntervalDecomposition, as for ``euler_char_table``.  BudgetError before
+    anything is built when the ring map's n images of 2n exponents would pass
+    DEFAULT_BUDGET entries.
     """
     n = m.quiver.vertex_count
+    if 2 * n * n > DEFAULT_BUDGET:
+        raise BudgetError(f"the cluster character of a module on {n} vertices would map "
+                          f"{2 * n * n} exponents, over the ceiling {DEFAULT_BUDGET}", 2 * n * n)
     b = exchange_matrix(m.quiver)
     return euler_char_table(m, strategy=strategy, budget=budget).monomial_image(
-        [tuple(row[j] for row in b) + u for j, u in enumerate(_units(n))],
+        [tuple(row[j] for row in b) + tuple(int(i == j) for i in range(n)) for j in range(n)],
         g_vector(m) + (0,) * n)
 
 

@@ -54,21 +54,23 @@ the slot array, a packing and a re-sort.  The image's shift is c + A shift
 less the spreads low that negative entries of A can subtract, its spread is
 |A| times the old spread, and keys that meet add up.
 
-The text form (``format``, ``render``) writes each distinct piece once.  The
-variables are split in two halves and each term's exponents in a half read
-as one mixed-radix code; one sort of both halves' codes and the coefficient
-magnitudes, a ``np.unique`` that also keeps a term carrying each value,
-leaves a few hundred pieces to write as strings.  One pass over the terms
-lays out sign, coefficient and the two half-monomials, and one join makes
-the text.
+``render`` writes the JSON of the terms and their text (``format``) from one
+table of distinct pieces, each written once: an exponent of one variable,
+with its JSON and its text, and a coefficient, with its JSON and the head of
+a term in the text.  Indexing the table with every term's entries lays out
+an array of pieces per form, and one join makes each.  No tuple per term is
+built, and the JSON is what json.dumps(sorted_terms(), separators=(",", ":"))
+writes.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, index, mul, sub
 
 import numpy as np
 
-from .errors import DomainError, integer
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, integer
 
 # entries of the outer arrays of one block of a product (``SparsePoly.__mul__``)
 _BLOCK = 1 << 16
@@ -101,10 +103,15 @@ def _layout(nvars, width):
     key when the key fits an int64): the (nvars, runs) weights that take the
     shifted exponents to the value of each run, degree slot included, and
     per run its bit offset in the key, its bit length and the shifts of its
-    variable slots."""
+    variable slots.  BudgetError before it allocates when the weights would
+    number more than DEFAULT_BUDGET."""
     bits = 8 * width
     per = max(1, 63 // bits)
     nslots = nvars + 1
+    size = nvars * -(-nslots // per)
+    if size > DEFAULT_BUDGET:
+        raise BudgetError(f"the keys of {nvars} variables would need {size} weights, "
+                          f"over the ceiling {DEFAULT_BUDGET}", size)
     dtype = _dtype(1 << bits * per)
     weights = np.zeros((nvars, -(-nslots // per)), dtype=dtype)
     runs = []
@@ -336,88 +343,99 @@ class SparsePoly:
         return self.render(names)[1]
 
     def render(self, names):
-        """(sorted_terms(), format(names)), the text written from the exponent
-        tuples of the terms; JSON writes the (exponent tuple, coefficient)
-        pairs as [[e1, ...], c].  DomainError unless there is one name per
-        variable."""
+        """(the JSON text of sorted_terms(), format(names)).  The JSON is what
+        json.dumps(sorted_terms(), separators=(",", ":")) writes, each term a
+        pair [[e1, ...], c]; it holds only integers, brackets and commas, so
+        putting a space after each comma gives the default json.dumps text.
+        Both are written from one table of distinct pieces (``_texts``).
+        DomainError unless there is one name per variable."""
         if len(names) != self.nvars:
             raise DomainError(f"need {self.nvars} variable names, got {len(names)}")
-        keys, _, spread, width, coeffs = self._packed
-        exps = self._exponent_tuples()
-        # the text before the pairs, and from keys unpacked afresh: the
-        # temporaries of the text never meet the slot array or the pairs
-        text = _pretty(_unpack(keys, self.nvars, width), exps, coeffs, spread, names)
-        return list(zip(exps, coeffs.tolist())), text
+        keys, shift, spread, width, coeffs = self._packed
+        return _texts(_unpack(keys, self.nvars, width), shift, spread, coeffs, names)
 
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {dict(self.sorted_terms())})"
 
 
-def _pretty(u, exps, coeffs, spread, names):
-    """Terms in key order as text, e.g. "1 + 2*y2 - y1^-1*y2^2"; "0" for no
-    terms.  u: the shifted exponents, exps: the exponent tuples.
+def _distinct(a):
+    """(the distinct entries of a 1-D array in ascending order, as a list,
+    and where each entry's value sits among them): one sort, as np.unique."""
+    order = a.argsort()
+    first = _group_starts(a[order])
+    where = np.empty(a.size, dtype=np.intp)
+    where[order] = first.cumsum() - 1
+    return a[order[first]].tolist(), where
 
-    Each distinct piece of text is written once.  The variables are split in
-    two halves, each term's shifted exponents in a half read as one
-    mixed-radix code, and one sort runs over both halves' codes and the
-    coefficient magnitudes, laid side by side in disjoint ranges.  A pass
-    over the terms then lays out the pieces, and one join makes the text.
+
+def _texts(u, shift, spread, coeffs, names):
+    """(JSON, text) of the terms in key order, e.g. "[[[0,1],2],[[1,1],-1]]"
+    and "2*y2 - y1*y2"; "[]" and "0" for no terms.  u: the shifted exponents.
+
+    Each distinct piece of either is written once, into a table that holds
+    its JSON and its text: an exponent of one variable, and a coefficient.
+    Variable i's shifted exponents are laid in [base_i, base_i + spread_i];
+    while those ranges together hold no more slots than u has entries, the
+    table lists them all and u + base indexes it, else it lists the distinct
+    entries of one sort.  The coefficients are sorted once the same way.
+    Indexing a table with every term's entries gives an (m, nvars + 1) array
+    of pieces per form, and one join writes it.  In the text a variable's
+    piece carries a leading "*" where an earlier variable of its term shows,
+    and each term opens with a head of sign and coefficient ("" for 1 before
+    a monomial).
     """
     m, nvars = u.shape
     if not m:
-        return "0"
-    halves = (range(nvars // 2), range(nvars // 2, nvars))
-    # the place of each variable within its half's code, and the code ranges
-    places = [[0] * 3 for _ in range(nvars)]
-    offsets = [0]
-    for k, half in enumerate(halves):
-        radix = 1
-        for i in reversed(half):
-            places[i][k] = radix
-            radix *= spread[i] + 1
-        offsets.append(offsets[-1] + radix)
-    magnitudes = abs(coeffs)
-    dtype = _dtype(offsets[2] + 1 + int(magnitudes.max()))
-    code = u.astype(dtype, copy=False) @ np.array(places, dtype=dtype).reshape(nvars, 3)
-    code += np.array(offsets, dtype=dtype)
-    code[:, 2] += magnitudes.astype(dtype, copy=False)
-    del u  # the caller's only reference: freed before the sort's temporaries
-    # one sort of all codes, as np.unique does, keeping also a term that
-    # carries each distinct piece: its exponents show how to write it
-    code = code.ravel()
-    order = code.argsort()
-    first = _group_starts(code[order])
-    inverse = np.empty(code.size, dtype=np.intp)
-    inverse[order] = first.cumsum() - 1
-    inverse = inverse.reshape(m, 3)
-    values, carriers = code[order[first]].tolist(), (order[first] // 3).tolist()
-    del code, order, first
-    texts = []
-    for v, t in zip(values, carriers):
-        if v >= offsets[2]:
-            texts.append(str(v - offsets[2]))
-            continue
-        e = exps[t]
-        half = halves[0 if v < offsets[1] else 1]
-        texts.append("*".join([names[i] if e[i] == 1 else f"{names[i]}^{e[i]}"
-                               for i in half if e[i]]))
-    lefts, rights, numbers = np.array(texts, dtype=object)[inverse].T.tolist()
-    del inverse
-    # one pass lays out sign, coefficient (not at all when it is 1 before a
-    # monomial) and the two half-monomials of each term
-    pieces = []
-    append = pieces.append
-    for c, number, left, right in zip(coeffs.tolist(), numbers, lefts, rights):
-        append(" - " if c < 0 else " + ")
-        if not (left or right):
-            append(number)
-            continue
-        if c != 1 and c != -1:
-            append(number)
-            append("*")
-        append(left)
-        if left and right:
-            append("*")
-        append(right)
-    pieces[0] = "-" if coeffs[0] < 0 else ""
-    return "".join(pieces)
+        return "[]", "0"
+    base = list(accumulate((s + 1 for s in spread), initial=0))
+    slots = u + np.array(base[:-1], dtype=u.dtype)
+    del u  # the caller's only reference
+    if base[-1] <= slots.size:
+        entries = [(i, shift[i] + v) for i in range(nvars) for v in range(spread[i] + 1)]
+    else:
+        found, slots = _distinct(slots.ravel())
+        slots = slots.reshape(m, nvars)
+        entries = []
+        for x in found:
+            i = bisect_right(base, x) - 1
+            entries.append((i, shift[i] + x - base[i]))
+    values, which = _distinct(coeffs)
+    k, c = len(entries), len(values)
+    # the pieces: of each entry its JSON, its text, and its text after an
+    # earlier variable; of each coefficient its JSON, and the head of a term
+    # in the text alone and before a monomial
+    close = "" if nvars else "],"
+    texts = ["" if not e else names[i] if e == 1 else f"{names[i]}^{e}" for i, e in entries]
+    variables = np.array([f"{e}]," if i == nvars - 1 else f"{e}," for i, e in entries]
+                         + texts + [t and f"*{t}" for t in texts], dtype=object)
+    heads = [(" - " if x < 0 else " + ", abs(x)) for x in values]
+    coefficients = np.array([f"{close}{x}],[[" for x in values]
+                            + [f"{s}{a}" for s, a in heads]
+                            + [s if a == 1 else f"{s}{a}*" for s, a in heads], dtype=object)
+    # JSON: "[[" e_1 "," ... e_n "]," c "]" per term, joined by ","; the
+    # piece of a coefficient also opens the next term
+    pieces = np.empty((m, nvars + 1), dtype=object)
+    pieces[:, :nvars] = variables[slots]
+    pieces[:, nvars] = coefficients[which]
+    out = pieces.ravel().tolist()
+    out[0] = "[[[" + out[0]
+    out[-1] = out[-1][:-3] + "]"
+    terms = "".join(out)
+    del out
+    # text: the head, then the variables that show, "*" before each but the
+    # first; seen[:, j] is whether a variable before the j-th shows
+    seen = np.zeros((m, nvars + 1), dtype=bool)
+    np.logical_or.accumulate(np.array([e != 0 for _, e in entries], dtype=bool)[slots],
+                             axis=1, out=seen[:, 1:])
+    slots += k
+    np.add(slots, k, out=slots, where=seen[:, :-1])
+    pieces[:, 1:] = variables[slots]
+    del slots
+    which += c
+    np.add(which, c, out=which, where=seen[:, -1])
+    pieces[:, 0] = coefficients[which]
+    del seen, which
+    out = pieces.ravel().tolist()
+    del pieces
+    out[0] = ("-" if out[0][1] == "-" else "") + out[0][3:]
+    return terms, "".join(out)

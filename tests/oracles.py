@@ -40,7 +40,8 @@ check that dimension vectors are additive on them.
 ``g_vector_from_injective_resolution`` reads g = [I_1] - [I_0] off the
 minimal injective resolution (socle dimensions by rank, the multiplicities
 of I_1 by ``injective_multiplicities``), the oracle of ``cluster.g_vector``,
-which reads -<S_i, dim M> off the Euler form.
+which sums over the arrows once.  ``g_vector_by_euler_form`` is its second
+oracle, -<S_i, dim M> by one Euler form per unit vector S_i.
 ``incidence_by_scan`` reads a quiver's incidence by scanning its arrow list
 for every question, as ``Quiver`` once did: the oracle of the arrow index
 the constructor builds once.
@@ -363,6 +364,13 @@ def g_vector_from_injective_resolution(m_rep):
     i0 = tuple(sum(a[k] * inj_dims[k][v] for k in range(n)) for v in range(n))
     i1 = tuple(i0[v] - m_rep.dims[v] for v in range(n))
     return tuple(bv - av for bv, av in zip(injective_multiplicities(q, i1), a))
+
+
+def g_vector_by_euler_form(m):
+    """(g_M)_i = -<S_i, dim M>, one Euler form per unit vector S_i."""
+    n = m.quiver.vertex_count
+    return tuple(-euler_form(m.quiver, tuple(int(i == j) for j in range(n)), m.dims)
+                 for i in range(n))
 
 
 def incidence_by_scan(quiver):

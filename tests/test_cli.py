@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from quivergrass import cluster
 from quivergrass.cli import COMMANDS, _parser, main, run
 from quivergrass.counting import gaussian_binomial
 from quivergrass.errors import DomainError
@@ -756,6 +757,48 @@ def test_verify_mult_output_bytes_are_pinned(tmp_path, fmt):
     code, text = run(["verify-mult", "--x", str(xp), "--s", str(sp), "--format", fmt])
     key = ("verify-mult", "U[1,3] + U[3,3] by U[1,2]", fmt)
     assert code == 0 and _sha256(text) == POLYNOMIAL_OUTPUT_DIGESTS[key]
+
+
+def _outputs(text, fmt):
+    """The outputs of a document: machine format parsed whole, text format
+    line by line after the subcommand line."""
+    if fmt == "machine":
+        return json.loads(text)["outputs"]
+    return {k: json.loads(v) for k, _, v in (line.partition(": ")
+                                              for line in text.splitlines()[1:])}
+
+
+def _term_list(poly):
+    return [[list(e), c] for e, c in poly.sorted_terms()]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_term_lists_read_back_as_the_sorted_terms(tmp_path, fmt):
+    """fpoly, cc and verify-mult write each term list from the JSON that
+    ``render`` wrote; parsed back it is ``sorted_terms()``, with negative
+    exponents (cc) and an empty residual."""
+    kronecker = tmp_path / "kronecker.rep"
+    kronecker.write_text(json.dumps(COUNT_STRATEGY_DOCUMENTS["kronecker (1,2)"]))
+    mods = [(["--intervals", "U[1,2] + U[2,3]^2 + U[3,3]", "--n", "3"],
+             IntervalDecomposition(3, {(1, 2): 1, (2, 3): 2, (3, 3): 1}), "cells"),
+            (["--rep", str(kronecker)], parse_rep_document(kronecker.read_text())[0], "count")]
+    for argv, m, strategy in mods:
+        for sub, key, build in (("fpoly", "f_polynomial", cluster.f_polynomial),
+                                ("cc", "cluster_character", cluster.cluster_character)):
+            code, text = run([sub, *argv, "--strategy", strategy, "--format", fmt])
+            assert code == 0
+            assert _outputs(text, fmt)[key] == _term_list(build(m, strategy=strategy))
+    a3 = {"vertices": 3, "arrows": [[1, 2], [2, 3]], "field": "Q"}
+    for x, s_ in (("U[1,3] + U[3,3]", "U[1,2]"), ("U[3,3]", "U[2,2]")):
+        xp, sp = tmp_path / "x.rep", tmp_path / "s.rep"
+        xp.write_text(json.dumps(dict(a3, intervals=x)))
+        sp.write_text(json.dumps(dict(a3, intervals=s_)))
+        code, text = run(["verify-mult", "--x", str(xp), "--s", str(sp), "--format", fmt])
+        out = _outputs(text, fmt)
+        report = cluster.verify_multiplication(cluster.make_generating(
+            parse_rep_document(sp.read_text())[0], parse_rep_document(xp.read_text())[0]))
+        assert code == 0 and out["holds"] is True and out["residual"] == []
+        assert (out["lhs"], out["rhs"]) == (_term_list(report.lhs), _term_list(report.rhs))
 
 
 # sha256 of the output of the count strategy with its F-polynomial stored as a

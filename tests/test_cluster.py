@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (f_identity_sides, g_vector_from_injective_resolution, hide_summands,
+from oracles import (f_identity_sides, g_vector_by_euler_form,
+                     g_vector_from_injective_resolution, hide_summands,
                      injective_multiplicities, kronecker_preprojective, rep_document,
                      specialize_ones)
 from quivergrass import (QQ, DomainError, Quiver, Representation, direct_sum,
@@ -58,6 +59,28 @@ def test_g_vector_against_injective_resolution():
         mods.append(degenerate_flag_dec(quiver.vertex_count).to_representation(QQ))
     for m in mods:
         assert g_vector(m) == g_vector_from_injective_resolution(m)
+
+
+@st.composite
+def semisimple_on_random_quivers(draw):
+    """A semisimple module on an acyclic quiver with parallel arrows and
+    vertices of several arrows in and out: arrows point from the earlier to
+    the later vertex of a random order."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda a: a[0] < a[1]), max_size=10))
+    arrows = [(rank[a], rank[b]) for a, b in pairs]
+    quiver = Quiver(n, arrows + arrows[:2])
+    dims = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return direct_sum(zero_rep(quiver, QQ), *(simple(quiver, QQ, k + 1)
+                                              for k, d in enumerate(dims) for _ in range(d)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(semisimple_on_random_quivers())
+def test_g_vector_against_the_euler_form(m):
+    assert g_vector(m) == g_vector_by_euler_form(m)
 
 
 @pytest.mark.parametrize("quiver", [linear_quiver(n) for n in range(1, 6)]

@@ -3,8 +3,10 @@ the packed monomial image against the plain substitution, the table-driven
 text against the term-by-term one, and the checks on what a polynomial may
 be built from, added to and multiplied by."""
 
+import json
 from fractions import Fraction
 from operator import add, sub
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,9 +311,10 @@ def test_terms_leave_as_python_ints(pair):
     image = p.monomial_image([(1,) * p.nvars] * p.nvars, (0,) * p.nvars)
     for poly in (p, p * q, image):
         names = [f"y{i}" for i in range(poly.nvars)]
-        for terms in (list(poly.terms.items()), poly.sorted_terms(), poly.render(names)[0]):
+        for terms in (list(poly.terms.items()), poly.sorted_terms()):
             assert all(type(e) is tuple and type(c) is int and all(type(x) is int for x in e)
                        for e, c in terms)
+        assert poly.render(names)[0] == json.dumps(poly.sorted_terms(), separators=(",", ":"))
 
 
 def laurent(nvars):
@@ -331,7 +334,48 @@ def test_format_equals_the_term_by_term_text(pair):
     assert p.format(names) == pretty(p.sorted_terms(), names)
     # a product, whose keys the constructor never packed
     pq = p * q
-    assert pq.render(names) == (pq.sorted_terms(), pretty(pq.sorted_terms(), names))
+    assert pq.render(names) == (json.dumps(pq.sorted_terms(), separators=(",", ":")),
+                                pretty(pq.sorted_terms(), names))
+
+
+# negative exponents and exponents past 2**32 and 2**64, in every slot width
+WIDE_EXPONENTS = st.one_of(st.integers(-3, 3), st.integers(-300, 300),
+                           st.sampled_from([-2 ** 33, 2 ** 33, 2 ** 63, 2 ** 64]),
+                           st.integers(-2 ** 70, 2 ** 70))
+
+
+def wide(nvars):
+    """Polynomials in nvars variables, the zero polynomial included."""
+    exps = st.tuples(*[WIDE_EXPONENTS] * nvars)
+    return st.dictionaries(exps, COEFFICIENTS, max_size=8).map(
+        lambda terms: SparsePoly(nvars, terms))
+
+
+def _json_of_sorted_terms(poly):
+    """render's JSON equals json.dumps of sorted_terms in both separator
+    forms; a space after each comma gives the default one."""
+    terms = poly.render([f"y{i}" for i in range(poly.nvars)])[0]
+    assert terms == json.dumps(poly.sorted_terms(), separators=(",", ":"))
+    assert terms.replace(",", ", ") == json.dumps(poly.sorted_terms())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0, 1, 2, 3, 4]).flatmap(lambda n: st.tuples(wide(n), wide(n))),
+       st.data())
+def test_render_writes_the_json_of_the_sorted_terms(pair, data):
+    """Polynomials as built, products summed in blocks of one row of the
+    shorter operand (cancellations included), and monomial images, the
+    cluster-character route, into 0 to 4 variables."""
+    p, q = pair
+    with mock.patch("quivergrass.poly._BLOCK", 1):
+        products = (p * q, q * p)
+    nout = data.draw(st.integers(0, 4))
+    image = p.monomial_image(
+        data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * nout),
+                           min_size=p.nvars, max_size=p.nvars)),
+        data.draw(st.tuples(*[WIDE_EXPONENTS] * nout)))
+    for poly in (p, q, p - p, *products, image):
+        _json_of_sorted_terms(poly)
 
 
 @pytest.mark.parametrize("block", [1, 5, 17])

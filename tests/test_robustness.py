@@ -5,9 +5,10 @@ timeout, and must exit 0-3 with no traceback on stderr.
 The rows are inputs that once escaped as a raw exception (recursion depth,
 the interpreter's limit on int <-> str conversion), inputs that once
 allocated until memory or time ran out (a rep file's omitted matrices built
-densely, the n(n+1)/2 ranks of a long A_n) and inputs that have always ended
-cleanly.  ``{dir}`` in an argv is the directory of the fixture
-files.
+densely, the n(n+1)/2 ranks of a long A_n, the key layout of a polynomial in
+200,000 variables, the exchange matrix of a long A_n), an input that once
+took quadratic time (the g-vector of a long A_n) and inputs that have always
+ended cleanly.  ``{dir}`` in an argv is the directory of the fixture files.
 """
 
 import json
@@ -74,6 +75,9 @@ ROWS = {
     "gvector-omitted-matrix-1e8": (["gvector", "--rep", "{dir}/dims-1e8.rep"], 3),
     "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
+    "gvector-200000-vertices": (["gvector", "--intervals", "U[1,1]", "--n", "200000"], 0),
+    "fpoly-200000-variables": (["fpoly", "--intervals", "U[1,1]", "--n", "200000"], 3),
+    "cc-200000-vertices": (["cc", "--intervals", "U[1,1]", "--n", "200000"], 3),
 }
 
 
