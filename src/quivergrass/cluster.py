@@ -29,7 +29,7 @@ from . import rep as rp
 from . import typea as ta
 from .counting import (DEFAULT_BUDGET, _counting_polynomials, count_points,
                        euler_characteristic)
-from .errors import BudgetError, DomainError
+from .errors import DomainError, check_ceiling
 from .fields import QQ
 from .poly import SparsePoly
 from .quiver import euler_form
@@ -155,13 +155,11 @@ def cluster_character(m, strategy="cells", budget=DEFAULT_BUDGET):
     exponents allowed to be negative: F_M under a ring map, applied to its
     key array at once (``SparsePoly.monomial_image``).  m is a representation or
     an IntervalDecomposition, as for ``euler_char_table``.  BudgetError before
-    anything is built when the ring map's n images of 2n exponents would pass
-    DEFAULT_BUDGET entries.
+    anything is built when the ring map's n images of 2n exponents would be
+    above the ceiling (``errors.check_ceiling``).
     """
     n = m.quiver.vertex_count
-    if 2 * n * n > DEFAULT_BUDGET:
-        raise BudgetError(f"the cluster character of a module on {n} vertices would map "
-                          f"{2 * n * n} exponents, over the ceiling {DEFAULT_BUDGET}", 2 * n * n)
+    check_ceiling(2 * n * n, "the ring map of a cluster character on {} vertices", n)
     b = exchange_matrix(m.quiver)
     return euler_char_table(m, strategy=strategy, budget=budget).monomial_image(
         [tuple(row[j] for row in b) + tuple(int(i == j) for i in range(n)) for j in range(n)],

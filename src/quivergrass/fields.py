@@ -54,7 +54,10 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"cannot read {x!r} as a rational number") from None
         raise DomainError(f"cannot coerce {x!r} into Q")
 
     @property
@@ -98,7 +101,7 @@ class PrimeField:
                 raise DomainError(f"bad reduction: denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
         if isinstance(x, str):
-            return self.of(Fraction(x))
+            return self.of(QQ.of(x))
         raise DomainError(f"cannot coerce {x!r} into GF({self.p})")
 
     @property

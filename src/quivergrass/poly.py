@@ -8,14 +8,19 @@ exponent e has shift <= e <= shift + spread per variable: the minimum and
 maximum - minimum of the terms it was built from, or for a product the sums
 of its factors' shifts and spreads.
 
-A vector shifted to u = e - shift >= 0 packs into one integer: a leading
-slot holding its total degree, then one slot per variable, each w bytes,
-most significant first.  With B = 2**(8w) the key is the dot product of u
-with the weights B**n + B**(n-1-i), and slot i comes back as
-(key >> 8w(n-1-i)) & (B - 1).  Both are done on the whole (m, n) array of
-shifted exponents at once, a run of as many slots as an int64 holds at a
-time (``_layout``): a key that fits an int64 is one run, and a wider key is
-joined from its runs with a few Python-int operations, not one per slot.
+A vector shifted to u = e - shift >= 0 packs into one integer key: the
+big-endian bytes of its slots, first one holding its total degree, then one
+per variable, each w bytes.  With B = 2**(8w) the key is the dot product of
+u with the weights B**n + B**(n-1-i), and slot i comes back as
+(key >> 8w(n-1-i)) & (B - 1).  A key of at most 7 bytes fits an int64 and
+is that one product over the whole (m, n) array of shifted exponents
+(``_pack``).  A wider key is its row of slot bytes, zero-padded in front to
+whole 8-byte words, read as a Python int by joining adjacent words, then
+adjacent pairs of them and so on: each level is one operation on the whole
+array, so the work grows with the bytes times their logarithm.  It unpacks
+by writing each key's bytes (``int.to_bytes``) and reading them all back as
+one array (``_unpack``).
+
 The slot width w is the fewest of 1, 2, 4 or 8 bytes (or as many bytes as
 needed past 2**64) that hold the sum of all the spreads, not only their
 maximum, since that sum bounds the degree slot.  Adding two keys adds their
@@ -64,13 +69,12 @@ writes.
 """
 
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, index, mul, sub
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError, integer
+from .errors import DomainError, integer
 
 # entries of the outer arrays of one block of a product (``SparsePoly.__mul__``)
 _BLOCK = 1 << 16
@@ -96,59 +100,45 @@ def _slot_width(top):
     return width if width > 8 else 1 << (width - 1).bit_length()
 
 
-@lru_cache(maxsize=None)
-def _layout(nvars, width):
-    """How a key in nvars variables at width splits into runs of slots, each
-    of as many slots as an int64 holds (at least one; a run fills the whole
-    key when the key fits an int64): the (nvars, runs) weights that take the
-    shifted exponents to the value of each run, degree slot included, and
-    per run its bit offset in the key, its bit length and the shifts of its
-    variable slots.  BudgetError before it allocates when the weights would
-    number more than DEFAULT_BUDGET."""
-    bits = 8 * width
-    per = max(1, 63 // bits)
-    nslots = nvars + 1
-    size = nvars * -(-nslots // per)
-    if size > DEFAULT_BUDGET:
-        raise BudgetError(f"the keys of {nvars} variables would need {size} weights, "
-                          f"over the ceiling {DEFAULT_BUDGET}", size)
-    dtype = _dtype(1 << bits * per)
-    weights = np.zeros((nvars, -(-nslots // per)), dtype=dtype)
-    runs = []
-    for r, a in enumerate(range(0, nslots, per)):
-        b = min(a + per, nslots)
-        slots = range(max(a, 1), b)
-        for s in slots:
-            weights[s - 1, r] = 1 << bits * (b - 1 - s)
-        if a == 0:
-            weights[:, r] += 1 << bits * (b - 1)
-        runs.append((bits * (nslots - b), bits * (b - a),
-                     np.array([bits * (b - 1 - s) for s in slots], dtype=dtype)))
-    return weights, runs
-
-
 def _pack(u, width):
-    """Keys of an (m, n) array of shifted exponents at width: one product
-    with the run weights, then the runs joined in the key dtype."""
-    nvars = u.shape[1]
-    weights, runs = _layout(nvars, width)
-    values = u.astype(weights.dtype, copy=False) @ weights
-    keys = values[:, 0].astype(_dtype(1 << 8 * width * (nvars + 1)), copy=False)
-    for r in range(1, len(runs)):
-        keys = (keys << runs[r][1]) + values[:, r]
-    return keys
+    """Keys of an (m, n) array of shifted exponents at width (``poly``
+    docstring): one product with the slot weights while a key fits an int64,
+    else the Python ints of the rows' big-endian slot bytes."""
+    m, nvars = u.shape
+    bits = 8 * width
+    if width * (nvars + 1) <= 7:
+        weights = [(1 << bits * nvars) + (1 << bits * i) for i in range(nvars - 1, -1, -1)]
+        return u.astype(np.int64, copy=False) @ np.array(weights, dtype=np.int64)
+    slots = np.concatenate((u.sum(axis=1, keepdims=True), u), axis=1)
+    if width <= 8:
+        row = slots.astype(f">u{width}").view(np.uint8)
+    else:
+        row = np.frombuffer(b"".join(x.to_bytes(width, "big") for x in slots.ravel().tolist()),
+                            dtype=np.uint8).reshape(m, width * (nvars + 1))
+    words = np.concatenate((np.zeros((m, -row.shape[1] % 8), dtype=np.uint8), row),
+                           axis=1).view(">u8").astype(object)
+    step = 64
+    while words.shape[1] > 1:
+        if words.shape[1] % 2:
+            words = np.concatenate((np.zeros((m, 1), dtype=object), words), axis=1)
+        words = (words[:, ::2] << step) | words[:, 1::2]
+        step *= 2
+    return words.ravel()
 
 
 def _unpack(keys, nvars, width):
-    """The (m, nvars) shifted exponents of keys at width, a run of slots at
-    a time by shifts and masks."""
-    runs = _layout(nvars, width)[1]
-    mask = (1 << 8 * width) - 1
-    if len(runs) == 1:
-        return (keys[:, None] >> runs[0][2]) & mask
-    out = [(((keys >> offset) & ((1 << length) - 1)).astype(shifts.dtype)[:, None] >> shifts)
-           & mask for offset, length, shifts in runs]
-    return np.concatenate(out, axis=1)
+    """The (m, nvars) shifted exponents of keys at width: by shifts and masks
+    from int64 keys, else read back from the keys' bytes."""
+    bits = 8 * width
+    if width * (nvars + 1) <= 7:
+        return (keys[:, None] >> np.arange(bits * (nvars - 1), -1, -bits)) & ((1 << bits) - 1)
+    data = b"".join(k.to_bytes(width * (nvars + 1), "big") for k in keys.tolist())
+    if width <= 8:
+        slots = np.frombuffer(data, dtype=f">u{width}").astype(_dtype(1 << bits))
+    else:
+        slots = np.array([int.from_bytes(data[i:i + width], "big")
+                          for i in range(0, len(data), width)], dtype=object)
+    return slots.reshape(-1, nvars + 1)[:, 1:]
 
 
 def _group_starts(ordered):

@@ -20,20 +20,18 @@ dimension vector.
 """
 
 from . import linalg as la
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError
+from .errors import DomainError, check_ceiling
 from .fields import QQ, PrimeField
 
 
 def check_matrix_ceiling(quiver, dims, what):
-    """BudgetError, with the size as its estimate, when the arrow matrices of
-    a representation of quiver with dimension vector dims would hold more than
-    DEFAULT_BUDGET entries in all; ``what`` names it in the message, formatted
+    """BudgetError when the arrow matrices of a representation of quiver
+    with dimension vector dims would be above the ceiling
+    (``errors.check_ceiling``); ``what`` names it in the message, formatted
     only then.  Every representation built from a size alone runs this before
     it allocates."""
-    size = sum(dims[s - 1] * dims[t - 1] for s, t in quiver.arrows)
-    if size > DEFAULT_BUDGET:
-        raise BudgetError(f"the arrow matrices of {what} would hold {size} entries, "
-                          f"over the ceiling {DEFAULT_BUDGET}", size)
+    check_ceiling(sum(dims[s - 1] * dims[t - 1] for s, t in quiver.arrows),
+                  "the arrow matrices of {}", what)
 
 
 class Representation:

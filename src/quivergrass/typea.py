@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from . import rep as rp
-from .counting import DEFAULT_BUDGET, CountPoly
-from .errors import BudgetError, DomainError, integer
+from .counting import CountPoly
+from .errors import DomainError, check_ceiling, integer
 from .poly import SparsePoly
 from .quiver import linear_quiver
 
@@ -106,7 +106,7 @@ class IntervalDecomposition:
         v and v+1, at its place among the summands through v+1 and through v.
 
         BudgetError, before anything is allocated, when the arrow matrices
-        would hold more than DEFAULT_BUDGET entries (``rep.check_matrix_ceiling``).
+        would be above the ceiling (``rep.check_matrix_ceiling``).
         """
         d = self.dims
         rp.check_matrix_ceiling(self.quiver, d, self)
@@ -144,15 +144,6 @@ def format_intervals(dec):
                       for (i, j), m in sorted(dec.m.items())) or "0"
 
 
-def _check_rank_ceiling(n):
-    """BudgetError when a rank sequence of A_n, one r[i,j] per i <= j, would
-    hold more than DEFAULT_BUDGET entries."""
-    size = n * (n + 1) // 2
-    if size > DEFAULT_BUDGET:
-        raise BudgetError(f"the rank sequence of A_{n} would hold {size} entries, "
-                          f"over the ceiling {DEFAULT_BUDGET}", size)
-
-
 def rank_sequence(m_rep):
     """{(i, j): r} with r the rank of the composite map from vertex i to j.
 
@@ -160,10 +151,10 @@ def rank_sequence(m_rep):
     ``la.rank`` reads as given: each step multiplies by the next arrow's
     nonzeros only, so the cost follows the nonzeros of the composites and
     not the cube of the dimension.  BudgetError, before anything is built,
-    when the n(n+1)/2 ranks are over the ceiling (``_check_rank_ceiling``).
+    when the n(n+1)/2 ranks are above the ceiling (``errors.check_ceiling``).
     """
     n = _require_linear(m_rep.quiver)
-    _check_rank_ceiling(n)
+    check_ceiling(n * (n + 1) // 2, "the rank sequence of A_{}", n)
     field = m_rep.field
     d = m_rep.dims
     # the arrow out of vertex s, as {column: value} rows
@@ -214,8 +205,8 @@ def multiplicities_from_ranks(n, r):
 
 def ranks_from_multiplicities(dec):
     """{(i, j): r}: U[k,l] contributes to r[i,j] iff k <= i <= j <= l.
-    BudgetError when the n(n+1)/2 ranks are over the ceiling."""
-    _check_rank_ceiling(dec.n)
+    BudgetError when the n(n+1)/2 ranks are above the ceiling."""
+    check_ceiling(dec.n * (dec.n + 1) // 2, "the rank sequence of A_{}", dec.n)
     return {(i, j): sum(mult for (k, l), mult in dec.m.items() if k <= i and j <= l)
             for i in range(1, dec.n + 1) for j in range(i, dec.n + 1)}
 

@@ -56,14 +56,18 @@ document of a ``--rep`` file, one entry at a time.
 ``rank_mod_p`` ranks one integer matrix mod p by Gaussian elimination on
 Python ints, row by row: the oracle of the batched, lazily reduced,
 fixed-width rank kernel ``counting.batched_rank_mod_p``.
+``census`` lists every representation of a dimension vector over F_p with
+the closed form of the sum of their point counts, for every e: the oracle
+of the counting engines on every degenerate map at once.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 from quivergrass import linalg as la
-from quivergrass import (QQ, DomainError, Representation, SubrepWitness, direct_sum,
+from quivergrass import (QQ, DomainError, PrimeField, Representation, SubrepWitness, direct_sum,
                          euler_form, hom_basis, hom_dim, kronecker_quiver, linear_quiver,
                          quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
@@ -448,3 +452,42 @@ def kronecker_preprojective(n):
     """The rigid Kronecker module of dimension (n, n+1): A = [I; 0], B = [0; I]."""
     a = [[int(i == j) for j in range(n)] for i in range(n + 1)]
     return Representation(kronecker_quiver(2), QQ, (n, n + 1), [a, [[0] * n] + a[:n]])
+
+
+def q_binomial(n, k, q):
+    """The Gaussian binomial [n, k]_q, the number of k-dimensional subspaces
+    of F_q^n, as the product of (q^(n-i) - 1) / (q^(i+1) - 1) over i < k."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def census(quiver, d, p):
+    """(every representation of quiver with dimension vector d over F_p,
+    {e: the sum over them of #Gr_e(M)(F_p)} for every e <= d).
+
+    The sum counts the pairs (M, U), U a subrepresentation of dimension
+    vector e, by choosing U first: U_v in [d_v, e_v]_p ways at each vertex,
+    and then each arrow matrix must map U_s into U_t, which fixes
+    e_s (d_t - e_t) of its d_s d_t entries at 0 (Reineke's double count):
+
+        prod_v [d_v, e_v]_p * p^(sum over arrows of d_s d_t - e_s (d_t - e_t)).
+    """
+    shapes = [(d[t - 1], d[s - 1]) for s, t in quiver.arrows]
+    field = PrimeField(p)
+    modules = []
+    for entries in itertools.product(range(p), repeat=sum(r * c for r, c in shapes)):
+        it = iter(entries)
+        modules.append(Representation(quiver, field, d, [[[next(it) for _ in range(c)]
+                                                           for _ in range(r)]
+                                                          for r, c in shapes]))
+    sums = {}
+    for e in itertools.product(*(range(x + 1) for x in d)):
+        total = p ** sum(d[s - 1] * d[t - 1] - e[s - 1] * (d[t - 1] - e[t - 1])
+                         for s, t in quiver.arrows)
+        for x, y in zip(d, e):
+            total *= q_binomial(x, y, p)
+        sums[e] = total
+    return modules, sums

@@ -477,6 +477,15 @@ def test_prime_field_coerces_a_fraction_string_and_refuses_a_float():
         PrimeField(7).of(1.5)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@pytest.mark.parametrize("entry", ["1/0", "abc"])
+def test_a_malformed_entry_string_is_a_domain_error(field, entry):
+    """Neither Fraction's ZeroDivisionError nor its ValueError escapes raw."""
+    with pytest.raises(DomainError, match="cannot read") as caught:
+        Representation(A2, field, (1, 1), [[[entry]]])
+    assert type(caught.value) is DomainError
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: classify(Quiver(0, [])), "empty quiver"),
     (lambda: Quiver(-1, []), "vertex_count must be nonnegative"),

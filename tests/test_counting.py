@@ -29,7 +29,7 @@ from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, decompose, degenerate_flag_dec,
                                flag_dec, interval_rep, most_flat_dec, poincare_polynomial)
 
-from oracles import (classify_strata_ff, hide_summands, hom_fingerprint, mul, neg,
+from oracles import (census, classify_strata_ff, hide_summands, hom_fingerprint, mul, neg,
                      rank_mod_p, rep_document, solve)
 
 A2 = linear_quiver(2)
@@ -472,6 +472,39 @@ def test_summed_path_ends_match_exhaustive():
                 e = (1,) + middle + (1,)
                 assert plan_count(m.quiver, dims, e, 3).summed == (1, n)
                 assert count_points(m, e) == len(enumerate_subreps(m, e))
+
+
+# (quiver, d, p, whether enumerate_subreps sums the census too)
+CENSUS = {
+    "kronecker-2-2": (kronecker_quiver(2), (2, 2), 2, False),
+    "kronecker-1-2-p3": (kronecker_quiver(2), (1, 2), 3, True),
+    "d4-sink-of-degree-3": (Quiver(4, [(1, 4), (2, 4), (3, 4)]), (1, 1, 1, 2), 2, True),
+    "a3-1-2-1-p3": (linear_quiver(3), (1, 2, 1), 3, False),
+    "a4-1-2-2-1": (linear_quiver(4), (1, 2, 2, 1), 2, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENSUS))
+def test_census_of_every_module_of_a_dimension_vector(case):
+    """Summed over every M in R_d(F_p), the point counts of Gr_e(M) are the
+    closed form of ``oracles.census``, for every e <= d: zero maps, rank
+    drops and coinciding images all included."""
+    quiver, d, p, enumerate_too = CENSUS[case]
+    modules, sums = census(quiver, d, p)
+    for e, total in sums.items():
+        assert sum(count_points(m, e) for m in modules) == total, e
+        if enumerate_too:
+            assert sum(len(enumerate_subreps(m, e)) for m in modules) == total, e
+
+
+def test_census_cases_reach_a_degree_3_vertex_parallel_arrows_and_a_deep_plan():
+    quivers = [q for q, _, _, _ in CENSUS.values()]
+    assert any(3 in Counter(v for a in q.arrows for v in a).values() for q in quivers)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q in quivers)
+    quiver, d, p, _ = CENSUS["a4-1-2-2-1"]
+    plan = plan_count(quiver, d, (1, 1, 1, 0), p)
+    # two enumerated vertices with more than one subspace each
+    assert {2, 3} <= set(plan.enumerated) and plan.estimate == 9
 
 
 def test_plan_sums_the_cheaper_side():

@@ -10,12 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve, pretty, substitute
 from quivergrass import DomainError
-from quivergrass.poly import SparsePoly
+from quivergrass.poly import SparsePoly, _dtype, _pack, _unpack
 
 # slot-width edges (a shifted sum of 255 fits one byte, 256 needs two), wide
 # slots up to and past 8 bytes, and negative (Laurent) exponents
@@ -271,6 +271,60 @@ def test_product_at_key_dtype_edges(nvars, key_dtype):
     assert pq._packed[3] == 1 and pq._packed[0].dtype == key_dtype
     assert pq.terms == convolve(p, q) and (q * p).terms == convolve(p, q)
     assert pq.sorted_terms() == _grlex(convolve(p, q))
+
+
+@st.composite
+def slot_rows(draw):
+    """(width, an (m, n) array of shifted exponents whose row sums fit a
+    slot of width bytes), in the dtype the class keeps them in."""
+    width = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    nvars = draw(st.one_of(st.integers(0, 9), st.sampled_from([10_000, 10_001])))
+    top = (1 << 8 * width) - 1
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = [0] * nvars
+        # a few nonzero slots, up to the full slot when there is one
+        count = draw(st.integers(0, min(nvars, 3)))
+        for i in draw(st.lists(st.integers(0, max(nvars - 1, 0)), min_size=count,
+                               max_size=count)):
+            row[i] = draw(st.integers(0, top // count))
+        rows.append(row)
+    return width, np.array(rows, dtype=_dtype(top + 1)).reshape(len(rows), nvars)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(slot_rows())
+# both sides of the 7-byte int64 key at one, two and four bytes per slot
+@example((1, np.array([[1, 2, 3, 4, 5, 6]]))).via("6 one-byte slots: 7 bytes")
+@example((1, np.array([[1, 2, 3, 4, 5, 6, 7]]))).via("7 one-byte slots: 8 bytes")
+@example((2, np.array([[300, 2]]))).via("2 two-byte slots: 6 bytes")
+@example((2, np.array([[300, 2, 1]]))).via("3 two-byte slots: 8 bytes")
+@example((4, np.zeros((2, 0), dtype=np.int64))).via("no slots: 4 bytes")
+@example((4, np.array([[70000]]))).via("1 four-byte slot: 8 bytes")
+@example((16, np.array([[2 ** 127, 0, 2 ** 100]], dtype=object))).via("16-byte slots")
+@example((1, np.array([[255] + [0] * 9_999, [0] * 9_999 + [1]]))).via("10,000 slots")
+def test_keys_are_the_big_endian_bytes_of_the_slots(case):
+    """A key is the integer of its degree slot and its variable slots, each
+    width bytes, most significant first; unpacking gives the slots back."""
+    width, u = case
+    keys = _pack(u, width)
+    rows = u.tolist()
+    assert keys.tolist() == [int.from_bytes(b"".join(x.to_bytes(width, "big")
+                                                      for x in (sum(row), *row)), "big")
+                             for row in rows]
+    assert keys.dtype == (np.int64 if width * (u.shape[1] + 1) <= 7 else object)
+    assert _unpack(keys, u.shape[1], width).tolist() == rows
+
+
+def test_a_product_in_ten_thousand_variables_equals_the_convolution():
+    """Keys of 10,001 slots pack, multiply, unpack and print."""
+    n = 10_000
+    p = SparsePoly(n, {(0,) * n: 1, (1,) + (0,) * (n - 1): 2, (0,) * (n - 1) + (3,): -1})
+    q = SparsePoly(n, {(0,) * n: 1, (0,) * (n - 1) + (1,): 1})
+    pq = p * q
+    assert pq.terms == convolve(p, q)
+    names = [f"y{i}" for i in range(1, n + 1)]
+    assert pq.format(names) == pretty(pq.sorted_terms(), names)
 
 
 @pytest.mark.parametrize("short,long,coeff_dtype", [

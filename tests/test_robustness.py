@@ -5,10 +5,12 @@ timeout, and must exit 0-3 with no traceback on stderr.
 The rows are inputs that once escaped as a raw exception (recursion depth,
 the interpreter's limit on int <-> str conversion), inputs that once
 allocated until memory or time ran out (a rep file's omitted matrices built
-densely, the n(n+1)/2 ranks of a long A_n, the key layout of a polynomial in
-200,000 variables, the exchange matrix of a long A_n), an input that once
-took quadratic time (the g-vector of a long A_n) and inputs that have always
-ended cleanly.  ``{dir}`` in an argv is the directory of the fixture files.
+densely, the n(n+1)/2 ranks of a long A_n, the exchange matrix of a long
+A_n), inputs that once took quadratic time or memory (the g-vector of a long
+A_n, and the F-polynomial of one, whose keys of 200,000 slots were once
+packed through a weight table of ~nvars^2/7 entries) and inputs that have
+always ended cleanly.  ``{dir}`` in an argv is the directory of the fixture
+files.
 """
 
 import json
@@ -76,9 +78,14 @@ ROWS = {
     "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "gvector-200000-vertices": (["gvector", "--intervals", "U[1,1]", "--n", "200000"], 0),
-    "fpoly-200000-variables": (["fpoly", "--intervals", "U[1,1]", "--n", "200000"], 3),
+    "fpoly-200000-variables": (["fpoly", "--intervals", "U[1,1]", "--n", "200000"], 0),
+    "fpoly-200000-variables-many-terms": (["fpoly", "--intervals", "U[1,3]^2 + U[2,5]",
+                                           "--n", "200000"], 0),
     "cc-200000-vertices": (["cc", "--intervals", "U[1,1]", "--n", "200000"], 3),
 }
+
+# what the standard output of a row must hold, where it is checked
+STDOUT = {"fpoly-200000-variables": 'pretty: "1 + y1"'}
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +105,4 @@ def test_input_ends_cleanly(row, fixture_dir):
                           env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     assert "Traceback" not in done.stderr, done.stderr[-2000:]
     assert done.returncode == want, done.stderr[-2000:]
+    assert STDOUT.get(row, "") in done.stdout
