@@ -96,6 +96,8 @@ class PrimeField:
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return x.numerator % self.p
             den = x.denominator % self.p
             if den == 0:
                 raise DomainError(f"bad reduction: denominator of {x} vanishes mod {self.p}")

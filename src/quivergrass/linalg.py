@@ -11,15 +11,18 @@ caller.
 
 Every elimination is one ``rref``.  It reduces rows held as ``{column:
 value}`` dicts of their nonzeros, so its work follows the nonzeros and their
-fill-in rather than rows x columns; the matrix it returns is dense like every
-other.  Its input rows may be given in either form: dense, or already as such
-dicts (``rank`` and ``nullspace`` pass them on), in which case the caller
-gives the width ``cols`` and the elimination never reads a zero entry;
-``dense`` writes dict rows out densely.  No pivoting heuristics are needed
-since arithmetic is exact, and the reduced echelon form is unique.
+fill-in rather than rows x columns, and it returns the reduced rows in that
+form: ``rank`` counts them and ``nullspace`` reads them without a dense
+matrix being written; ``dense`` writes them out where a caller needs tuples.
+Its input rows may be given in either form: dense, or already as such dicts
+(``rank`` and ``nullspace`` pass them on), in which case the caller gives
+the width ``cols`` and the elimination never reads a zero entry.  No
+pivoting heuristics are needed since arithmetic is exact, and the reduced
+echelon form is unique.
 """
 
 from .errors import DomainError
+from .fields import PrimeField
 
 
 def mat(rows, field):
@@ -72,26 +75,35 @@ def dense(rows, field, cols):
 
 
 def rref(a, field, cols=None):
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
+    """Reduced row echelon form; returns (rows, pivot column list).
 
     Rows of a are dense or {column: value} dicts; dict rows need the width
-    ``cols``, which dense rows carry themselves.  The matrix is dense, keeps
-    a's height and has its zero rows last.  Each row of a is copied into a
-    dict of its nonzeros and reduced by the pivot rows found so far at its
-    leading column until it vanishes or leads at a new column, where it is
-    normalised into a pivot row.  Back substitution, from the last pivot
-    column to the first, then clears each pivot column in the other rows.
+    ``cols``, which dense rows carry themselves, and a column outside
+    ``range(cols)`` is a DomainError.  The rows returned are the nonzero rows
+    of the reduced echelon form, in pivot order, as {column: value} dicts of
+    their nonzeros (``dense`` writes them out).  Each row of a is copied into
+    a dict of its nonzeros and reduced by the pivot rows found so far at its
+    leading column until it vanishes or leads at a new column, where it
+    becomes a pivot row, divided by its pivot unless that is 1.  Back
+    substitution, from the last pivot column to the first, then clears each
+    pivot column in the other rows.  The arithmetic is inline: ``% p`` over
+    GF(p), and bare ``Fraction`` arithmetic over Q, where ``field.of`` has
+    nothing to do.
     """
     if cols is None:
         if a and isinstance(a[0], dict):
             raise DomainError("rref: rows given as dicts need the column count cols")
         cols = len(a[0]) if a else 0
-    of, zero = field.of, field.zero
+    zero = field.zero
+    p = field.p if isinstance(field, PrimeField) else 0  # 0: over Q, no reduction
     lead = {}  # pivot column -> its pivot row, {column: value}, 1 at the pivot
 
     def subtract(row, f, pivot_row):
+        get = row.get
         for j, y in pivot_row.items():
-            x = of(row.get(j, zero) - f * y)
+            x = get(j, zero) - f * y
+            if p:
+                x %= p
             if x:
                 row[j] = x
             else:
@@ -104,19 +116,26 @@ def rref(a, field, cols=None):
             c = min(row)
             pivot_row = lead.get(c)
             if pivot_row is None:
-                inv = field.inv(row[c])
-                lead[c] = {j: of(inv * x) for j, x in row.items()}
+                if row[c] != 1:
+                    inv = field.inv(row[c])
+                    row = ({j: inv * x % p for j, x in row.items()} if p
+                           else {j: inv * x for j, x in row.items()})
+                lead[c] = row
                 break
             subtract(row, row[c], pivot_row)
     pivots = sorted(lead)
-    for p in reversed(pivots):
-        row = lead[p]
+    for c in reversed(pivots):
+        row = lead[c]
         # the pivot rows to the right are reduced already, so each
         # subtraction clears its pivot column and leaves the others zero
-        for c in [c for c in row if c != p and c in lead]:
-            subtract(row, row[c], lead[c])
-    out = dense((lead[c] for c in pivots), field, cols)
-    return out + ((zero,) * cols,) * (len(a) - len(pivots)), pivots
+        for j in [j for j in row if j != c and j in lead]:
+            subtract(row, row[j], lead[j])
+    rows = [lead[c] for c in pivots]
+    # every input row lies in the row space, so a column outside range(cols)
+    # shows as the first pivot below 0 or as a reduced row reaching cols
+    if pivots and (pivots[0] < 0 or max(max(row) for row in rows) >= cols):
+        raise DomainError(f"rref: a row has a column outside range({cols})")
+    return rows, pivots
 
 
 def rank(a, field, cols=None):
@@ -124,29 +143,30 @@ def rank(a, field, cols=None):
 
 
 def row_basis(a, field):
-    """The nonzero rows of rref(a): the canonical basis of the row space of a."""
-    r, pivots = rref(a, field)
-    return r[:len(pivots)]
+    """The rows of rref(a), dense: the canonical basis of the row space of a."""
+    return dense(rref(a, field)[0], field, len(a[0]) if a else 0)
 
 
 def nullspace(a, field, cols):
     """Basis of the right kernel of the (rows x cols) matrix a, dense or with
     dict rows as ``rref`` takes them, as a list of column vectors (tuples).
 
-    One basis vector per free column, with a 1 in the free position; this is
-    the canonical basis read off the reduced echelon form, so the output is
+    One basis vector per free column, with a 1 in the free position and minus
+    the reduced rows' entries in that column at their pivots; this is the
+    canonical basis read off the reduced echelon form, so the output is
     deterministic.
     """
     if a and not isinstance(a[0], dict) and len(a[0]) != cols:
         raise DomainError(f"nullspace: matrix width {len(a[0])}, expected {cols}")
-    r, pivots = rref(a, field, cols)
+    rows, pivots = rref(a, field, cols)
     pivot_set = set(pivots)
+    zero = field.zero
     basis = []
     for fc in (c for c in range(cols) if c not in pivot_set):
-        v = [field.zero] * cols
+        v = [zero] * cols
         v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.of(-r[i][fc])
+        for row, pc in zip(rows, pivots):
+            v[pc] = field.of(-row.get(fc, zero))
         basis.append(tuple(v))
     return basis
 

@@ -247,8 +247,9 @@ class SubrepWitness:
         for b in bases:
             if len({len(row) for row in b}) > 1:
                 raise DomainError("witness basis rows must have equal length")
-            r, piv = la.rref(b, field)
-            if r != b:
+            rows, piv = la.rref(b, field)
+            width = len(b[0]) if b else 0
+            if la.dense(rows, field, width) + la.zeros(len(b) - len(piv), width, field) != b:
                 raise DomainError("witness bases must be in reduced row echelon form")
             if len(piv) != len(b):
                 raise DomainError("witness bases must have full row rank")
@@ -390,7 +391,8 @@ def nonzero_ext_cocycle(s_rep, x_rep):
     field = x_rep.field
     nrows = len(phi)
     # Im Phi is the row space of Phi^T, eliminated once
-    image, pivots = la.rref(la.transpose(la.dense(phi, field, cols), cols), field)
+    rows, pivots = la.rref(la.transpose(la.dense(phi, field, cols), cols), field)
+    image = la.dense(rows, field, nrows)
     if len(pivots) == nrows:
         raise DomainError("Ext^1(S,X) = 0, no nonzero class")
     shapes = [(x_rep.dims[t - 1], s_rep.dims[s - 1]) for s, t in x_rep.quiver.arrows]

@@ -272,12 +272,12 @@ def mul(a, b, field, cols):
 def solve(a, b, field):
     """Solve a @ X = b exactly (b may have several columns); None if inconsistent."""
     ca, cb = la.shape(a)[1], la.shape(b)[1]
-    r, pivots = la.rref(la.hstack([a, b]) if ca else b, field)
+    rows, pivots = la.rref(la.hstack([a, b]) if ca else b, field)
     if pivots and pivots[-1] >= ca:
         return None
     x = [[field.zero] * cb for _ in range(ca)]
-    for i, pc in enumerate(pivots):
-        x[pc] = list(r[i][ca:])
+    for row, pc in zip(la.dense(rows, field, ca + cb), pivots):
+        x[pc] = list(row[ca:])
     return tuple(tuple(row) for row in x)
 
 

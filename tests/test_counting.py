@@ -960,14 +960,18 @@ def test_linalg_entries_stay_in_the_field(case):
     for field, in_field in ((gf, lambda x: type(x) is int and 0 <= x < p),
                             (QQ, lambda x: type(x) is Fraction)):
         fa, fb, fv = la.mat(a, field), la.mat(b, field), la.mat([v], field)[0]
-        basis, pivots = la.rref(fa, field)
-        assert (basis, pivots) == _dense_rref(fa, field), field
+        rows, pivots = la.rref(fa, field)
+        want, want_pivots = _dense_rref(fa, field)
+        basis = la.dense(rows, field, k)
+        assert (basis, pivots) == (want[:len(want_pivots)], want_pivots), field
+        stored = [x for row in rows for x in row.values()]
+        assert all(stored), field
         kernel = la.nullspace(fa, field, k)
         assert len(kernel) == k - len(pivots)
         assert all(not any(la.mat_vec(fa, x, field)) for x in kernel)
         results = (mul(fa, fb, field, c), la.mat_vec(fa, fv, field),
-                   neg(fa, field), basis, kernel,
-                   la.reduce_by(basis[:len(pivots)], pivots, fv, field))
+                   neg(fa, field), stored, basis, kernel,
+                   la.reduce_by(basis, pivots, fv, field))
         assert all(in_field(x) for x in _entries(results)), field
     qa, qb, qv = la.mat(a, QQ), la.mat(b, QQ), la.mat([v], QQ)[0]
     pa, pb, pv = la.mat(a, gf), la.mat(b, gf), la.mat([v], gf)[0]
@@ -988,11 +992,50 @@ def test_rref_reads_dict_rows_as_dense_rows(case, zero_rows):
         rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
         given_rows = [dict(row) for row in rows]
         want = la.rref(dense, field)
+        reference, pivots = _dense_rref(dense, field)
+        assert want[1] == pivots
+        assert la.dense(want[0], field, cols) == reference[:len(pivots)]
         assert la.rref(rows, field, cols) == want
         assert la.rank(rows, field, cols) == len(want[1])
         assert la.nullspace(rows, field, cols) == la.nullspace(dense, field, cols)
         assert la.dense(rows, field, cols) == dense
         assert rows == given_rows  # the caller's dicts are left as they were
+
+
+@st.composite
+def echelon_cases(draw):
+    """A field (Q, GF(2), GF(7) or GF(2^61 - 1)) and a matrix over it, with
+    zero rows and repeated rows among its rows; over Q the entries are
+    Fractions, most of them not integers."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)]))
+    cols = draw(st.integers(0, 7))
+    if field == QQ:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    else:
+        entry = st.one_of(st.integers(0, 3), st.integers(0, field.p - 1))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else [0] * cols
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return field, cols, la.mat(rows, field)
+
+
+@_PROPERTY
+@given(echelon_cases())
+def test_rref_rows_are_the_reference_s_nonzero_rows(case):
+    field, cols, dense = case
+    reference, pivots = _dense_rref(dense, field)
+    dict_rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    in_field = ((lambda x: type(x) is Fraction) if field == QQ
+                else (lambda x: type(x) is int and 0 <= x < field.p))
+    for a in (dense, dict_rows):
+        rows, got = la.rref(a, field, cols)
+        assert got == pivots
+        assert la.dense(rows, field, cols) == reference[:len(pivots)]
+        # every stored value is a nonzero element of the field
+        assert all(x and in_field(x) for row in rows for x in row.values())
+        assert la.rank(a, field, cols) == len(pivots)
 
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
