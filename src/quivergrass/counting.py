@@ -325,8 +325,14 @@ def plan_count(quiver, dims, e, p):
 
 
 def _check_budget(estimate, budget):
+    """BudgetError when estimate > budget.  An estimate of more than 30 digits
+    is written ~10^k, k = log10 2^(b - 1/2) rounded for its bit length b, so
+    the message stays short and no long int is converted to text;
+    ``BudgetError.estimate`` is exact."""
     if estimate > budget:
-        raise BudgetError(f"enumeration of ~{estimate} tuples exceeds budget {budget}",
+        size = estimate if estimate < 10 ** 30 else \
+            f"10^{round((estimate.bit_length() - 0.5) * 0.30103)}"
+        raise BudgetError(f"enumeration of ~{size} tuples exceeds budget {budget}",
                           estimate=estimate)
 
 

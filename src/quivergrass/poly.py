@@ -4,9 +4,15 @@ A polynomial maps exponent vectors to nonzero integer coefficients, in
 graded lexicographic order wherever it is serialized.  It is stored in one
 form: two parallel 1-D numpy arrays, packed integer keys sorted ascending and
 their nonzero coefficients, with a shift, a spread and a slot width.  Every
-exponent e has shift <= e <= shift + spread per variable: the minimum and
-maximum - minimum of the terms it was built from, or for a product the sums
-of its factors' shifts and spreads.
+exponent e has shift <= e <= shift + spread per variable.  A layout comes
+from exponents in one place, ``_from_exponents``: given an (m, n) array of
+exponent vectors and their coefficients, the shift is its column minima and
+the spread its maxima less its minima.  Every polynomial that is not a
+product is built there: the constructor's terms after their checks, a sum or
+difference as the two operands' exponent arrays stacked, a scalar multiple,
+a monomial image, and the row factors of ``typea.generating_function``.  A
+product takes its layout from its factors instead: the sums of their shifts
+and of their spreads.
 
 A vector shifted to u = e - shift >= 0 packs into one integer key: the
 big-endian bytes of its slots, first one holding its total degree, then one
@@ -37,10 +43,11 @@ Arrays are int64 inside a stated bound and ``dtype=object`` (Python ints)
 outside it, with one code path for both (``_dtype``):
 - keys while 8w(n + 1) <= 63, shifted exponents while 8w <= 63;
 - exponents while |shift|, |shift + spread| and spread are below 2**63;
-- stored coefficients while every |c| < 2**63;
+- the coefficients of a polynomial built from exponents while m max |c| <
+  2**63 over its m given coefficients, which bounds every sum of equal
+  vectors' coefficients;
 - the coefficients of a product while sum |c1| * max |c2| < 2**63, c1 on
-  the shorter operand, which bounds every sum of term products, and those
-  of a monomial image while sum |c| < 2**63.
+  the shorter operand, which bounds every sum of term products.
 
 A product takes one outer sum of the keys with the longer operand on the
 inner axis, so the raveled keys are len(shorter) sorted runs; one stable
@@ -53,11 +60,10 @@ operand at a narrower slot width is unpacked and packed again at the
 product's width.
 
 The substitution y_j -> x^(a_j), times x^c, is a ring map: y^e goes to
-x^(c + A e), A with columns a_j.  On shifted exponents it is an integer
-affine map, u -> A u + low, so ``monomial_image`` is one matrix product of
-the slot array, a packing and a re-sort.  The image's shift is c + A shift
-less the spreads low that negative entries of A can subtract, its spread is
-|A| times the old spread, and keys that meet add up.
+x^(c + A e), A with columns a_j, so ``monomial_image`` is one integer matrix
+product of the exponent array, in a dtype that holds A, the exponents and
+every partial sum, handed to ``_from_exponents``; terms whose images meet
+add up there.  Its layout comes from the image exponents themselves.
 
 ``render`` writes the JSON of the terms and their text (``format``) from one
 table of distinct pieces, each written once: an exponent of one variable,
@@ -84,13 +90,6 @@ def _dtype(bound):
     """int64 for integers of absolute value below bound when bound <= 2**63,
     else object (Python ints)."""
     return np.int64 if bound <= 2 ** 63 else object
-
-
-def _range(exps):
-    """(minimum, maximum - minimum) per variable over nonempty exponent vectors."""
-    columns = list(zip(*exps))
-    low = tuple(map(min, columns))
-    return low, tuple(map(sub, map(max, columns), low))
 
 
 def _slot_width(top):
@@ -165,23 +164,39 @@ class SparsePoly:
         nvars = integer(nvars, "numbers of variables")
         if nvars < 0:
             raise DomainError(f"the number of variables {nvars} is negative")
-        merged = {}
+        exps, coeffs = [], []
         for exp, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
             exp = tuple(integer(x, "exponents") for x in exp)
             if len(exp) != nvars:
                 raise DomainError(f"exponent {exp} has wrong arity for {nvars} variables")
-            merged[exp] = merged.get(exp, 0) + integer(coeff, "coefficients")
-        merged = {e: c for e, c in merged.items() if c}
-        shift, spread = _range(merged) if merged else ((0,) * nvars, (0,) * nvars)
+            exps.append(exp)
+            coeffs.append(integer(coeff, "coefficients"))
+        poly = SparsePoly._from_exponents(
+            nvars, np.array(exps, dtype=object).reshape(len(coeffs), nvars),
+            np.array(coeffs, dtype=object))
+        self.nvars, self._packed = nvars, poly._packed
+
+    @classmethod
+    def _from_exponents(cls, nvars, exps, coeffs):
+        """A polynomial from an (m, nvars) integer array of exponent vectors
+        and an array of their m coefficients, equal vectors added up and zero
+        sums dropped.  The one place a layout comes from exponents: the shift
+        is the column minima, the spread the maxima less the minima."""
+        shift = exps.min(axis=0).tolist() if len(exps) else [0] * nvars
+        spread = list(map(sub, exps.max(axis=0).tolist(), shift)) if len(exps) else shift
         width = _slot_width(sum(spread))
-        u = np.array([tuple(map(sub, e, shift)) for e in merged],
-                     dtype=_dtype(1 << 8 * width)).reshape(len(merged), nvars)
-        keys = _pack(u, width)
-        order = keys.argsort()
-        self.nvars = nvars
-        self._packed = (keys[order], shift, spread, width,
-                        np.array(list(merged.values()),
-                                 dtype=_dtype(1 + max(map(abs, merged.values()), default=0)))[order])
+        # exps and shift lie within |shift| + spread, and exps - shift in
+        # [0, spread]
+        dtype = _dtype(1 + max(map(add, map(abs, shift), spread), default=0))
+        u = exps.astype(dtype, copy=False) - np.array(shift, dtype=dtype)
+        keys = _pack(u.astype(_dtype(1 << 8 * width), copy=False), width)
+        # stable: a timsort, quick on the sorted runs of a sum or an image
+        order = keys.argsort(kind="stable")
+        # every sum of equal keys' coefficients is at most m max |c|
+        coeffs = coeffs.astype(_dtype(1 + len(coeffs) * int(abs(coeffs).max(initial=0))),
+                               copy=False)
+        keys, coeffs = _summed(keys[order], coeffs[order])
+        return cls._from_packed(nvars, keys, tuple(shift), tuple(spread), width, coeffs)
 
     @classmethod
     def _from_packed(cls, nvars, keys, shift, spread, width, coeffs):
@@ -191,18 +206,19 @@ class SparsePoly:
         poly.nvars, poly._packed = nvars, (keys, shift, spread, width, coeffs)
         return poly
 
-    def _exponent_tuples(self):
-        """The exponent tuples in key order, of Python ints, built column by
-        column with no list per term."""
+    def _exponents(self):
+        """The (m, nvars) array of exponent vectors in key order."""
         keys, shift, spread, width, _ = self._packed
-        if not self.nvars:
-            return [()] * keys.size
         # the shifted exponents u lie in [0, spread] and u + shift in [shift,
         # shift + spread]
-        dtype = _dtype(1 + max(max(abs(s), abs(s + d), d) for s, d in zip(shift, spread)))
-        exps = _unpack(keys, self.nvars, width).astype(dtype, copy=False) \
+        dtype = _dtype(1 + max((max(abs(s), abs(s + d), d) for s, d in zip(shift, spread)),
+                               default=0))
+        return _unpack(keys, self.nvars, width).astype(dtype, copy=False) \
             + np.array(shift, dtype=dtype)
-        return list(zip(*exps.T.tolist()))
+
+    def _exponent_tuples(self):
+        """The exponent tuples in key order, of Python ints."""
+        return list(map(tuple, self._exponents().tolist()))
 
     @property
     def terms(self):
@@ -229,8 +245,9 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_nvars(other, verb)
-        return SparsePoly(self.nvars, [*self.terms.items(),
-                                       *((e, sign * c) for e, c in other.terms.items())])
+        return SparsePoly._from_exponents(
+            self.nvars, np.concatenate((self._exponents(), other._exponents())),
+            np.concatenate((self._packed[4], sign * other._packed[4])))
 
     def __add__(self, other):
         return self._plus(other, 1, "add")
@@ -251,7 +268,8 @@ class SparsePoly:
                 scalar = index(other)
             except TypeError:
                 return NotImplemented
-            return SparsePoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+            return SparsePoly._from_exponents(self.nvars, self._exponents(),
+                                              self._packed[4].astype(object) * scalar)
         self._check_nvars(other, "multiply")
         _, shift1, spread1, _, _ = self._packed
         _, shift2, spread2, _, _ = other._packed
@@ -291,28 +309,17 @@ class SparsePoly:
         images = [tuple(integer(x, "exponents") for x in a) for a in images]
         if len(images) != self.nvars or any(len(a) != nout for a in images):
             raise DomainError(f"need {self.nvars} images of {nout} exponents each")
-        keys, shift, spread, width, coeffs = self._packed
-        rows = list(zip(*images)) if images else [()] * nout
-        # per output variable: the spreads its negative entries can subtract
-        low = [-sum(min(a, 0) * s for a, s in zip(row, spread)) for row in rows]
-        new_shift = tuple(c + sum(map(mul, row, shift)) - lo
-                          for c, row, lo in zip(offset, rows, low))
-        new_spread = tuple(sum(abs(a) * s for a, s in zip(row, spread)) for row in rows)
-        new_width = _slot_width(sum(new_spread))
-        # one affine map of the shifted exponents: only variables with a
-        # nonzero image and a nonzero spread move it, and their entries fit
-        # the new slots
-        live = [j for j, s in enumerate(spread) if s and any(images[j])]
-        dtype = _dtype(1 << 8 * new_width)
-        moved = _unpack(keys, self.nvars, width)[:, live].astype(dtype, copy=False) \
-            @ np.array([images[j] for j in live], dtype=dtype).reshape(len(live), nout) \
-            + np.array(low, dtype=dtype)
-        new_keys = _pack(moved, new_width)
-        order = new_keys.argsort(kind="stable")
-        coeffs = coeffs.astype(_dtype(1 + int(abs(coeffs).sum(dtype=object))), copy=False)
-        new_keys, coeffs = _summed(new_keys[order], coeffs[order])
-        return SparsePoly._from_packed(nout, new_keys, new_shift, new_spread, new_width,
-                                       coeffs)
+        _, shift, spread, _, coeffs = self._packed
+        # the largest |exponent| and |image entry| per variable, and a dtype
+        # that holds both and every partial sum of offset + exps @ images
+        top = [max(abs(s), abs(s + d)) for s, d in zip(shift, spread)]
+        reach = [max(map(abs, a), default=0) for a in images]
+        dtype = _dtype(1 + max([*map(abs, offset), *top, *reach], default=0)
+                       + sum(map(mul, top, reach)))
+        exps = self._exponents().astype(dtype, copy=False) \
+            @ np.array(images, dtype=dtype).reshape(self.nvars, nout) \
+            + np.array(offset, dtype=dtype)
+        return SparsePoly._from_exponents(nout, exps, coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and other.nvars == self.nvars

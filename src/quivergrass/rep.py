@@ -9,8 +9,9 @@ written in a fixed basis (vertices ascending, column-major inside each block),
 so phi_map output is reproducible bit for bit.  Each row holds at most
 dim M_t + dim N_s nonzeros out of sum_i e_i d_i columns, so phi_map stores
 only those, one {column: value} dict per row; ``hom_dim`` and ``ext1_dim``
-hand the dicts to ``linalg.rank`` as they are, and only the cocycle search,
-which eliminates the transpose, writes the matrix out densely.
+hand the dicts to ``linalg.rank`` as they are, and the cocycle search hands
+its columns to ``linalg.rref`` as {row: value} dicts, so no dense matrix of
+Phi is written.
 
 Conventions: arrow matrices have shape (d_target x d_source) and act on column
 vectors; subspaces are row spaces of reduced-row-echelon basis matrices.  A
@@ -384,23 +385,25 @@ def build_extension(s_rep, x_rep, cocycle):
 def nonzero_ext_cocycle(s_rep, x_rep):
     """A cocycle whose class spans Ext^1(S,X); requires that space nonzero.
 
-    Found as the first standard basis vector of Hom(dim S, dim X[1]) outside
-    the column space of Phi_S^X, so the output is deterministic.
+    Found as the first standard basis vector e_j of Hom(dim S, dim X[1])
+    outside the column space of Phi_S^X, so the output is deterministic.  The
+    columns of Phi are eliminated once, as {row: value} dicts; a vector of
+    their span is the sum of the reduced rows weighted by its entries at the
+    pivots, so e_j lies in it exactly when {j: 1} is a reduced row.
     """
     phi, cols = phi_map(s_rep, x_rep)
-    field = x_rep.field
-    nrows = len(phi)
-    # Im Phi is the row space of Phi^T, eliminated once
-    rows, pivots = la.rref(la.transpose(la.dense(phi, field, cols), cols), field)
-    image = la.dense(rows, field, nrows)
-    if len(pivots) == nrows:
+    field, nrows = x_rep.field, len(phi)
+    columns = [{} for _ in range(cols)]
+    for r, row in enumerate(phi):
+        for c, x in row.items():
+            columns[c][r] = x
+    image, pivots = la.rref(columns, field, nrows)
+    outside = set(range(nrows)) - {c for c, row in zip(pivots, image) if len(row) == 1}
+    if not outside:
         raise DomainError("Ext^1(S,X) = 0, no nonzero class")
-    shapes = [(x_rep.dims[t - 1], s_rep.dims[s - 1]) for s, t in x_rep.quiver.arrows]
-    for j in range(nrows):
-        unit = tuple(field.one if i == j else field.zero for i in range(nrows))
-        if not la.row_space_contains(image, pivots, unit, field):
-            return list(_unvec(unit, shapes))
-    raise AssertionError("unreachable: cokernel nonzero but no unit vector outside image")
+    j = min(outside)
+    return list(_unvec([field.one if i == j else field.zero for i in range(nrows)],
+                       [(x_rep.dims[t - 1], s_rep.dims[s - 1]) for s, t in x_rep.quiver.arrows]))
 
 
 def morphism_image_witness(phi_mats, source, target):

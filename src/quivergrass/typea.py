@@ -25,6 +25,8 @@ import random as _random
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg as la
 from . import rep as rp
 from .counting import CountPoly
@@ -44,10 +46,6 @@ def interval_rep(quiver, field, i, j):
     ``IntervalDecomposition`` U[i,j] over field, in the quiver's arrow order."""
     u = IntervalDecomposition(_require_linear(quiver), {(i, j): 1}).to_representation(field)
     return rp.Representation(quiver, field, u.dims, [u.matrix(s - 1) for s, _ in quiver.arrows])
-
-
-def interval_dims(n, i, j):
-    return tuple(1 if i <= v <= j else 0 for v in range(1, n + 1))
 
 
 class IntervalDecomposition:
@@ -478,13 +476,19 @@ def generating_function(m):
     nothing) in each coefficient-quiver row independently, so the sum is a
     product over rows: a copy of U[i,j] sums y^dim U[a,j] over its suffixes,
     the empty one (a = j + 1) included, and U[i,j]^m gives that row to the
-    m-th power.  The product runs on the sorted key and coefficient arrays
-    of ``SparsePoly`` and keeps them (``poly``).
+    m-th power.  A row's factor is built from its exponent array, one 0/1
+    row per suffix, with no tuple per term (``SparsePoly._from_exponents``);
+    the product runs on the sorted key and coefficient arrays of
+    ``SparsePoly`` and keeps them (``poly``).
     """
     n = m.n
     poly = None
     for (i, j), mult in m.m.items():
-        row = SparsePoly(n, {interval_dims(n, a, j): 1 for a in range(i, j + 2)})
+        # one 0/1 exponent row per suffix U[a,j], a = i, ..., j + 1, vertex v
+        # in column v - 1
+        a, v = np.arange(i, j + 2)[:, None], np.arange(1, n + 1)
+        row = SparsePoly._from_exponents(n, ((a <= v) & (v <= j)).astype(np.int64),
+                                         np.ones(j - i + 2, dtype=np.int64))
         for _ in range(mult):
             poly = row if poly is None else poly * row
     return SparsePoly.one(n) if poly is None else poly

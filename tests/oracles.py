@@ -10,6 +10,10 @@ isomorphism X/X_S = tau S^X.  ``convolve`` multiplies two
 polynomials term by term over exponent tuples, the oracle of the packed-key
 product ``SparsePoly.__mul__``, and ``substitute`` maps each exponent tuple
 through a monomial substitution, the oracle of ``SparsePoly.monomial_image``.
+``added`` sums (exponent, coefficient) pairs one at a time, the oracle of
+sums, differences and scalar multiples, and ``row_by_tuples`` writes the row
+factor of U[i,j] as a dict of dense tuples (``interval_dims``), the oracle
+of the 0/1 arrays ``typea.generating_function`` builds its rows from.
 ``f_identity_sides`` writes both sides of the F-polynomial form of the
 multiplication formula with ``convolve``, each F_M the cell count of M: the
 oracle of ``cluster.verify_multiplication``, which checks the CC form.
@@ -45,6 +49,9 @@ oracle, -<S_i, dim M> by one Euler form per unit vector S_i.
 ``incidence_by_scan`` reads a quiver's incidence by scanning its arrow list
 for every question, as ``Quiver`` once did: the oracle of the arrow index
 the constructor builds once.
+``dense_ext_cocycle`` finds the first unit vector outside the image of the
+defect map against its dense transpose, the oracle of the sparse search of
+``rep.nonzero_ext_cocycle``.
 ``hide_summands`` writes a representation in a new basis at every vertex,
 one whose arrow matrices join the coordinate blocks of its direct summands:
 the input that makes the count strategy of ``cluster.euler_char_table``
@@ -71,10 +78,11 @@ from quivergrass import (QQ, DomainError, PrimeField, Representation, SubrepWitn
                          euler_form, hom_basis, hom_dim, kronecker_quiver, linear_quiver,
                          quotient, restrict, zero_rep)
 from quivergrass.counting import enumerate_subreps
-from quivergrass.rep import morphism_image_witness
+from quivergrass.poly import SparsePoly
+from quivergrass.rep import _unvec, morphism_image_witness, phi_map
 from quivergrass.typea import (IntervalDecomposition, Stratum, coefficient_quiver, decompose,
-                               fixed_points, generating_function, hom_dim_decs,
-                               interval_dims, interval_rep, translate)
+                               fixed_points, generating_function, hom_dim_decs, interval_rep,
+                               translate)
 
 
 def hom_fingerprint(test_family, n_rep):
@@ -149,6 +157,17 @@ def convolve(p, q):
         for e2, c2 in q.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def added(*terms):
+    """{exponent tuple: coefficient} of iterables of (exponent tuple,
+    coefficient) pairs, equal exponents added one pair at a time and zero
+    sums dropped: the oracle of ``SparsePoly``'s +, - and scalar * and of its
+    constructor given an exponent more than once."""
+    out = {}
+    for e, c in itertools.chain(*terms):
+        out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
@@ -240,6 +259,35 @@ def point_witness(dec, starts, field):
         bases.append([[field.one if c == k else field.zero for c in range(len(through))]
                       for k in units])
     return SubrepWitness(linear_quiver(dec.n), field, bases)
+
+
+def dense_ext_cocycle(s_rep, x_rep):
+    """The cocycle of ``rep.nonzero_ext_cocycle`` by the dense route: Phi
+    written out, its transpose eliminated, and the unit vectors tested one at
+    a time against the dense row space; None when Ext^1(S,X) = 0."""
+    phi, cols = phi_map(s_rep, x_rep)
+    field = x_rep.field
+    nrows = len(phi)
+    rows, pivots = la.rref(la.transpose(la.dense(phi, field, cols), cols), field)
+    image = la.dense(rows, field, nrows)
+    for j in range(nrows):
+        unit = tuple(field.one if i == j else field.zero for i in range(nrows))
+        if not la.row_space_contains(image, pivots, unit, field):
+            return list(_unvec(unit, [(x_rep.dims[t - 1], s_rep.dims[s - 1])
+                                      for s, t in x_rep.quiver.arrows]))
+    return None
+
+
+def interval_dims(n, i, j):
+    """dim U[i,j] on A_n: 1 at the vertices i, ..., j, 0 elsewhere."""
+    return tuple(1 if i <= v <= j else 0 for v in range(1, n + 1))
+
+
+def row_by_tuples(n, i, j):
+    """The row polynomial of U[i,j], the sum of y^dim U[a,j] over a = i, ...,
+    j + 1, built from a dict of dense n-tuples: the oracle of the 0/1 exponent
+    array ``typea.generating_function`` builds it from."""
+    return SparsePoly(n, {interval_dims(n, a, j): 1 for a in range(i, j + 2)})
 
 
 def interval_by_arrows(quiver, field, i, j):

@@ -10,9 +10,9 @@ from quivergrass import (QQ, DomainError, Quiver, euler_form, kronecker_quiver, 
                          projective)
 from quivergrass.ardynkin import (classify, coxeter_matrix, knit,
                                   positive_root_count, tau_dim)
-from quivergrass.typea import IntervalDecomposition, interval_dims, translate
+from quivergrass.typea import IntervalDecomposition, translate
 
-from oracles import coxeter_by_inverse, meshes
+from oracles import coxeter_by_inverse, interval_dims, meshes
 
 D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
 D5 = Quiver(5, [(1, 3), (2, 3), (3, 4), (4, 5)])

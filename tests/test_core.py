@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivergrass import linalg as la
 from quivergrass import (
@@ -27,8 +29,8 @@ from quivergrass.typea import (IntervalDecomposition, deg_leq_hom, deg_leq_ranks
                                fixed_points, flag_dec, hom_dim_decs, interval_rep,
                                most_flat_dec, path_algebra_dec, random_decomposition)
 
-from oracles import (full_witness, hom_fingerprint, injective_cokernel_exponent, mul, neg,
-                     zero_witness)
+from oracles import (dense_ext_cocycle, full_witness, hide_summands, hom_fingerprint,
+                     injective_cokernel_exponent, mul, neg, zero_witness)
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -309,6 +311,37 @@ def test_build_extension_interval_example():
     z = nonzero_ext_cocycle(s, x)
     y, _, _ = build_extension(s, x, z)
     assert decompose(y) == IntervalDecomposition(4, {(1, 4): 1, (2, 3): 1})
+
+
+@st.composite
+def interval_pairs(draw):
+    """(S, X): interval modules on A_n, n <= 4, over Q or GF(7), each written
+    in a basis without zeros or not."""
+    n = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+    def module():
+        m = IntervalDecomposition(n, draw(st.dictionaries(st.sampled_from(intervals),
+                                                          st.integers(1, 2), max_size=3)))
+        rep = m.to_representation(field)
+        return hide_summands(rep) if draw(st.booleans()) else rep
+    return module(), module()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(interval_pairs())
+def test_ext_cocycle_equals_the_dense_search(pair):
+    """The first unit vector outside the image of Phi, read off the sparse
+    reduced columns, is the one the dense search finds; both refuse together."""
+    s, x = pair
+    want = dense_ext_cocycle(s, x)
+    if want is None:
+        assert ext1_dim(s, x) == 0
+        with pytest.raises(DomainError, match="Ext\\^1\\(S,X\\) = 0"):
+            nonzero_ext_cocycle(s, x)
+    else:
+        assert ext1_dim(s, x) > 0 and nonzero_ext_cocycle(s, x) == want
 
 
 def test_nonsplit_extension_differs_from_split():

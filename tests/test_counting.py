@@ -697,6 +697,18 @@ def test_count_strategy_checks_every_budget_before_the_first_count(monkeypatch, 
         (3, "budget error: enumeration of ~1927590 tuples exceeds budget 1000000\n")
 
 
+@pytest.mark.parametrize("estimate,size", [(10 ** 30 - 1, str(10 ** 30 - 1)),
+                                           (10 ** 30, "10^30"), (2 * 10 ** 30, "10^30"),
+                                           (8 * 10 ** 30, "10^31"), (10 ** 60600, "10^60600")],
+                         ids=["30 digits", "31 digits", "2e30", "8e30", "60601 digits"])
+def test_budget_refusals_write_long_estimates_as_powers_of_ten(estimate, size):
+    """At most 30 digits in full, past that ~10^k; the estimate stays exact."""
+    with pytest.raises(BudgetError) as err:
+        counting._check_budget(estimate, 5)
+    assert str(err.value) == f"enumeration of ~{size} tuples exceeds budget 5"
+    assert err.value.estimate == estimate
+
+
 def test_count_strategy_checks_every_summand_budget_before_the_first_count(monkeypatch):
     # the simple S_1 is counted first and fits any budget; the hidden flag
     # module after it does not, and is refused before S_1 counts a prime

@@ -1,7 +1,8 @@
 """Sparse polynomials: the packed-key product against the plain convolution,
-the packed monomial image against the plain substitution, the table-driven
-text against the term-by-term one, and the checks on what a polynomial may
-be built from, added to and multiplied by."""
+the packed monomial image against the plain substitution, sums, differences,
+scalar multiples and the constructor against the plain sum of terms, the
+table-driven text against the term-by-term one, and the checks on what a
+polynomial may be built from, added to and multiplied by."""
 
 import json
 from fractions import Fraction
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve, pretty, substitute
+from oracles import added, convolve, pretty, row_by_tuples, substitute
 from quivergrass import DomainError
 from quivergrass.poly import SparsePoly, _dtype, _pack, _unpack
+from quivergrass.typea import IntervalDecomposition, generating_function
 
 # slot-width edges (a shifted sum of 255 fits one byte, 256 needs two), wide
 # slots up to and past 8 bytes, and negative (Laurent) exponents
@@ -60,6 +62,62 @@ def test_chained_products_equal_the_convolution(triple):
     square = p * q
     assert (square * square).terms == convolve(pq, pq)
     assert (p * q + r) - r == pq
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polys(2), st.one_of(st.integers(-3, 3), st.integers(2 ** 62, 2 ** 70)))
+def test_sum_difference_and_scalar_multiple_equal_the_plain_sums(pair, k):
+    p, q = pair
+    plus, minus = added(p.terms.items(), q.terms.items()), \
+        added(p.terms.items(), ((e, -c) for e, c in q.terms.items()))
+    assert (p + q).terms == plus and (p + q).sorted_terms() == _grlex(plus)
+    assert (p - q).terms == minus and (p - q).sorted_terms() == _grlex(minus)
+    assert (k * p).terms == (p * k).terms == added((e, k * c) for e, c in p.terms.items())
+    # cancellation to zero, and a sum that feeds a product with its keys
+    assert (p - p).is_zero() and (p + q - q) == p and (-1 * p + p).is_zero()
+    assert ((p + q) * q).terms == convolve(SparsePoly(p.nvars, plus), q)
+
+
+@pytest.mark.parametrize("coeffs", [[2 ** 62, 2 ** 62], [2 ** 63 - 1, 1], [-2 ** 63, -1],
+                                    [2 ** 63 - 1, 2 ** 63 - 1, -5], [2 ** 62, -2 ** 62, 3]])
+def test_constructor_adds_repeated_exponents_past_int64(coeffs):
+    """Coefficients of one exponent, given as separate pairs, add up exactly
+    when their sum passes 2**63; the sum of two polynomials of such terms too."""
+    pairs = [((1, -2), c) for c in coeffs] + [((0, 0), 1)]
+    p = SparsePoly(2, pairs)
+    assert p.terms == added(pairs) and p.coefficient((1, -2)) == sum(coeffs)
+    half = SparsePoly(2, {(1, -2): coeffs[0]})
+    assert (half + SparsePoly(2, pairs[1:])).terms == added(pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 2000])
+def test_row_factors_equal_the_dense_tuples(n):
+    """The 0/1 exponent rows of generating_function give the row polynomial
+    of U[i,j] that the dict of dense n-tuples gives, for every interval at
+    n <= 7 and for a few of A_2000."""
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)] if n <= 7 else \
+        [(1, 1), (1, 3), (5, 9), (1999, 2000), (2000, 2000)]
+    for i, j in intervals:
+        row = generating_function(IntervalDecomposition(n, {(i, j): 1}))
+        assert row.sorted_terms() == row_by_tuples(n, i, j).sorted_terms()
+
+
+def test_sum_and_image_at_exponent_dtype_edges():
+    """Exponents whose shift and spread fit an int64 while |shift| + spread
+    does not; an exponent of 2**63 mapped into no variables; an image entry
+    past 2**63 on a variable whose exponents are all 0."""
+    low, high = -2 ** 63 + 1, 2 ** 62
+    p = SparsePoly(1, {(low,): 1, (high,): 2})
+    q = SparsePoly(1, {(high,): -2, (low + 3,): 5})
+    for left, right in ((p, q), (q, p)):
+        assert (left + right).terms == added(left.terms.items(), right.terms.items())
+    assert (p * q).terms == convolve(p, q)
+    small = SparsePoly(2, {(1, 0): 3, (2, 0): -1})
+    assert small.monomial_image([(1,), (2 ** 63,)], (0,)).terms == {(1,): 3, (2,): -1}
+    wide = SparsePoly(2, {(2 ** 63, 0): 3, (1, 0): -1})
+    assert wide.monomial_image([(), ()], ()).terms == {(): 2}
+    assert wide.monomial_image([(1,), (2 ** 64,)], (-2 ** 63,)).terms == \
+        substitute(wide, [(1,), (2 ** 64,)], (-2 ** 63,)) == {(0,): 3, (1 - 2 ** 63,): -1}
 
 
 def _grlex(terms):
