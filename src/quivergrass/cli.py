@@ -6,8 +6,9 @@ domain errors (including malformed files, reported with their position), 3
 budget errors.  Machine output is one canonical JSON document (sorted keys,
 fixed separators), so identical inputs produce byte-identical output.  The
 term list of a polynomial answer goes into it as the JSON text that
-``SparsePoly.render`` wrote with the answer's text form, never as a list of
-terms for json.dumps to walk.
+``SparsePoly.render`` wrote with the answer's text form, and the fixed
+points of ``cells`` as the JSON text their writer makes from a table of
+pieces (``_Cells``), never as lists for json.dumps to walk.
 
 Vertices are 1-based in files, matching the standard labeling; arrow indices
 (the keys of "matrices") are 0-based positions in the "arrows" list.
@@ -162,19 +163,80 @@ def _count_poly_json(cp):
     return out
 
 
-class _Terms:
+class _Written:
+    """An output whose JSON text its runner writes in either form,
+    ``json(spaced)``, in place of json.dumps: put into the document as it
+    is (``_json``)."""
+
+    __slots__ = ()
+
+
+class _Terms(_Written):
     """The term list of a polynomial as the JSON text ``SparsePoly.render``
-    wrote: a top-level output, put into the document as it is (``_json``)."""
+    wrote.  It holds only integers, brackets and commas, so the text form
+    is the same with a space after each comma."""
 
     __slots__ = ("text",)
 
     def __init__(self, text):
         self.text = text
 
+    def json(self, spaced):
+        return self.text.replace(",", ", ") if spaced else self.text
+
 
 def _terms(poly):
     """The term list of a polynomial whose text is not printed."""
     return _Terms(poly.render([""] * poly.nvars)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _start_pieces(top, sep):
+    """The pieces of a start a = None, 1, ..., top in the ``cells`` list:
+    {a: its JSON and sep} for every start of a point but the last, and
+    {a: its JSON} for the last."""
+    last = {None: "null"} | {a: str(a) for a in range(1, top + 1)}
+    return {a: text + sep for a, text in last.items()}, last
+
+
+class _Cells(_Written):
+    """The fixed points of ``cells``, (starts, dim) pairs, as the list of
+    {"starts": [...], "dim": d} that json.dumps writes: keys sorted and no
+    spaces in the machine form, in insertion order and spaced in the text
+    form.
+
+    Each distinct piece is written once, into a table: a start with the
+    separator after it (``_start_pieces``), and the dimension with the
+    brackets and keys around it.  The pieces of every point are laid out in
+    one list, a column at a time, and one join writes the whole list.
+    """
+
+    __slots__ = ("points", "top")
+
+    def __init__(self, points, top):
+        self.points, self.top = points, top  # top: no start is above it
+
+    def json(self, spaced):
+        if not self.points:
+            return "[]"
+        starts, dims = zip(*self.points)
+        columns = list(zip(*starts))
+        width = len(columns) + 2
+        sep = ", " if spaced else ","
+        if spaced:  # {"starts": [a, ...], "dim": d}
+            fixed, at = '{"starts": [', width - 1
+            dim = {d: f'], "dim": {d}}}, ' for d in set(dims)}
+        else:  # {"dim":d,"starts":[a,...]}
+            fixed, at = "]},", 0
+            dim = {d: f'{{"dim":{d},"starts":[' for d in set(dims)}
+        pieces = [fixed] * (len(dims) * width)
+        pieces[at::width] = map(dim.__getitem__, dims)
+        middle, last = _start_pieces(self.top, sep)
+        for r, column in enumerate(columns, 1):
+            pieces[r::width] = map((middle if r < width - 2 else last).__getitem__, column)
+        pieces[0] = "[" + pieces[0]
+        pieces[-1] = pieces[-1][:-len(sep)] + "]"
+        return "".join(pieces)
 
 
 # Each runner takes the parsed flags (after ``_inputs``) and the echoed
@@ -225,7 +287,8 @@ def _poly(args, echo):
 def _cells(args, echo):
     dec = _decomposition(args.m)
     rows = ta.coefficient_quiver(dec)
-    cells = [{"starts": list(pt), "dim": dim} for pt, dim in ta.fixed_points(dec, args.e)]
+    # rows run j descending, so no start is above the end of the first
+    cells = _Cells(ta.fixed_points(dec, args.e), rows[0][1] if rows else 0)
     return {"rows": [list(r) for r in rows], "cells": cells}, {"engine": "cells"}
 
 
@@ -423,12 +486,11 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _json(value, spaced):
-    """The JSON of one output: a term list (``_Terms``) as it was written,
-    with a space after each comma in the text form, which is exact because
-    it holds only integers, brackets and commas; any other value by
-    json.dumps, with the separators of the form."""
-    if type(value) is _Terms:
-        return value.text.replace(",", ", ") if spaced else value.text
+    """The JSON of one output: a written one (``_Written``: a term list or
+    the fixed points of ``cells``) as its runner wrote it in the form; any
+    other value by json.dumps, with the separators of the form."""
+    if isinstance(value, _Written):
+        return value.json(spaced)
     return json.dumps(value) if spaced else _encode(value)
 
 
@@ -445,10 +507,10 @@ def _render_text(name, outputs):
 
 
 def _render_machine(name, echo, outputs, provenance):
-    """The canonical document.  Where no output is a term list it is one
-    json.dumps; else its parts are written in the order json.dumps would
-    write them, the outputs one by one."""
-    if not any(type(v) is _Terms for v in outputs.values()):
+    """The canonical document.  Where no output is written (``_Written``)
+    it is one json.dumps; else its parts are written in the order
+    json.dumps would write them, the outputs one by one."""
+    if not any(isinstance(v, _Written) for v in outputs.values()):
         return _encode({"subcommand": name, "inputs": echo, "outputs": outputs,
                         "provenance": provenance}) + "\n"
     parts = ['{"inputs":', _encode(echo), ',"outputs":{']
@@ -480,8 +542,8 @@ def run(argv):
 
     The runner's outputs are written in the text form line by line, each
     value as json.dumps writes it, or as the one canonical machine document
-    (``_render_machine``).  A term list (``_Terms``) is the same JSON text in
-    both, with a space after each comma in the text form."""
+    (``_render_machine``).  A written output (``_Written``) is the JSON
+    text its runner wrote in the form."""
     if not argv:
         return 1, "error: no subcommand given; expected one of: " \
             + ", ".join(COMMANDS) + "\n"

@@ -10,20 +10,26 @@ explicit inequalities.  A torus fixed point of a Grassmannian is a plain
 tuple with one suffix start (or None) per row of ``coefficient_quiver(m)``,
 and each fixed point carries an attracting cell whose dimension is read off
 the diagram.  ``_row_choices`` holds the one pruning rule: given the state
-after the earlier rows, it yields the admissible choices of the next row
-with their cell-dimension increments.  Two searches read it.
-``fixed_points`` goes depth first and lists every point with its cell
-dimension, for the ``cells`` subcommand.  ``_sweep`` goes forward row by
-row and merges the partial points that have selected the same suffixes, so
-``poincare_polynomial`` and ``strata`` count cells per isoclass without
-listing the points.  ``generating_function`` sums the Euler
+after the earlier rows, it lists the admissible choices of the next row
+with their cell-dimension increments.  ``_sweep`` applies it once per state
+of a forward sweep that merges the partial points which have selected the
+same suffixes, and keeps the result as a layered state graph with the
+states that lead to no point dropped.  The graph has three readers:
+``fixed_points`` lists every path through it with its cell dimension, for
+the ``cells`` subcommand, and ``poincare_polynomial`` and ``strata`` fold
+the cell counts per isoclass over it (``_tallies``) without listing the
+points.  ``generating_function`` sums the Euler
 characteristics of all the Grassmannians of a module as one product of row
 polynomials, without listing the fixed points.
 """
 
 import random as _random
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import gt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,7 +273,14 @@ def coefficient_quiver(m):
     Ext^1(U[a,b], U[c,d]) != 0 forces d >= b+1 > b, so a row can never have
     an extension into a row sorted after it.  Equal rows are adjacent, which
     is harmless since equal rows commute.
+
+    BudgetError, before any row is listed, when the rows and the capacity
+    table the searches build from them, (rows + 1) * n entries with one
+    row per summand counted with multiplicity, are above the ceiling
+    (``errors.check_ceiling``).
     """
+    rows = sum(m.m.values())
+    check_ceiling((rows + 1) * m.n, "the coefficient quiver of {} rows on A_{}", rows, m.n)
     return tuple(m.summands())
 
 
@@ -281,26 +294,29 @@ def _search_rows(m, e):
     _require_linear(quiver)
     e = quiver.check_dim_vector(e)
     d = m.dims
-    if any(x > y for x, y in zip(e, d)):
+    if any(map(gt, e, d)):
         return None
     rows = coefficient_quiver(m)
     capacity = [d]
     for i, j in rows:
-        capacity.append(tuple(c - (i <= v <= j) for v, c in enumerate(capacity[-1], 1)))
+        cap = list(capacity[-1])
+        for v in range(i - 1, j):
+            cap[v] -= 1
+        capacity.append(cap)
     return e, rows, capacity
 
 
 def _row_choices(i, j, cap, remaining, selected):
-    """The admissible choices of the row [i, j], as (start, increment) pairs
-    in the order None, j, j - 1, ...: the start a of the suffix U[a, j] the
-    row selects (None for nothing) and what the choice adds to the cell
-    dimension.
+    """The admissible choices of the row [i, j], as a list of (start,
+    increment) pairs in the order None, j, j - 1, ...: the start a of the
+    suffix U[a, j] the row selects (None for nothing) and what the choice
+    adds to the cell dimension.  This is the one pruning rule of the state
+    graph (``_sweep``), which calls it once per state.
 
     The state is the demand still to place at each vertex, ``remaining``,
     and the starts the earlier rows selected at each vertex, ``selected``;
-    ``cap`` is the capacity of this row (``_search_rows``).  While the
-    generator is suspended at a choice, both lists hold the state after the
-    row has taken it; they are restored when it finishes.
+    ``cap`` is the capacity of this row (``_search_rows``).  The choice a
+    takes one from the demand at a, ..., j and adds one start at a.
 
     The slack of a vertex is its capacity minus its demand.  A row that
     skips a vertex of its support lowers the vertex's slack by one, and a
@@ -311,7 +327,8 @@ def _row_choices(i, j, cap, remaining, selected):
     too.  Every choice cut this way would leave a vertex with more demand
     than rows to fill it, so no fixed point is lost; and slack stays >= 0
     on every choice kept, so after the last row, which leaves no capacity,
-    the demand is 0 everywhere.
+    the demand is 0 everywhere.  A choice can still lead to a state where
+    a later row has no choice at all; ``_sweep`` drops such states.
 
     The choice a adds the number of earlier selected starts in [i, a - 1],
     and None those in [i, j] (``cell_dimension``).
@@ -322,20 +339,120 @@ def _row_choices(i, j, cap, remaining, selected):
         below += selected[v]
         if tight is None and remaining[v] == cap[v]:
             tight = v + 1
+    out = []
     if tight is None:
-        yield None, below
+        out.append((None, below))
         tight = j
     a = j + 1
     while a > i and remaining[a - 2]:
         a -= 1
-        remaining[a - 1] -= 1
         below -= selected[a - 1]
         if a <= tight:
-            selected[a - 1] += 1
-            yield a, below
-            selected[a - 1] -= 1
-    for v in range(a - 1, j):
-        remaining[v] += 1
+            out.append((a, below))
+    return out
+
+
+class _Graph(NamedTuple):
+    """The state graph of ``_sweep``.  ``layers[r][s]`` lists the out-edges
+    of state s of layer r, (start a or None, cell-dimension increment,
+    target state of layer r + 1); layer 0 holds the one empty point.
+    ``keys[s]`` is the key of state s after the last row: its multiset of
+    suffixes as an integer whose bytes, ``width`` at a time from the least
+    significant, are the digits, the count of ``suffixes[k]`` digit k."""
+
+    layers: list
+    keys: list
+    width: int
+    suffixes: list
+
+    def multiplicities(self, key):
+        """The multiset of suffixes a key holds, {(a, j): mult}."""
+        digits = memoryview(key.to_bytes(self.width * len(self.suffixes), sys.byteorder))
+        counts = digits.cast(_DIGITS[self.width])
+        if sys.byteorder == "big":  # the most significant digit came first
+            counts = counts[::-1]
+        return {ij: mult for ij, mult in zip(self.suffixes, counts) if mult}
+
+
+# the memoryview format of an unsigned digit of 1, 2 or 4 bytes
+_DIGITS = {1: "B", 2: "H", 4: "I"}
+
+
+def _sweep(m, e):
+    """The forward sweep over the rows of ``coefficient_quiver(m)``, built
+    once as a layered state graph (``_Graph``), or None when Gr_e(M) has no
+    fixed point.  Its three readers: ``fixed_points`` lists its paths,
+    ``poincare_polynomial`` and ``strata`` fold tallies over it
+    (``_tallies``).
+
+    A state of layer r is a class of partial points through the rows before
+    r: those that have selected the same multiset of suffixes U[a, j].  The
+    multiset fixes the demand still to place and the starts histogram that
+    the increments read, so such points have the same completions with the
+    same dimension increments: a state's out-edges are the choices of
+    ``_row_choices`` on it, in that order.  After the last row a state is
+    one isoclass N, since a fixed point spans the sum of its suffixes.  A
+    state's key is its multiset as one integer with a digit of one, two or
+    four bytes per suffix, wide enough to count every row (the ceiling of
+    ``coefficient_quiver`` keeps the rows below 256**4), so a choice adds
+    the weight of its suffix and the digits read back as the key's bytes.
+    Digits go to the suffixes in the order they are first chosen, so no
+    digit is spent on a suffix no row selects.
+
+    One backward pass then drops every state with no path to the last row
+    and renumbers the rest, so every state kept lies on a fixed point and
+    no reader walks a dead end.
+    """
+    setup = _search_rows(m, e)
+    if setup is None:
+        return None
+    e, rows, capacity = setup
+    width = next(w for w in _DIGITS if len(rows) < 256 ** w)
+    # weights[j][a]: the weight of U[a, j] in a key
+    weights, suffixes = {}, []
+    states = [(0, e, [0] * m.n)]  # (key, demand, starts at each vertex)
+    layers = []
+    for (i, j), cap in zip(rows, capacity):
+        weight = weights.setdefault(j, {})
+        index, after, layer = {}, [], []
+        for key, remaining, selected in states:
+            out = []
+            for a, inc in _row_choices(i, j, cap, remaining, selected):
+                to = key
+                if a is not None:
+                    w = weight.get(a)
+                    if w is None:
+                        w = weight[a] = 1 << 8 * width * len(suffixes)
+                        suffixes.append((a, j))
+                    to += w
+                t = index.get(to)
+                if t is None:
+                    t = index[to] = len(after)
+                    demand, starts = list(remaining), selected[:]
+                    if a is not None:
+                        starts[a - 1] += 1
+                        for v in range(a - 1, j):
+                            demand[v] -= 1
+                    after.append((to, demand, starts))
+                out.append((a, inc, t))
+            layer.append(out)
+        layers.append(layer)
+        states = after
+    # the backward pass: alive[t] is whether state t of the next layer has
+    # a path to the last row (None: all have), and kept[t] its number once
+    # the dead are gone
+    alive = None
+    for r in range(len(layers) - 1, -1, -1):
+        if alive is not None:
+            kept = list(accumulate(alive, initial=0))
+            layers[r] = [[(a, inc, kept[t]) for a, inc, t in out if alive[t]]
+                         for out in layers[r]]
+        alive = None if all(layers[r]) else list(map(bool, layers[r]))
+        if alive is not None:
+            layers[r] = list(compress(layers[r], alive))
+    if layers and not layers[0]:
+        return None
+    return _Graph(layers, [key for key, _, _ in states], width, suffixes)
 
 
 def fixed_points(m, e):
@@ -346,89 +463,73 @@ def fixed_points(m, e):
     a fixed point selects one start a (or None, nothing) in every row.
     Points come in lexicographic order of the per-row choices None, j, ..., i.
 
-    A depth-first search over the rows: each row takes in turn the
-    admissible choices of ``_row_choices``, which prunes by slack and keeps
-    every point, and adds their increments to the cell dimension
-    ``cell_dimension(rows, starts)``.  The search keeps the suspended
-    generators of the rows down to the current one in a list, not on the
-    call stack, so its depth is not bounded by the interpreter's recursion
-    limit.  The list has
-    one entry per point; ``poincare_polynomial`` and ``strata`` read the same
-    choices without it.
+    Every path through the state graph of ``_sweep`` is one point, its
+    dimension the sum of the increments on its edges.  A depth-first walk
+    takes the out-edges of each state in their order, so it lists the paths
+    in that lexicographic order.  It keeps an iterator over the out-edges
+    still to take at each layer down to the current one in a list, not on
+    the call stack, so its depth is not bounded by the interpreter's
+    recursion limit.  Every state lies on a point, so the walk never enters
+    a dead end; it makes one step per edge of a path and one tuple per
+    point, and no choice is worked out again.  (Extending all the partial
+    points layer by layer instead copies each one's starts at every layer,
+    which is quadratic in the number of rows.)
     """
-    setup = _search_rows(m, e)
-    if setup is None:
+    graph = _sweep(m, e)
+    if graph is None:
         return []
-    e, rows, capacity = setup
-    if not rows:
+    layers = graph.layers
+    if not layers:
         return [((), 0)]  # d = 0, so e = 0: the zero subrepresentation
     out = []
-    remaining = list(e)
-    selected = [0] * m.n
-    last = len(rows) - 1
-    # the suspended choices of every row down to the current one, r, and
-    # the cell dimension before each; starts[:r] are the choices taken above
-    choices, dims, starts = [None] * len(rows), [0] * len(rows), [None] * len(rows)
-    choices[0] = _row_choices(*rows[0], capacity[0], remaining, selected)
+    last = len(layers) - 1
+    # the out-edges still to take at every layer down to the current one,
+    # r, and the cell dimension before each; starts[:r] are the choices above
+    edges, dims, starts = [None] * len(layers), [0] * len(layers), [None] * len(layers)
+    edges[0] = iter(layers[0][0])
     r = 0
     while r >= 0:
         if r == last:
-            for a, inc in choices[r]:
+            for a, inc, _ in edges[r]:
                 starts[r] = a
                 out.append((tuple(starts), dims[r] + inc))
             r -= 1
             continue
-        for a, inc in choices[r]:
+        for a, inc, t in edges[r]:
             starts[r] = a
             r += 1
             dims[r] = dims[r - 1] + inc
-            choices[r] = _row_choices(*rows[r], capacity[r], remaining, selected)
+            edges[r] = iter(layers[r][t])
             break
         else:
             r -= 1
     return out
 
 
-def _sweep(m, e):
-    """The fixed points of Gr_e(M) by isoclass: a list of (multiplicities,
-    tally) pairs, one per nonempty iso-stratum, with the multiplicities of
-    the intervals of the stratum's sub-representation N = (+) U[a, j] and
-    the tally {cell dimension: number of fixed points}.
+def _tallies(graph):
+    """The tally {cell dimension: number of fixed points} of each state of
+    the last layer of the state graph, in the order of ``graph.keys``; none
+    when there is no graph.
 
-    One forward sweep over the rows of ``coefficient_quiver(m)``.  Partial
-    points that have selected the same multiset of suffixes U[a, j] are one
-    state: the multiset fixes the demand still to place and the starts
-    histogram that the increments read, so such points have the same
-    completions with the same dimension increments, and the state carries
-    their dimensions as one tally.  After the last row each state is one
-    isoclass N, since a fixed point spans the sum of its suffixes.
+    The tallies are folded forward over the graph: a state carries the
+    dimensions of the partial points it merges as one tally, and each
+    out-edge adds that tally, shifted by its increment, to its target's.
+    No point is listed.
     """
-    setup = _search_rows(m, e)
-    if setup is None:
+    if graph is None:
         return []
-    e, rows, capacity = setup
-    n = m.n
-    # a state's key counts its suffixes U[a, j] in the order of ``intervals``
-    intervals = [(a, j) for j in range(1, n + 1) for a in range(1, j + 1)]
-    position = {ij: k for k, ij in enumerate(intervals)}
-    states = {(0,) * len(intervals): (list(e), [0] * n, {0: 1})}
-    for r, (i, j) in enumerate(rows):
-        after = {}
-        for key, (remaining, selected, tally) in states.items():
-            for a, inc in _row_choices(i, j, capacity[r], remaining, selected):
-                to = key
-                if a is not None:
-                    k = position[a, j]
-                    to = key[:k] + (key[k] + 1,) + key[k + 1:]
-                state = after.get(to)
-                if state is None:
-                    state = after[to] = (remaining[:], selected[:], {})
-                merged = state[2]
+    layers = graph.layers
+    sizes = [len(layer) for layer in layers[1:]] + [len(graph.keys)]
+    tallies = [{0: 1}]
+    for layer, size in zip(layers, sizes):
+        after = [{} for _ in range(size)]
+        for out, tally in zip(layer, tallies):
+            for _, inc, t in out:
+                merged = after[t]
                 for dim, count in tally.items():
                     merged[dim + inc] = merged.get(dim + inc, 0) + count
-        states = after
-    return [({ij: mult for ij, mult in zip(intervals, key) if mult}, tally)
-            for key, (_, _, tally) in states.items()]
+        tallies = after
+    return tallies
 
 
 def cell_dimension(rows, starts):
@@ -438,7 +539,7 @@ def cell_dimension(rows, starts):
     subdiagram; the cell dimension is the number of white vertices lying
     strictly below such a source in the same column (rows after r whose
     support contains the column but whose selection does not).  This is the
-    per-point definition; ``fixed_points`` and ``_sweep`` sum the same count
+    per-point definition; the state graph of ``_sweep`` sums the same count
     row by row, the increments of ``_row_choices``.
     """
     if len(starts) != len(rows):
@@ -461,9 +562,10 @@ def cell_dimension(rows, starts):
 
 def poincare_polynomial(m, e):
     """Sum of q^(cell dimension) over all torus fixed points of Gr_e(M): the
-    tallies of ``_sweep`` added up, without listing the points."""
+    tallies folded over the state graph of ``_sweep`` (``_tallies``) added
+    up, without listing the points."""
     counts = Counter()
-    for _, tally in _sweep(m, e):
+    for tally in _tallies(_sweep(m, e)):
         counts.update(tally)
     return CountPoly(tuple(counts[k] for k in range(max(counts, default=-1) + 1)), "assumed")
 
@@ -511,12 +613,16 @@ def strata(m, e):
 
     A stratum is nonempty exactly when it contains a torus fixed point (every
     cell lies in the stratum of its fixed point), so the strata are the
-    states ``_sweep`` ends with and the cells of one are its tally's sum; its
-    dimension is [N,M] - [N,N] by the closed-form interval Homs.
+    states the graph of ``_sweep`` ends with and the cells of one are its
+    tally's sum (``_tallies``); its dimension is [N,M] - [N,N] by the
+    closed-form interval Homs.
     """
+    graph = _sweep(m, e)
+    if graph is None:
+        return []
     out = []
-    for multiplicities, tally in _sweep(m, e):
-        iso = IntervalDecomposition(m.n, multiplicities)
+    for key, tally in zip(graph.keys, _tallies(graph)):
+        iso = IntervalDecomposition(m.n, graph.multiplicities(key))
         dim = hom_dim_decs(iso, m) - hom_dim_decs(iso, iso)
         out.append(Stratum(iso, dim, sum(tally.values())))
     out.sort(key=lambda s: (-s.dim, sorted(s.isoclass.m.items())))

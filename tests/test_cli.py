@@ -728,6 +728,10 @@ LARGE_FIXED_POINT_OUTPUT_DIGESTS = {
         "c3020850be1df46a56e58cb3c8da203524de3d7e8c6d337abf424fd3c05abd1e",
     ("cells", "degenerate_flag", 6, "machine"):
         "5c45bd6ecaf756b00352f50ccd102ad27e5355a295ba619c76ecfa0ee0c75256",
+    ("cells", "most_flat", 5, "text"):
+        "f1f48b1a3513b5f1c29f7decc2db1410bffcb54210f2d2d019d99f8114844e77",
+    ("cells", "most_flat", 5, "machine"):
+        "7e05b2462d18d9514d230543ad3383027ebe3dc59bdfea4eb71f7df29b4924ef",
     ("poincare", "most_flat", 6, "text"):
         "535945762b00d9c604bd0d7cabd971db41f08d6776f08432e7966b5fc0f9e625",
     ("poincare", "most_flat", 6, "machine"):

@@ -6,11 +6,11 @@ The rows are inputs that once escaped as a raw exception (recursion depth,
 the interpreter's limit on int <-> str conversion), inputs that once
 allocated until memory or time ran out (a rep file's omitted matrices built
 densely, the n(n+1)/2 ranks of a long A_n, the exchange matrix of a long
-A_n), inputs that once took quadratic time or memory (the g-vector of a long
-A_n, and the F-polynomial of one, whose keys of 200,000 slots were once
-packed through a weight table of ~nvars^2/7 entries) and inputs that have
-always ended cleanly.  ``{dir}`` in an argv is the directory of the fixture
-files.
+A_n, the coefficient quiver of a summand of multiplicity 10^8), inputs that
+once took quadratic time or memory (the g-vector of a long A_n, and the
+F-polynomial of one, whose keys of 200,000 slots were once packed through
+a weight table of ~nvars^2/7 entries) and inputs that have always ended
+cleanly.  ``{dir}`` in an argv is the directory of the fixture files.
 """
 
 import json
@@ -57,6 +57,8 @@ COUNT_U12 = ["count", "--intervals", "U[1,2]", "--n", "2", "--e", "0,1", "--p"]
 # (argv, exit code)
 ROWS = {
     "cells-1200-rows": (["cells", "--intervals", "U[1,1]^1200", "--n", "1", "--e", "1"], 0),
+    "cells-100000000-rows": (["cells", "--intervals", "U[1,2]^100000000", "--n", "2",
+                              "--e", "1,1"], 3),
     "count-1500-vertices-e0": (["count", *LONG_PATH, "--e", ",".join(["0"] * 1500),
                                 "--p", "2"], 0),
     "count-1500-vertices-e1": (["count", *LONG_PATH, "--e", ",".join(["1"] * 1500),

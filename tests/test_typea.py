@@ -2,6 +2,7 @@
 coefficient quivers, fixed points, cells, strata, catenoids, flat loci."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -15,7 +16,7 @@ from quivergrass import linalg as la
 from quivergrass.rep import reduce_mod
 from quivergrass.counting import count_points
 from quivergrass.typea import (
-    IntervalDecomposition, Stratum, cell_dimension,
+    IntervalDecomposition, Stratum, _sweep, cell_dimension,
     coefficient_quiver, decompose, deg_leq_hom, deg_leq_ranks,
     degenerate_flag_dec, euler_char_cells, ext_interval, fixed_points,
     flag_dec, generating_function, flat_locus_class, hom_interval, interval_rep, is_catenoid,
@@ -483,6 +484,53 @@ def assert_sweep_equals_the_points(dec, e):
 @given(small_decompositions())
 def test_sweep_equals_the_fold_over_the_points(case):
     assert_sweep_equals_the_points(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_decompositions())
+def test_fixed_points_equal_the_brute_force_points(case):
+    """The listing read off the state graph against the product of the
+    per-row choices, which shares no code with it: the same points in the
+    same order, each with the dimension ``cell_dimension`` counts."""
+    assert_matches_brute_force(*case)
+
+
+def test_every_state_of_the_graph_lies_on_a_fixed_point():
+    """On degenerate_flag_dec(6) at e = (2, ..., 2), 705 of the partial
+    points that the choices of ``_row_choices`` reach have no completion;
+    the pruned graph keeps no state of them.  Every state has an out-edge
+    and an in-edge, and the partial paths into the states of each layer are
+    exactly the distinct prefixes of that length of the fixed points."""
+    dec, e = degenerate_flag_dec(6), (2,) * 6
+    graph = _sweep(dec, e)
+    layers = graph.layers
+    points = fixed_points(dec, e)
+    paths = [1]  # the partial paths into each state of the layer
+    for r, layer in enumerate(layers, 1):
+        assert all(layer)
+        after = [0] * len(layers[r] if r < len(layers) else graph.keys)
+        for out, k in zip(layer, paths):
+            for _, _, t in out:
+                after[t] += k
+        assert all(after)
+        paths = after
+        assert sum(paths) == len({pt[:r] for pt, _ in points})
+    assert len(points) == 2751
+    assert sum(poincare_polynomial(dec, e).coefficients) == sum(s.cells for s in strata(dec, e)) \
+        == generating_function(dec).coefficient(e) == 2751
+
+
+def test_strata_past_255_rows():
+    """A state's key counts every row in a digit of its own, two bytes wide
+    from 256 rows on: the strata of 302 rows read back their isoclasses."""
+    dec = IntervalDecomposition(2, {(1, 2): 300, (2, 2): 2})
+    found = strata(dec, (1, 3))
+    assert [s.isoclass for s in found] == [IntervalDecomposition(2, {(1, 2): 1, (2, 2): 2})]
+    # one row of U[1,2] takes vertex 1, two of the other 301 rows take vertex 2 alone
+    assert found[0].cells == sum(poincare_polynomial(dec, (1, 3)).coefficients) \
+        == 300 * math.comb(301, 2)
+    for e in ((0, 1), (1, 1)):
+        assert strata(dec, e) == strata_by_points(dec, e)
 
 
 def test_sweep_at_every_e():
