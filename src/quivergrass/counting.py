@@ -11,27 +11,31 @@ entries odometer-style, vertices ascending) so golden tests are stable.
 
 Counting (``count_points``) does not enumerate every vertex.  Once the
 neighbours of a sink t are chosen, the admissible U_t are the e_t-spaces
-containing the span of the images, r-dimensional say: [d_t - r, e_t - r]_p
-of them.  Dually (Gr_e(M) = Gr_{d-e}(DM)), once the targets of a source s
-are chosen, the admissible U_s are the e_s-spaces inside the intersection of
-the preimages M_a^-1(U_t), of codimension r say: [d_s - r, e_s]_p of them.
+containing the span of the images, r-dimensional say: [d_t - r, e_t - r]_p of
+them.  Dually (Gr_e(M) = Gr_{d-e}(DM)), once the targets of a source s are
+chosen, the admissible U_s are the e_s-spaces inside the intersection of the
+preimages M_a^-1(U_t), of codimension r say: [d_s - r, e_s]_p of them.
 ``plan_count`` picks an independent set of sources and sinks to sum this way,
 minimising the product of Gaussian binomials over the vertices still
-enumerated; the executor runs one depth-first search over those, testing
-each vertex a numpy batch at a time.  A batch is a fixed number of rows that
-runs across pivot patterns, and a vertex's annihilators are built only where
-an arrow test or a summed source reads them, so the cost of a count follows
-its rows and not its batches.  The rows of the last vertex are grouped by
-their rank vector (one lexsort over its columns, whatever their number), so
-every distinct product of Gaussian binomials is formed once and every sum and
-product is taken exactly in Python ints.  The ranks come from
-``batched_rank_mod_p``, one lazily reduced forward elimination per batch.
-Every array of the search and of the rank kernel runs at the narrowest exact
-width, ``_residue_dtype(p, n)``: int16, then int32, then int64, and Python
-ints (dtype=object) beyond, by the one bound n (p-1)**2 < max of the width,
-n the largest dimension (1 for the rank kernel).  At n = 1 the edges are
-p = 181 | 191, 46337 | 46349 and 3037000493 | 3037000507; the elliptic
-representation (n = 10) runs at int16 up to p = 53.  Exhaustive
+enumerated, once a floor under every plan's product (``_plan_floor``) fits the
+budget; the executor runs one depth-first search over those, testing each
+vertex a numpy batch at a time.  A summed source w is ranked through Psi, its
+arrow matrices stacked, whose rank R and left-kernel basis C
+(``_left_kernel``) are found once per count: r = R - sum_a e_t(a) + rank of C
+restricted to the sum V of the U_t, a (sum e_t) x (sum d_t - R) matrix per
+tuple.  A batch is a fixed number of rows that runs across pivot patterns, and
+a vertex's annihilators are built only where an arrow test reads them, so the
+cost of a count follows its rows and not its batches.  The rows of the last
+vertex are grouped by their rank vector (one lexsort over its columns,
+whatever their number), so every distinct product of Gaussian binomials is
+formed once and every sum and product is taken exactly in Python ints.  The
+ranks come from ``batched_rank_mod_p``, one lazily reduced forward elimination
+per batch.  Every array of the search and of the rank kernel runs at the
+narrowest exact width, ``_residue_dtype(p, n)``: int16, then int32, then
+int64, and Python ints (dtype=object) beyond, by the one bound n (p-1)**2 <
+max of the width, n the largest dimension (1 for the rank kernel).  At n = 1
+the edges are p = 181 | 191, 46337 | 46349 and 3037000493 | 3037000507; the
+elliptic representation (n = 10) runs at int16 up to p = 53.  Exhaustive
 (``enumerate_subreps``) and planned counts are cross-asserted on random small
 representations in the test suite.
 
@@ -245,6 +249,39 @@ def batched_rank_mod_p(mats, p):
     return rank
 
 
+def _left_kernel(mat, p):
+    """(R, C) for an (h, n) matrix over GF(p) with entries in [0, p): its rank
+    R and a basis C of its left kernel, (h - R, h), entries in [0, p).
+
+    One forward elimination of [mat | I_h] in numpy, whose rows with the
+    left part eliminated are the basis.  As in ``batched_rank_mod_p``, only
+    the pivot column and the pivot row are reduced at each step, and the rows
+    below once every k steps, so int64 is exact up to p = 3037000493 and
+    Python ints take over beyond.
+    """
+    h, n = mat.shape
+    dtype = np.int64 if _residue_dtype(p, 1) != object else object
+    a = np.concatenate([mat, np.eye(h, dtype=mat.dtype)], axis=1).astype(dtype)
+    lazy = n if dtype == object else (np.iinfo(dtype).max - p) // (p - 1) ** 2
+    rank = 0
+    for c in range(n):
+        col = a[rank:, c] % p
+        nonzero = np.flatnonzero(col)
+        if not nonzero.size:
+            continue
+        top = rank + nonzero[0]
+        a[[rank, top]] = a[[top, rank]]
+        col[[0, nonzero[0]]] = col[[nonzero[0], 0]]
+        pivot_row = a[rank, c + 1:] % p * pow(int(col[0]), -1, p) % p
+        a[rank + 1:, c + 1:] -= col[1:, None] * pivot_row
+        rank += 1
+        if rank == h:
+            break
+        if rank % lazy == 0:
+            a[rank:] %= p
+    return rank, a[rank:, n:] % p
+
+
 def _require_prime_field(m_rep):
     if not isinstance(m_rep.field, PrimeField):
         raise DomainError("finite-field enumeration needs a representation over GF(p)")
@@ -289,7 +326,7 @@ class CountPlan:
     estimate: int
 
 
-def plan_count(quiver, dims, e, p):
+def plan_count(quiver, dims, e, p, budget=None):
     """The independent set of sources and sinks whose summing leaves the fewest
     tuples to enumerate, the product of [d_v, e_v]_p over the others.
 
@@ -298,9 +335,17 @@ def plan_count(quiver, dims, e, p):
     to one of them is summed too.  All subsets of the smaller side are
     tried.  Isolated vertices are always summed; summing a vertex with a
     single subspace (e_v in {0, d_v}) saves nothing, so none is tried.
+
+    Given a budget, BudgetError unless the plan's estimate fits it: the
+    floor under every plan's estimate (``_plan_floor``) is checked before any
+    subset is tried, and where no plan attains the floor the message says the
+    estimate is at least it.
     """
     n = quiver.vertex_count
     cost = {v: gaussian_binomial(dims[v - 1], e[v - 1], p) for v in range(1, n + 1)}
+    if budget is not None:
+        floor, attained = _plan_floor(quiver, cost)
+        _check_budget(floor, budget, attained)
     neighbours = {v: quiver.neighbours(v) for v in range(1, n + 1)}
     isolated = {v for v in neighbours if not neighbours[v]}
     side = [v for v in quiver.sources() if v not in isolated]
@@ -321,19 +366,50 @@ def plan_count(quiver, dims, e, p):
                 # the search runs over the cheap vertices first, the leaf is the dearest
                 rest.sort(key=lambda v: cost[v])
                 best = CountPlan(tuple(rest), tuple(sorted(summed)), estimate)
+    if budget is not None:
+        _check_budget(best.estimate, budget)
     return best
 
 
-def _check_budget(estimate, budget):
-    """BudgetError when estimate > budget.  An estimate of more than 30 digits
-    is written ~10^k, k = log10 2^(b - 1/2) rounded for its bit length b, so
-    the message stays short and no long int is converted to text;
-    ``BudgetError.estimate`` is exact."""
+def _plan_floor(quiver, cost):
+    """(a lower bound on the estimate of every plan, whether a plan attains
+    it), from the vertex costs [d_v, e_v]_p, without trying any subset.
+
+    Every plan enumerates each vertex that is neither a source nor a sink.
+    It sums an independent set, so it enumerates an end of each arrow from a
+    source to a sink; over a matching of such arrows, taken greedily dearest
+    first, those ends are distinct vertices.  The bound is the product of the
+    interior costs and of min(c_s, c_t) over the matching.  The plan that
+    enumerates exactly these vertices, the cheaper end of each matched arrow,
+    attains it unless it leaves both ends of a source -> sink arrow summed.
+    """
+    sources, sinks = set(quiver.sources()), set(quiver.sinks())
+    floor, enumerated, matched = 1, set(), set()
+    for v, c in cost.items():
+        if v not in sources and v not in sinks:
+            floor *= c
+    ends = [(min(cost[s], cost[t]), s, t) for s, t in quiver.arrows
+            if s in sources and t in sinks]
+    ends.sort(key=lambda end: end[0], reverse=True)
+    for c, s, t in ends:
+        if s not in matched and t not in matched:
+            matched |= {s, t}
+            floor *= c
+            enumerated.add(s if cost[s] == c else t)
+    return floor, all(s in enumerated or t in enumerated for _, s, t in ends)
+
+
+def _check_budget(estimate, budget, exact=True):
+    """BudgetError when estimate > budget; an estimate that is only a lower
+    bound (not exact) is written as at least its size.  An estimate of more
+    than 30 digits is written ~10^k, k = log10 2^(b - 1/2) rounded for its
+    bit length b, so the message stays short and no long int is converted to
+    text; ``BudgetError.estimate`` is the estimate, in full."""
     if estimate > budget:
         size = estimate if estimate < 10 ** 30 else \
             f"10^{round((estimate.bit_length() - 0.5) * 0.30103)}"
-        raise BudgetError(f"enumeration of ~{size} tuples exceeds budget {budget}",
-                          estimate=estimate)
+        raise BudgetError(f"enumeration of {'' if exact else 'at least '}~{size} tuples "
+                          f"exceeds budget {budget}", estimate=estimate)
 
 
 def count_points(m_rep, e, budget=DEFAULT_BUDGET):
@@ -341,12 +417,12 @@ def count_points(m_rep, e, budget=DEFAULT_BUDGET):
 
     The count follows ``plan_count``: the summed sources and sinks each
     contribute a Gaussian-binomial factor and only the other vertices are
-    enumerated.
+    enumerated.  The plan is checked against the budget, unless it is None
+    (a caller that has checked a bound on it already).
     """
     p = _require_prime_field(m_rep)
     e = check_sub_dim_vector(m_rep, e)
-    plan = plan_count(m_rep.quiver, m_rep.dims, e, p)
-    _check_budget(plan.estimate, budget)
+    plan = plan_count(m_rep.quiver, m_rep.dims, e, p, budget)
     return _PlannedCount(m_rep, e, plan).total()
 
 
@@ -401,11 +477,13 @@ class _PlannedCount:
     A chosen vertex holds its basis and, where something reads it, its
     annihilator.  Each arrow s -> t between two enumerated vertices is tested
     when its later endpoint is drawn, unless U_s = 0 (e_s = 0) or U_t is the
-    whole space (e_t = d_t); the test reads the annihilator of U_t, and so
-    does the rank of a summed source with an arrow into t.  Each summed
-    vertex is ranked when its last neighbour is drawn.  The rows of the leaf
-    are grouped by their rank vector (``_rank_groups``), so each distinct
-    product of Gaussian binomials is formed once, in Python ints.
+    whole space (e_t = d_t); the test reads the annihilator of U_t, and
+    nothing else does.  A summed source reads the bases of its targets and
+    the left kernel of its stacked arrows, found once per count
+    (``_left_kernel``).  Each summed vertex is ranked when its last neighbour
+    is drawn.  The rows of the leaf are grouped by their rank vector
+    (``_rank_groups``), so each distinct product of Gaussian binomials is
+    formed once, in Python ints.
     """
 
     def __init__(self, m_rep, e, plan):
@@ -415,6 +493,7 @@ class _PlannedCount:
         self.mats = [np.array(m_rep.matrix(a), dtype=self.dtype).reshape(
             self.dims[t - 1], self.dims[s - 1]) for a, (s, t) in enumerate(q.arrows)]
         self.sinks = set(q.sinks())
+        self.cokernels = {w: self._cokernel(w) for w in plan.summed if w not in self.sinks}
         pos = {v: i for i, v in enumerate(plan.enumerated)}
         self.completes = {v: [] for v in plan.enumerated}
         self.tests = {v: [] for v in plan.enumerated}
@@ -424,8 +503,6 @@ class _PlannedCount:
                 if e[s - 1] and e[t - 1] < self.dims[t - 1]:
                     self.tests[max(s, t, key=pos.__getitem__)].append((a, s, t))
                     self.reads_ann[t] = True
-            elif t in pos:  # from a summed source, which ranks ann(U_t) M_a
-                self.reads_ann[t] = True
         self.subspaces = {v: SubspaceIter(self.dims[v - 1], e[v - 1], self.p)
                           for v in plan.enumerated}
         self.constant = 1
@@ -435,6 +512,26 @@ class _PlannedCount:
             else:
                 self.constant *= gaussian_binomial(self.dims[w - 1], e[w - 1], self.p)
         self.chosen = {}
+
+    def _cokernel(self, w):
+        """(R - sum_a e_t(a), K, [(t(a), C_a^T)]) for a summed source w.
+
+        Psi stacks the arrow matrices M_a out of w (parallel arrows apart), R
+        is its rank and C, K x sum_a d_t(a) with K = sum_a d_t(a) - R, a
+        basis of its left kernel, so that im Psi = ker C.  For V the sum of
+        the U_t(a), dim Psi^-1(V) = dim ker Psi + dim V - rank(C|_V): the
+        codimension of the intersection of the M_a^-1(U_t(a)) is R - sum_a
+        e_t(a) + rank of the (sum_a e_t(a)) x K matrix [B_t(a) C_a^T]_a, B_t
+        the basis rows of U_t.
+        """
+        arrows = self.quiver.arrows_from(w)
+        rank, c = _left_kernel(np.concatenate([self.mats[a] for a, _, _ in arrows]), self.p)
+        c = c.astype(self.dtype)
+        blocks, top = [], 0
+        for _, _, t in arrows:
+            blocks.append((t, c[:, top:top + self.dims[t - 1]].T))
+            top += self.dims[t - 1]
+        return rank - sum(self.e[t - 1] for _, _, t in arrows), c.shape[0], blocks
 
     def total(self):
         """The constant times the sum, over the chosen rows of the vertices
@@ -478,7 +575,7 @@ class _PlannedCount:
                 batch = batch[keep]
                 ann = None if ann is None else ann[keep]
             completes = self.completes[v]
-            ranks = np.stack([self._rank(w, v, batch, ann) for w in completes], axis=1) \
+            ranks = np.stack([self._rank(w, v, batch) for w in completes], axis=1) \
                 if completes else np.zeros((batch.shape[0], 0), dtype=np.int64)
             yield batch, ann, ranks
 
@@ -519,21 +616,24 @@ class _PlannedCount:
             ok = passed if ok is None else ok & passed
         return ok
 
-    def _rank(self, w, v, batch, ann):
+    def _rank(self, w, v, batch):
         """Per row of the batch at v: the rank r of the images into a summed
-        sink w, or of the stacked ann(U_t) M_a out of a summed source w.
+        sink w, or the codimension r of the intersection of the M_a^-1(U_t)
+        out of a summed source w, R - sum e_t plus the rank of the stacked
+        B_t C_a^T (``_cokernel``).
 
         Each product is written into its rows of one preallocated stack, so
         no piece is held beside the stack while it is ranked.
         """
         if w in self.sinks:
+            offset, width = 0, self.dims[w - 1]
             factors = [(batch if s == v else self.chosen[s][0], self.mats[a].T)
                        for a, s, _ in self.quiver.arrows_into(w)]
         else:
-            factors = [(ann if t == v else self.chosen[t][1], self.mats[a])
-                       for a, _, t in self.quiver.arrows_from(w)]
-        stack = np.empty((batch.shape[0], sum(x.shape[-2] for x, _ in factors),
-                          self.dims[w - 1]), dtype=self.dtype)
+            offset, width, blocks = self.cokernels[w]
+            factors = [(batch if t == v else self.chosen[t][0], c) for t, c in blocks]
+        stack = np.empty((batch.shape[0], sum(x.shape[-2] for x, _ in factors), width),
+                         dtype=self.dtype)
         top = 0
         for x, y in factors:
             rows = stack[:, top:top + x.shape[-2]]
@@ -543,7 +643,7 @@ class _PlannedCount:
             else:
                 rows[:] = _mul(x, y, self.p)
             top += x.shape[-2]
-        return batched_rank_mod_p(stack, self.p)
+        return offset + batched_rank_mod_p(stack, self.p)
 
     def _factor(self, summed, ranks):
         """Product of the Gaussian-binomial factors of summed vertices at their ranks."""
@@ -648,17 +748,19 @@ def _counting_polynomials(m_rep, es, primes=None, budget=DEFAULT_BUDGET):
                               f"have {len(used)}")
         # [d, e]_p has nonnegative coefficients in p, so every plan's estimate,
         # and their minimum, is largest at the largest prime
-        _check_budget(plan_count(m_rep.quiver, m_rep.dims, e,
-                                 max(r.field.p for r in used)).estimate, budget)
+        plan_count(m_rep.quiver, m_rep.dims, e, max(r.field.p for r in used), budget)
         skipped = bad if primes is not None else [p for p in bad if p < used[-1].field.p]
         plans.append((e, used[:bound + 1], used[bound + 1:], tuple(skipped)))
-    return (_interpolate(*plan, budget) for plan in plans)
+    return (_interpolate(*plan) for plan in plans)
 
 
-def _interpolate(e, interp, held, skipped, budget):
-    """The CountPoly of e from the reductions it interpolates and holds out."""
+def _interpolate(e, interp, held, skipped):
+    """The CountPoly of e from the reductions it interpolates and holds out.
+
+    Their counts check no budget: it was checked at the largest of their
+    primes, where every plan's estimate is largest."""
     interp_primes = tuple(r.field.p for r in interp)
-    counts = tuple(count_points(r, e, budget=budget) for r in interp)
+    counts = tuple(count_points(r, e, budget=None) for r in interp)
     poly = _newton_interpolation(interp_primes, counts)
     if poly is None:
         return CountPoly((), "inconsistent", interp_primes, counts, (), skipped)
@@ -668,7 +770,7 @@ def _interpolate(e, interp, held, skipped, budget):
     if not held:
         return CountPoly(coeffs, "assumed", interp_primes, counts, (), skipped)
     p = held[0].field.p
-    fresh = count_points(held[0], e, budget=budget)
+    fresh = count_points(held[0], e, budget=None)
     if sum(c * p ** i for i, c in enumerate(coeffs)) != fresh:
         return CountPoly((), "inconsistent", interp_primes, counts, (p, fresh), skipped)
     return CountPoly(coeffs, "verified", interp_primes, counts, (p, fresh), skipped)

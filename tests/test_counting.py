@@ -134,6 +134,27 @@ def test_batched_rank():
         assert list(got) == want
 
 
+@pytest.mark.parametrize("p", [2, 5, 181, 191, 46349, 3037000493, 3037000507])
+def test_left_kernel_against_linalg(p):
+    # the numpy elimination behind a summed source's rank, at every width
+    # (int16 | int32 | int64 | object edges), against linalg's nullspace
+    field, rng = PrimeField(p), random.Random(p)
+    for _ in range(25):
+        h, n = rng.randrange(7), rng.randrange(7)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(h)]
+        if h > 2:
+            rows[2] = [(x + 2 * y) % p for x, y in zip(rows[0], rows[1])]
+        mat = np.array(rows, dtype=counting._residue_dtype(p, 6)).reshape(h, n)
+        rank, c = counting._left_kernel(mat, p)
+        kernel = la.nullspace(la.transpose(rows, n), field, h) if h else []
+        c = [[int(x) for x in row] for row in c]
+        assert rank == h - len(kernel) and len(c) == len(kernel)
+        assert all(0 <= x < p for row in c for x in row)
+        assert all(sum(row[i] * rows[i][j] for i in range(h)) % p == 0
+                   for row in c for j in range(n))
+        assert not c or len(la.rref(c, field, h)[1]) == len(c)
+
+
 def test_batched_rank_reduces_big_entries_before_narrowing():
     # 2**70 = 4 mod 5, so the matrix is [[4, 1], [3, 0]], of rank 2
     assert list(batched_rank_mod_p([[[2 ** 70, 1], [3, 5]]], 5)) == [2]
@@ -529,8 +550,9 @@ def _random_rep(quiver, dims, p, rng):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_annihilators_read_only_by_a_summed_source(p):
-    # the summed source 1 ranks ann(U_2) M_a stacked on ann(U_3) M_b, and no
-    # arrow joins the enumerated sinks; e_2, e_3 run through 0 and full
+    # the summed source 1 is ranked through the stack built from U_2 and U_3,
+    # and no arrow joins the enumerated sinks, so no annihilator is read;
+    # e_2, e_3 run through 0 and full
     rng = random.Random(p)
     star = Quiver(3, [(1, 2), (1, 3)])
     for _ in range(4):
@@ -538,6 +560,32 @@ def test_annihilators_read_only_by_a_summed_source(p):
         for e in itertools.product((1, 2, 3), range(3), range(3)):
             assert plan_count(star, m.dims, e, p).summed == (1,)
             assert count_points(m, e) == len(enumerate_subreps(m, e)), e
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("e_t", [1, 2])
+def test_summed_source_stack(p, parallel, e_t):
+    """The source 1 sends `parallel` arrows into 2 (d = 3, 3), beside a
+    source 3 -> 2 that makes summing both sources the cheaper plan.  Its
+    rank is R - sum e_t plus the rank of the (sum e_t) x K stack, K = 3
+    parallel - R: one arrow of rank 1 leaves K = 2, two random ones K >= 0,
+    at e_2 = 1 and at e_2 = d_2 - 1.  The count agrees with enumeration and
+    duality."""
+    rng = random.Random(10 * p + parallel)
+    quiver = Quiver(3, [(1, 2)] * parallel + [(3, 2)])
+    dims, e = (3, 3, 2), (1, e_t, 1)
+    rank_one = [[x * y % p for y in (0, 1, 1)] for x in (1, 1, 0)]
+    mats = [rank_one] if parallel == 1 else \
+        [[[rng.randrange(p) for _ in range(3)] for _ in range(3)] for _ in range(2)]
+    mats.append([[rng.randrange(p) for _ in range(2)] for _ in range(3)])
+    m = Representation(quiver, PrimeField(p), dims, mats)
+    plan = plan_count(quiver, dims, e, p)
+    assert plan.summed == (1, 3) and plan.enumerated == (2,)
+    offset, k, _ = counting._PlannedCount(m, e, plan).cokernels[1]
+    assert offset + parallel * e_t == 3 * parallel - k and (parallel == 2 or k == 2)
+    assert count_points(m, e) == len(enumerate_subreps(m, e))
+    assert count_points(m, e) == count_points(dual(m), tuple(d - x for d, x in zip(dims, e)))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -709,6 +757,30 @@ def test_budget_refusals_write_long_estimates_as_powers_of_ten(estimate, size):
     assert err.value.estimate == estimate
 
 
+def test_plan_floor_refuses_before_the_plans_are_tried():
+    # sources 1, 2 and sinks 3, 4 at costs 3, 7, 7, 3 (p = 2): the dearest
+    # arrow 2 -> 3 is matched alone, so the floor is 7, and the plan that
+    # enumerates 2 only leaves 1 -> 3 summed at both ends; every plan
+    # enumerates 21 tuples
+    quiver, dims, e = Quiver(4, [(1, 3), (2, 3), (2, 4)]), (2, 3, 3, 2), (1, 1, 1, 1)
+    cost = {v: gaussian_binomial(d, x, 2) for v, d, x in zip(range(1, 5), dims, e)}
+    assert counting._plan_floor(quiver, cost) == (7, False)
+    assert plan_count(quiver, dims, e, 2).estimate == 21
+    m = _random_rep(quiver, dims, 2, random.Random(0))
+    with pytest.raises(BudgetError) as err:
+        count_points(m, e, budget=10)
+    assert (str(err.value), err.value.estimate) == \
+        ("enumeration of ~21 tuples exceeds budget 10", 21)
+    # only the floor, checked before any subset is tried, refuses at 7
+    with pytest.raises(BudgetError) as err:
+        count_points(m, e, budget=6)
+    assert (str(err.value), err.value.estimate) == \
+        ("enumeration of at least ~7 tuples exceeds budget 6", 7)
+    # A_3: the interior vertex alone, a floor that plan_count attains
+    cost = {1: 1, 2: gaussian_binomial(4, 2, 41), 3: 1}
+    assert counting._plan_floor(linear_quiver(3), cost) == (cost[2], True)
+
+
 def test_count_strategy_checks_every_summand_budget_before_the_first_count(monkeypatch):
     # the simple S_1 is counted first and fits any budget; the hidden flag
     # module after it does not, and is refused before S_1 counts a prime
@@ -777,13 +849,14 @@ def test_counting_polynomial_plans_the_budget_once(monkeypatch):
     import quivergrass.counting as counting
     calls = []
 
-    def counted(quiver, dims, e, p):
-        calls.append(p)
-        return plan_count(quiver, dims, e, p)
+    def counted(quiver, dims, e, p, budget=None):
+        calls.append((p, budget))
+        return plan_count(quiver, dims, e, p, budget)
     monkeypatch.setattr(counting, "plan_count", counted)
     cp = counting_polynomial(flag_dec(3).to_representation(QQ), (0, 1, 2))
-    # one plan at the largest prime for the budget, one per count
-    assert calls == [max(cp.primes + cp.held_out[:1])] + list(cp.primes) + [cp.held_out[0]]
+    # one plan at the largest prime checks the budget, one per count does not
+    primes = list(cp.primes) + [cp.held_out[0]]
+    assert calls == [(max(primes), counting.DEFAULT_BUDGET)] + [(p, None) for p in primes]
     assert len(calls) == 10
 
 

@@ -9,14 +9,16 @@ densely, the n(n+1)/2 ranks of a long A_n, the exchange matrix of a long
 A_n, the coefficient quiver of a summand of multiplicity 10^8), inputs that
 once took quadratic time or memory (the g-vector of a long A_n, and the
 F-polynomial of one, whose keys of 200,000 slots were once packed through
-a weight table of ~nvars^2/7 entries) and inputs that have always ended
-cleanly.  ``{dir}`` in an argv is the directory of the fixture files.
+a weight table of ~nvars^2/7 entries), a count whose planner once tried
+every subset of 30 sources (the 30 + 30 ladder) and inputs that have always
+ended cleanly.  ``{dir}`` in an argv is the directory of the fixture files.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,15 @@ from quivergrass.cli import main
 sys.exit(main())
 """
 TIMEOUT_S = 10
+
+
+def _ladder(k):
+    """The bipartite ladder s_i -> t_i, s_i -> t_(i+1) on k sources and k
+    sinks, dims 2: every subset of one side is a plan."""
+    arrows = sorted([[i, k + i] for i in range(1, k + 1)] + [[i, k + i + 1] for i in range(1, k)])
+    return json.dumps({"vertices": 2 * k, "arrows": arrows, "field": "Q", "dims": [2] * (2 * k),
+                       "matrices": {str(a): [[1, 0], [0, 1]] for a in range(len(arrows))}})
+
 
 FILES = {
     "one.rep": json.dumps({"vertices": 1, "arrows": [], "field": "Q", "dims": [100],
@@ -49,8 +60,10 @@ FILES = {
                                  "dims": [1, 10 ** 30], "matrices": {}}),
     "dims-1e8.rep": json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                                 "dims": [1, 10 ** 8], "matrices": {}}),
+    "ladder.rep": _ladder(30),
 }
 
+LADDER = ["count", "--rep", "{dir}/ladder.rep", "--e", ",".join(["1"] * 60), "--p", "2"]
 LONG_PATH = ["--intervals", "U[1,1500]", "--n", "1500"]
 COUNT_U12 = ["count", "--intervals", "U[1,2]", "--n", "2", "--e", "0,1", "--p"]
 
@@ -84,6 +97,7 @@ ROWS = {
     "fpoly-200000-variables-many-terms": (["fpoly", "--intervals", "U[1,3]^2 + U[2,5]",
                                            "--n", "200000"], 0),
     "cc-200000-vertices": (["cc", "--intervals", "U[1,1]", "--n", "200000"], 3),
+    "count-30-30-ladder": (LADDER, 3),
 }
 
 # what the standard output of a row must hold, where it is checked
@@ -108,3 +122,14 @@ def test_input_ends_cleanly(row, fixture_dir):
     assert "Traceback" not in done.stderr, done.stderr[-2000:]
     assert done.returncode == want, done.stderr[-2000:]
     assert STDOUT.get(row, "") in done.stdout
+
+
+def test_ladder_refused_before_the_subset_search(fixture_dir):
+    # no plan of the 30 + 30 ladder enumerates fewer than 3^30 tuples, so it
+    # is refused before any of its 2^30 plans is tried
+    from quivergrass.cli import run
+    start = time.perf_counter()
+    code, text = run([a.format(dir=fixture_dir) for a in LADDER])
+    assert time.perf_counter() - start < 1
+    assert (code, text) == (3, f"budget error: enumeration of ~{3 ** 30} tuples exceeds "
+                               "budget 10000000\n")
