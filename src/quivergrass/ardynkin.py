@@ -16,7 +16,7 @@ positive root) and terminates at the injectives.
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_ceiling
 from .quiver import euler_form
 
 
@@ -43,11 +43,13 @@ def classify(quiver):
     vertex order, since every proper subgraph of an extended Dynkin diagram
     is Dynkin.  Anything else is wild.  A Dynkin graph
     is a tree: A without a trivalent vertex, else D or E as the branch vertex
-    has two or more leaves as neighbours, or one.
+    has two or more leaves as neighbours, or one.  BudgetError before C is
+    built when its n^2 entries are above the ceiling (``errors.check_ceiling``).
     """
     n = quiver.vertex_count
     if n == 0:
         raise DomainError("empty quiver")
+    check_ceiling(n * n, "the symmetrised Euler form of a quiver on {} vertices", n)
     if not quiver.is_connected():
         raise DomainError("classification expects a connected quiver")
     c = [[2 * (i == j) for j in range(n)] for i in range(n)]

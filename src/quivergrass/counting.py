@@ -23,12 +23,14 @@ vertex a numpy batch at a time.  A summed source w is ranked through Psi, its
 arrow matrices stacked, whose rank R and left-kernel basis C
 (``_left_kernel``) are found once per count: r = R - sum_a e_t(a) + rank of C
 restricted to the sum V of the U_t, a (sum e_t) x (sum d_t - R) matrix per
-tuple.  A batch is a fixed number of rows that runs across pivot patterns, and
-a vertex's annihilators are built only where an arrow test reads them, so the
-cost of a count follows its rows and not its batches.  The rows of the last
-vertex are grouped by their rank vector (one lexsort over its columns,
-whatever their number), so every distinct product of Gaussian binomials is
-formed once and every sum and product is taken exactly in Python ints.  The
+tuple.  An arrow s -> t between two enumerated vertices is tested on the
+RREF bases alone: M_a U_s lies in U_t when every row of B_s M_a^T, reduced
+against B_t, leaves no residue (``_outside``).  A batch is a fixed number of
+rows that runs across pivot patterns, so the cost of a count follows its rows
+and not its batches.  The rows of the last vertex are grouped by their rank
+vector (one lexsort over its columns, whatever their number), so every
+distinct product of Gaussian binomials is formed once and every sum and
+product is taken exactly in Python ints.  The
 ranks come from ``batched_rank_mod_p``, one lazily reduced forward elimination
 per batch.  Every array of the search and of the rank kernel runs at the
 narrowest exact width, ``_residue_dtype(p, n)``: int16, then int32, then
@@ -430,32 +432,31 @@ def _mul(a, b, p):
     return np.matmul(a, b) % p
 
 
-def _annihilators(batch, p):
-    """Row bases of the annihilators of the row spaces of a batch of RREF bases.
-
-    For pivots J the annihilator has one vector per non-pivot column c: 1 at
-    c and -B[j, c] at pivot J_j (for e = 0, the identity).  The batch may
-    span several pivot patterns: each run of equal patterns, found from the
-    first nonzero column of every basis row, is built by slicing.
+def _differ(a, b):
+    """Per row of two 2-d arrays of one width, whose first axes broadcast,
+    whether they differ in some entry: an OR of one column compare at a
+    time, which on the short rows of a batch is several times faster than
+    ``.any`` over them.
     """
-    m, e, d = batch.shape
-    ann = np.zeros((m, d - e, d), dtype=batch.dtype)
-    changed = np.zeros(max(m - 1, 0), dtype=bool)
-    if e:
-        lead = (batch != 0).argmax(axis=2)
-        for r in range(e):
-            changed |= lead[1:, r] != lead[:-1, r]
-    cuts = np.flatnonzero(changed) + 1
-    for start, stop in zip(np.r_[0, cuts], np.r_[cuts, m]):
-        pivots = lead[start].tolist() if e else []
-        free = [c for c in range(d) if c not in pivots]
-        run = ann[start:stop]
-        run[:, range(d - e), free] = 1
-        negated = batch[start:stop, :, free]
-        np.negative(negated, out=negated)
-        negated %= p
-        run[:, :, pivots] = negated.transpose(0, 2, 1)
-    return ann
+    out = np.zeros(max(a.shape[0], b.shape[0]), dtype=bool)
+    for j in range(a.shape[1]):
+        out |= a[:, j] != b[:, j]
+    return out
+
+
+def _outside(x, basis, p):
+    """Per matrix, whether some row of x lies outside the row space of the
+    RREF basis beside it, both with entries in [0, p).
+
+    As in ``la.reduce_by``: x taken at the basis's pivot columns (each row's
+    leading column) times the basis is x itself exactly when x lies in the
+    row space.  One of x and basis is a stack (m, k, d) or (m, e, d), the
+    other a single matrix or a stack of the same m.
+    """
+    x, basis = (a if a.ndim == 3 else a[None] for a in (x, basis))
+    at = np.take_along_axis(x, (basis != 0).argmax(axis=2)[:, None], axis=2)
+    residue = _mul(at, basis, p)
+    return _differ(*(a.reshape(a.shape[0], a.shape[1] * a.shape[2]) for a in (x, residue)))
 
 
 def _rank_groups(ranks):
@@ -466,7 +467,7 @@ def _rank_groups(ranks):
     """
     if ranks.shape[1]:
         ranks = ranks[np.lexsort(ranks.T)]
-    starts = np.flatnonzero(np.r_[True, (ranks[1:] != ranks[:-1]).any(axis=1)])
+    starts = np.flatnonzero(np.r_[True, _differ(ranks[1:], ranks[:-1])])
     return ranks[starts], np.diff(np.r_[starts, ranks.shape[0]])
 
 
@@ -474,13 +475,13 @@ class _PlannedCount:
     """The executor of a CountPlan: a depth-first search over the enumerated
     vertices, each tested a batch of subspaces at a time.
 
-    A chosen vertex holds its basis and, where something reads it, its
-    annihilator.  Each arrow s -> t between two enumerated vertices is tested
-    when its later endpoint is drawn, unless U_s = 0 (e_s = 0) or U_t is the
-    whole space (e_t = d_t); the test reads the annihilator of U_t, and
-    nothing else does.  A summed source reads the bases of its targets and
-    the left kernel of its stacked arrows, found once per count
-    (``_left_kernel``).  Each summed vertex is ranked when its last neighbour
+    A chosen vertex holds its RREF basis and nothing else.  Each arrow
+    s -> t between two enumerated vertices is tested when its later endpoint
+    is drawn, unless U_s = 0 (e_s = 0) or U_t is the whole space (e_t = d_t),
+    by reducing B_s M_a^T against B_t (``_outside``).  Each summed vertex has
+    one rank form, built once per count: a sink the transposes of its arrows
+    into it, a source the left kernel of its stacked arrows
+    (``_left_kernel``, ``_cokernel``).  It is ranked when its last neighbour
     is drawn.  The rows of the leaf are grouped by their rank vector
     (``_rank_groups``), so each distinct product of Gaussian binomials is
     formed once, in Python ints.
@@ -493,16 +494,15 @@ class _PlannedCount:
         self.mats = [np.array(m_rep.matrix(a), dtype=self.dtype).reshape(
             self.dims[t - 1], self.dims[s - 1]) for a, (s, t) in enumerate(q.arrows)]
         self.sinks = set(q.sinks())
-        self.cokernels = {w: self._cokernel(w) for w in plan.summed if w not in self.sinks}
+        self.forms = {w: (0, self.dims[w - 1], [(s, self.mats[a].T)
+                                                for a, s, _ in q.arrows_into(w)])
+                      if w in self.sinks else self._cokernel(w) for w in plan.summed}
         pos = {v: i for i, v in enumerate(plan.enumerated)}
         self.completes = {v: [] for v in plan.enumerated}
         self.tests = {v: [] for v in plan.enumerated}
-        self.reads_ann = {v: False for v in plan.enumerated}
         for a, (s, t) in enumerate(q.arrows):
-            if s in pos and t in pos:
-                if e[s - 1] and e[t - 1] < self.dims[t - 1]:
-                    self.tests[max(s, t, key=pos.__getitem__)].append((a, s, t))
-                    self.reads_ann[t] = True
+            if s in pos and t in pos and e[s - 1] and e[t - 1] < self.dims[t - 1]:
+                self.tests[max(s, t, key=pos.__getitem__)].append((a, s, t))
         self.subspaces = {v: SubspaceIter(self.dims[v - 1], e[v - 1], self.p)
                           for v in plan.enumerated}
         self.constant = 1
@@ -561,34 +561,32 @@ class _PlannedCount:
         return total
 
     def _batches(self, v):
-        """Per batch of subspaces at v with a stable row: the stable rows, their
-        annihilators (None unless read) and their ranks at the vertices that v
-        completes, one column each."""
+        """Per batch of subspaces at v with a stable row: the stable rows, as
+        RREF bases, and their ranks at the vertices that v completes, one
+        column each."""
         for batch in self.subspaces[v].batches():
             batch = batch.astype(self.dtype, copy=False)
-            ann = _annihilators(batch, self.p) if self.reads_ann[v] else None
-            ok = self._stable(v, batch, ann)
+            ok = self._stable(v, batch)
             if ok is not None and not ok.all():
                 keep = np.flatnonzero(ok)
                 if not keep.size:
                     continue
                 batch = batch[keep]
-                ann = None if ann is None else ann[keep]
             completes = self.completes[v]
             ranks = np.stack([self._rank(w, v, batch) for w in completes], axis=1) \
                 if completes else np.zeros((batch.shape[0], 0), dtype=np.int64)
-            yield batch, ann, ranks
+            yield batch, ranks
 
     def _rows(self, k):
         """The nonzero factors of the rows of the k-th enumerated vertex, in
         order; each row is the vertex's choice while its factor is current."""
         v = self.plan.enumerated[k]
         completes = self.completes[v]
-        for batch, ann, ranks in self._batches(v):
+        for batch, ranks in self._batches(v):
             for i, row in enumerate(ranks):
                 factor = self._factor(completes, row)
                 if factor:
-                    self.chosen[v] = (batch[i], None if ann is None else ann[i])
+                    self.chosen[v] = batch[i]
                     yield factor
 
     def _leaf(self):
@@ -597,41 +595,35 @@ class _PlannedCount:
         v = self.plan.enumerated[-1]
         completes = self.completes[v]
         total = 0
-        for _, _, ranks in self._batches(v):
+        for _, ranks in self._batches(v):
             for row, count in zip(*_rank_groups(ranks)):
                 total += int(count) * self._factor(completes, row)
         return total
 
-    def _stable(self, v, batch, ann):
+    def _stable(self, v, batch):
         """Rows of the batch at v mapping into, and mapped into by, the chosen
-        neighbours (ann(U_t) M_a U_v = 0 and ann(U_v) M_a U_s = 0), or None
-        when no arrow at v is tested."""
-        p, ok = self.p, None
+        neighbours, M_a U_s in U_t: no row of B_s M_a^T lies outside the row
+        space of B_t (``_outside``), whichever of s and t is v.  None when no
+        arrow at v is tested."""
+        ok = None
         for a, s, t in self.tests[v]:
-            if s == v:
-                test = _mul(batch, _mul(self.chosen[t][1], self.mats[a], p).T, p)
-            else:
-                test = _mul(ann, _mul(self.mats[a], self.chosen[s][0].T, p), p)
-            passed = ~(test != 0).any(axis=(1, 2))
+            x = _mul(batch if s == v else self.chosen[s], self.mats[a].T, self.p)
+            passed = ~_outside(x, batch if t == v else self.chosen[t], self.p)
             ok = passed if ok is None else ok & passed
         return ok
 
     def _rank(self, w, v, batch):
-        """Per row of the batch at v: the rank r of the images into a summed
-        sink w, or the codimension r of the intersection of the M_a^-1(U_t)
-        out of a summed source w, R - sum e_t plus the rank of the stacked
-        B_t C_a^T (``_cokernel``).
+        """Per row of the batch at v: offset + the rank of the stacked B_u Y
+        over the rank form (offset, width, [(u, Y)]) of the summed vertex w.
+        For a sink that is the rank r of the images, B_s M_a^T; for a source
+        the codimension r of the intersection of the M_a^-1(U_t), R - sum e_t
+        plus the rank of the stacked B_t C_a^T (``_cokernel``).
 
         Each product is written into its rows of one preallocated stack, so
         no piece is held beside the stack while it is ranked.
         """
-        if w in self.sinks:
-            offset, width = 0, self.dims[w - 1]
-            factors = [(batch if s == v else self.chosen[s][0], self.mats[a].T)
-                       for a, s, _ in self.quiver.arrows_into(w)]
-        else:
-            offset, width, blocks = self.cokernels[w]
-            factors = [(batch if t == v else self.chosen[t][0], c) for t, c in blocks]
+        offset, width, blocks = self.forms[w]
+        factors = [(batch if u == v else self.chosen[u], y) for u, y in blocks]
         stack = np.empty((batch.shape[0], sum(x.shape[-2] for x, _ in factors), width),
                          dtype=self.dtype)
         top = 0

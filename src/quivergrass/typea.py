@@ -59,7 +59,8 @@ class IntervalDecomposition:
 
     n, the interval ends and the multiplicities go through the integer rule
     (``errors.integer``).  ``quiver`` (the shared ``linear_quiver(n)``) and
-    ``dims``, as a Representation names them, are set at construction.
+    ``dims``, as a Representation names them, are set at construction, once
+    n is checked against the ceiling (``errors.check_ceiling``).
     """
 
     def __init__(self, n, multiplicities):
@@ -79,6 +80,7 @@ class IntervalDecomposition:
         # checked last: for n < 0 every interval above is already refused
         if n < 0:
             raise DomainError("vertex_count must be nonnegative")
+        check_ceiling(n, "the dimension vector of A_{}", n)
         self.m = m
         self.quiver = linear_quiver(n)
         d = [0] * n

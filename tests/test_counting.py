@@ -18,8 +18,8 @@ from quivergrass import (QQ, BudgetError, DomainError, PrimeField, Quiver,
                          Representation, direct_sum, dual, kronecker_quiver,
                          linear_quiver, tangent_dim)
 from quivergrass.cluster import _visible_summands, f_polynomial
-from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _annihilators,
-                                  _newton_interpolation, _rank_groups,
+from quivergrass.counting import (CountPlan, CountPoly, SubspaceIter, _newton_interpolation,
+                                  _outside, _rank_groups,
                                   batched_rank_mod_p, count_points,
                                   counting_polynomial, enumerate_subreps,
                                   euler_characteristic, gaussian_binomial, plan_count)
@@ -89,26 +89,50 @@ def test_subspace_batches_fill_across_pivot_patterns(p, chunk, monkeypatch):
             flat = [tuple(tuple(int(x) for x in row) for row in m)
                     for batch in batches for m in batch]
             assert flat == list(SubspaceIter(d, e, p))
-            for batch in batches:
-                ann = _annihilators(batch, p)
-                assert ann.shape == (batch.shape[0], d - e, d)
-                assert not (np.matmul(batch, ann.transpose(0, 2, 1)) % p).any()
-                assert (batched_rank_mod_p(ann, p) == d - e).all()
+            # each basis lies in its own row space, and a unit vector off the
+            # pivots of a basis lies outside it (at d = 0 there is no vector)
+            for batch in batches if d else ():
+                assert not _outside(batch, batch, p).any()
+                for i in (0, batch.shape[0] - 1):
+                    off = sorted(set(range(d)) - set((batch[i] != 0).argmax(axis=1).tolist()))
+                    if off:
+                        unit = np.eye(d, dtype=batch.dtype)[off[:1]]
+                        assert _outside(unit, batch[i], p).all()
             checked += 1
     assert checked >= 20
 
 
-def test_annihilators_of_a_filtered_mixed_batch():
+@pytest.mark.parametrize("d, e, p", [(5, 2, 3), (4, 1, 5), (3, 0, 5)])
+def test_outside_a_filtered_mixed_batch(d, e, p):
     # rows dropped from a batch (as the stability test drops them) leave
-    # runs of equal pattern that need not be whole patterns
-    batch = next(SubspaceIter(5, 2, 3).batches())
+    # runs of equal pattern that need not be whole patterns.  Each side of
+    # the test, a stack or a single matrix, is checked row by row against
+    # la.row_space_contains; at e = 0 (one basis, the zero space) every
+    # nonzero vector lies outside
+    rng = random.Random(d * p + e)
+    field = PrimeField(p)
+    batch = next(SubspaceIter(d, e, p).batches())
     kept = batch[np.arange(batch.shape[0]) % 7 != 3]
-    ann = _annihilators(kept, 3)
-    assert not (np.matmul(kept, ann.transpose(0, 2, 1)) % 3).any()
-    assert (batched_rank_mod_p(ann, 3) == 3).all()
-    # e = 0: the annihilator of the zero space is the whole space
-    empty = next(SubspaceIter(3, 0, 5).batches())
-    assert (_annihilators(empty, 5) == np.eye(3, dtype=np.int64)).all()
+    m = kept.shape[0]
+    x = np.array([[[rng.randrange(p) * (rng.random() < 0.7) for _ in range(d)]
+                   for _ in range(2)] for _ in range(m + 5)], dtype=kept.dtype)
+    # every other x lies inside its paired basis: combinations of its rows
+    inside = np.matmul(x[:m, :, :e], kept) % p
+    x[:m:2] = inside[::2]
+    fixed = kept[m // 2]
+
+    def outside(basis, vectors):
+        basis = [tuple(map(int, row)) for row in basis]
+        pivots = [row.index(1) for row in basis]
+        return not all(la.row_space_contains(basis, pivots, tuple(map(int, v)), field)
+                       for v in vectors)
+    assert _outside(x[:m], kept, p).tolist() == [outside(b, v) for b, v in zip(kept, x)]
+    assert not _outside(x[:m:2], kept[::2], p).any()
+    assert _outside(x, fixed, p).tolist() == [outside(fixed, v) for v in x]
+    for v in (x[1], x[-1]):
+        assert _outside(v, kept, p).tolist() == [outside(b, v) for b in kept]
+    if e == 0:
+        assert _outside(x, fixed, p).tolist() == [bool(v.any()) for v in x]
 
 
 def test_count_across_a_chunk_boundary():
@@ -479,9 +503,9 @@ def test_sink_summed_equals_exhaustive():
 
 
 def test_summed_path_ends_match_exhaustive():
-    # both ends summed: the leaf's basis feeds the sink's rank and its
-    # annihilator the source's; on A_4 the search draws vertices 2 and 3 in
-    # both orders, so arrows are tested from either end
+    # both ends summed: the leaf's basis feeds the ranks of the sink and of
+    # the source; on A_4 the search draws vertices 2 and 3 in both orders,
+    # so arrows are tested from either end
     rng = random.Random(11)
     for dims in ((2, 3, 2), (2, 3, 2, 2), (2, 2, 3, 2)):
         n = len(dims)
@@ -549,9 +573,9 @@ def _random_rep(quiver, dims, p, rng):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_annihilators_read_only_by_a_summed_source(p):
+def test_summed_source_over_two_enumerated_sinks(p):
     # the summed source 1 is ranked through the stack built from U_2 and U_3,
-    # and no arrow joins the enumerated sinks, so no annihilator is read;
+    # and no arrow joins the enumerated sinks, so no arrow is tested;
     # e_2, e_3 run through 0 and full
     rng = random.Random(p)
     star = Quiver(3, [(1, 2), (1, 3)])
@@ -582,7 +606,7 @@ def test_summed_source_stack(p, parallel, e_t):
     m = Representation(quiver, PrimeField(p), dims, mats)
     plan = plan_count(quiver, dims, e, p)
     assert plan.summed == (1, 3) and plan.enumerated == (2,)
-    offset, k, _ = counting._PlannedCount(m, e, plan).cokernels[1]
+    offset, k, _ = counting._PlannedCount(m, e, plan).forms[1]
     assert offset + parallel * e_t == 3 * parallel - k and (parallel == 2 or k == 2)
     assert count_points(m, e) == len(enumerate_subreps(m, e))
     assert count_points(m, e) == count_points(dual(m), tuple(d - x for d, x in zip(dims, e)))
@@ -590,12 +614,12 @@ def test_summed_source_stack(p, parallel, e_t):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("dims, order", [((2, 3, 2, 2), (3, 2)), ((2, 2, 3, 2), (2, 3))])
-def test_annihilators_read_by_an_enumerated_neighbour(p, dims, order):
+def test_arrow_tested_between_enumerated_neighbours(p, dims, order):
     # A_4 with both ends summed and the arrow 2 -> 3 between the enumerated
-    # vertices.  With 3 drawn first ann(U_3) is read only by the later vertex
-    # 2; with 2 drawn first only by the test at 3 against the chosen U_2.  The
-    # test is skipped where e_2 = 0 or e_3 = d_3, and e_3 = 0 makes ann(U_3)
-    # the whole space.
+    # vertices.  With 3 drawn first the batch at 2 is tested against the
+    # chosen U_3; with 2 drawn first the batch at 3 against the chosen U_2.
+    # The test is skipped where e_2 = 0 or e_3 = d_3, and e_3 = 0 leaves no
+    # room in U_3 for any nonzero image.
     rng = random.Random(len(dims) * p + dims[1])
     a4 = linear_quiver(4)
     for _ in range(3):
@@ -607,6 +631,28 @@ def test_annihilators_read_by_an_enumerated_neighbour(p, dims, order):
             if 0 < e2 < dims[1] and 0 < e3 < dims[2]:
                 assert plan.enumerated == order
             assert count_points(m, e) == len(enumerate_subreps(m, e)), e
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_arrows_tested_in_and_out_of_one_vertex(p):
+    # 1 -> 2 => 3 -> 4 -> 5 with both ends summed: the batch at 3, drawn last
+    # at e = 1 throughout, is tested against the chosen U_2 through both
+    # parallel arrows and against the chosen U_4, one arrow into 3 and one
+    # out of it.  Every e of the middle is counted against enumeration and
+    # against the dual count.
+    rng = random.Random(p)
+    quiver = Quiver(5, [(1, 2), (2, 3), (2, 3), (3, 4), (4, 5)])
+    dims = (2, 2, 3, 2, 2)
+    plan = plan_count(quiver, dims, (1,) * 5, p)
+    assert plan.summed == (1, 5) and plan.enumerated[-1] == 3
+    m = _random_rep(quiver, dims, p, rng)
+    assert counting._PlannedCount(m, (1,) * 5, plan).tests[3] == \
+        [(1, 2, 3), (2, 2, 3), (3, 3, 4)]
+    for e2, e3, e4 in itertools.product(range(3), range(4), range(3)):
+        e = (1, e2, e3, e4, 1)
+        count = count_points(m, e)
+        assert count == len(enumerate_subreps(m, e)), e
+        assert count == count_points(dual(m), tuple(d - x for d, x in zip(dims, e))), e
 
 
 def test_summed_sinks_stay_exact_beyond_int64():

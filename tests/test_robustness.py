@@ -6,12 +6,13 @@ The rows are inputs that once escaped as a raw exception (recursion depth,
 the interpreter's limit on int <-> str conversion), inputs that once
 allocated until memory or time ran out (a rep file's omitted matrices built
 densely, the n(n+1)/2 ranks of a long A_n, the exchange matrix of a long
-A_n, the coefficient quiver of a summand of multiplicity 10^8), inputs that
-once took quadratic time or memory (the g-vector of a long A_n, and the
-F-polynomial of one, whose keys of 200,000 slots were once packed through
-a weight table of ~nvars^2/7 entries), a count whose planner once tried
-every subset of 30 sources (the 30 + 30 ladder) and inputs that have always
-ended cleanly.  ``{dir}`` in an argv is the directory of the fixture files.
+A_n, the coefficient quiver of a summand of multiplicity 10^8, the quiver of
+A_(10^8), the n x n form that classifies A_100000), inputs that once took
+quadratic time or memory (the g-vector of a long A_n, and the F-polynomial
+of one, whose keys of 200,000 slots were once packed through a weight table
+of ~nvars^2/7 entries), a count whose planner once tried every subset of 30
+sources (the 30 + 30 ladder) and inputs that have always ended cleanly.
+``{dir}`` in an argv is the directory of the fixture files.
 """
 
 import json
@@ -90,6 +91,9 @@ ROWS = {
     "ar-quiver-3-kronecker": (["ar-quiver", "--rep", "{dir}/kronecker3.rep"], 2),
     "euler-omitted-matrix-1e30": (["euler", "--rep", "{dir}/dims-1e30.rep", "--e", "0,0"], 3),
     "gvector-omitted-matrix-1e8": (["gvector", "--rep", "{dir}/dims-1e8.rep"], 3),
+    "decompose-100000000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "100000000"],
+                                     3),
+    "ar-quiver-100000-vertices": (["ar-quiver", "--n", "100000"], 3),
     "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "gvector-200000-vertices": (["gvector", "--intervals", "U[1,1]", "--n", "200000"], 0),
