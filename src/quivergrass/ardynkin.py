@@ -31,6 +31,12 @@ class Classification:
         return f"{self.letter}{self.rank}" if self.kind == "dynkin" else self.kind
 
 
+def check_form_ceiling(n):
+    """BudgetError when the n x n form that ``classify`` builds for a quiver
+    on n vertices is above the ceiling (``errors.check_ceiling``)."""
+    check_ceiling(n * n, "the symmetrised Euler form of a quiver on {} vertices", n)
+
+
 def classify(quiver):
     """Gabriel's criterion: Dynkin iff the Tits form q(x) = <x, x> is positive
     definite, affine iff it is positive semidefinite but not definite, wild
@@ -44,12 +50,12 @@ def classify(quiver):
     is Dynkin.  Anything else is wild.  A Dynkin graph
     is a tree: A without a trivalent vertex, else D or E as the branch vertex
     has two or more leaves as neighbours, or one.  BudgetError before C is
-    built when its n^2 entries are above the ceiling (``errors.check_ceiling``).
+    built when its n^2 entries are above the ceiling (``check_form_ceiling``).
     """
     n = quiver.vertex_count
     if n == 0:
         raise DomainError("empty quiver")
-    check_ceiling(n * n, "the symmetrised Euler form of a quiver on {} vertices", n)
+    check_form_ceiling(n)
     if not quiver.is_connected():
         raise DomainError("classification expects a connected quiver")
     c = [[2 * (i == j) for j in range(n)] for i in range(n)]

@@ -379,6 +379,8 @@ def _ar_quiver(args, echo):
     if args.rep is not None:
         quiver = args.m.quiver
     else:
+        # the form that classifies A_n is sized before A_n is built
+        ardynkin.check_form_ceiling(max(args.n, 0))
         quiver = linear_quiver(args.n)
         echo["n"] = args.n
     ar = ardynkin.knit(quiver)

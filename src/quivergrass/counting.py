@@ -17,27 +17,27 @@ chosen, the admissible U_s are the e_s-spaces inside the intersection of the
 preimages M_a^-1(U_t), of codimension r say: [d_s - r, e_s]_p of them.
 ``plan_count`` picks an independent set of sources and sinks to sum this way,
 minimising the product of Gaussian binomials over the vertices still
-enumerated, once a floor under every plan's product (``_plan_floor``) fits the
-budget; the executor runs one depth-first search over those, testing each
-vertex a numpy batch at a time.  A summed source w is ranked through Psi, its
-arrow matrices stacked, whose rank R and left-kernel basis C
-(``_left_kernel``) are found once per count: r = R - sum_a e_t(a) + rank of C
-restricted to the sum V of the U_t, a (sum e_t) x (sum d_t - R) matrix per
-tuple.  An arrow s -> t between two enumerated vertices is tested on the
-RREF bases alone: M_a U_s lies in U_t when every row of B_s M_a^T, reduced
-against B_t, leaves no residue (``_outside``).  A batch is a fixed number of
-rows that runs across pivot patterns, so the cost of a count follows its rows
-and not its batches.  The rows of the last vertex are grouped by their rank
-vector (one lexsort over its columns, whatever their number), so every
-distinct product of Gaussian binomials is formed once and every sum and
-product is taken exactly in Python ints.  The
-ranks come from ``batched_rank_mod_p``, one lazily reduced forward elimination
-per batch.  Every array of the search and of the rank kernel runs at the
-narrowest exact width, ``_residue_dtype(p, n)``: int16, then int32, then
-int64, and Python ints (dtype=object) beyond, by the one bound n (p-1)**2 <
-max of the width, n the largest dimension (1 for the rank kernel).  At n = 1
-the edges are p = 181 | 191, 46337 | 46349 and 3037000493 | 3037000507; the
-elliptic representation (n = 10) runs at int16 up to p = 53.  Exhaustive
+enumerated, as one least minimum cut of the source -> sink arrows in exact
+integer ratios (``_least_cut``); the executor runs one depth-first search over
+those, testing each vertex a numpy batch at a time.  A summed source w is
+ranked through Psi, its arrow matrices stacked, whose rank R and left-kernel
+basis C (``_left_kernel``) are found once per count: r = R - sum_a e_t(a) +
+rank of C restricted to the sum V of the U_t, a (sum e_t) x (sum d_t - R)
+matrix per tuple.  An arrow s -> t between two enumerated vertices is tested
+on the RREF bases alone: M_a U_s lies in U_t when every row of B_s M_a^T,
+reduced against B_t, leaves no residue (``_outside``).  A batch is a fixed
+number of rows that runs across pivot patterns, so the cost of a count follows
+its rows and not its batches.  The rows of the last vertex are grouped by
+their rank vector (one lexsort over its columns, whatever their number), so
+every distinct product of Gaussian binomials is formed once and every sum and
+product is taken exactly in Python ints.  The ranks come from
+``batched_rank_mod_p``, one lazily reduced forward elimination per batch.
+Every array of the search and of the rank kernel runs at the narrowest exact
+width, ``_residue_dtype(p, n)``: int16, then int32, then int64, and Python
+ints (dtype=object) beyond, by the one bound n (p-1)**2 < max of the width, n
+the largest dimension (1 for the rank kernel).  At n = 1 the edges are
+p = 181 | 191, 46337 | 46349 and 3037000493 | 3037000507; the elliptic
+representation (n = 10) runs at int16 up to p = 53.  Exhaustive
 (``enumerate_subreps``) and planned counts are cross-asserted on random small
 representations in the test suite.
 
@@ -53,6 +53,7 @@ here: the nodal cubic, a quiver Grassmannian, counts q with b_0 = b_1 = b_2 = 1.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,86 +333,92 @@ def plan_count(quiver, dims, e, p, budget=None):
     """The independent set of sources and sinks whose summing leaves the fewest
     tuples to enumerate, the product of [d_v, e_v]_p over the others.
 
-    Sources are never adjacent to sources, nor sinks to sinks, so a plan is
-    fixed by its summed sources (or sinks): every sink (source) not adjacent
-    to one of them is summed too.  All subsets of the smaller side are
-    tried.  Isolated vertices are always summed; summing a vertex with a
-    single subspace (e_v in {0, d_v}) saves nothing, so none is tried.
-
-    Given a budget, BudgetError unless the plan's estimate fits it: the
-    floor under every plan's estimate (``_plan_floor``) is checked before any
-    subset is tried, and where no plan attains the floor the message says the
-    estimate is at least it.
+    The enumerated ends of the arrows from sources to sinks are a vertex
+    cover, the cheapest by (product of costs, number of vertices): a least
+    minimum cut (``_least_cut``).  Isolated vertices are always summed; a
+    vertex of the smaller side with a single subspace (e_v in {0, d_v}) never
+    is, as that saves nothing.  Given a budget, BudgetError unless the plan's
+    estimate fits it.
     """
     n = quiver.vertex_count
     cost = {v: gaussian_binomial(dims[v - 1], e[v - 1], p) for v in range(1, n + 1)}
-    if budget is not None:
-        floor, attained = _plan_floor(quiver, cost)
-        _check_budget(floor, budget, attained)
     neighbours = {v: quiver.neighbours(v) for v in range(1, n + 1)}
     isolated = {v for v in neighbours if not neighbours[v]}
     side = [v for v in quiver.sources() if v not in isolated]
     other = [v for v in quiver.sinks() if v not in isolated]
     if len(side) > len(other):
         side, other = other, side
-    choices = [v for v in side if cost[v] > 1]
-    best = None
-    for k in range(len(choices) + 1):
-        for chosen in itertools.combinations(choices, k):
-            blocked = set().union(*(neighbours[v] for v in chosen))
-            summed = isolated | set(chosen) | {v for v in other if v not in blocked}
-            rest = [v for v in quiver.topological_order if v not in summed]
-            estimate = 1
-            for v in rest:
-                estimate *= cost[v]
-            if best is None or (estimate, len(rest)) < (best.estimate, len(best.enumerated)):
-                # the search runs over the cheap vertices first, the leaf is the dearest
-                rest.sort(key=lambda v: cost[v])
-                best = CountPlan(tuple(rest), tuple(sorted(summed)), estimate)
+    summed = isolated | _least_cut([v for v in side if cost[v] > 1], other, neighbours, cost)
+    rest = [v for v in quiver.topological_order if v not in summed]
+    estimate = math.prod(cost[v] for v in rest)
     if budget is not None:
-        _check_budget(best.estimate, budget)
-    return best
+        _check_budget(estimate, budget)
+    # the search runs over the cheap vertices first, the leaf is the dearest
+    rest.sort(key=lambda v: cost[v])
+    return CountPlan(tuple(rest), tuple(sorted(summed)), estimate)
 
 
-def _plan_floor(quiver, cost):
-    """(a lower bound on the estimate of every plan, whether a plan attains
-    it), from the vertex costs [d_v, e_v]_p, without trying any subset.
+def _least_cut(xs, ys, neighbours, cost):
+    """The summed ends of a least minimum cut of S -> x -> y -> T: the x that S
+    reaches once no augmenting path is left, and the y that it does not.
 
-    Every plan enumerates each vertex that is neither a source nor a sink.
-    It sums an independent set, so it enumerates an end of each arrow from a
-    source to a sink; over a matching of such arrows, taken greedily dearest
-    first, those ends are distinct vertices.  The bound is the product of the
-    interior costs and of min(c_s, c_t) over the matching.  The plan that
-    enumerates exactly these vertices, the cheaper end of each matched arrow,
-    attains it unless it leaves both ends of a source -> sink arrow summed.
+    S -> v and v -> T weigh (cost[v], 1), an arrow x - y is an edge x -> y of
+    weight (1/0, 0), unbounded.  A weight (a, b, k), a ratio of cost products
+    and k vertices, is ordered as (a/b, k) in exact ints.  Edmonds-Karp ends
+    after O(VE) shortest paths whatever the weights, and S then reaches the
+    least source side of a minimum cut: the fewest x.
     """
-    sources, sinks = set(quiver.sources()), set(quiver.sinks())
-    floor, enumerated, matched = 1, set(), set()
-    for v, c in cost.items():
-        if v not in sources and v not in sinks:
-            floor *= c
-    ends = [(min(cost[s], cost[t]), s, t) for s, t in quiver.arrows
-            if s in sources and t in sinks]
-    ends.sort(key=lambda end: end[0], reverse=True)
-    for c, s, t in ends:
-        if s not in matched and t not in matched:
-            matched |= {s, t}
-            floor *= c
-            enumerated.add(s if cost[s] == c else t)
-    return floor, all(s in enumerated or t in enumerated for _, s, t in ends)
+    ys, residual, heads = set(ys), {}, {}
+    for u, v, w in [("S", x, (cost[x], 1, 1)) for x in xs] \
+            + [(y, "T", (cost[y], 1, 1)) for y in ys] \
+            + [(x, y, (1, 0, 0)) for x in xs for y in neighbours[x] & ys]:
+        residual[u, v], residual[v, u] = w, (1, 1, 0)
+        heads.setdefault(u, []).append(v)
+        heads.setdefault(v, []).append(u)
+    while True:
+        parent, queue = {"S": None}, ["S"]
+        for u in queue:
+            for v in heads.get(u, ()):
+                if v not in parent and _positive(residual[u, v]):
+                    parent[v] = u
+                    queue.append(v)
+        if "T" not in parent:
+            return {x for x in xs if x in parent} | {y for y in ys if y not in parent}
+        path, v = [], "T"
+        while v != "S":
+            path.append((parent[v], v))
+            v = parent[v]
+        low = residual[path[0]]  # the edge into T, never unbounded
+        for edge in path[1:]:
+            if _positive(_ratio(low, residual[edge], -1)):
+                low = residual[edge]
+        for u, v in path:
+            residual[u, v], residual[v, u] = \
+                _ratio(residual[u, v], low, -1), _ratio(residual[v, u], low, 1)
 
 
-def _check_budget(estimate, budget, exact=True):
-    """BudgetError when estimate > budget; an estimate that is only a lower
-    bound (not exact) is written as at least its size.  An estimate of more
-    than 30 digits is written ~10^k, k = log10 2^(b - 1/2) rounded for its
-    bit length b, so the message stays short and no long int is converted to
-    text; ``BudgetError.estimate`` is the estimate, in full."""
+def _positive(w):
+    """Whether a weight (a, b, k) of ``_least_cut`` is above (1, 1, 0)."""
+    return (w[0], w[2]) > (w[1], 0)
+
+
+def _ratio(u, v, sign):
+    """The weight u times v (sign 1) or over v (sign -1), in lowest terms."""
+    a, b = (u[0] * v[0], u[1] * v[1]) if sign > 0 else (u[0] * v[1], u[1] * v[0])
+    g = math.gcd(a, b)
+    return a // g, b // g, u[2] + sign * v[2]
+
+
+def _check_budget(estimate, budget):
+    """BudgetError when estimate > budget.  An estimate of more than 30
+    digits is written ~10^k, k = log10 2^(b - 1/2) rounded for its bit length
+    b, so the message stays short and no long int is converted to text;
+    ``BudgetError.estimate`` is the estimate, in full."""
     if estimate > budget:
         size = estimate if estimate < 10 ** 30 else \
             f"10^{round((estimate.bit_length() - 0.5) * 0.30103)}"
-        raise BudgetError(f"enumeration of {'' if exact else 'at least '}~{size} tuples "
-                          f"exceeds budget {budget}", estimate=estimate)
+        raise BudgetError(f"enumeration of ~{size} tuples exceeds budget {budget}",
+                          estimate=estimate)
 
 
 def count_points(m_rep, e, budget=DEFAULT_BUDGET):

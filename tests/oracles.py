@@ -66,6 +66,9 @@ fixed-width rank kernel ``counting.batched_rank_mod_p``.
 ``census`` lists every representation of a dimension vector over F_p with
 the closed form of the sum of their point counts, for every e: the oracle
 of the counting engines on every degenerate map at once.
+``exhaustive_plan`` tries every subset of one side of the sources and
+sinks, the planner's search before it became a minimum cut: the oracle of
+``counting.plan_count`` and of its tie rules.
 """
 
 import itertools
@@ -77,7 +80,7 @@ from quivergrass import linalg as la
 from quivergrass import (QQ, DomainError, PrimeField, Representation, SubrepWitness, direct_sum,
                          euler_form, hom_basis, hom_dim, kronecker_quiver, linear_quiver,
                          quotient, restrict, zero_rep)
-from quivergrass.counting import enumerate_subreps
+from quivergrass.counting import CountPlan, enumerate_subreps
 from quivergrass.poly import SparsePoly
 from quivergrass.rep import _unvec, morphism_image_witness, phi_map
 from quivergrass.typea import (IntervalDecomposition, Stratum, coefficient_quiver, decompose,
@@ -539,3 +542,33 @@ def census(quiver, d, p):
             total *= q_binomial(x, y, p)
         sums[e] = total
     return modules, sums
+
+
+def exhaustive_plan(quiver, dims, e, p):
+    """The counting plan found by trying every subset of the smaller side of
+    the non-isolated sources and sinks, smallest subsets first, keeping the
+    first plan of least (estimate, number of enumerated vertices): the oracle
+    of the minimum cut of ``counting.plan_count``, and of its tie rules."""
+    n = quiver.vertex_count
+    cost = {v: q_binomial(dims[v - 1], e[v - 1], p) for v in range(1, n + 1)}
+    neighbours = {v: quiver.neighbours(v) for v in range(1, n + 1)}
+    isolated = {v for v in neighbours if not neighbours[v]}
+    side = [v for v in quiver.sources() if v not in isolated]
+    other = [v for v in quiver.sinks() if v not in isolated]
+    if len(side) > len(other):
+        side, other = other, side
+    choices = [v for v in side if cost[v] > 1]
+    best = None
+    for k in range(len(choices) + 1):
+        for chosen in itertools.combinations(choices, k):
+            blocked = set().union(*(neighbours[v] for v in chosen))
+            summed = isolated | set(chosen) | {v for v in other if v not in blocked}
+            rest = [v for v in quiver.topological_order if v not in summed]
+            estimate = 1
+            for v in rest:
+                estimate *= cost[v]
+            if best is None or (estimate, len(rest)) < (best.estimate, len(best.enumerated)):
+                # the search runs over the cheap vertices first, the leaf is the dearest
+                rest.sort(key=lambda v: cost[v])
+                best = CountPlan(tuple(rest), tuple(sorted(summed)), estimate)
+    return best

@@ -4,6 +4,7 @@ polynomials, and stratum classification."""
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -29,8 +30,8 @@ from quivergrass.rep import reduce_mod
 from quivergrass.typea import (IntervalDecomposition, decompose, degenerate_flag_dec,
                                flag_dec, interval_rep, most_flat_dec, poincare_polynomial)
 
-from oracles import (census, classify_strata_ff, hide_summands, hom_fingerprint, mul, neg,
-                     rank_mod_p, rep_document, solve)
+from oracles import (census, classify_strata_ff, exhaustive_plan, hide_summands, hom_fingerprint,
+                     mul, neg, rank_mod_p, rep_document, solve)
 
 A2 = linear_quiver(2)
 
@@ -803,28 +804,55 @@ def test_budget_refusals_write_long_estimates_as_powers_of_ten(estimate, size):
     assert err.value.estimate == estimate
 
 
-def test_plan_floor_refuses_before_the_plans_are_tried():
-    # sources 1, 2 and sinks 3, 4 at costs 3, 7, 7, 3 (p = 2): the dearest
-    # arrow 2 -> 3 is matched alone, so the floor is 7, and the plan that
-    # enumerates 2 only leaves 1 -> 3 summed at both ends; every plan
-    # enumerates 21 tuples
+def test_refusals_state_the_plans_exact_estimate():
+    # sources 1, 2 and sinks 3, 4 at costs 3, 7, 7, 3 (p = 2): every plan
+    # enumerates 21 tuples, and each refusal states that estimate
     quiver, dims, e = Quiver(4, [(1, 3), (2, 3), (2, 4)]), (2, 3, 3, 2), (1, 1, 1, 1)
-    cost = {v: gaussian_binomial(d, x, 2) for v, d, x in zip(range(1, 5), dims, e)}
-    assert counting._plan_floor(quiver, cost) == (7, False)
     assert plan_count(quiver, dims, e, 2).estimate == 21
     m = _random_rep(quiver, dims, 2, random.Random(0))
-    with pytest.raises(BudgetError) as err:
-        count_points(m, e, budget=10)
-    assert (str(err.value), err.value.estimate) == \
-        ("enumeration of ~21 tuples exceeds budget 10", 21)
-    # only the floor, checked before any subset is tried, refuses at 7
-    with pytest.raises(BudgetError) as err:
-        count_points(m, e, budget=6)
-    assert (str(err.value), err.value.estimate) == \
-        ("enumeration of at least ~7 tuples exceeds budget 6", 7)
-    # A_3: the interior vertex alone, a floor that plan_count attains
-    cost = {1: 1, 2: gaussian_binomial(4, 2, 41), 3: 1}
-    assert counting._plan_floor(linear_quiver(3), cost) == (cost[2], True)
+    for budget in (10, 6):
+        with pytest.raises(BudgetError) as err:
+            count_points(m, e, budget=budget)
+        assert (str(err.value), err.value.estimate) == \
+            (f"enumeration of ~21 tuples exceeds budget {budget}", 21)
+
+
+def _random_plan_case(rng):
+    """Sources, sinks and a few vertices between them under a random
+    labelling, with parallel arrows, isolated vertices and vertices of cost 1
+    on both sides, over GF(2) or GF(3)."""
+    a, b, c = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 2)
+    n = max(a + b + c, 1)
+    label = rng.sample(range(1, n + 1), n)
+    sources, sinks, middle = label[:a], label[a:a + b], label[a + b:]
+    arrows = [(s, t) for s in sources for t in sinks for _ in range(rng.choice([0, 0, 1, 1, 2]))]
+    for v in middle:
+        if sources and sinks and rng.random() < 0.8:
+            arrows += [(rng.choice(sources), v), (v, rng.choice(sinks))]
+    dims = [rng.randint(0, 3) for _ in range(n)]
+    e = [rng.choice([0, d]) if d < 2 or rng.random() < 0.25 else rng.randint(1, d - 1)
+         for d in dims]
+    return Quiver(n, arrows), tuple(dims), tuple(e), rng.choice([2, 3])
+
+
+def test_plan_is_the_exhaustive_search_plan():
+    # the least minimum cut against every subset of the smaller side, with
+    # its tie rules: about one case in ten has two plans of least estimate
+    rng = random.Random(37)
+    for _ in range(4000):
+        case = _random_plan_case(rng)
+        assert plan_count(*case) == exhaustive_plan(*case), case
+
+
+def test_ladder_plans_in_polynomial_time():
+    # the 30 + 30 ladder s_i -> t_i, s_i -> t_(i+1) at dims 2, e = 1, p = 2:
+    # every vertex costs 3, and a cover of its 59 arrows takes 30 vertices
+    k = 30
+    arrows = [(i, k + i) for i in range(1, k + 1)] + [(i, k + i + 1) for i in range(1, k)]
+    start = time.perf_counter()
+    plan = plan_count(Quiver(2 * k, arrows), (2,) * (2 * k), (1,) * (2 * k), 2, 10 ** 15)
+    assert time.perf_counter() - start < 1
+    assert plan.estimate == 3 ** k and len(plan.enumerated) == k
 
 
 def test_count_strategy_checks_every_summand_budget_before_the_first_count(monkeypatch):

@@ -7,11 +7,14 @@ the interpreter's limit on int <-> str conversion), inputs that once
 allocated until memory or time ran out (a rep file's omitted matrices built
 densely, the n(n+1)/2 ranks of a long A_n, the exchange matrix of a long
 A_n, the coefficient quiver of a summand of multiplicity 10^8, the quiver of
-A_(10^8), the n x n form that classifies A_100000), inputs that once took
-quadratic time or memory (the g-vector of a long A_n, and the F-polynomial
-of one, whose keys of 200,000 slots were once packed through a weight table
-of ~nvars^2/7 entries), a count whose planner once tried every subset of 30
-sources (the 30 + 30 ladder) and inputs that have always ended cleanly.
+A_(10^8), the n x n form that classifies A_100000, and A_3000000 built
+before that form was sized), inputs that once took quadratic time or memory
+(the g-vector of a long A_n, and the F-polynomial of one, whose keys of
+200,000 slots were once packed through a weight table of ~nvars^2/7
+entries), counts whose planner once tried every subset of one side of the
+sources and sinks (the 30 + 30 ladder, refused at the default budget and
+answered at 10^15, and the fan of 24 sources, answered) and inputs that have
+always ended cleanly.
 ``{dir}`` in an argv is the directory of the fixture files.
 """
 
@@ -44,6 +47,19 @@ def _ladder(k):
                        "matrices": {str(a): [[1, 0], [0, 1]] for a in range(len(arrows))}})
 
 
+def _fan(k):
+    """Sources s_1..s_k into one sink t_0, and paths s_1 -> u_j -> t_j for
+    j = 0..k: dims 2 and e = 1 at the s_i and t_0, dims 1 and e = 0
+    elsewhere, all matrices zero.  Its one cheapest plan sums every source,
+    3 tuples, and #Gr_e = 3^(k+1)."""
+    s, t, u = (lambda i: i), (lambda j: k + 1 + j), (lambda j: 2 * k + 2 + j)
+    arrows = [[s(i), t(0)] for i in range(1, k + 1)]
+    arrows += [pair for j in range(k + 1) for pair in ([s(1), u(j)], [u(j), t(j)])]
+    dims = [2] * (k + 1) + [1] * (2 * k + 1)
+    return json.dumps({"vertices": 3 * k + 2, "arrows": sorted(arrows), "field": "Q",
+                       "dims": dims, "matrices": {}})
+
+
 FILES = {
     "one.rep": json.dumps({"vertices": 1, "arrows": [], "field": "Q", "dims": [100],
                            "matrices": {}}),
@@ -62,6 +78,7 @@ FILES = {
     "dims-1e8.rep": json.dumps({"vertices": 2, "arrows": [[1, 2]], "field": "Q",
                                 "dims": [1, 10 ** 8], "matrices": {}}),
     "ladder.rep": _ladder(30),
+    "fan.rep": _fan(24),
 }
 
 LADDER = ["count", "--rep", "{dir}/ladder.rep", "--e", ",".join(["1"] * 60), "--p", "2"]
@@ -94,6 +111,7 @@ ROWS = {
     "decompose-100000000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "100000000"],
                                      3),
     "ar-quiver-100000-vertices": (["ar-quiver", "--n", "100000"], 3),
+    "ar-quiver-3000000-vertices": (["ar-quiver", "--n", "3000000"], 3),
     "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "gvector-200000-vertices": (["gvector", "--intervals", "U[1,1]", "--n", "200000"], 0),
@@ -102,10 +120,14 @@ ROWS = {
                                            "--n", "200000"], 0),
     "cc-200000-vertices": (["cc", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "count-30-30-ladder": (LADDER, 3),
+    "count-30-30-ladder-budget-1e15": ([*LADDER, "--budget", str(10 ** 15)], 0),
+    "count-fan-24": (["count", "--rep", "{dir}/fan.rep", "--e", ",".join(["1"] * 25 + ["0"] * 49),
+                      "--p", "2"], 0),
 }
 
 # what the standard output of a row must hold, where it is checked
-STDOUT = {"fpoly-200000-variables": 'pretty: "1 + y1"'}
+STDOUT = {"fpoly-200000-variables": 'pretty: "1 + y1"', "count-fan-24": f"count: {3 ** 25}",
+          "count-30-30-ladder-budget-1e15": "count: 3\n"}
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +151,8 @@ def test_input_ends_cleanly(row, fixture_dir):
 
 
 def test_ladder_refused_before_the_subset_search(fixture_dir):
-    # no plan of the 30 + 30 ladder enumerates fewer than 3^30 tuples, so it
-    # is refused before any of its 2^30 plans is tried
+    # no plan of the 30 + 30 ladder enumerates fewer than 3^30 tuples, and
+    # the minimum cut finds that plan without trying the others
     from quivergrass.cli import run
     start = time.perf_counter()
     code, text = run([a.format(dir=fixture_dir) for a in LADDER])
