@@ -14,7 +14,9 @@ For a Dynkin quiver this produces every indecomposable exactly once (one per
 positive root) and terminates at the injectives.
 """
 
+import heapq
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import DomainError, check_ceiling
 from .quiver import euler_form
@@ -31,12 +33,6 @@ class Classification:
         return f"{self.letter}{self.rank}" if self.kind == "dynkin" else self.kind
 
 
-def check_form_ceiling(n):
-    """BudgetError when the n x n form that ``classify`` builds for a quiver
-    on n vertices is above the ceiling (``errors.check_ceiling``)."""
-    check_ceiling(n * n, "the symmetrised Euler form of a quiver on {} vertices", n)
-
-
 def classify(quiver):
     """Gabriel's criterion: Dynkin iff the Tits form q(x) = <x, x> is positive
     definite, affine iff it is positive semidefinite but not definite, wild
@@ -50,12 +46,12 @@ def classify(quiver):
     is Dynkin.  Anything else is wild.  A Dynkin graph
     is a tree: A without a trivalent vertex, else D or E as the branch vertex
     has two or more leaves as neighbours, or one.  BudgetError before C is
-    built when its n^2 entries are above the ceiling (``check_form_ceiling``).
+    built when its n^2 entries are above the ceiling (``errors.check_ceiling``).
     """
     n = quiver.vertex_count
     if n == 0:
         raise DomainError("empty quiver")
-    check_form_ceiling(n)
+    check_ceiling(n * n, "the symmetrised Euler form of a quiver on {} vertices", n)
     if not quiver.is_connected():
         raise DomainError("classification expects a connected quiver")
     c = [[2 * (i == j) for j in range(n)] for i in range(n)]
@@ -87,6 +83,14 @@ def positive_root_count(letter, rank):
     return {6: 36, 7: 63, 8: 120}[rank]
 
 
+def check_knit_ceiling(letter, rank):
+    """BudgetError when the AR quiver of the Dynkin quiver of type letter and
+    rank, one dimension vector of rank entries per positive root, is above
+    the ceiling (``errors.check_ceiling``)."""
+    check_ceiling(positive_root_count(letter, rank) * rank,
+                  "the AR quiver of {}{}", letter, rank)
+
+
 class ARQuiver:
     """Mesh quiver on dimension vectors: vertices, arrows, and the translate."""
 
@@ -102,11 +106,18 @@ class ARQuiver:
 
 
 def knit(quiver):
-    """AR quiver of a Dynkin quiver by preprojective knitting."""
+    """AR quiver of a Dynkin quiver by preprojective knitting.
+
+    BudgetError before knitting when its roots x n entries are above the
+    ceiling (``check_knit_ceiling``).  Each vertex keeps its out-neighbours,
+    in arrow order, and the number of its predecessors (one per arrow) that
+    are neither injective nor completed; the ready vertices, whose number is
+    0, wait on a heap, and the smallest is completed first.
+    """
     cls = classify(quiver)
     if cls.kind != "dynkin":
         raise DomainError(f"knitting requires a Dynkin quiver, got {cls.kind}")
-    n = quiver.vertex_count
+    check_knit_ceiling(cls.letter, cls.rank)
     proj_dims = quiver.projective_dims()
     inj_dims = quiver.opposite().projective_dims()
     inj_set = set(inj_dims)
@@ -114,36 +125,40 @@ def knit(quiver):
     vertices = list(proj_dims)
     index = {d: i for i, d in enumerate(vertices)}
     arrows = []
+    outs = [[] for _ in vertices]
+    pending = [0] * len(vertices)
+
+    def add_arrow(s, t):
+        arrows.append((s, t))
+        outs[s].append(t)
+        pending[t] += vertices[s] not in inj_set
+
     # irreducible maps into a projective come from the summands of its radical
-    for a, (k, j) in enumerate(quiver.arrows):
-        arrows.append((index[proj_dims[j - 1]], index[proj_dims[k - 1]]))
+    for k, j in quiver.arrows:
+        add_arrow(index[proj_dims[j - 1]], index[proj_dims[k - 1]])
+    ready = [x for x, d in enumerate(vertices) if not pending[x] and d not in inj_set]
+    heapq.heapify(ready)
     tau = {}
-    completed = set()
-    while True:
-        ready = None
-        for x in range(len(vertices)):
-            if x in completed or vertices[x] in inj_set:
-                continue
-            preds = [s for s, t in arrows if t == x]
-            if all(vertices[s] in inj_set or s in completed for s in preds):
-                ready = x
-                break
-        if ready is None:
-            break
-        outs = [t for s, t in arrows if s == ready]
-        new_dim = tuple(sum(vertices[t][i] for t in outs) - vertices[ready][i]
-                        for i in range(n))
-        if any(v < 0 for v in new_dim) or all(v == 0 for v in new_dim):
-            raise AssertionError(f"mesh at {vertices[ready]} produced {new_dim}")
+    while ready:
+        x = heapq.heappop(ready)
+        new_dim = tuple(map(sub, map(sum, zip(*(vertices[t] for t in outs[x]))), vertices[x]))
+        if not any(new_dim) or min(new_dim) < 0:
+            raise AssertionError(f"mesh at {vertices[x]} produced {new_dim}")
         if new_dim in index:
             raise AssertionError(f"dimension vector {new_dim} produced twice")
         new_idx = len(vertices)
         vertices.append(new_dim)
         index[new_dim] = new_idx
-        for t in outs:
-            arrows.append((t, new_idx))
-        tau[new_idx] = ready
-        completed.add(ready)
+        outs.append([])
+        pending.append(0)
+        for t in outs[x]:
+            add_arrow(t, new_idx)
+            pending[t] -= 1
+            if not pending[t] and vertices[t] not in inj_set:
+                heapq.heappush(ready, t)
+        if not pending[new_idx] and new_dim not in inj_set:
+            heapq.heappush(ready, new_idx)
+        tau[new_idx] = x
     roots = positive_root_count(cls.letter, cls.rank)
     if len(vertices) != roots:
         raise AssertionError(

@@ -379,8 +379,9 @@ def _ar_quiver(args, echo):
     if args.rep is not None:
         quiver = args.m.quiver
     else:
-        # the form that classifies A_n is sized before A_n is built
-        ardynkin.check_form_ceiling(max(args.n, 0))
+        # the AR quiver of A_n, which outsizes the form that classifies it,
+        # is sized before A_n is built
+        ardynkin.check_knit_ceiling("A", max(args.n, 0))
         quiver = linear_quiver(args.n)
         echo["n"] = args.n
     ar = ardynkin.knit(quiver)

@@ -181,7 +181,12 @@ def simple(quiver, field, k):
 
 
 def projective(quiver, field, k):
-    """P_k: basis at vertex i = paths k -> i, arrows act by concatenation."""
+    """P_k: basis at vertex i = paths k -> i, arrows act by concatenation.
+    BudgetError before any path is listed when its arrow matrices are above
+    the ceiling (``check_matrix_ceiling``)."""
+    if not (1 <= k <= quiver.vertex_count):
+        raise DomainError(f"bad vertex {k}")
+    check_matrix_ceiling(quiver, quiver.projective_dims()[k - 1], f"P_{k}")
     paths = quiver.paths_from(k)
     dims = tuple(len(paths[v]) for v in range(1, quiver.vertex_count + 1))
     index = {v: {p: j for j, p in enumerate(paths[v])} for v in paths}

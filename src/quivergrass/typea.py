@@ -24,7 +24,6 @@ polynomials, without listing the fixed points.
 """
 
 import random as _random
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -276,36 +275,14 @@ def coefficient_quiver(m):
     an extension into a row sorted after it.  Equal rows are adjacent, which
     is harmless since equal rows commute.
 
-    BudgetError, before any row is listed, when the rows and the capacity
-    table the searches build from them, (rows + 1) * n entries with one
-    row per summand counted with multiplicity, are above the ceiling
+    BudgetError, before any row is listed, when (rows + 1) * n entries, an
+    n-vector of the sweep at each of its rows + 1 layers with one row per
+    summand counted with multiplicity, are above the ceiling
     (``errors.check_ceiling``).
     """
     rows = sum(m.m.values())
     check_ceiling((rows + 1) * m.n, "the coefficient quiver of {} rows on A_{}", rows, m.n)
     return tuple(m.summands())
-
-
-def _search_rows(m, e):
-    """(e, rows, capacity) for the fixed points of Gr_e(M), or None when some
-    e_v exceeds d_v: e checked against the quiver, the rows of
-    ``coefficient_quiver(m)``, and ``capacity[r][v - 1]``, the rows r, r + 1,
-    ... whose support contains v.  DomainError on a module of another quiver
-    or an e of the wrong length or with a negative entry."""
-    quiver = m.quiver
-    _require_linear(quiver)
-    e = quiver.check_dim_vector(e)
-    d = m.dims
-    if any(map(gt, e, d)):
-        return None
-    rows = coefficient_quiver(m)
-    capacity = [d]
-    for i, j in rows:
-        cap = list(capacity[-1])
-        for v in range(i - 1, j):
-            cap[v] -= 1
-        capacity.append(cap)
-    return e, rows, capacity
 
 
 def _row_choices(i, j, cap, remaining, selected):
@@ -317,8 +294,9 @@ def _row_choices(i, j, cap, remaining, selected):
 
     The state is the demand still to place at each vertex, ``remaining``,
     and the starts the earlier rows selected at each vertex, ``selected``;
-    ``cap`` is the capacity of this row (``_search_rows``).  The choice a
-    takes one from the demand at a, ..., j and adds one start at a.
+    ``cap``, the capacity of a vertex, counts this row and the later ones
+    whose support contains it.  The choice a takes one from the demand at
+    a, ..., j and adds one start at a.
 
     The slack of a vertex is its capacity minus its demand.  A row that
     skips a vertex of its support lowers the vertex's slack by one, and a
@@ -359,62 +337,59 @@ class _Graph(NamedTuple):
     of state s of layer r, (start a or None, cell-dimension increment,
     target state of layer r + 1); layer 0 holds the one empty point.
     ``keys[s]`` is the key of state s after the last row: its multiset of
-    suffixes as an integer whose bytes, ``width`` at a time from the least
-    significant, are the digits, the count of ``suffixes[k]`` digit k."""
+    suffixes as an integer of b-bit fields, b = ``len(layers).bit_length()``,
+    field k from the least significant the count of ``suffixes[k]``."""
 
     layers: list
     keys: list
-    width: int
     suffixes: list
 
     def multiplicities(self, key):
         """The multiset of suffixes a key holds, {(a, j): mult}."""
-        digits = memoryview(key.to_bytes(self.width * len(self.suffixes), sys.byteorder))
-        counts = digits.cast(_DIGITS[self.width])
-        if sys.byteorder == "big":  # the most significant digit came first
-            counts = counts[::-1]
-        return {ij: mult for ij, mult in zip(self.suffixes, counts) if mult}
-
-
-# the memoryview format of an unsigned digit of 1, 2 or 4 bytes
-_DIGITS = {1: "B", 2: "H", 4: "I"}
+        b = len(self.layers).bit_length()
+        mask = (1 << b) - 1
+        return {ij: mult for k, ij in enumerate(self.suffixes) if (mult := key >> b * k & mask)}
 
 
 def _sweep(m, e):
     """The forward sweep over the rows of ``coefficient_quiver(m)``, built
     once as a layered state graph (``_Graph``), or None when Gr_e(M) has no
-    fixed point.  Its three readers: ``fixed_points`` lists its paths,
-    ``poincare_polynomial`` and ``strata`` fold tallies over it
-    (``_tallies``).
+    fixed point (as when some e_v exceeds d_v); DomainError on a module of
+    another quiver or an e of the wrong length or with a negative entry.
+    Its readers: ``fixed_points`` lists its paths, ``poincare_polynomial``
+    and ``strata`` fold tallies over it (``_tallies``).
 
     A state of layer r is a class of partial points through the rows before
     r: those that have selected the same multiset of suffixes U[a, j].  The
     multiset fixes the demand still to place and the starts histogram that
     the increments read, so such points have the same completions with the
     same dimension increments: a state's out-edges are the choices of
-    ``_row_choices`` on it, in that order.  After the last row a state is
-    one isoclass N, since a fixed point spans the sum of its suffixes.  A
-    state's key is its multiset as one integer with a digit of one, two or
-    four bytes per suffix, wide enough to count every row (the ceiling of
-    ``coefficient_quiver`` keeps the rows below 256**4), so a choice adds
-    the weight of its suffix and the digits read back as the key's bytes.
-    Digits go to the suffixes in the order they are first chosen, so no
-    digit is spent on a suffix no row selects.
+    ``_row_choices`` on it, in that order; the capacities it reads drop
+    over each row's support once the row's layer is built.  After the last
+    row a state is one isoclass N, since a fixed point spans the sum of its
+    suffixes.  A state's key is its multiset as one integer with a field of
+    b = len(rows).bit_length() bits per suffix, enough to count every row,
+    so choosing suffix k adds 1 << b*k.  Fields go to the suffixes in the
+    order they are first chosen, so none is spent on a suffix no row selects.
 
     One backward pass then drops every state with no path to the last row
     and renumbers the rest, so every state kept lies on a fixed point and
     no reader walks a dead end.
     """
-    setup = _search_rows(m, e)
-    if setup is None:
+    quiver = m.quiver
+    _require_linear(quiver)
+    e = quiver.check_dim_vector(e)
+    if any(map(gt, e, m.dims)):
         return None
-    e, rows, capacity = setup
-    width = next(w for w in _DIGITS if len(rows) < 256 ** w)
+    rows = coefficient_quiver(m)
+    bits = len(rows).bit_length()
     # weights[j][a]: the weight of U[a, j] in a key
     weights, suffixes = {}, []
+    # cap[v - 1]: the rows from the current one on whose support contains v
+    cap = list(m.dims)
     states = [(0, e, [0] * m.n)]  # (key, demand, starts at each vertex)
     layers = []
-    for (i, j), cap in zip(rows, capacity):
+    for i, j in rows:
         weight = weights.setdefault(j, {})
         index, after, layer = {}, [], []
         for key, remaining, selected in states:
@@ -424,7 +399,7 @@ def _sweep(m, e):
                 if a is not None:
                     w = weight.get(a)
                     if w is None:
-                        w = weight[a] = 1 << 8 * width * len(suffixes)
+                        w = weight[a] = 1 << bits * len(suffixes)
                         suffixes.append((a, j))
                     to += w
                 t = index.get(to)
@@ -440,6 +415,8 @@ def _sweep(m, e):
             layer.append(out)
         layers.append(layer)
         states = after
+        for v in range(i - 1, j):
+            cap[v] -= 1
     # the backward pass: alive[t] is whether state t of the next layer has
     # a path to the last row (None: all have), and kept[t] its number once
     # the dead are gone
@@ -454,7 +431,7 @@ def _sweep(m, e):
             layers[r] = list(compress(layers[r], alive))
     if layers and not layers[0]:
         return None
-    return _Graph(layers, [key for key, _, _ in states], width, suffixes)
+    return _Graph(layers, [key for key, _, _ in states], suffixes)
 
 
 def fixed_points(m, e):

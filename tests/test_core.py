@@ -3,6 +3,7 @@ canonical constructions, subquotients, extensions, embeddings."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from quivergrass import linalg as la
 from quivergrass import (
-    QQ, DomainError, PrimeField, Quiver, Representation, SubrepWitness,
+    QQ, BudgetError, DomainError, PrimeField, Quiver, Representation, SubrepWitness,
     build_extension, direct_sum, dual, elliptic, euler_form, ext1_dim,
     hom_basis, hom_dim, injective, is_rigid, kronecker_quiver, linear_quiver, phi_map,
     projective, quotient, restrict, simple, tangent_dim,
@@ -183,6 +184,22 @@ def test_projective_injective_simple():
     assert s2.dims == (0, 1) and s2 == projective(A2, QQ, 2)
     with pytest.raises(DomainError):
         projective(A2, QQ, 3)
+
+    # on the doubled chain, two arrows v -> v+1, P_1 and I_n have 2^(v-1)
+    # and 2^(n-v) paths at v; at 16 vertices their arrow matrices are over
+    # the ceiling, refused before any path is listed
+    def chain(n):
+        return Quiver(n, [(v, v + 1) for v in range(1, n) for _ in range(2)])
+
+    small = chain(10)
+    assert projective(small, QQ, 1).dims == tuple(2 ** v for v in range(10))
+    assert injective(small, QQ, 10).dims == tuple(2 ** (9 - v) for v in range(10))
+    big = chain(16)
+    for build in (lambda: projective(big, QQ, 1), lambda: injective(big, QQ, 16)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            build()
+        assert time.perf_counter() - start < 1
 
 
 def test_dual_and_direct_sum():

@@ -11,7 +11,9 @@ A_(10^8), the n x n form that classifies A_100000, and A_3000000 built
 before that form was sized), inputs that once took quadratic time or memory
 (the g-vector of a long A_n, and the F-polynomial of one, whose keys of
 200,000 slots were once packed through a weight table of ~nvars^2/7
-entries), counts whose planner once tried every subset of one side of the
+entries), the AR quiver of A_200, once knitted by rescanning every vertex
+and arrow for each mesh, and that of A_300, whose roots x n entries are
+over the ceiling, counts whose planner once tried every subset of one side of the
 sources and sinks (the 30 + 30 ladder, refused at the default budget and
 answered at 10^15, and the fan of 24 sources, answered) and inputs that have
 always ended cleanly.
@@ -112,6 +114,8 @@ ROWS = {
                                      3),
     "ar-quiver-100000-vertices": (["ar-quiver", "--n", "100000"], 3),
     "ar-quiver-3000000-vertices": (["ar-quiver", "--n", "3000000"], 3),
+    "ar-quiver-200-vertices": (["ar-quiver", "--n", "200"], 0),
+    "ar-quiver-300-vertices": (["ar-quiver", "--n", "300"], 3),
     "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "gvector-200000-vertices": (["gvector", "--intervals", "U[1,1]", "--n", "200000"], 0),

@@ -521,8 +521,10 @@ def test_every_state_of_the_graph_lies_on_a_fixed_point():
 
 
 def test_strata_past_255_rows():
-    """A state's key counts every row in a digit of its own, two bytes wide
-    from 256 rows on: the strata of 302 rows read back their isoclasses."""
+    """A state's key counts every row in a bit field of its own, wide enough
+    to count every row: 9 bits from 256 rows on.  The strata of 302 rows
+    read back their isoclasses, and 256 rows that all select the same
+    suffix fill one field with 256."""
     dec = IntervalDecomposition(2, {(1, 2): 300, (2, 2): 2})
     found = strata(dec, (1, 3))
     assert [s.isoclass for s in found] == [IntervalDecomposition(2, {(1, 2): 1, (2, 2): 2})]
@@ -531,6 +533,8 @@ def test_strata_past_255_rows():
         == 300 * math.comb(301, 2)
     for e in ((0, 1), (1, 1)):
         assert strata(dec, e) == strata_by_points(dec, e)
+    full = IntervalDecomposition(1, {(1, 1): 256})
+    assert strata(full, (256,)) == [Stratum(full, 0, 1)]
 
 
 def test_sweep_at_every_e():
