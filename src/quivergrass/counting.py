@@ -27,11 +27,18 @@ matrix per tuple.  An arrow s -> t between two enumerated vertices is tested
 on the RREF bases alone: M_a U_s lies in U_t when every row of B_s M_a^T,
 reduced against B_t, leaves no residue (``_outside``).  A batch is a fixed
 number of rows that runs across pivot patterns, so the cost of a count follows
-its rows and not its batches.  The rows of the last vertex are grouped by
-their rank vector (one lexsort over its columns, whatever their number), so
-every distinct product of Gaussian binomials is formed once and every sum and
-product is taken exactly in Python ints.  The ranks come from
-``batched_rank_mod_p``, one lazily reduced forward elimination per batch.
+its rows and not its batches.  The last vertex v is not drawn at all when
+no arrow is tested at it and it completes at most one summed vertex w,
+through one block Y of w's rank form: the rank at w is then rank F + e_v -
+dim(U_v ∩ L) for the fixed rows F of the chosen vertices and the subspace
+L = {x : xY in rowspace F}, and the e_v-spaces meeting L in dimension j
+number p^((e_v-j)(l-j)) [l, j]_p [d_v-l, e_v-j]_p, l = dim L (``_meeting``).
+Any other last vertex has its rows grouped by their rank vector (one lexsort
+over its columns, whatever their number), so every distinct product of
+Gaussian binomials is formed once.  Every sum and product is taken exactly in
+Python ints.  The ranks come from ``batched_rank_mod_p``, one lazily reduced
+forward elimination per batch.  The plan's estimate still counts the last
+vertex's Grassmannian, so it bounds the rows drawn from above.
 Every array of the search and of the rank kernel runs at the narrowest exact
 width, ``_residue_dtype(p, n)``: int16, then int32, then int64, and Python
 ints (dtype=object) beyond, by the one bound n (p-1)**2 < max of the width, n
@@ -75,6 +82,18 @@ def gaussian_binomial(d, e, p):
         den *= p ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def _meeting(d, e, l, j, p):
+    """Number of e-dimensional subspaces of F_p^d that meet a fixed
+    l-dimensional one L in dimension j: p^((e-j)(l-j)) [l, j]_p [d-l, e-j]_p.
+    A j-space of L, then a complement of L in U read as an (e-j)-space of
+    F_p^d / L lifted off L in one of p^((e-j)(l-j)) ways.  0 when j is out
+    of range."""
+    if j < 0 or j > min(e, l) or e - j > d - l:
+        return 0
+    return p ** ((e - j) * (l - j)) * gaussian_binomial(l, j, p) \
+        * gaussian_binomial(d - l, e - j, p)
 
 
 def pivot_patterns(d, e):
@@ -489,9 +508,12 @@ class _PlannedCount:
     one rank form, built once per count: a sink the transposes of its arrows
     into it, a source the left kernel of its stacked arrows
     (``_left_kernel``, ``_cokernel``).  It is ranked when its last neighbour
-    is drawn.  The rows of the leaf are grouped by their rank vector
-    (``_rank_groups``), so each distinct product of Gaussian binomials is
-    formed once, in Python ints.
+    is drawn.  The leaf, the last enumerated vertex, is summed in closed form
+    when no arrow is tested at it and it completes at most one summed vertex
+    through one block of its rank form (``_closed``, ``_closed_leaf``);
+    otherwise its rows are grouped by their rank vector (``_rank_groups``),
+    so each distinct product of Gaussian binomials is formed once, in Python
+    ints.
     """
 
     def __init__(self, m_rep, e, plan):
@@ -519,6 +541,8 @@ class _PlannedCount:
             else:
                 self.constant *= gaussian_binomial(self.dims[w - 1], e[w - 1], self.p)
         self.chosen = {}
+        self.closed = self._closed(plan.enumerated[-1]) if plan.enumerated else None
+        self.fixed = None
 
     def _cokernel(self, w):
         """(R - sum_a e_t(a), K, [(t(a), C_a^T)]) for a summed source w.
@@ -596,16 +620,68 @@ class _PlannedCount:
                     self.chosen[v] = batch[i]
                     yield factor
 
+    def _closed(self, v):
+        """How the leaf v is summed without drawing its subspaces, when no
+        arrow is tested at v: (None, None, []) when v completes no summed
+        vertex; (w, Y, others) when it completes one, w, whose rank form has
+        one block (v, Y) at v, others being its other blocks.  None for every
+        other leaf (parallel arrows, two summed vertices, a tested arrow),
+        which is enumerated."""
+        if self.tests[v] or len(self.completes[v]) > 1:
+            return None
+        if not self.completes[v]:
+            return None, None, []
+        w, = self.completes[v]
+        blocks = self.forms[w][2]
+        at_v = [y for u, y in blocks if u == v]
+        if len(at_v) != 1:
+            return None
+        return w, at_v[0], [(u, y) for u, y in blocks if u != v]
+
     def _leaf(self):
-        """The sum over the rows of the last enumerated vertex of their factors,
-        each distinct rank vector formed once (``_rank_groups``)."""
+        """The sum over the rows of the last enumerated vertex of their factors:
+        in closed form (``_closed_leaf``) where ``_closed`` allows, once per
+        count when no chosen vertex enters it, and otherwise with the rows
+        grouped by rank vector (``_rank_groups``), each distinct vector's
+        factor formed once."""
         v = self.plan.enumerated[-1]
-        completes = self.completes[v]
-        total = 0
-        for _, ranks in self._batches(v):
-            for row, count in zip(*_rank_groups(ranks)):
-                total += int(count) * self._factor(completes, row)
-        return total
+        if self.closed is None:
+            completes, total = self.completes[v], 0
+            for _, ranks in self._batches(v):
+                for row, count in zip(*_rank_groups(ranks)):
+                    total += int(count) * self._factor(completes, row)
+            return total
+        if self.closed[2]:
+            return self._closed_leaf(v)
+        if self.fixed is None:
+            self.fixed = self._closed_leaf(v)
+        return self.fixed
+
+    def _closed_leaf(self, v):
+        """The leaf's sum over dim(U ∩ L) = j, its subspaces U never drawn.
+
+        With F the rows B_u Y_u of the other blocks (u chosen), the stack
+        [B_v Y; F] has rank rank F + e_v - dim(U ∩ L), where L = {x : xY in
+        rowspace F} has dimension l = d_v - (rank [Y; F] - rank F), and
+        ``_meeting`` counts the U with each j.  Both ranks come from one
+        ``batched_rank_mod_p`` call over [Y; F] and [0; F].  Without a
+        summed vertex the sum is [d_v, e_v]_p.
+        """
+        d, e, p = self.dims[v - 1], self.e[v - 1], self.p
+        w, y, others = self.closed
+        if w is None:
+            return gaussian_binomial(d, e, p)
+        offset, width, _ = self.forms[w]
+        stack = np.zeros((2, d + sum(self.e[u - 1] for u, _ in others), width), dtype=self.dtype)
+        stack[0, :d] = y
+        top = d
+        for u, yu in others:
+            stack[:, top:top + self.e[u - 1]] = _mul(self.chosen[u], yu, p)
+            top += self.e[u - 1]
+        with_y, rank_f = (int(r) for r in batched_rank_mod_p(stack, p))
+        l = d - (with_y - rank_f)
+        return sum(_meeting(d, e, l, j, p) * self._factor([w], [offset + rank_f + e - j])
+                   for j in range(e + 1))
 
     def _stable(self, v, batch):
         """Rows of the batch at v mapping into, and mapped into by, the chosen

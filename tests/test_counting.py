@@ -3,6 +3,7 @@ polynomials, and stratum classification."""
 
 import itertools
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -707,7 +708,9 @@ def test_leaf_groups_rank_vectors_of_several_summed_vertices():
 
 def test_leaf_without_summed_vertices():
     # on A_4 the summed sink 4 completes at vertex 3, before the leaf 2, so
-    # the leaf groups rank vectors of width 0
+    # the leaf completes nothing: at e_3 = 0 the arrow 2 -> 3 is tested and
+    # the leaf groups rank vectors of width 0; at e_3 = d_3 no arrow is
+    # tested and the leaf is [d_2, e_2]_3 in closed form
     a4 = linear_quiver(4)
     dims = (2, 3, 1, 2)
     m = Representation(a4, PrimeField(3), dims,
@@ -723,6 +726,156 @@ def test_rank_groups_are_exact_at_any_width():
         rows = [tuple(rng.randrange(3) for _ in range(width)) for _ in range(300)]
         distinct, counts = _rank_groups(np.array(rows, dtype=np.int64).reshape(300, width))
         assert dict(zip(map(tuple, distinct.tolist()), counts.tolist())) == Counter(rows)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subspaces_meeting_a_fixed_one_in_each_dimension(p):
+    # the closed form of the leaf on its own: for every e, every L of
+    # dimension l and every j, #{U in Gr(e, d) : dim(U ∩ L) = j}, with
+    # dim(U ∩ L) = e + l - rank [U; L] over GF(p), is p^((e-j)(l-j))
+    # [l, j]_p [d-l, e-j]_p, and the sum over j is [d, e]_p
+    for d in range(5):
+        grass = [[list(u) for u in SubspaceIter(d, k, p)] for k in range(d + 1)]
+        for e, l in itertools.product(range(d + 1), repeat=2):
+            closed = {j: counting._meeting(d, e, l, j, p) for j in range(-1, d + 2)}
+            assert sum(closed.values()) == gaussian_binomial(d, e, p)
+            for big_l in grass[l]:
+                seen = Counter(e + l - rank_mod_p(u + big_l, p) for u in grass[e])
+                assert seen == {j: n for j, n in closed.items() if n}, (d, e, l, big_l)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The (d, e) of every batch that ``SubspaceIter.batches`` yields."""
+    seen, batches = [], SubspaceIter.batches
+
+    def spy(self):
+        for batch in batches(self):
+            seen.append((self.d, self.e))
+            yield batch
+    monkeypatch.setattr(SubspaceIter, "batches", spy)
+    return seen
+
+
+def _planned(m, e):
+    """The executor of m's plan at e, its leaf's closed shape in ``.closed``."""
+    return counting._PlannedCount(m, e, plan_count(m.quiver, m.dims, e, m.field.p))
+
+
+def _closed_leaf_fixtures(p, rng):
+    """A summed sink and a summed source, each met by its closed leaf beside
+    the rows of a chosen vertex through nonzero maps: the sink 3 of 1 -> 3
+    <- 2, d = (2, 2, 4), and the source 1 of 2 <- 1 -> 3, d = (4, 2, 2),
+    whose second map has rank 1 so that its left kernel is not zero."""
+    sink = Quiver(3, [(1, 3), (2, 3)])
+    source = Quiver(3, [(1, 2), (1, 3)])
+    while True:
+        maps = [[[rng.randrange(p) for _ in range(2)] for _ in range(4)] for _ in range(2)]
+        row = [rng.randrange(p) for _ in range(4)]
+        maps += [[[rng.randrange(p) for _ in range(4)] for _ in range(2)], [row, [0] * 4]]
+        if all(any(map(any, a)) for a in maps):
+            return [(Representation(sink, PrimeField(p), (2, 2, 4), maps[:2]), 3),
+                    (Representation(source, PrimeField(p), (4, 2, 2), maps[2:]), 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_leaf_beside_chosen_rows_against_enumeration_and_duality(p, drawn):
+    rng = random.Random(p)
+    for m, w in _closed_leaf_fixtures(p, rng):
+        checked = 0
+        for e in itertools.product(*(range(d + 1) for d in m.dims)):
+            planned = _planned(m, e)
+            if planned.plan.summed != (w,) or planned.closed is None or not planned.closed[2]:
+                continue
+            if p == 5 and math.prod(gaussian_binomial(d, x, p) for d, x in zip(m.dims, e)) > 6000:
+                continue
+            # one batch at the first vertex, none at the leaf
+            first = planned.plan.enumerated[0]
+            del drawn[:]
+            count = count_points(m, e)
+            assert drawn == [(m.dims[first - 1], e[first - 1])], e
+            assert count == len(enumerate_subreps(m, e)), (w, e)
+            assert count == count_points(dual(m), tuple(d - x for d, x in zip(m.dims, e))), e
+            checked += 1
+        assert checked >= (2 if p == 5 else 6), (w, checked)
+
+
+@pytest.mark.parametrize("w", [3, 1])
+def test_closed_leaf_at_a_prime_ranked_in_python_ints(w, monkeypatch):
+    # p = 3037000507 is the first prime whose arrays are dtype=object.  The
+    # other enumerated vertex is the whole space, so F is its map's rows and
+    # only the leaf has more than one subspace; its p + 1 lines are over the
+    # default budget, so the counts check none.  The closed count agrees with
+    # duality, and with the counting polynomial of the same module over Q
+    # interpolated from counts whose leaves are enumerated (held-out prime
+    # verified)
+    p = 3037000507
+    sink = Representation(Quiver(3, [(1, 3), (2, 3)]), QQ, (2, 2, 4),
+                          [[[1, 0], [0, 1], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 1], [0, 0]]])
+    source = Representation(Quiver(3, [(1, 2), (1, 3)]), QQ, (4, 2, 2),
+                            [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]]])
+    m = sink if w == 3 else source
+    es = [(2, 1, e3) for e3 in (1, 2, 3)] if w == 3 else [(e1, 2, 1) for e1 in (1, 2, 3)]
+    big = reduce_mod(m, p)
+    counts = []
+    for e in es:
+        planned = _planned(big, e)
+        assert planned.plan.summed == (w,) and planned.closed[2] and planned.dtype is object, e
+        counts.append(count_points(big, e, budget=None))
+        dual_e = tuple(d - x for d, x in zip(m.dims, e))
+        assert counts[-1] == count_points(dual(big), dual_e, budget=None), e
+    monkeypatch.setattr(counting._PlannedCount, "_closed", lambda self, v: None)
+    for e, count in zip(es, counts):
+        poly = counting_polynomial(m, e)
+        assert poly.consistency == "verified" and poly.evaluate(p) == count, e
+
+
+@pytest.mark.parametrize("family", [flag_dec, degenerate_flag_dec, most_flat_dec])
+@pytest.mark.parametrize("e", [(0, 1, 2), (0, 1, 1)])
+def test_closed_leaf_on_flag_families_over_the_prime_ladder(family, e):
+    dec = family(3)
+    m = dec.to_representation(QQ)
+    poincare = poincare_polynomial(dec, e)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        reduced = reduce_mod(m, p)
+        planned = _planned(reduced, e)
+        assert planned.plan.enumerated[-1] == 2 and planned.closed[0] == 3
+        assert count_points(reduced, e) == poincare.evaluate(p), p
+
+
+def test_flag_poly_draws_no_subspace_at_its_closed_leaf(drawn):
+    dec = flag_dec(3)
+    poly = counting_polynomial(dec.to_representation(QQ), (0, 1, 2))
+    assert poly.consistency == "verified"
+    assert all(poly.evaluate(p) == poincare_polynomial(dec, (0, 1, 2)).evaluate(p)
+               for p in (2, 3, 29))
+    # vertex 1 (d = 4, e = 0) is drawn at every prime, vertex 2 (4, 1) never
+    assert drawn and set(drawn) == {(4, 0)}
+
+
+def test_leaves_that_fall_back_still_enumerate(drawn):
+    # parallel arrows: the elliptic leaf Sym^2 (d = 6, e = 1) meets the
+    # summed source through three arrows
+    m = reduce_mod(elliptic_representation(), 5)
+    assert _planned(m, (0, 1, 1)).closed is None
+    assert elliptic_demo(5)["difference"] == 0 and (6, 1) in drawn
+    # two summed vertices: A_3 at e = (1, 2, 3) sums 1 and 3, both met at 2
+    del drawn[:]
+    dec = flag_dec(3)
+    m = reduce_mod(dec.to_representation(QQ), 3)
+    planned = _planned(m, (1, 2, 3))
+    assert planned.plan.summed == (1, 3) and planned.closed is None
+    assert count_points(m, (1, 2, 3)) == poincare_polynomial(dec, (1, 2, 3)).evaluate(3)
+    assert (4, 2) in drawn
+    # tested arrows: the shape of test_arrows_tested_in_and_out_of_one_vertex
+    del drawn[:]
+    quiver = Quiver(5, [(1, 2), (2, 3), (2, 3), (3, 4), (4, 5)])
+    m = _random_rep(quiver, (2, 2, 3, 2, 2), 3, random.Random(3))
+    e = (1,) * 5
+    planned = _planned(m, e)
+    assert planned.plan.enumerated[-1] == 3 and planned.closed is None
+    assert count_points(m, e) == len(enumerate_subreps(m, e))
+    assert (3, 1) in drawn
 
 
 def test_elliptic_counts_at_7_and_the_supersingular_11():
