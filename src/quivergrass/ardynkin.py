@@ -109,11 +109,18 @@ def knit(quiver):
     """AR quiver of a Dynkin quiver by preprojective knitting.
 
     BudgetError before knitting when its roots x n entries are above the
-    ceiling (``check_knit_ceiling``).  Each vertex keeps its out-neighbours,
-    in arrow order, and the number of its predecessors (one per arrow) that
-    are neither injective nor completed; the ready vertices, whose number is
-    0, wait on a heap, and the smallest is completed first.
+    ceiling (``errors.check_ceiling``): before the quiver is classified, for
+    the fewest roots of any Dynkin quiver on its n vertices, A_n's n(n+1)/2
+    (D_n has n(n-1), E_6/7/8 have 36/63/120), so that n >= 272 is refused at
+    once whatever the quiver; then for its type (``check_knit_ceiling``).
+    Each vertex keeps its out-neighbours, in arrow order, and the number of
+    its predecessors (one per arrow) that are neither injective nor
+    completed; the ready vertices, whose number is 0, wait on a heap, and
+    the smallest is completed first.
     """
+    n = quiver.vertex_count
+    check_ceiling(n * n * (n + 1) // 2,
+                  "the smallest AR quiver of a Dynkin quiver on {} vertices", n)
     cls = classify(quiver)
     if cls.kind != "dynkin":
         raise DomainError(f"knitting requires a Dynkin quiver, got {cls.kind}")

@@ -28,17 +28,22 @@ on the RREF bases alone: M_a U_s lies in U_t when every row of B_s M_a^T,
 reduced against B_t, leaves no residue (``_outside``).  A batch is a fixed
 number of rows that runs across pivot patterns, so the cost of a count follows
 its rows and not its batches.  The last vertex v is not drawn at all when
-no arrow is tested at it and it completes at most one summed vertex w,
-through one block Y of w's rank form: the rank at w is then rank F + e_v -
-dim(U_v ∩ L) for the fixed rows F of the chosen vertices and the subspace
-L = {x : xY in rowspace F}, and the e_v-spaces meeting L in dimension j
-number p^((e_v-j)(l-j)) [l, j]_p [d_v-l, e_v-j]_p, l = dim L (``_meeting``).
-Any other last vertex has its rows grouped by their rank vector (one lexsort
-over its columns, whatever their number), so every distinct product of
-Gaussian binomials is formed once.  Every sum and product is taken exactly in
-Python ints.  The ranks come from ``batched_rank_mod_p``, one lazily reduced
-forward elimination per batch.  The plan's estimate still counts the last
-vertex's Grassmannian, so it bounds the rows drawn from above.
+no arrow is tested at it and it completes at most two summed vertices w_i,
+each through one block Y_i of its rank form: the rank at w_i is then rank
+F_i + e_v - dim(U_v ∩ L_i) for the fixed rows F_i of the chosen vertices
+and the subspace L_i = {x : xY_i in rowspace F_i}.  The e_v-spaces meeting
+one L in dimension j number p^((e_v-j)(l-j)) [l, j]_p [d_v-l, e_v-j]_p,
+l = dim L (``_meeting``); those meeting L_1 and L_2 in dimensions i and j
+are summed over dim(U_v ∩ L_1 ∩ L_2) (``_meeting_two``).  Where the F_i
+read the rows of the vertex just above v, v's ranks are taken for that
+vertex's whole batch at once, and its rows grouped by their ranks.  Any
+other last vertex (parallel arrows, a tested arrow, three summed vertices)
+has its rows grouped by their rank vector (one lexsort over its columns,
+whatever their number), so every distinct product of Gaussian binomials is
+formed once.  Every sum and product is taken exactly in Python ints.  The
+ranks come from ``batched_rank_mod_p``, one lazily reduced forward
+elimination per batch.  The plan's estimate still counts the last vertex's
+Grassmannian, so it bounds the rows drawn from above.
 Every array of the search and of the rank kernel runs at the narrowest exact
 width, ``_residue_dtype(p, n)``: int16, then int32, then int64, and Python
 ints (dtype=object) beyond, by the one bound n (p-1)**2 < max of the width, n
@@ -94,6 +99,29 @@ def _meeting(d, e, l, j, p):
         return 0
     return p ** ((e - j) * (l - j)) * gaussian_binomial(l, j, p) \
         * gaussian_binomial(d - l, e - j, p)
+
+
+def _avoiding(n, f, a, b, c, p):
+    """Number of f-dimensional subspaces U of F_p^n that meet two fixed ones
+    A and B, of dimensions a and b with dim(A ∩ B) = c, only in 0.  Over
+    z = dim(U ∩ (A + B)): that z-space is the graph, over a z-space of
+    (A + B)/B, of a map into B injective modulo A ∩ B, and U is then an
+    (f - z)-space of F_p^n over it meeting A + B in it alone (``_meeting``)."""
+    return sum(gaussian_binomial(a - c, z, p) * math.prod(p ** (b - c) - p ** t for t in range(z))
+               * p ** (z * c) * _meeting(n - z, f - z, a + b - c - z, 0, p)
+               for z in range(min(f, a - c, b - c) + 1))
+
+
+def _meeting_two(d, e, l1, l2, l12, i, j, p):
+    """Number of e-dimensional subspaces U of F_p^d that meet fixed L1 and
+    L2, of dimensions l1 and l2 with dim(L1 ∩ L2) = l12, in dimensions i and
+    j.  Over k = dim(U ∩ L1 ∩ L2): A = U ∩ L1 meets L1 ∩ L2 in a k-space K,
+    B = U ∩ L2 is K plus a (j-k)-space of L2/K off (L1 ∩ L2)/K, and U/(A + B)
+    meets (L1 + B)/(A + B) and (L2 + A)/(A + B), of dimensions l1 - i and
+    l2 - j meeting in l12 - k, only in 0 (``_avoiding``)."""
+    return sum(_meeting(l1, i, l12, k, p) * _meeting(l2 - k, j - k, l12 - k, 0, p)
+               * _avoiding(d - i - j + k, e - i - j + k, l1 - i, l2 - j, l12 - k, p)
+               for k in range(min(i, j, l12) + 1))
 
 
 def pivot_patterns(d, e):
@@ -509,11 +537,12 @@ class _PlannedCount:
     into it, a source the left kernel of its stacked arrows
     (``_left_kernel``, ``_cokernel``).  It is ranked when its last neighbour
     is drawn.  The leaf, the last enumerated vertex, is summed in closed form
-    when no arrow is tested at it and it completes at most one summed vertex
-    through one block of its rank form (``_closed``, ``_closed_leaf``);
-    otherwise its rows are grouped by their rank vector (``_rank_groups``),
-    so each distinct product of Gaussian binomials is formed once, in Python
-    ints.
+    when no arrow is tested at it and it completes at most two summed
+    vertices, each through one block of its rank form (``_closed``,
+    ``_closed_sum``): once per count when it reads no chosen row, else once
+    per batch of the vertex above it (``_closed_sums``).  Otherwise its rows
+    are grouped by their rank vector (``_rank_groups``), so each distinct
+    product of Gaussian binomials is formed once, in Python ints.
     """
 
     def __init__(self, m_rep, e, plan):
@@ -542,6 +571,7 @@ class _PlannedCount:
                 self.constant *= gaussian_binomial(self.dims[w - 1], e[w - 1], self.p)
         self.chosen = {}
         self.closed = self._closed(plan.enumerated[-1]) if plan.enumerated else None
+        self.reads = bool(self.closed) and any(others for _, _, others in self.closed)
         self.fixed = None
 
     def _cokernel(self, w):
@@ -571,22 +601,23 @@ class _PlannedCount:
         The search keeps one row iterator (``_rows``) per enumerated vertex
         above the leaf on an explicit stack, with the product of the factors
         chosen above it, so its depth is not bounded by the interpreter's
-        recursion limit.
+        recursion limit.  The iterator just above the leaf yields its
+        factors already times the leaf's sums.
         """
         if not self.constant or not self.plan.enumerated:
             return self.constant
-        leaf = len(self.plan.enumerated) - 1
-        if not leaf:
+        above = len(self.plan.enumerated) - 1
+        if not above:
             return self.constant * self._leaf()
         total = 0
         stack = [(self._rows(0), self.constant)]
         while stack:
             rows, weight = stack[-1]
-            factor = next(rows, 0)
-            if not factor:
+            factor = next(rows, None)
+            if factor is None:
                 stack.pop()
-            elif len(stack) == leaf:
-                total += weight * factor * self._leaf()
+            elif len(stack) == above:
+                total += weight * factor
             else:
                 stack.append((self._rows(len(stack)), weight * factor))
         return total
@@ -610,40 +641,47 @@ class _PlannedCount:
 
     def _rows(self, k):
         """The nonzero factors of the rows of the k-th enumerated vertex, in
-        order; each row is the vertex's choice while its factor is current."""
+        order; each row is the vertex's choice while its factor is current.
+        Just above the leaf each factor comes times the leaf's sum below it,
+        and a closed leaf that reads chosen rows is summed a batch at a time
+        (``_closed_sums``)."""
         v = self.plan.enumerated[k]
-        completes = self.completes[v]
+        completes, last = self.completes[v], k + 2 == len(self.plan.enumerated)
         for batch, ranks in self._batches(v):
+            if last and self.reads:
+                yield self._closed_sums(v, batch, ranks)
+                continue
             for i, row in enumerate(ranks):
                 factor = self._factor(completes, row)
                 if factor:
                     self.chosen[v] = batch[i]
-                    yield factor
+                    yield factor * self._leaf() if last else factor
 
     def _closed(self, v):
         """How the leaf v is summed without drawing its subspaces, when no
-        arrow is tested at v: (None, None, []) when v completes no summed
-        vertex; (w, Y, others) when it completes one, w, whose rank form has
-        one block (v, Y) at v, others being its other blocks.  None for every
-        other leaf (parallel arrows, two summed vertices, a tested arrow),
-        which is enumerated."""
-        if self.tests[v] or len(self.completes[v]) > 1:
+        arrow is tested at v and it completes at most two summed vertices,
+        each through one block of its rank form: one (w, Y, others) per
+        summed vertex w that v completes, (v, Y) being w's one block at v and
+        others its other blocks.  None for every other leaf (parallel arrows,
+        three summed vertices, a tested arrow), which is enumerated."""
+        if self.tests[v] or len(self.completes[v]) > 2:
             return None
-        if not self.completes[v]:
-            return None, None, []
-        w, = self.completes[v]
-        blocks = self.forms[w][2]
-        at_v = [y for u, y in blocks if u == v]
-        if len(at_v) != 1:
-            return None
-        return w, at_v[0], [(u, y) for u, y in blocks if u != v]
+        closed = []
+        for w in self.completes[v]:
+            blocks = self.forms[w][2]
+            at_v = [y for u, y in blocks if u == v]
+            if len(at_v) != 1:
+                return None
+            closed.append((w, at_v[0], [(u, y) for u, y in blocks if u != v]))
+        return tuple(closed)
 
     def _leaf(self):
         """The sum over the rows of the last enumerated vertex of their factors:
-        in closed form (``_closed_leaf``) where ``_closed`` allows, once per
-        count when no chosen vertex enters it, and otherwise with the rows
+        in closed form (``_closed_sum``), once per count, when ``_closed``
+        allows and the leaf reads no chosen row, and otherwise with the rows
         grouped by rank vector (``_rank_groups``), each distinct vector's
-        factor formed once."""
+        factor formed once.  A closed leaf that reads chosen rows is summed
+        by ``_closed_sums`` instead."""
         v = self.plan.enumerated[-1]
         if self.closed is None:
             completes, total = self.completes[v], 0
@@ -651,37 +689,81 @@ class _PlannedCount:
                 for row, count in zip(*_rank_groups(ranks)):
                     total += int(count) * self._factor(completes, row)
             return total
-        if self.closed[2]:
-            return self._closed_leaf(v)
         if self.fixed is None:
-            self.fixed = self._closed_leaf(v)
+            self.fixed = self._closed_sum(self._closed_ranks()[0])
         return self.fixed
 
-    def _closed_leaf(self, v):
-        """The leaf's sum over dim(U ∩ L) = j, its subspaces U never drawn.
+    def _closed_sums(self, u, batch, ranks):
+        """The sum over the rows of a batch at u, the vertex just above a
+        closed leaf that reads chosen rows, of each row's factor times the
+        leaf's sum below it.  The leaf's ranks for the whole batch come from
+        one call (``_closed_ranks``), and the rows are grouped by their ranks
+        at u and at the leaf (``_rank_groups``), so that each distinct tuple
+        is summed once."""
+        leaf = self._closed_ranks(u, batch)
+        rows = np.concatenate([ranks, np.broadcast_to(leaf, (len(ranks), leaf.shape[1]))], axis=1)
+        completes, width, total = self.completes[u], ranks.shape[1], 0
+        for row, count in zip(*_rank_groups(rows)):
+            factor = self._factor(completes, row[:width])
+            if factor:
+                total += int(count) * factor * self._closed_sum(row[width:])
+        return total
 
-        With F the rows B_u Y_u of the other blocks (u chosen), the stack
-        [B_v Y; F] has rank rank F + e_v - dim(U ∩ L), where L = {x : xY in
-        rowspace F} has dimension l = d_v - (rank [Y; F] - rank F), and
-        ``_meeting`` counts the U with each j.  Both ranks come from one
-        ``batched_rank_mod_p`` call over [Y; F] and [0; F].  Without a
-        summed vertex the sum is [d_v, e_v]_p.
+    def _closed_ranks(self, u=None, batch=None):
+        """The ranks that fix the closed leaf's sum, per row of the batch at u
+        (one row when the leaf reads none of its rows), from one
+        ``batched_rank_mod_p`` call: rank [Y_i; F_i] and rank [0; F_i] per
+        summed vertex w_i, F_i the rows B_x Y_x of its other blocks, and with
+        two also rank [[Y_1 Y_2]; F_1 ⊕ F_2].  The stacks share one shape:
+        each holds the joint stack's rows and columns that are its own, and
+        zeros elsewhere."""
+        closed, d = self.closed, self.dims[self.plan.enumerated[-1] - 1]
+        if not closed:
+            return np.zeros((1, 0), dtype=np.int64)
+        blocks = [x for _, _, others in closed for x, _ in others]
+        m = len(batch) if u in blocks else 1
+        height = d + sum(self.e[x - 1] for x in blocks)
+        stack = np.zeros((m, 2 * len(closed) + (len(closed) == 2), height,
+                          sum(y.shape[1] for _, y, _ in closed)), dtype=self.dtype)
+        joint = [4] if len(closed) == 2 else []
+        top = left = 0
+        for i, (_, y, others) in enumerate(closed):
+            cols = slice(left, left + y.shape[1])
+            for k in [2 * i] + joint:
+                stack[:, k, :d, cols] = y
+            for x, yx in others:
+                f = _mul(batch if x == u else self.chosen[x], yx, self.p)
+                for k in [2 * i, 2 * i + 1] + joint:
+                    stack[:, k, d + top:d + top + self.e[x - 1], cols] = f
+                top += self.e[x - 1]
+            left += y.shape[1]
+        ranks = batched_rank_mod_p(stack.reshape(m * stack.shape[1], *stack.shape[2:]), self.p)
+        return ranks.reshape(stack.shape[:2])
+
+    def _closed_sum(self, ranks):
+        """The closed leaf's sum from its ranks (``_closed_ranks``).
+
+        The rank at w_i is rank F_i + e_v - dim(U ∩ L_i), where L_i = {x : xY_i
+        in rowspace F_i} has dimension l_i = d_v - (rank [Y_i; F_i] - rank
+        F_i), and dim(L_1 ∩ L_2) = d_v - (rank [[Y_1 Y_2]; F_1 ⊕ F_2] - rank
+        F_1 - rank F_2).  ``_meeting`` counts the U_v that meet L_1 in each
+        dimension, and ``_meeting_two`` those that meet L_1 and L_2 in each
+        pair; with no summed vertex, L_1 = 0 and the sum is [d_v, e_v]_p.
         """
+        v = self.plan.enumerated[-1]
         d, e, p = self.dims[v - 1], self.e[v - 1], self.p
-        w, y, others = self.closed
-        if w is None:
-            return gaussian_binomial(d, e, p)
-        offset, width, _ = self.forms[w]
-        stack = np.zeros((2, d + sum(self.e[u - 1] for u, _ in others), width), dtype=self.dtype)
-        stack[0, :d] = y
-        top = d
-        for u, yu in others:
-            stack[:, top:top + self.e[u - 1]] = _mul(self.chosen[u], yu, p)
-            top += self.e[u - 1]
-        with_y, rank_f = (int(r) for r in batched_rank_mod_p(stack, p))
-        l = d - (with_y - rank_f)
-        return sum(_meeting(d, e, l, j, p) * self._factor([w], [offset + rank_f + e - j])
-                   for j in range(e + 1))
+        ranks, ls, factors = ranks.tolist(), [0, 0], [[1], [1]]
+        for i, (w, _, _) in enumerate(self.closed):
+            with_y, rank_f = ranks[2 * i:2 * i + 2]
+            ls[i] = d - (with_y - rank_f)
+            top = self.forms[w][0] + rank_f + e
+            factors[i] = [self._factor([w], [top - j]) for j in range(e + 1)]
+        if len(self.closed) < 2:
+            return sum(f * _meeting(d, e, ls[0], j, p) for j, f in enumerate(factors[0]) if f)
+        l12 = d - (ranks[4] - ranks[1] - ranks[3])
+        return sum(f1 * f2 * _meeting_two(d, e, *ls, l12, i, j, p)
+                   for i, f1 in enumerate(factors[0]) if f1
+                   for j, f2 in enumerate(factors[1]) if f2)
 
     def _stable(self, v, batch):
         """Rows of the batch at v mapping into, and mapped into by, the chosen

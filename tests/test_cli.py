@@ -447,7 +447,8 @@ def test_poly_budget_checked_at_the_largest_prime():
 
 
 def test_count_reports_the_planned_estimate():
-    # flag variety of F^4 at e = (1,2,3): only the planes at vertex 2 are enumerated
+    # flag variety of F^4 at e = (1,2,3): the estimate counts the planes at
+    # vertex 2, the leaf, though its closed form draws none of them
     code, text = run(["count", "--intervals", "U[1,3]^4", "--n", "3", "--e", "1,2,3",
                       "--p", "5", "--format", "machine"])
     doc = json.loads(text)

@@ -13,10 +13,12 @@ before that form was sized), inputs that once took quadratic time or memory
 200,000 slots were once packed through a weight table of ~nvars^2/7
 entries), the AR quiver of A_200, once knitted by rescanning every vertex
 and arrow for each mesh, and that of A_300, whose roots x n entries are
-over the ceiling, counts whose planner once tried every subset of one side of the
-sources and sinks (the 30 + 30 ladder, refused at the default budget and
-answered at 10^15, and the fan of 24 sources, answered) and inputs that have
-always ended cleanly.
+over the ceiling, the AR quiver of an A_800 file, once classified by an n^3
+elimination before it was refused, counts whose planner once tried every
+subset of one side of the sources and sinks (the 30 + 30 ladder, refused at
+the default budget and answered at 10^15, and the fan of 24 sources,
+answered), a count whose leaf between two summed vertices once drew its
+[6, 3]_7 = 48,177,200 planes, and inputs that have always ended cleanly.
 ``{dir}`` in an argv is the directory of the fixture files.
 """
 
@@ -81,6 +83,8 @@ FILES = {
                                 "dims": [1, 10 ** 8], "matrices": {}}),
     "ladder.rep": _ladder(30),
     "fan.rep": _fan(24),
+    "a800.rep": json.dumps({"vertices": 800, "arrows": [[v, v + 1] for v in range(1, 800)],
+                            "field": "Q", "dims": [0] * 800, "matrices": {}}),
 }
 
 LADDER = ["count", "--rep", "{dir}/ladder.rep", "--e", ",".join(["1"] * 60), "--p", "2"]
@@ -116,6 +120,7 @@ ROWS = {
     "ar-quiver-3000000-vertices": (["ar-quiver", "--n", "3000000"], 3),
     "ar-quiver-200-vertices": (["ar-quiver", "--n", "200"], 0),
     "ar-quiver-300-vertices": (["ar-quiver", "--n", "300"], 3),
+    "ar-quiver-rep-800-vertices": (["ar-quiver", "--rep", "{dir}/a800.rep"], 3),
     "decompose-200000-vertices": (["decompose", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "flat-locus-200000-vertices": (["flat-locus", "--intervals", "U[1,1]", "--n", "200000"], 3),
     "gvector-200000-vertices": (["gvector", "--intervals", "U[1,1]", "--n", "200000"], 0),
@@ -127,11 +132,15 @@ ROWS = {
     "count-30-30-ladder-budget-1e15": ([*LADDER, "--budget", str(10 ** 15)], 0),
     "count-fan-24": (["count", "--rep", "{dir}/fan.rep", "--e", ",".join(["1"] * 25 + ["0"] * 49),
                       "--p", "2"], 0),
+    "count-leaf-between-two-summed-vertices": (["count", "--intervals", "U[1,3]^6", "--n", "3",
+                                                "--e", "2,3,4", "--p", "7",
+                                                "--budget", str(10 ** 8)], 0),
 }
 
 # what the standard output of a row must hold, where it is checked
 STDOUT = {"fpoly-200000-variables": 'pretty: "1 + y1"', "count-fan-24": f"count: {3 ** 25}",
-          "count-30-30-ladder-budget-1e15": "count: 3\n"}
+          "count-30-30-ladder-budget-1e15": "count: 3\n",
+          "count-leaf-between-two-summed-vertices": "count: 156527722800\n"}
 
 
 @pytest.fixture(scope="module")
